@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.core.cr_objects import CRObjectFinder
-from repro.core.uv_index import UVIndex
 from repro.uncertain.objects import UncertainObject
 
 
@@ -71,6 +70,11 @@ def unregister_object(diagram, oid: int) -> None:
 class UVDiagramUpdater:
     """Applies incremental insertions and deletions to a built UV-diagram.
 
+    The UV-index owns each object's reference set (``index.ref_ids``, the ids
+    Algorithm 3 was given); the updater keeps only the inverse of that map,
+    so constructing one -- after a build or after reopening a snapshot --
+    runs no cr-object search of its own.
+
     Args:
         diagram: the diagram to maintain -- a :class:`repro.core.diagram.UVDiagram`
             or any object exposing the same components (``objects``, ``by_id``,
@@ -86,14 +90,12 @@ class UVDiagramUpdater:
         self.diagram = diagram
         self.seed_knn = seed_knn
         self.seed_sectors = seed_sectors
-        # Reverse mapping: which objects referenced each object as a cr-object.
+        # Exact inverse of ``index.ref_ids``: which objects list each object
+        # among their references (objects nobody lists have no entry).
         self._referencing: Dict[int, Set[int]] = {}
-        self._cr_sets: Dict[int, List[int]] = {}
-        self._bootstrap_reference_map()
+        for oid in diagram.index.ref_ids:
+            self._link(oid)
 
-    # ------------------------------------------------------------------ #
-    # bootstrap
-    # ------------------------------------------------------------------ #
     def _finder(self) -> CRObjectFinder:
         return CRObjectFinder(
             self.diagram.objects,
@@ -103,16 +105,26 @@ class UVDiagramUpdater:
             seed_sectors=self.seed_sectors,
         )
 
-    def _bootstrap_reference_map(self) -> None:
-        """Recompute the cr-object reverse index for the current dataset."""
-        finder = self._finder()
-        self._referencing = {obj.oid: set() for obj in self.diagram.objects}
-        self._cr_sets = {}
-        for obj in self.diagram.objects:
-            result = finder.find(obj)
-            self._cr_sets[obj.oid] = list(result.cr_objects)
-            for other in result.cr_objects:
-                self._referencing.setdefault(other, set()).add(obj.oid)
+    def _link(self, oid: int) -> None:
+        """Record ``oid`` under every object its indexed reference list names."""
+        for ref in self.diagram.index.ref_ids[oid]:
+            self._referencing.setdefault(ref, set()).add(oid)
+
+    def _unlink(self, oid: int) -> None:
+        """Undo :meth:`_link`; call before the index drops ``oid``'s list."""
+        for ref in self.diagram.index.ref_ids[oid]:
+            referrers = self._referencing[ref]
+            referrers.discard(oid)
+            if not referrers:
+                del self._referencing[ref]
+
+    def _index(self, obj: UncertainObject, finder: CRObjectFinder) -> List[int]:
+        """Run Algorithm 2 for ``obj`` and insert it with Algorithm 3."""
+        by_id = self.diagram.by_id
+        cr_objects = finder.find(obj).cr_objects
+        self.diagram.index.insert(obj, [by_id[oid] for oid in cr_objects])
+        self._link(obj.oid)
+        return list(cr_objects)
 
     # ------------------------------------------------------------------ #
     # insertion
@@ -124,17 +136,7 @@ class UVDiagramUpdater:
 
         # Keep every component of the diagram in sync.
         register_object(self.diagram, obj)
-
-        finder = self._finder()
-        result = finder.find(obj)
-        cr_objects = [self.diagram.by_id[oid] for oid in result.cr_objects]
-        self.diagram.index.insert(obj, cr_objects)
-
-        self._cr_sets[obj.oid] = list(result.cr_objects)
-        self._referencing.setdefault(obj.oid, set())
-        for other in result.cr_objects:
-            self._referencing.setdefault(other, set()).add(obj.oid)
-        return list(result.cr_objects)
+        return self._index(obj, self._finder())
 
     # ------------------------------------------------------------------ #
     # deletion
@@ -144,44 +146,35 @@ class UVDiagramUpdater:
         if oid not in self.diagram.by_id:
             raise KeyError(f"object {oid} is not in the diagram")
 
-        affected = sorted(self._referencing.get(oid, set()) - {oid})
+        index = self.diagram.index
+        affected = sorted(self._referencing.get(oid, ()))
 
         # Drop the object from the shared diagram state and the UV-index.
         unregister_object(self.diagram, oid)
-        _remove_from_index(self.diagram.index, oid)
-        self._cr_sets.pop(oid, None)
-        self._referencing.pop(oid, None)
-        for refs in self._referencing.values():
-            refs.discard(oid)
+        self._unlink(oid)
+        index.remove_object(oid)
 
-        # Refresh every object whose UV-cell may have grown.
+        # Refresh every object whose UV-cell may have grown: exactly those
+        # whose stored reference list names the victim, because a stored
+        # cell depends on nothing but its stored list.
         finder = self._finder()
         for refreshed_oid in affected:
-            if refreshed_oid not in self.diagram.by_id:
-                continue
-            obj = self.diagram.by_id[refreshed_oid]
-            _remove_from_index(self.diagram.index, refreshed_oid)
-            result = finder.find(obj)
-            self.diagram.index.insert(
-                obj, [self.diagram.by_id[other] for other in result.cr_objects]
-            )
-            self._cr_sets[refreshed_oid] = list(result.cr_objects)
-            for other in result.cr_objects:
-                self._referencing.setdefault(other, set()).add(refreshed_oid)
+            self._unlink(refreshed_oid)
+            index.remove_object(refreshed_oid)
+            self._index(self.diagram.by_id[refreshed_oid], finder)
+        # Only now is the victim's circle unreferenced: until its turn came,
+        # an affected object still listed the victim, and a leaf split caused
+        # by an earlier refresh re-tests it against that list.
+        index.forget_circle(oid)
         return affected
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     def cr_objects_of(self, oid: int) -> List[int]:
-        """The currently recorded cr-objects of an object."""
-        return list(self._cr_sets.get(oid, []))
+        """The reference objects the index currently records for an object."""
+        return list(self.diagram.index.ref_ids.get(oid, []))
 
     def referencing(self, oid: int) -> List[int]:
         """Objects that list ``oid`` among their cr-objects."""
-        return sorted(self._referencing.get(oid, set()))
-
-
-def _remove_from_index(index: UVIndex, oid: int) -> None:
-    """Remove every leaf entry of one object from a UV-index."""
-    index.remove_object(oid)
+        return sorted(self._referencing.get(oid, ()))

@@ -96,10 +96,14 @@ class UVIndex:
         self.root = UVIndexNode(region=domain, is_leaf=True, level=0)
         self.nonleaf_count = 1
         self.size = 0
-        # Per-object data needed by the 4-point test: the object's own
-        # circle and the circles of its cr-objects.
+        # Per-object data needed by the 4-point test: every object's own
+        # circle, and per indexed object the ids of its reference objects
+        # (the ``ref_objects`` Algorithm 3 was given).  Reference circles
+        # resolve through ``_owner_circle``, so each is held once.  The id
+        # map is the single record of who references whom: snapshots persist
+        # it and the updater derives its reverse map from it.
         self._owner_circle: Dict[int, Circle] = {}
-        self._cr_circles: Dict[int, List[Circle]] = {}
+        self.ref_ids: Dict[int, List[int]] = {}
         # Inverted map oid -> leaves whose lists contain the object, keyed by
         # node identity (UVIndexNode is an unhashable dataclass).  Pattern
         # queries and updates resolve an object's leaves through this map
@@ -109,10 +113,15 @@ class UVIndex:
     # ------------------------------------------------------------------ #
     # insertion (Algorithm 3)
     # ------------------------------------------------------------------ #
-    def insert(self, owner: UncertainObject, cr_objects: Sequence[UncertainObject]) -> None:
-        """Insert one object described by its cr-objects."""
+    def insert(self, owner: UncertainObject, ref_objects: Sequence[UncertainObject]) -> None:
+        """Insert one object described by its reference (cr- or r-) objects."""
         self._owner_circle[owner.oid] = owner.mbc()
-        self._cr_circles[owner.oid] = [other.mbc() for other in cr_objects if other.oid != owner.oid]
+        for other in ref_objects:
+            # A reference object may not have been inserted itself yet.
+            self._owner_circle.setdefault(other.oid, other.mbc())
+        self.ref_ids[owner.oid] = [
+            other.oid for other in ref_objects if other.oid != owner.oid
+        ]
         self._insert_obj(owner.oid, self.root)
         self.size += 1
 
@@ -187,9 +196,11 @@ class UVIndex:
         all four corners of the square; by Lemma 4 the UV-cell then cannot
         intersect the region.
         """
-        owner = self._owner_circle[oid]
+        circles = self._owner_circle
+        owner = circles[oid]
         corners = region.corners()
-        for other in self._cr_circles[oid]:
+        for ref in self.ref_ids[oid]:
+            other = circles[ref]
             if all(self._in_outside_region(owner, other, corner) for corner in corners):
                 return False
         return True
@@ -310,9 +321,12 @@ class UVIndex:
         freed, so delete churn does not grow a leaf's page list -- or the
         disk's page-id space -- without bound.  The adaptive grid itself
         never un-splits, as in the paper.
+
+        The object's circle stays registered: reference lists that have not
+        been refreshed yet may still name it, and a leaf split re-tests their
+        owners.  Call :meth:`forget_circle` once no list does.
         """
-        self._owner_circle.pop(oid, None)
-        self._cr_circles.pop(oid, None)
+        self.ref_ids.pop(oid, None)
         leaves = self._oid_leaves.pop(oid, {})
         removed_any = False
         for leaf in leaves.values():
@@ -333,6 +347,10 @@ class UVIndex:
             self.size = max(0, self.size - 1)
         return removed_any
 
+    def forget_circle(self, oid: int) -> None:
+        """Drop a removed object's circle once no reference list names it."""
+        self._owner_circle.pop(oid, None)
+
     # ------------------------------------------------------------------ #
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #
@@ -341,8 +359,9 @@ class UVIndex:
 
         Leaf page *contents* stay on the disk manager's pages (the snapshot
         file stores them in place); this captures everything else: the
-        non-leaf tree, per-leaf page-id lists, and the circles the 4-point
-        test needs for future insertions.
+        non-leaf tree, per-leaf page-id lists, and what the 4-point test
+        needs for future insertions -- every object's circle once, and each
+        object's reference set as ids.
         """
         return {
             "max_nonleaf": self.max_nonleaf,
@@ -353,10 +372,7 @@ class UVIndex:
             "owner_circles": {
                 str(oid): _circle_state(c) for oid, c in self._owner_circle.items()
             },
-            "cr_circles": {
-                str(oid): [_circle_state(c) for c in circles]
-                for oid, circles in self._cr_circles.items()
-            },
+            "ref_ids": {str(oid): list(refs) for oid, refs in self.ref_ids.items()},
             "root": _node_state(self.root),
         }
 
@@ -380,10 +396,13 @@ class UVIndex:
         index._owner_circle = {
             int(oid): _circle_from_state(c) for oid, c in state["owner_circles"].items()
         }
-        index._cr_circles = {
-            int(oid): [_circle_from_state(c) for c in circles]
-            for oid, circles in state["cr_circles"].items()
-        }
+        if "ref_ids" in state:
+            index.ref_ids = {
+                int(oid): [int(ref) for ref in refs]
+                for oid, refs in state["ref_ids"].items()
+            }
+        else:
+            index.ref_ids = _ref_ids_from_circles(state)
         index.root = _node_from_state(state["root"])
         for leaf in index.leaves():
             for oid in leaf.entry_oids:
@@ -421,6 +440,23 @@ def _circle_state(circle: Circle) -> List[float]:
 
 def _circle_from_state(state: Sequence[float]) -> Circle:
     return Circle(Point(state[0], state[1]), state[2])
+
+
+def _ref_ids_from_circles(state: Dict) -> Dict[int, List[int]]:
+    """Reference ids of a format-1 snapshot, which stored the circles by value.
+
+    Each circle is resolved to an object that owns an equal one.  A circle no
+    current object owns (its object was deleted after the list was computed)
+    is dropped: a shorter reference list only makes the 4-point test more
+    conservative, and the stored leaf entries do not depend on it.
+    """
+    owner_of = {tuple(c): int(oid) for oid, c in state["owner_circles"].items()}
+    ref_ids: Dict[int, List[int]] = {}
+    for key, circles in state["cr_circles"].items():
+        oid = int(key)
+        refs = (owner_of.get(tuple(c)) for c in circles)
+        ref_ids[oid] = [ref for ref in refs if ref is not None and ref != oid]
+    return ref_ids
 
 
 def _node_state(node: UVIndexNode) -> Dict:

@@ -55,7 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 logger = logging.getLogger("repro.engine.snapshot")
 
-SNAPSHOT_FORMAT = 1
+#: Format 2 stores each UV-index reference set as object ids (``ref_ids``);
+#: format 1 stored the circles by value (``cr_circles``) and stays readable.
+SNAPSHOT_FORMAT = 2
 
 
 def build_meta(engine: "QueryEngine") -> Dict[str, Any]:

@@ -14,6 +14,8 @@ import itertools
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.rtree.node import RTreeEntry, RTreeNode
@@ -178,33 +180,16 @@ class RTree:
     def _split_node(self, node: RTreeNode) -> Tuple[RTreeNode, RTreeNode]:
         """Quadratic split of an overfull node into two nodes."""
         entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        remaining = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-        min_fill = max(1, self.fanout // 3)
-
-        while remaining:
-            if len(group_a) + len(remaining) == min_fill:
-                group_a.extend(remaining)
-                break
-            if len(group_b) + len(remaining) == min_fill:
-                group_b.extend(remaining)
-                break
-            mbr_a = _entries_mbr(group_a)
-            mbr_b = _entries_mbr(group_b)
-            entry = max(
-                remaining,
-                key=lambda e: abs(mbr_a.enlargement(e.mbr) - mbr_b.enlargement(e.mbr)),
-            )
-            remaining.remove(entry)
-            if mbr_a.enlargement(entry.mbr) <= mbr_b.enlargement(entry.mbr):
-                group_a.append(entry)
-            else:
-                group_b.append(entry)
-
-        left = RTreeNode(is_leaf=node.is_leaf, entries=group_a, level=node.level)
-        right = RTreeNode(is_leaf=node.is_leaf, entries=group_b, level=node.level)
+        boxes = np.array(
+            [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in entries]
+        )
+        in_a, in_b = quadratic_split(boxes, max(1, self.fanout // 3))
+        left = RTreeNode(
+            is_leaf=node.is_leaf, entries=[entries[i] for i in in_a], level=node.level
+        )
+        right = RTreeNode(
+            is_leaf=node.is_leaf, entries=[entries[i] for i in in_b], level=node.level
+        )
         if node.is_leaf:
             self._register_leaf(left)
             self._register_leaf(right)
@@ -212,18 +197,6 @@ class RTree:
                 self.disk.free_page(node.page_id)
             self.leaf_count += 1
         return left, right
-
-    @staticmethod
-    def _pick_seeds(entries: List[RTreeEntry]) -> Tuple[int, int]:
-        worst_pair = (0, 1)
-        worst_waste = -math.inf
-        for i, j in itertools.combinations(range(len(entries)), 2):
-            union = entries[i].mbr.union(entries[j].mbr)
-            waste = union.area() - entries[i].mbr.area() - entries[j].mbr.area()
-            if waste > worst_waste:
-                worst_waste = waste
-                worst_pair = (i, j)
-        return worst_pair
 
     def _sync_leaf_page(self, node: RTreeNode) -> None:
         if node.page_id is None:
@@ -390,11 +363,62 @@ class RTree:
         return internal, leaves
 
 
-def _entries_mbr(entries: List[RTreeEntry]) -> Rect:
-    rect = entries[0].mbr
-    for entry in entries[1:]:
-        rect = rect.union(entry.mbr)
-    return rect
+def _enlargements(group: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Area each box would add to ``group``'s MBR (``Rect.enlargement``, batched)."""
+    union_area = (
+        (np.maximum(group[2], boxes[:, 2]) - np.minimum(group[0], boxes[:, 0]))
+        * (np.maximum(group[3], boxes[:, 3]) - np.minimum(group[1], boxes[:, 1]))
+    )
+    return union_area - (group[2] - group[0]) * (group[3] - group[1])
+
+
+def quadratic_split(boxes: np.ndarray, min_fill: int) -> Tuple[List[int], List[int]]:
+    """Guttman's quadratic split over an ``(n, 4)`` array of boxes.
+
+    Returns the two groups as lists of row indices, in assignment order.
+    Seeds are the first pair (row-major over ``i < j``) wasting the most
+    area; each step then assigns the first remaining box whose enlargement
+    of the two group MBRs differs most, to the group it enlarges less (ties
+    to the first group), until one group needs every remaining box to reach
+    ``min_fill``.  Every value is computed with the same float operations as
+    the per-``Rect`` formulation kept in ``tests/reference``, so the groups
+    -- and hence tree shapes and page ids -- are identical to it, ties
+    included.
+    """
+    xmin, ymin, xmax, ymax = boxes.T
+    areas = (xmax - xmin) * (ymax - ymin)
+    waste = (
+        (np.maximum.outer(xmax, xmax) - np.minimum.outer(xmin, xmin))
+        * (np.maximum.outer(ymax, ymax) - np.minimum.outer(ymin, ymin))
+        - areas[:, None]
+        - areas[None, :]
+    )
+    waste[np.tril_indices(len(boxes))] = -np.inf
+    seed_a, seed_b = divmod(int(np.argmax(waste)), len(boxes))
+
+    groups = ([seed_a], [seed_b])
+    mbrs = [boxes[seed_a].copy(), boxes[seed_b].copy()]
+    enlargements = [_enlargements(mbr, boxes) for mbr in mbrs]
+    remaining = np.ones(len(boxes), dtype=bool)
+    remaining[[seed_a, seed_b]] = False
+    left = len(boxes) - 2
+    while left:
+        short = [len(group) + left == min_fill for group in groups]
+        if short[0] or short[1]:
+            groups[0 if short[0] else 1].extend(np.flatnonzero(remaining).tolist())
+            break
+        difference = np.abs(enlargements[0] - enlargements[1])
+        difference[~remaining] = -1.0
+        pick = int(np.argmax(difference))
+        side = 0 if enlargements[0][pick] <= enlargements[1][pick] else 1
+        groups[side].append(pick)
+        remaining[pick] = False
+        left -= 1
+        mbr = mbrs[side]
+        np.minimum(mbr[:2], boxes[pick, :2], out=mbr[:2])
+        np.maximum(mbr[2:], boxes[pick, 2:], out=mbr[2:])
+        enlargements[side] = _enlargements(mbr, boxes)
+    return groups
 
 
 # ---------------------------------------------------------------------- #

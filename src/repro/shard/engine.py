@@ -207,14 +207,24 @@ class ShardedQueryEngine:
         self._margin = max(
             1e-9, 1e-9 * max(domain.xmax - domain.xmin, domain.ymax - domain.ymin)
         )
-        # Live routing bounds: start from the manifest's possible-region
-        # bounds, widen on insert, never shrink on delete (stale-wide bounds
-        # cost page reads, never answers).
-        self._bounds: List[Rect] = [shard.bound for shard in self.shard_map.shards]
+        # Live routing bounds: the manifest's possible-region bound united
+        # with the MBR of what the shard actually holds (the manifest dates
+        # from the build; WAL replay and checkpoints add objects without
+        # rewriting it), widened on insert, never shrunk on delete
+        # (stale-wide bounds cost page reads, never answers).
+        self._bounds: List[Rect] = []
         self._owner: Dict[int, int] = {}
         for index, engine in enumerate(self.engines):
+            bound = self.shard_map.shards[index].bound
+            xmin, ymin, xmax, ymax = bound.xmin, bound.ymin, bound.xmax, bound.ymax
             for obj in engine.objects:
                 self._owner[obj.oid] = index
+                box = obj.region.bounding_box()
+                xmin = min(xmin, box[0])
+                ymin = min(ymin, box[1])
+                xmax = max(xmax, box[2])
+                ymax = max(ymax, box[3])
+            self._bounds.append(Rect(xmin, ymin, xmax, ymax))
         self._ring_cache = RingCache()
         self.fleet_io = FleetIO(self.engines)
         self.config: DiagramConfig = self.engines[0].config

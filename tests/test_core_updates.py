@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import UVDiagram
+from repro import DiagramConfig, QueryEngine, UVDiagram
+from repro.core.cr_objects import CRObjectFinder
 from repro.core.updates import UVDiagramUpdater
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
@@ -119,15 +120,111 @@ class TestDeletion:
         assert_consistent(diagram)
 
 
+def reference_inverse(index):
+    inverse = {}
+    for oid, refs in index.ref_ids.items():
+        for ref in refs:
+            inverse.setdefault(ref, set()).add(oid)
+    return inverse
+
+
 class TestBookkeeping:
-    def test_reference_map_consistency(self, updatable_diagram):
-        _, updater = updatable_diagram
-        for oid, referencing in updater._referencing.items():
-            for referrer in referencing:
-                assert oid in updater.cr_objects_of(referrer)
+    def test_reference_map_is_the_inverse_of_the_index(self, updatable_diagram):
+        diagram, updater = updatable_diagram
+        assert updater._referencing == reference_inverse(diagram.index)
 
     def test_referencing_accessor(self, updatable_diagram):
-        _, updater = updatable_diagram
-        some_object = next(iter(updater._cr_sets))
+        diagram, updater = updatable_diagram
+        some_object = next(iter(diagram.index.ref_ids))
+        assert updater.cr_objects_of(some_object)
         for cr in updater.cr_objects_of(some_object):
             assert some_object in updater.referencing(cr)
+
+    @pytest.mark.parametrize("method", ("ic", "icr", "basic"))
+    def test_bookkeeping_survives_churn(self, method):
+        count = 12 if method == "basic" else 35
+        diagram = UVDiagram.build(make_objects(count, seed=51), DOMAIN, method=method,
+                                  page_capacity=8, seed_knn=20, rtree_fanout=8)
+        updater = UVDiagramUpdater(diagram, seed_knn=20)
+        index = diagram.index
+        rng = np.random.default_rng(9)
+        next_oid = 5000
+        for step in range(60):
+            if step % 2 == 0:
+                victim = int(rng.choice(sorted(diagram.by_id)))
+                reindexed = updater.remove(victim)
+                assert victim not in index._owner_circle
+            else:
+                obj = UncertainObject.uniform(
+                    next_oid,
+                    Point(float(rng.uniform(50, 950)), float(rng.uniform(50, 950))),
+                    30.0,
+                )
+                next_oid += 1
+                updater.insert(obj)
+                reindexed = [obj.oid]
+            # The map is exact after every step, not merely a superset ...
+            assert updater._referencing == reference_inverse(index)
+            assert set(index.ref_ids) == set(diagram.by_id)
+            assert all(ref in diagram.by_id
+                       for refs in index.ref_ids.values() for ref in refs)
+            # ... and what was just (re)indexed holds Algorithm 2's current output.
+            finder = updater._finder()
+            for oid in reindexed:
+                assert index.ref_ids[oid] == finder.find(diagram.by_id[oid]).cr_objects
+        assert_consistent(diagram)
+
+
+class TestNoBootstrap:
+    """Reference sets live in the index, so nothing is searched for twice."""
+
+    @pytest.fixture()
+    def find_calls(self, monkeypatch):
+        calls = []
+        find = CRObjectFinder.find
+
+        def counting_find(self, owner):
+            calls.append(owner.oid)
+            return find(self, owner)
+
+        monkeypatch.setattr(CRObjectFinder, "find", counting_find)
+        return calls
+
+    def test_building_an_updater_runs_no_search(self, updatable_diagram, find_calls,
+                                                tmp_path):
+        diagram, _ = updatable_diagram
+        UVDiagramUpdater(diagram, seed_knn=20)
+        path = str(tmp_path / "snap.uv")
+        diagram.engine.save(path)
+        reopened = QueryEngine.open(path)
+        UVDiagramUpdater(reopened, seed_knn=20)
+        assert find_calls == []
+
+    def test_recovery_searches_once_per_insert_and_affected_object(
+            self, find_calls, tmp_path):
+        engine = QueryEngine.build(
+            make_objects(35, seed=51), DOMAIN,
+            DiagramConfig(page_capacity=8, seed_knn=20, rtree_fanout=8))
+        directory = str(tmp_path / "live")
+        engine.save_generation(directory)
+        del find_calls[:]
+
+        live = QueryEngine.open_live(directory)
+        expected = 0
+        for step, victim in enumerate((4, 17, 23, 30)):
+            expected += len(live.delete(victim))
+            live.insert(UncertainObject.uniform(
+                900 + step, Point(200.0 + 150.0 * step, 480.0), 30.0))
+            expected += 1
+        assert len(find_calls) == expected  # the first update paid no bootstrap
+        live_map = live.backend._updater()._referencing
+        live.close_wal()
+
+        del find_calls[:]
+        recovered = QueryEngine.open_live(directory)
+        assert recovered.pending_wal_records == 8
+        assert len(find_calls) == expected
+        # Replay is state-equivalent, not just answer-equivalent.
+        assert recovered.index.ref_ids == live.index.ref_ids
+        assert recovered.backend._updater()._referencing == live_map
+        recovered.close_wal()

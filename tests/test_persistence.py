@@ -82,6 +82,40 @@ def test_store_kinds_serve_identically(store_kind, tmp_path):
         got = reopened.pnn(q)
         assert got.answer_ids == ref.answer_ids
         assert got.probabilities == ref.probabilities
+    assert reopened.index.ref_ids == engine.index.ref_ids
+
+
+def test_format_1_snapshot_still_opens_and_updates(tmp_path):
+    """Format 1 stored reference circles by value (``cr_circles``), no ids."""
+    engine, domain = _build("ic")
+    queries = generate_query_points(5, domain, seed=29)
+    path = str(tmp_path / "old.uv")
+    engine.save(path)
+
+    store = FilePageStore.open(path, writable=True)
+    meta = store.read_meta()
+    state = meta["backend_state"]["index"]
+    circles = state["owner_circles"]
+    state["cr_circles"] = {
+        oid: [circles[str(ref)] for ref in refs]
+        for oid, refs in state.pop("ref_ids").items()
+    }
+    meta["snapshot_format"] = 1
+    store.write_meta(meta)
+    store.close()
+
+    reopened = QueryEngine.open(path, verify=True)
+    assert reopened.index.ref_ids == engine.index.ref_ids
+    for q in queries:
+        assert reopened.pnn(q).probabilities == engine.pnn(q).probabilities
+    for live in (reopened, engine):
+        live.delete(live.objects[3].oid)
+        live.insert(UncertainObject.uniform(
+            9000, Point(domain.xmin + domain.width / 2,
+                        domain.ymin + domain.height / 2), 120.0))
+    assert reopened.index.ref_ids == engine.index.ref_ids
+    for q in queries:
+        assert reopened.pnn(q).probabilities == engine.pnn(q).probabilities
 
 
 @pytest.mark.parametrize("backend", ("ic", "rtree", "grid"))

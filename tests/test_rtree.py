@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from reference.rtree_split import quadratic_split as reference_split
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, quadratic_split
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
 
@@ -72,6 +74,51 @@ class TestDynamicInsert:
         window = Rect(200.0, 200.0, 500.0, 600.0)
         expected = sorted(o.oid for o in objects if o.mbr().intersects(window))
         assert sorted(tree.range_query(window)) == expected
+
+
+class TestQuadraticSplit:
+    """The array kernel returns exactly the groups of the per-Rect reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fanout=st.sampled_from([4, 5, 8, 16, 33, 100]),
+        grid=st.sampled_from([2, 3, 10, 1000]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_groups_as_reference(self, fanout, grid, seed):
+        # Grid-snapped corners: a coarse grid makes equal wastes, equal
+        # enlargements, duplicate and degenerate boxes the common case.
+        rng = np.random.default_rng(seed)
+        low = rng.integers(0, grid, size=(fanout + 1, 2))
+        extent = rng.integers(0, grid, size=(fanout + 1, 2))
+        boxes = np.hstack([low, low + extent]).astype(float) * (1000.0 / grid)
+        min_fill = max(1, fanout // 3)
+        expected = reference_split([Rect(*row) for row in boxes], min_fill)
+        assert quadratic_split(boxes, min_fill) == expected
+
+    def test_inserts_build_the_same_tree_as_the_reference_split(self, monkeypatch):
+        objects = make_objects(150, seed=21, radius=20.0)
+
+        def pages(tree):
+            return sorted(
+                (pid, [e.oid for e in tree.disk.peek_page(pid).entries])
+                for pid in tree.disk.store.page_ids()
+            )
+
+        fast = RTree(fanout=6)
+        for obj in objects:
+            fast.insert(obj)
+        monkeypatch.setattr(
+            "repro.rtree.tree.quadratic_split",
+            lambda boxes, min_fill: reference_split(
+                [Rect(*row) for row in boxes], min_fill
+            ),
+        )
+        slow = RTree(fanout=6)
+        for obj in objects:
+            slow.insert(obj)
+        assert fast.snapshot_state() == slow.snapshot_state()
+        assert pages(fast) == pages(slow)
 
 
 class TestRangeQueries:

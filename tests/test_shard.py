@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DiagramConfig, Point, QueryEngine, generate_uniform_objects
+from repro import DiagramConfig, Point, QueryEngine, Rect, generate_uniform_objects
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 from repro.shard import (
     SHARDMAP_NAME,
@@ -327,6 +327,50 @@ class TestLiveCycle:
             assert [a.to_dict() for a in got.answers] == [
                 a.to_dict() for a in expected.answers
             ]
+
+    @pytest.mark.parametrize("backend", ("ic", "rtree"))
+    def test_recovered_fleet_routes_to_acknowledged_inserts(self, backend, tmp_path):
+        """An insert outside its shard's build-time bound survives recover x route.
+
+        Four tight corner clusters: shard 2 (south-east) owns x >= 480 but its
+        recorded bound starts at x = 790.  The insert at (490, 300) belongs to
+        it; for a query beside the insert the south-west bound is nearer, and
+        its candidates' d_minmax prunes a stale south-east bound.
+        """
+        domain = Rect(0.0, 0.0, 1000.0, 1000.0)
+        corners = [(100.0, 100.0), (100.0, 800.0), (800.0, 100.0), (800.0, 800.0)]
+        offsets = [(0.0, 0.0), (50.0, 20.0), (20.0, 60.0), (60.0, 70.0)]
+        objects = [
+            UncertainObject.uniform(4 * c + o, Point(cx + dx, cy + dy), 10.0)
+            for c, (cx, cy) in enumerate(corners)
+            for o, (dx, dy) in enumerate(offsets)
+        ]
+        directory = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, directory, shards=4,
+                                 config=CONFIG.replace(backend=backend))
+        extra = UncertainObject.uniform(999, Point(490.0, 300.0), 10.0)
+        query = PNNQuery(Point(440.0, 300.0))
+
+        def check(engine):
+            routed = engine.execute(query)
+            everywhere = engine.execute(query, scatter_all=True)
+            assert routed.answer_ids == [999]
+            assert [a.to_dict() for a in routed.answers] == [
+                a.to_dict() for a in everywhere.answers
+            ]
+
+        engine = ShardedQueryEngine.open_live(directory)
+        assert engine.shard_map.shard_of_point(extra.center) == 2
+        assert not engine.shard_map.shards[2].bound.contains_point(extra.center)
+        engine.insert(extra)
+        check(engine)
+        engine.close()
+
+        recovered = ShardedQueryEngine.open_live(directory)  # from the WAL tail
+        check(recovered)
+        recovered.checkpoint()
+        recovered.close()
+        check(ShardedQueryEngine.open(directory))  # from the new generation
 
     def test_readonly_open_refuses_mutation(self, dataset, deployments):
         objects, _ = dataset
