@@ -234,6 +234,7 @@ class ConstructionContext:
                 rtree=rtree,
                 seed_knn=spec.seed_knn,
                 seed_sectors=spec.seed_sectors,
+                by_id=self.by_id,
             )
         self.finder = finder
 

@@ -80,10 +80,14 @@ class CRObjectFinder:
     """Derives cr-objects for every object of a dataset (Algorithm 2).
 
     Args:
-        objects: the full dataset.
+        objects: the full dataset; held by reference, not copied, so a caller
+            that already owns the list (a diagram under live updates) pays
+            nothing per finder.
         domain: the domain rectangle ``D``.
         rtree: an R-tree over the objects (used for the k-NN seed query and
             the I-pruning range query); built on demand when omitted.
+        by_id: the caller's ``oid -> object`` map over the same objects, if
+            it has one; built here when omitted.
         seed_knn: ``k`` of the seed-selection k-NN query (the paper uses 300).
         seed_sectors: ``k_s`` -- number of sectors around ``c_i`` (paper: 8).
         arc_samples / edge_samples: resolution of the possible-region polygon.
@@ -98,12 +102,15 @@ class CRObjectFinder:
         seed_sectors: int = 8,
         arc_samples: int = 12,
         edge_samples: int = 6,
+        by_id: Optional[Dict[int, UncertainObject]] = None,
     ):
         if seed_sectors < 1:
             raise ValueError("seed_sectors must be positive")
-        self.objects = list(objects)
+        self.objects = objects
         self.domain = domain
-        self.by_id: Dict[int, UncertainObject] = {obj.oid: obj for obj in self.objects}
+        self.by_id: Dict[int, UncertainObject] = (
+            by_id if by_id is not None else {obj.oid: obj for obj in objects}
+        )
         self.rtree = rtree if rtree is not None else RTree.bulk_load(self.objects)
         self.seed_knn = seed_knn
         self.seed_sectors = seed_sectors
@@ -173,14 +180,17 @@ class CRObjectFinder:
         candidates: Sequence[int],
     ) -> List[int]:
         """Filter candidates with the d-bound test of Lemma 3."""
-        hull = region.convex_hull_vertices()
+        hull = region.convex_hull_coords()
         if not hull:
             return list(candidates)
-        d_bounds = [(vertex, vertex.distance_to(owner.center)) for vertex in hull]
+        hypot = math.hypot
+        ox, oy = owner.center.x, owner.center.y
+        d_bounds = [(vx, vy, hypot(vx - ox, vy - oy)) for vx, vy in hull]
         survivors = []
         for oid in candidates:
             center = self.by_id[oid].center
-            if any(center.distance_to(vertex) <= radius for vertex, radius in d_bounds):
+            cx, cy = center.x, center.y
+            if any(hypot(cx - vx, cy - vy) <= radius for vx, vy, radius in d_bounds):
                 survivors.append(oid)
         return survivors
 

@@ -11,11 +11,14 @@ remains a valid possible region.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+import math
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.uv_edge import UVEdge
-from repro.geometry.clipping import clip_polygon_by_constraint
-from repro.geometry.hull import convex_hull
+from repro.geometry import region_kernel
+from repro.geometry.hull import convex_hull_coords
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
@@ -24,6 +27,10 @@ from repro.uncertain.objects import UncertainObject
 
 class PossibleRegion:
     """A shrinking over-approximation of one object's UV-cell.
+
+    The boundary is held as a ring of plain coordinates and clipped by
+    :mod:`repro.geometry.region_kernel`; :attr:`polygon` materialises it as a
+    :class:`~repro.geometry.polygon.Polygon` on demand.
 
     Args:
         owner: the object ``O_i`` whose UV-cell is being approximated.
@@ -46,9 +53,22 @@ class PossibleRegion:
         self.domain = domain
         self.arc_samples = arc_samples
         self.edge_samples = edge_samples
-        self.polygon = Polygon.from_rect(domain)
+        self._polygon: Optional[Polygon] = Polygon.from_rect(domain)
+        corners = self._polygon.vertices
+        self._xs: List[float] = [p.x for p in corners]
+        self._ys: List[float] = [p.y for p in corners]
+        self._area = self._polygon.area()
         self.refined_by: Set[int] = set()
         self._contributors: Set[int] = set()
+
+    @property
+    def polygon(self) -> Polygon:
+        """The current region as a polygon (built when first asked for)."""
+        if self._polygon is None:
+            self._polygon = Polygon.from_normalized(
+                [Point(x, y) for x, y in zip(self._xs, self._ys)]
+            )
+        return self._polygon
 
     # ------------------------------------------------------------------ #
     # refinement
@@ -69,23 +89,19 @@ class PossibleRegion:
         """Refine with an already-constructed UV-edge."""
         other = edge.other
         self.refined_by.add(other.oid)
-        if not edge.exists() or self.polygon.is_empty():
+        if edge.hyperbola is None or self.is_empty():
             return False
 
-        area_before = self.polygon.area()
-
-        def arc_sampler(exit_point: Point, entry_point: Point) -> Sequence[Point]:
-            return edge.arc_between(exit_point, entry_point, count=self.arc_samples)
-
-        clipped = clip_polygon_by_constraint(
-            self.polygon,
-            edge.edge_value,
-            arc_sampler=arc_sampler,
-            edge_samples=self.edge_samples,
+        clipped = region_kernel.clip(
+            self._xs, self._ys, edge.hyperbola, self.edge_samples, self.arc_samples
         )
-        changed = abs(clipped.area() - area_before) > 1e-9 * max(area_before, 1.0)
+        if clipped is None:
+            return False
+        xs, ys, area = clipped
+        changed = abs(area - self._area) > 1e-9 * max(self._area, 1.0)
         if changed:
-            self.polygon = clipped
+            self._xs, self._ys, self._area = xs, ys, area
+            self._polygon = None
             self._contributors.add(other.oid)
         return changed
 
@@ -104,18 +120,23 @@ class PossibleRegion:
         """The bound ``d`` of Lemma 2: the farthest boundary point from ``c_i``.
 
         The boundary consists of straight domain edges and concave hyperbolic
-        arcs, so the maximum over the polygon's vertices (which include the
+        arcs, so the maximum over the ring's vertices (which include the
         sampled arc points) attains the bound up to sampling error.
         """
-        if self.polygon.is_empty():
+        if self.is_empty():
             return 0.0
-        return self.polygon.max_distance_from(self.owner.center)
+        ox, oy = self.owner.center.x, self.owner.center.y
+        return max(math.hypot(ox - x, oy - y) for x, y in zip(self._xs, self._ys))
+
+    def convex_hull_coords(self) -> List[Tuple[float, float]]:
+        """``(x, y)`` vertices of the convex hull ``CH(P_i)`` (Lemma 3)."""
+        if self.is_empty():
+            return []
+        return convex_hull_coords(zip(self._xs, self._ys))
 
     def convex_hull_vertices(self) -> List[Point]:
         """Vertices of the convex hull ``CH(P_i)`` used by C-pruning (Lemma 3)."""
-        if self.polygon.is_empty():
-            return []
-        return convex_hull(self.polygon.vertices)
+        return [Point(x, y) for x, y in self.convex_hull_coords()]
 
     def contains(self, p: Point) -> bool:
         """Membership test against the current approximation."""
@@ -123,11 +144,11 @@ class PossibleRegion:
 
     def area(self) -> float:
         """Area of the current possible region."""
-        return self.polygon.area()
+        return self._area
 
     def is_empty(self) -> bool:
         """``True`` when the region has collapsed to nothing."""
-        return self.polygon.is_empty()
+        return len(self._xs) < 3 or self._area <= 0.0
 
     # ------------------------------------------------------------------ #
     # provenance
@@ -149,25 +170,24 @@ class PossibleRegion:
     ) -> List[int]:
         """Objects whose UV-edges actually appear on the final boundary.
 
-        For every vertex of the (densely sampled) boundary we test which
-        candidates' UV-edge passes through it; those candidates are the
-        r-objects ``F_i`` (Section IV-A).  ``tolerance`` is relative to the
-        domain diagonal.
+        A candidate is an r-object (``F_i``, Section IV-A) when its UV-edge
+        passes through some vertex of the (densely sampled) boundary: its
+        edge function, evaluated over all vertices at once, comes within
+        ``tolerance`` (relative to the domain's longer side) of zero.
         """
-        if self.polygon.is_empty():
+        if self.is_empty():
             return []
-        scale = max(self.domain.width, self.domain.height)
-        tol = tolerance * scale
+        tol = tolerance * max(self.domain.width, self.domain.height)
+        xs = np.array(self._xs)
+        ys = np.array(self._ys)
         found: Set[int] = set()
-        edges = {
-            candidate.oid: UVEdge.between(self.owner, candidate)
-            for candidate in candidates
-            if candidate.oid != self.owner.oid
-        }
-        for vertex in self.polygon.vertices:
-            for oid, edge in edges.items():
-                if oid in found or not edge.exists():
-                    continue
-                if abs(edge.edge_value(vertex)) <= tol:
-                    found.add(oid)
+        for candidate in candidates:
+            if candidate.oid == self.owner.oid or candidate.oid in found:
+                continue
+            hyperbola = UVEdge.between(self.owner, candidate).hyperbola
+            if hyperbola is None:
+                continue
+            values = region_kernel.edge_values(hyperbola, xs, ys, around=tol)
+            if (np.abs(values) <= tol).any():
+                found.add(candidate.oid)
         return sorted(found)

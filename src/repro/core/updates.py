@@ -103,6 +103,7 @@ class UVDiagramUpdater:
             rtree=self.diagram.rtree,
             seed_knn=min(self.seed_knn, max(1, len(self.diagram.objects))),
             seed_sectors=self.seed_sectors,
+            by_id=self.diagram.by_id,
         )
 
     def _link(self, oid: int) -> None:

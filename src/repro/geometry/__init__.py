@@ -13,8 +13,10 @@ The UV-diagram is built from a small number of geometric primitives:
 * :class:`~repro.geometry.hyperbola.Hyperbola` -- the conic curves that form
   UV-edges (Equation 5 of the paper),
 * convex hulls (:func:`~repro.geometry.hull.convex_hull`) used by C-pruning,
-* curve clipping (:mod:`repro.geometry.clipping`) used when an exact UV-cell
-  is constructed by repeatedly subtracting outside regions (Algorithm 1).
+* the possible-region kernel (:mod:`repro.geometry.region_kernel`): clipping
+  a ring of coordinates by a UV-edge, the step Algorithms 1 and 2 repeat when
+  they subtract outside regions,
+* exact half-plane / rectangle clipping (:mod:`repro.geometry.clipping`).
 
 All coordinates are plain ``float``; the kernel does not depend on any other
 subpackage of :mod:`repro`.
@@ -27,7 +29,7 @@ from repro.geometry.segment import Segment
 from repro.geometry.polygon import Polygon
 from repro.geometry.hull import convex_hull
 from repro.geometry.hyperbola import Hyperbola
-from repro.geometry.clipping import clip_polygon_halfplane, clip_polygon_by_constraint
+from repro.geometry.clipping import clip_polygon_halfplane
 
 __all__ = [
     "Point",
@@ -43,5 +45,4 @@ __all__ = [
     "convex_hull",
     "Hyperbola",
     "clip_polygon_halfplane",
-    "clip_polygon_by_constraint",
 ]

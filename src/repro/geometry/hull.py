@@ -7,34 +7,46 @@ outside every d-bound circle erected on the hull's vertices.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from repro.geometry.point import Point, cross
 from repro.geometry.polygon import Polygon
 
 
-def convex_hull(points: Iterable[Point]) -> List[Point]:
-    """Return the convex hull vertices in counter-clockwise order.
+def convex_hull_coords(
+    points: Iterable[Tuple[float, float]],
+) -> List[Tuple[float, float]]:
+    """Convex hull of ``(x, y)`` pairs, counter-clockwise.
 
     Collinear points on the hull boundary are dropped.  Degenerate inputs
     (fewer than three distinct points) return the distinct points themselves.
     """
-    pts = sorted(set((p.x, p.y) for p in points))
-    unique = [Point(x, y) for x, y in pts]
+    unique = sorted(set(points))
     if len(unique) <= 2:
         return unique
 
-    def half_hull(sequence: List[Point]) -> List[Point]:
-        hull: List[Point] = []
-        for p in sequence:
-            while len(hull) >= 2 and cross(hull[-1] - hull[-2], p - hull[-2]) <= 0:
+    def half_hull(sequence: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
+        hull: List[Tuple[float, float]] = []
+        for px, py in sequence:
+            while len(hull) >= 2:
+                (ox, oy), (qx, qy) = hull[-2], hull[-1]
+                if (qx - ox) * (py - oy) - (qy - oy) * (px - ox) > 0:
+                    break
                 hull.pop()
-            hull.append(p)
+            hull.append((px, py))
         return hull
 
     lower = half_hull(unique)
-    upper = half_hull(list(reversed(unique)))
+    upper = half_hull(reversed(unique))
     return lower[:-1] + upper[:-1]
+
+
+def convex_hull(points: Iterable[Point]) -> List[Point]:
+    """Return the convex hull vertices in counter-clockwise order.
+
+    See :func:`convex_hull_coords`, which this wraps.
+    """
+    return [Point(x, y) for x, y in convex_hull_coords((p.x, p.y) for p in points)]
 
 
 def convex_hull_polygon(points: Iterable[Point]) -> Polygon:

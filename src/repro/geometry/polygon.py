@@ -60,6 +60,17 @@ class Polygon:
         """The empty polygon."""
         return Polygon([])
 
+    @classmethod
+    def from_normalized(cls, vertices: List[Point]) -> "Polygon":
+        """Wrap vertices that are already deduplicated and counter-clockwise.
+
+        Skips the constructor's normalisation, so the polygon holds exactly
+        ``vertices`` (the possible-region kernel normalises its own rings).
+        """
+        polygon = cls.__new__(cls)
+        polygon._vertices = vertices
+        return polygon
+
     # ------------------------------------------------------------------ #
     # accessors
     # ------------------------------------------------------------------ #

@@ -2,6 +2,9 @@
 sets and same qualification probabilities -- through all three backend
 families, on 200-object uniform datasets over seeds 0-2."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import DiagramConfig, QueryEngine, generate_query_points, generate_uniform_objects
@@ -37,3 +40,48 @@ def test_pnn_parity_on_200_uniform_objects(seed):
             assert probabilities.keys() == reference.keys()
             for oid, p in reference.items():
                 assert probabilities[oid] == pytest.approx(p, abs=1e-9), name
+
+
+# ---------------------------------------------------------------------- #
+# the index a build produces is pinned, not just self-consistent
+# ---------------------------------------------------------------------- #
+def index_digest(engine) -> str:
+    """Digest of everything geometry decides in a UV-index: the reference
+    ids Algorithm 2 (or 1) derived per object, and per leaf its square, its
+    member list and the page ids holding it."""
+    index = engine.index
+    leaves = sorted(
+        (
+            [leaf.region.xmin, leaf.region.ymin, leaf.region.xmax, leaf.region.ymax],
+            list(leaf.page_ids),
+            list(leaf.entry_oids),
+        )
+        for leaf in index.leaves()
+    )
+    payload = {"ref_ids": sorted(index.ref_ids.items()), "leaves": leaves}
+    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+
+
+#: (backend, objects, diameter, page_capacity) -> digest computed at b390b52,
+#: the last commit whose possible regions were clipped one ``Point`` at a
+#: time.  A kernel that moves a single region vertex far enough to change a
+#: reference set, a leaf list or a page id changes these.  The first two are
+#: the end-to-end benchmark's populations under its configuration.
+PINNED_INDEXES = {
+    ("ic", 160, 40.0, None): "5a04a12a6be17d5c9aa64fd28d33244e0bba821940991e7c7ed54b1fec944fc8",
+    ("ic", 160, 350.0, None): "ef304268892842a514544e3f2a235b9fdf563c8948b046b834ce0f64aad50ff7",
+    ("ic", 160, 40.0, 8): "f19ceb08a6003771dc00558040fef90612fe92bae633cd79e4cd1122596b67e8",
+    ("icr", 60, 300.0, 8): "7a5ec3ce5a791ec9799b6e14b40bddd6f2382364be3cc058af5761bea9575f89",
+    ("basic", 30, 300.0, 8): "7c73b516a9ae8323d811d7b9bc44afdfcc865a51a55d8778a7017db85e4aa20a",
+}
+
+
+@pytest.mark.parametrize(
+    "backend,count,diameter,page_capacity", sorted(PINNED_INDEXES, key=str)
+)
+def test_uv_index_is_the_one_the_scalar_clip_built(backend, count, diameter, page_capacity):
+    objects, domain = generate_uniform_objects(count, seed=11, diameter=diameter)
+    config = DiagramConfig(backend=backend, seed_knn=60, page_capacity=page_capacity)
+    engine = QueryEngine.build(objects, domain, config)
+    key = (backend, count, diameter, page_capacity)
+    assert index_digest(engine) == PINNED_INDEXES[key]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference.possible_region import ScalarCRObjectFinder
 
 from repro.core.cr_objects import CRObjectFinder
 from repro.core.uv_cell import build_exact_uv_cell
+from repro.datasets import generate_skewed_objects, generate_uniform_objects
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.rtree.tree import RTree
@@ -161,3 +163,54 @@ class TestFullAlgorithm:
         finder = CRObjectFinder(objects, DOMAIN, rtree=rtree, seed_knn=10)
         result = finder.find(objects[0])
         assert result.cr_objects
+
+
+def on_the_border(objects, domain):
+    """The population with its first object moved onto the domain's edge."""
+    first = objects[0]
+    moved = UncertainObject.uniform(
+        first.oid, Point(domain.xmin, first.center.y), first.radius
+    )
+    return [moved] + list(objects[1:])
+
+
+POPULATIONS = {
+    "uniform-d40": lambda: generate_uniform_objects(160, diameter=40.0, seed=11),
+    "uniform-d350": lambda: generate_uniform_objects(160, diameter=350.0, seed=11),
+    "skewed-s2000": lambda: generate_skewed_objects(
+        160, sigma=2000.0, diameter=40.0, seed=11
+    ),
+}
+
+
+class TestSameAsTheScalarFinder:
+    """Algorithm 2 over the array kernel decides what it decided over
+    ``Point`` objects (``tests/reference``): seeds, |I| and cr-objects, and
+    the region itself vertex for vertex."""
+
+    @pytest.mark.parametrize("population", sorted(POPULATIONS))
+    def test_find_matches_the_reference_finder(self, population):
+        objects, domain = POPULATIONS[population]()
+        objects = on_the_border(objects, domain)
+        rtree = RTree.bulk_load(objects)
+        finder = CRObjectFinder(objects, domain, rtree=rtree, seed_knn=60)
+        reference = ScalarCRObjectFinder(objects, domain, rtree=rtree, seed_knn=60)
+        for owner in objects:
+            got = finder.find(owner)
+            expected = reference.find(owner)
+            assert got.seeds == expected.seeds
+            assert got.candidates_after_i_pruning == expected.candidates_after_i_pruning
+            assert got.cr_objects == expected.cr_objects
+            assert got.examined == expected.examined == len(objects) - 1
+            assert (
+                got.possible_region.polygon.vertices
+                == expected.possible_region.polygon.vertices
+            )
+
+    def test_finder_borrows_the_callers_objects_and_map(self):
+        objects = make_objects(20, seed=9)
+        by_id = {o.oid: o for o in objects}
+        finder = CRObjectFinder(objects, DOMAIN, seed_knn=10, by_id=by_id)
+        assert finder.objects is objects
+        assert finder.by_id is by_id
+        assert finder.find(objects[0]).examined == len(objects) - 1

@@ -1,9 +1,12 @@
 """Tests for possible regions and their refinement."""
 
 import pytest
+from reference.possible_region import ScalarPossibleRegion
 
 from repro.core.possible_region import PossibleRegion
+from repro.core.uv_cell import build_exact_uv_cell
 from repro.core.uv_edge import UVEdge
+from repro.datasets import generate_uniform_objects
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.uncertain.objects import UncertainObject
@@ -125,3 +128,46 @@ class TestProvenance:
 
         for vertex in region.polygon.vertices:
             assert point_in_convex_hull(vertex, hull, tol=1e-6)
+
+
+class TestSameAsTheScalarRegion:
+    """Algorithm 1 over the array kernel against the per-``Point`` region of
+    ``tests/reference``: the same ring, measurements and r-objects."""
+
+    @pytest.mark.parametrize("diameter", [40.0, 300.0])
+    def test_exact_cells_match(self, diameter):
+        objects, domain = generate_uniform_objects(40, diameter=diameter, seed=5)
+        for owner in objects[:10]:
+            others = [o for o in objects if o.oid != owner.oid]
+            region = PossibleRegion(owner, domain, arc_samples=10)
+            reference = ScalarPossibleRegion(owner, domain, arc_samples=10)
+            assert region.refine_all(others) == reference.refine_all(others)
+            assert region.polygon.vertices == reference.polygon.vertices
+            assert region.area() == reference.polygon.area()
+            assert region.contributors == reference.contributors
+            assert region.max_distance_from_center() == reference.max_distance_from_center()
+            assert region.convex_hull_vertices() == reference.convex_hull_vertices()
+            expected = reference.boundary_objects(others)
+            assert region.boundary_objects(others) == expected
+            cell = build_exact_uv_cell(owner, objects, domain)
+            assert cell.r_objects == expected
+            assert cell.polygon.vertices == reference.polygon.vertices
+
+    def test_refining_twice_with_the_same_object_changes_nothing(self):
+        # Every vertex the first clip produced lies on the edge: the second
+        # clip decides inside the scalar re-check band throughout.
+        owner, other = obj(0, 300.0, 500.0), obj(1, 700.0, 500.0)
+        region = PossibleRegion(owner, DOMAIN)
+        reference = ScalarPossibleRegion(owner, DOMAIN)
+        assert region.refine(other) and reference.refine(other)
+        assert region.refine(other) == reference.refine(other)
+        assert region.polygon.vertices == reference.polygon.vertices
+
+    def test_polygon_is_rebuilt_after_a_clip(self):
+        owner = obj(0, 300.0, 500.0)
+        region = PossibleRegion(owner, DOMAIN)
+        before = region.polygon
+        assert region.polygon is before
+        region.refine(obj(1, 700.0, 500.0))
+        assert region.polygon is not before
+        assert region.polygon.area() == region.area() < before.area()

@@ -175,6 +175,34 @@ class TestBookkeeping:
         assert_consistent(diagram)
 
 
+class CountingList(list):
+    """A list that counts how often something walks all of it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestNoPerUpdateSetUp:
+    """An update's finder borrows the diagram's population; it copies none."""
+
+    def test_insert_walks_the_population_zero_times(self, updatable_diagram):
+        diagram, updater = updatable_diagram
+        diagram.objects = CountingList(diagram.objects)
+        finder = updater._finder()
+        assert finder.objects is diagram.objects
+        assert finder.by_id is diagram.by_id  # no population-sized dict per update
+        cr_objects = updater.insert(UncertainObject.uniform(1000, Point(512.0, 488.0), 40.0))
+        assert diagram.objects.walks == 0
+        fresh = CRObjectFinder(list(diagram.objects), DOMAIN, rtree=diagram.rtree, seed_knn=20)
+        found = fresh.find(diagram.by_id[1000])
+        assert cr_objects == found.cr_objects
+        assert found.examined == len(diagram.objects) - 1
+        assert_consistent(diagram)
+
+
 class TestNoBootstrap:
     """Reference sets live in the index, so nothing is searched for twice."""
 

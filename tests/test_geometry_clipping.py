@@ -1,18 +1,21 @@
-"""Unit tests for half-plane and smooth-constraint polygon clipping."""
+"""Unit tests for half-plane clipping, the scalar smooth-constraint clip kept
+as the oracle, and the array kernel that must reproduce it exactly."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
+from reference.clipping import clip_polygon_by_constraint, clip_polygon_by_uv_edge
 
-from repro.geometry.clipping import (
-    clip_polygon_by_constraint,
-    clip_polygon_halfplane,
-    clip_polygon_to_rect,
-)
+from repro.core.uv_edge import UVEdge
+from repro.geometry import region_kernel
+from repro.geometry.clipping import clip_polygon_halfplane, clip_polygon_to_rect
 from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.rectangle import Rect
+from repro.uncertain.objects import UncertainObject
 
 
 def square(size: float = 10.0) -> Polygon:
@@ -49,6 +52,8 @@ class TestHalfPlaneClipping:
 
 
 class TestConstraintClipping:
+    """The oracle itself (``tests/reference/clipping.py``) clips sensibly."""
+
     def test_circle_constraint_without_arc_sampler_is_conservative(self):
         # Keep points outside the circle of radius 5 around the origin
         # (constraint <= 0 means keep => use distance-based sign).  Without an
@@ -135,3 +140,97 @@ class TestConstraintClipping:
             poly = clip_polygon_by_constraint(poly, constraint, edge_samples=10)
             assert poly.area() <= area + 1e-9
             area = poly.area()
+
+
+def ring_of(polygon: Polygon):
+    vertices = polygon.vertices
+    return [v.x for v in vertices], [v.y for v in vertices]
+
+
+class TestRegionKernel:
+    """``region_kernel.clip`` returns exactly the oracle's vertices."""
+
+    GRID = 8  # centres and radii snap to 1000 / GRID: degenerate pairs are common
+
+    # Centres may lie a few steps outside the domain: an owner out there can
+    # lose the whole square to one competitor (the emptied outcome).
+    circles = st.tuples(
+        st.integers(min_value=-3, max_value=GRID + 3),
+        st.integers(min_value=-3, max_value=GRID + 3),
+        st.integers(min_value=0, max_value=3),
+    )
+
+    @classmethod
+    def make_object(cls, oid, circle):
+        step = 1000.0 / cls.GRID
+        ix, iy, ir = circle
+        # Radii in half steps, so that circles a whole number of steps apart
+        # are tangent, nested or overlapping as often as they are disjoint.
+        return UncertainObject.uniform(oid, Point(ix * step, iy * step), ir * step / 2.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        owner=circles,
+        others=st.lists(circles, min_size=1, max_size=5),
+        first_corner=st.integers(min_value=0, max_value=3),
+        edge_samples=st.integers(min_value=1, max_value=16),
+        arc_samples=st.integers(min_value=0, max_value=12),
+    )
+    def test_same_vertices_as_the_scalar_clip(
+        self, owner, others, first_corner, edge_samples, arc_samples
+    ):
+        # The subject starts as the domain listed from any of its corners (so
+        # the walk begins inside or outside the constraint and the wrap-around
+        # arc is hit), then as whatever the previous clips left: arcs and all.
+        corners = Rect(0.0, 0.0, 1000.0, 1000.0).corners()
+        polygon = Polygon(corners[first_corner:] + corners[:first_corner])
+        xs, ys = ring_of(polygon)
+        owner_obj = self.make_object(0, owner)
+        for oid, circle in enumerate(others, start=1):
+            edge = UVEdge.between(owner_obj, self.make_object(oid, circle))
+            if not edge.exists():  # tangent, overlapping, nested, coincident
+                continue
+            expected = clip_polygon_by_uv_edge(polygon, edge, arc_samples, edge_samples)
+            got = region_kernel.clip(xs, ys, edge.hyperbola, edge_samples, arc_samples)
+            if got is None:
+                event("untouched")
+                assert expected is polygon
+                continue
+            event("clipped" if got[0] else "emptied")
+            assert expected is not polygon
+            assert (got[0], got[1]) == ring_of(expected)
+            assert got[2] == expected.area()
+            polygon = expected
+            xs, ys = got[0], got[1]
+            if not xs:
+                break
+
+    def test_untouched_and_emptied_outcomes(self):
+        xs, ys = ring_of(Polygon.from_rect(Rect(0.0, 0.0, 100.0, 100.0)))
+        far = Hyperbola.uv_edge(Point(50.0, 50.0), 5.0, Point(5000.0, 50.0), 5.0)
+        assert region_kernel.clip(xs, ys, far, 6, 12) is None
+        # The owner sits far outside the square, the competitor inside it.
+        hostile = Hyperbola.uv_edge(Point(5000.0, 50.0), 5.0, Point(50.0, 50.0), 5.0)
+        assert region_kernel.clip(xs, ys, hostile, 6, 12) == ([], [], 0.0)
+        assert region_kernel.clip([], [], far, 6, 12) is None
+
+    def test_values_inside_the_band_come_from_the_scalar_formula(self, monkeypatch):
+        edge = Hyperbola.uv_edge(Point(200.0, 500.0), 50.0, Point(800.0, 500.0), 50.0)
+        on_edge = [edge.point_at(t) for t in (-1.0, -0.3, 0.0, 0.4, 1.2)]
+        off_edge = [Point(100.0, 100.0), Point(900.0, 480.0)]
+        points = on_edge + off_edge
+        gx = np.array([p.x for p in points])
+        gy = np.array([p.y for p in points])
+        scalar = [edge.edge_value(p) for p in points]
+        k = len(on_edge)
+        values = region_kernel.edge_values(edge, gx, gy)
+        assert values[:k].tolist() == scalar[:k]  # inside the band: bit-equal
+        assert values[k:].tolist() == pytest.approx(scalar[k:], abs=1e-10)
+
+        # Which entries were recomputed: exactly those that decide.
+        monkeypatch.setattr(Hyperbola, "edge_value", lambda edge, p: 7.0)
+        around_zero = region_kernel.edge_values(edge, gx, gy)
+        assert around_zero[:k].tolist() == [7.0] * k
+        assert 7.0 not in around_zero[k:]
+        around_last = region_kernel.edge_values(edge, gx, gy, around=abs(scalar[-1]))
+        assert (around_last == 7.0).tolist() == [False] * (len(points) - 1) + [True]

@@ -7,6 +7,7 @@ rule (including the PR 4 ``is``-vs-``==`` oid bug, re-introduced verbatim in
 and must lint completely clean.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -154,6 +155,24 @@ class TestRealTree:
         report = lint_path(default_root())
         rendered = "\n".join(f.render() for f in report.all_findings())
         assert report.exit_code == 0, f"repo tree has lint findings:\n{rendered}"
+
+    def test_package_never_imports_the_test_oracles(self):
+        """``tests/reference`` holds oracles; production has one path per job."""
+        offenders = []
+        for path in sorted(default_root().rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [
+                    f"{path}:{node.lineno} imports {name}"
+                    for name in names
+                    if name.split(".")[0] in ("reference", "tests")
+                ]
+        assert not offenders, "\n".join(offenders)
 
     def test_resolve_root_accepts_src_and_repo_root(self):
         package = default_root()

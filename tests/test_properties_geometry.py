@@ -3,9 +3,10 @@
 import math
 
 from hypothesis import given, settings, strategies as st
+from reference.clipping import clip_polygon_by_constraint
 
 from repro.geometry.circle import Circle, min_bounding_circle
-from repro.geometry.clipping import clip_polygon_by_constraint, clip_polygon_halfplane
+from repro.geometry.clipping import clip_polygon_halfplane
 from repro.geometry.hull import convex_hull, point_in_convex_hull
 from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
