@@ -10,11 +10,11 @@ buckets as the R-tree baseline so the two can be compared side by side
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.uv_index import UVIndex
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.queries.candidates import CandidateBlock
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import DEFAULT_PROB_KERNEL, RingCache
 from repro.queries.result import PNNResult
@@ -22,22 +22,18 @@ from repro.storage.object_store import ObjectStore
 from repro.uncertain.objects import UncertainObject
 
 
-def uv_index_candidates(
-    index: UVIndex, query: Point, cache=None
-) -> List[Tuple[int, Circle]]:
-    """Leaf entries ``(oid, MBC)`` of the leaf containing the query point.
+def uv_index_candidates(index: UVIndex, query: Point, cache=None) -> CandidateBlock:
+    """The entries of the leaf containing the query point, as one block.
 
     When ``cache`` (a :class:`repro.engine.backend.BatchReadCache`) is given,
     a leaf's page list is read -- and counted -- at most once per batch;
-    subsequent queries landing in the same leaf reuse the entries.  This is
+    subsequent queries landing in the same leaf reuse the block.  This is
     the hot-path saving of :meth:`repro.engine.engine.QueryEngine.batch`.
     """
     leaf = index.locate_leaf(query)
     if cache is None:
-        entries = index.read_leaf_entries(leaf)
-    else:
-        entries = cache.get(("uv-leaf", id(leaf)), lambda: index.read_leaf_entries(leaf))
-    return [(entry.oid, entry.mbc) for entry in entries]
+        return index.leaf_block(leaf)
+    return cache.get(("uv-leaf", id(leaf)), lambda: index.leaf_block(leaf))
 
 
 class UVIndexPNN:
@@ -66,8 +62,8 @@ class UVIndexPNN:
         self.ring_cache = ring_cache
         self._objects_by_id = {obj.oid: obj for obj in objects} if objects else {}
 
-    def retrieve_candidates(self, query: Point) -> List[tuple]:
-        """Leaf entries ``(oid, MBC)`` of the leaf containing the query point."""
+    def retrieve_candidates(self, query: Point) -> CandidateBlock:
+        """The entries of the leaf containing the query point."""
         return uv_index_candidates(self.index, query)
 
     def query(

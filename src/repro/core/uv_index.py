@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import CandidateBlock
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
@@ -48,7 +49,12 @@ class UVIndexEntry:
 
 @dataclass
 class UVIndexNode:
-    """A node of the adaptive grid."""
+    """A node of the adaptive grid.
+
+    ``block`` caches a leaf's entries for PNN verification (see
+    :meth:`UVIndex.leaf_block`); every change to the leaf's pages must reset
+    it to ``None``.
+    """
 
     region: Rect
     is_leaf: bool = True
@@ -56,6 +62,7 @@ class UVIndexNode:
     children: Optional[List["UVIndexNode"]] = None
     page_ids: List[int] = field(default_factory=list)
     entry_oids: List[int] = field(default_factory=list)
+    block: Optional[CandidateBlock] = field(default=None, repr=False, compare=False)
 
     def entry_count(self) -> int:
         """Number of objects associated with this (leaf) node."""
@@ -148,6 +155,7 @@ class UVIndex:
                 self.disk.free_page(page_id)
             node.page_ids = []
             node.entry_oids = []
+            node.block = None
             node.is_leaf = False
             node.children = prepared_children
             self.nonleaf_count += 1
@@ -229,6 +237,7 @@ class UVIndex:
         page = self.disk.peek_page(node.page_ids[-1])
         page.add(UVIndexEntry(oid=oid, mbc=self._owner_circle[oid]))
         node.entry_oids.append(oid)
+        node.block = None
 
     def _register_leaf(self, oid: int, node: UVIndexNode) -> None:
         self._oid_leaves.setdefault(oid, {})[id(node)] = node
@@ -263,6 +272,21 @@ class UVIndex:
         for page_id in node.page_ids:
             entries.extend(self.disk.read_page(page_id).entries)
         return entries
+
+    def leaf_block(self, node: UVIndexNode) -> CandidateBlock:
+        """A leaf's entries as a candidate block.
+
+        The page list is read (and counted) on every call, as by
+        :meth:`read_leaf_entries`; the block is built from the pages the
+        first time and cached on the node until an insertion, a split or a
+        removal changes the leaf.
+        """
+        entries = self.read_leaf_entries(node)
+        if node.block is None:
+            node.block = CandidateBlock.from_circles(
+                (entry.oid, entry.mbc) for entry in entries
+            )
+        return node.block
 
     def point_query(self, q: Point) -> Tuple[UVIndexNode, List[UVIndexEntry], IOStats]:
         """Find the leaf containing ``q`` and fetch its entries.
@@ -334,6 +358,7 @@ class UVIndex:
                 continue
             removed_any = True
             leaf.entry_oids = [existing for existing in leaf.entry_oids if existing != oid]
+            leaf.block = None
             kept_pages: List[int] = []
             for page_id in leaf.page_ids:
                 page = self.disk.peek_page(page_id)

@@ -19,6 +19,7 @@ from repro.core.pattern import PartitionInfo, PartitionQueryResult
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import CandidateBlock
 from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
 
@@ -36,8 +37,8 @@ class BatchReadCache:
 
     Keys identify an index granule (a UV-index leaf, an R-tree leaf node, a
     grid cell); the first query to touch a granule pays its counted page
-    reads, subsequent queries reuse the entries.  ``pages_saved`` is estimated
-    from the hit count by the caller that knows the granule size.
+    reads, subsequent queries reuse its candidate block.  ``pages_saved`` is
+    estimated from the hit count by the caller that knows the granule size.
     """
 
     def __init__(self) -> None:
@@ -96,8 +97,12 @@ class IndexBackend(abc.ABC):
     @abc.abstractmethod
     def candidates(
         self, query: Point, cache: Optional[BatchReadCache] = None
-    ) -> List[Tuple[int, Circle]]:
-        """Candidate ``(oid, MBC)`` pairs for a PNN query at ``query``."""
+    ) -> CandidateBlock:
+        """Candidate entries (ids and MBCs) for a PNN query at ``query``.
+
+        A backend holding ``(oid, MBC)`` pairs returns
+        ``CandidateBlock.from_circles(pairs)``.
+        """
 
     @abc.abstractmethod
     def range_candidates(self, rect: Rect) -> List[Tuple[int, Circle]]:

@@ -35,6 +35,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.grid.uniform_grid import UniformGridIndex, grid_candidates
+from repro.queries.candidates import CandidateBlock
 from repro.rtree.pnn import branch_and_prune_candidates
 from repro.rtree.tree import RTree
 from repro.storage.disk import DiskManager
@@ -62,7 +63,7 @@ class UVIndexBackend(IndexBackend):
     # candidate retrieval ------------------------------------------------ #
     def candidates(
         self, query: Point, cache: Optional[BatchReadCache] = None
-    ) -> List[Tuple[int, Circle]]:
+    ) -> CandidateBlock:
         return uv_index_candidates(self.index, query, cache=cache)
 
     def range_candidates(self, rect: Rect) -> List[Tuple[int, Circle]]:
@@ -117,7 +118,7 @@ class RTreeBackend(IndexBackend):
 
     def candidates(
         self, query: Point, cache: Optional[BatchReadCache] = None
-    ) -> List[Tuple[int, Circle]]:
+    ) -> CandidateBlock:
         return branch_and_prune_candidates(self.engine.rtree, query, cache=cache)
 
     def range_candidates(self, rect: Rect) -> List[Tuple[int, Circle]]:
@@ -175,7 +176,7 @@ class UniformGridBackend(IndexBackend):
 
     def candidates(
         self, query: Point, cache: Optional[BatchReadCache] = None
-    ) -> List[Tuple[int, Circle]]:
+    ) -> CandidateBlock:
         return grid_candidates(self.grid, query, cache=cache)
 
     def range_candidates(self, rect: Rect) -> List[Tuple[int, Circle]]:

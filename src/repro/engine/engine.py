@@ -63,9 +63,9 @@ from repro.engine.planner import (
     QueryPlan,
     QueryPlanner,
 )
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import CandidateBlock
 from repro.queries.knn import KNNResult, ProbabilisticKNN
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
@@ -506,10 +506,10 @@ class QueryEngine:
         if plan.strategy == STRATEGY_RTREE and self.backend.name != "rtree":
             # The planner routed the query to the shared R-tree baseline
             # (cost-based takeover, or the deprecated pnn_rtree wrapper).
-            def retrieve(point: Point) -> List[Tuple[int, Circle]]:
+            def retrieve(point: Point) -> CandidateBlock:
                 return branch_and_prune_candidates(self.rtree, point, cache=cache)
         else:
-            def retrieve(point: Point) -> List[Tuple[int, Circle]]:
+            def retrieve(point: Point) -> CandidateBlock:
                 return self.backend.candidates(point, cache=cache)
 
         return evaluate_pnn(

@@ -215,6 +215,8 @@ class QueryPlanner:
         self._stats_version: int = -1
         self._answer_cache: Optional[float] = None
         self._answer_version: int = -1
+        self._store_pages: int = 1
+        self._store_pages_version: int = -1
 
     # ------------------------------------------------------------------ #
     # entry point
@@ -304,10 +306,14 @@ class QueryPlanner:
 
         Objects are packed ``objects_per_page`` to a page; drawing ``a``
         objects uniformly from ``P`` pages touches ``P * (1 - (1 - 1/P)^a)``
-        distinct pages in expectation.
+        distinct pages in expectation.  ``P`` is cached per structure
+        version: counting the store's pages walks the whole population.
         """
-        store = self._engine.object_store
-        pages = max(1, store.page_count)
+        engine = self._engine
+        if self._store_pages_version != engine.structure_version:
+            self._store_pages = max(1, engine.object_store.page_count)
+            self._store_pages_version = engine.structure_version
+        pages = self._store_pages
         if answers <= 0:
             return 0.0
         return pages * (1.0 - (1.0 - 1.0 / pages) ** answers)

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import BlockScan, CandidateBlock, d_minmax
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import DEFAULT_PROB_KERNEL, RingCache
 from repro.queries.result import PNNResult
@@ -38,6 +39,9 @@ class UniformGridIndex:
         self.resolution = resolution
         self.disk = disk if disk is not None else DiskManager()
         self._cell_pages: Dict[Tuple[int, int], List[int]] = {}
+        # Candidate blocks of the cells PNN queries have read; a cell's block
+        # is dropped whenever its pages change.
+        self._cell_blocks: Dict[Tuple[int, int], CandidateBlock] = {}
         self.size = 0
 
     # ------------------------------------------------------------------ #
@@ -58,12 +62,14 @@ class UniformGridIndex:
                     page_ids.append(page.page_id)
                 page.add(entry)
             self._cell_pages[cell] = page_ids
+        self._cell_blocks.clear()
         self.size = len(objects)
 
     def insert(self, obj: UncertainObject) -> None:
         """Add one object to every cell its uncertainty region intersects."""
         entry = (obj.oid, obj.mbc())
         for cell in self._cells_overlapping(obj.region):
+            self._cell_blocks.pop(cell, None)
             page_ids = self._cell_pages.setdefault(cell, [])
             page = self.disk.peek_page(page_ids[-1]) if page_ids else None
             if page is None or page.is_full():
@@ -92,6 +98,7 @@ class UniformGridIndex:
             if len(survivors) == len(entries):
                 continue
             removed = True
+            self._cell_blocks.pop(cell, None)
             kept_pages: List[int] = []
             for page_id in page_ids:
                 if not survivors:
@@ -178,6 +185,19 @@ class UniformGridIndex:
             entries.extend(self.disk.read_page(page_id).entries)
         return entries
 
+    def cell_block(self, cell: Tuple[int, int]) -> CandidateBlock:
+        """A cell's entries as a candidate block.
+
+        The cell's pages are read (and counted) on every call, as by
+        :meth:`read_cell`; the block is built from them the first time and
+        cached until an insertion or removal changes the cell.
+        """
+        entries = self.read_cell(cell)
+        block = self._cell_blocks.get(cell)
+        if block is None:
+            block = self._cell_blocks[cell] = CandidateBlock.from_circles(entries)
+        return block
+
     def cells_within(self, center: Point, radius: float) -> List[Tuple[int, int]]:
         """All cells whose rectangle intersects the disk ``Cir(center, radius)``."""
         return [
@@ -196,20 +216,25 @@ class UniformGridIndex:
 
 def grid_candidates(
     grid: UniformGridIndex, query: Point, cache=None
-) -> List[Tuple[int, Circle]]:
-    """Candidate ``(oid, MBC)`` pairs by expanding rings of cells around ``query``.
+) -> CandidateBlock:
+    """Candidates by expanding rings of cells around ``query``.
+
+    Cells are read ring by ring until no unread cell can hold an object
+    closer than the running ``d_minmax``; the candidates are the distinct
+    objects read (first occurrence, in read order) whose minimum distance is
+    within the final bound.
 
     When ``cache`` (a :class:`repro.engine.backend.BatchReadCache`) is given,
     each cell's page list is read -- and counted -- at most once per batch.
     """
 
-    def read_cell(cell: Tuple[int, int]) -> List[Tuple[int, Circle]]:
+    def read_cell(cell: Tuple[int, int]) -> CandidateBlock:
         if cache is None:
-            return grid.read_cell(cell)
-        return cache.get(("grid-cell", cell), lambda: grid.read_cell(cell))
+            return grid.cell_block(cell)
+        return cache.get(("grid-cell", cell), lambda: grid.cell_block(cell))
 
     seen_cells: Set[Tuple[int, int]] = set()
-    seen_objects: Dict[int, Circle] = {}
+    blocks: List[CandidateBlock] = []
     home = grid.cell_of(query)
     frontier = [home]
     best_minmax = math.inf
@@ -220,10 +245,10 @@ def grid_candidates(
             if cell in seen_cells:
                 continue
             seen_cells.add(cell)
-            for oid, mbc in read_cell(cell):
-                if oid not in seen_objects:
-                    seen_objects[oid] = mbc
-                    best_minmax = min(best_minmax, mbc.max_distance(query))
+            block = read_cell(cell)
+            if len(block):
+                blocks.append(block)
+                best_minmax = min(best_minmax, d_minmax(query, block))
         ring += 1
         next_frontier = []
         for cell in _ring_cells(grid, home, ring):
@@ -233,11 +258,8 @@ def grid_candidates(
                 next_frontier.append(cell)
         frontier = next_frontier
 
-    return [
-        (oid, mbc)
-        for oid, mbc in seen_objects.items()
-        if mbc.min_distance(query) <= best_minmax + 1e-12
-    ]
+    seen = CandidateBlock.concat(blocks).unique()
+    return BlockScan(seen, query).survivors(best_minmax)
 
 
 def _ring_cells(
@@ -298,7 +320,7 @@ class GridPNN:
             top_k=top_k,
         )
 
-    def _retrieve_candidates(self, query: Point) -> List[Tuple[int, Circle]]:
+    def _retrieve_candidates(self, query: Point) -> CandidateBlock:
         return grid_candidates(self.grid, query)
 
     def _fetch_objects(self, oids: List[int]) -> List[UncertainObject]:

@@ -12,7 +12,7 @@ index-agnostic parts shared by both:
 * the result containers returned to callers.
 """
 
-from repro.queries.verifier import min_max_prune
+from repro.queries.candidates import CandidateBlock, min_max_prune
 from repro.queries.probability import (
     qualification_probabilities,
     qualification_probabilities_sampling,
@@ -29,6 +29,7 @@ from repro.queries.result import PNNAnswer, PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, Query, RangeQuery
 
 __all__ = [
+    "CandidateBlock",
     "DEFAULT_PROB_KERNEL",
     "PROB_KERNELS",
     "RefinementStats",

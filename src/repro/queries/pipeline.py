@@ -4,8 +4,9 @@ Every PNN processor in the library -- UV-index point query, R-tree
 branch-and-prune, uniform-grid ring expansion, and the unified
 :class:`~repro.engine.engine.QueryEngine` -- evaluates a query the same way:
 
-1. retrieve candidate ``(oid, MBC)`` pairs from an index structure,
-2. verify them with the ``d_minmax`` rule,
+1. retrieve a block of candidate ``<ID, MBC>`` entries from an index
+   structure,
+2. verify them with the ``d_minmax`` rule (one array pass over the block),
 3. fetch the surviving objects (pdf retrieval, counted I/O),
 4. compute qualification probabilities by numerical integration,
 
@@ -18,10 +19,10 @@ between index backends.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.queries.candidates import CandidateBlock, min_max_prune
 from repro.queries.probability_kernel import (
     DEFAULT_PROB_KERNEL,
     RefinementStats,
@@ -29,11 +30,10 @@ from repro.queries.probability_kernel import (
     compute_qualification_probabilities,
 )
 from repro.queries.result import PNNAnswer, PNNResult
-from repro.queries.verifier import min_max_prune
 from repro.storage.stats import IOStats, TimingBreakdown
 from repro.uncertain.objects import UncertainObject
 
-CandidateSource = Callable[[Point], Sequence[Tuple[int, Circle]]]
+CandidateSource = Callable[[Point], CandidateBlock]
 ObjectFetcher = Callable[[List[int]], List[UncertainObject]]
 
 
@@ -81,7 +81,7 @@ def evaluate_pnn(
     io_before = io_counter.snapshot()
 
     start = time.perf_counter()
-    candidates = list(retrieve_candidates(query))
+    candidates = retrieve_candidates(query)
     answer_ids = min_max_prune(query, candidates)
     timing.add("index", time.perf_counter() - start)
     index_io = io_counter.delta(io_before)

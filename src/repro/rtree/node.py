@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.geometry.rectangle import Rect
 
@@ -32,12 +32,17 @@ class RTreeNode:
 
     Leaf nodes live on simulated disk pages (``page_id``); internal nodes are
     memory resident, matching the experimental setup of the paper.
+
+    ``block`` caches the entries in array form for PNN branch-and-prune (see
+    :meth:`RTree.leaf_block` / :meth:`RTree.child_boxes`); every change to
+    ``entries`` must reset it to ``None``.
     """
 
     is_leaf: bool
     entries: List[RTreeEntry] = field(default_factory=list)
     page_id: Optional[int] = None
     level: int = 0
+    block: Any = field(default=None, repr=False, compare=False)
 
     def mbr(self) -> Rect:
         """Bounding rectangle of all entries.

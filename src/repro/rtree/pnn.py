@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import List, Optional, Tuple
 
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.queries.candidates import BlockScan, CandidateBlock, boxes_within
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import DEFAULT_PROB_KERNEL, RingCache
 from repro.queries.result import PNNResult
+from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
 from repro.storage.object_store import ObjectStore
 from repro.uncertain.objects import UncertainObject
@@ -31,17 +33,22 @@ from repro.uncertain.objects import UncertainObject
 
 def branch_and_prune_candidates(
     tree: RTree, query: Point, cache=None
-) -> List[Tuple[int, Circle]]:
-    """Answer-object candidates ``(oid, MBC)`` via branch-and-prune traversal.
+) -> CandidateBlock:
+    """Answer-object candidates (entries with their MBCs) via branch-and-prune.
+
+    Nodes are opened best-first by MBR minimum distance; each opened node is
+    one :mod:`repro.queries.candidates` pass over its cached block, and the
+    candidates are the entries of the opened leaves whose minimum distance
+    is within the final ``d_minmax``, in visit order.
 
     When ``cache`` (a :class:`repro.engine.backend.BatchReadCache`) is given,
     each leaf node's page is read -- and counted -- at most once per batch.
     """
-    heap: List[Tuple[float, int, object]] = []
+    heap: List[Tuple[float, int, RTreeNode]] = []
     counter = itertools.count()
     heapq.heappush(heap, (0.0, next(counter), tree.root))
-    best_minmax = float("inf")
-    candidates: List[Tuple[int, Circle, float]] = []
+    best_minmax = math.inf
+    scans: List[BlockScan] = []
 
     while heap:
         min_dist, _, node = heapq.heappop(heap)
@@ -49,28 +56,24 @@ def branch_and_prune_candidates(
             break
         if node.is_leaf:
             if cache is None:
-                entries = tree._read_leaf(node)
+                block = tree.leaf_block(node)
             else:
-                entries = cache.get(
-                    ("rtree-leaf", id(node)), lambda n=node: tree._read_leaf(n)
+                block = cache.get(
+                    ("rtree-leaf", id(node)), lambda n=node: tree.leaf_block(n)
                 )
-            for entry in entries:
-                mbc = _mbr_to_mbc(entry.mbr)
-                entry_min = mbc.min_distance(query)
-                entry_max = mbc.max_distance(query)
-                best_minmax = min(best_minmax, entry_max)
-                candidates.append((entry.oid, mbc, entry_min))
+            if len(block):
+                scan = BlockScan(block, query)
+                best_minmax = min(best_minmax, scan.d_minmax())
+                scans.append(scan)
         else:
-            for entry in node.entries:
-                entry_min = entry.mbr.min_distance_to_point(query)
-                if entry_min <= best_minmax:
-                    heapq.heappush(heap, (entry_min, next(counter), entry.child))
+            for row, entry_min in boxes_within(
+                tree.child_boxes(node), query, best_minmax
+            ):
+                heapq.heappush(
+                    heap, (entry_min, next(counter), node.entries[row].child)
+                )
 
-    return [
-        (oid, mbc)
-        for oid, mbc, entry_min in candidates
-        if entry_min <= best_minmax + 1e-12
-    ]
+    return CandidateBlock.concat([scan.survivors(best_minmax) for scan in scans])
 
 
 class RTreePNN:
@@ -106,8 +109,8 @@ class RTreePNN:
     # ------------------------------------------------------------------ #
     # candidate retrieval (branch-and-prune)
     # ------------------------------------------------------------------ #
-    def retrieve_candidates(self, query: Point) -> List[Tuple[int, Circle]]:
-        """Answer-object candidates ``(oid, MBC)`` via branch-and-prune traversal."""
+    def retrieve_candidates(self, query: Point) -> CandidateBlock:
+        """Answer-object candidates via branch-and-prune traversal."""
         return branch_and_prune_candidates(self.tree, query)
 
     # ------------------------------------------------------------------ #
@@ -141,14 +144,3 @@ class RTreePNN:
         if self.object_store is not None:
             return self.object_store.fetch_many(oids)
         return [self._objects_by_id[oid] for oid in oids]
-
-
-def _mbr_to_mbc(mbr) -> Circle:
-    """Recover the minimum bounding circle from the MBR of a circular region.
-
-    Objects are circles, so their MBR is a square whose inscribed circle is
-    exactly the uncertainty region.
-    """
-    center = mbr.center
-    radius = min(mbr.width, mbr.height) / 2.0
-    return Circle(center, radius)

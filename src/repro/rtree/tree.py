@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import CandidateBlock
 from repro.rtree.node import RTreeEntry, RTreeNode
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
@@ -157,6 +158,7 @@ class RTree:
     def _insert_entry(
         self, node: RTreeNode, entry: RTreeEntry
     ) -> Optional[Tuple[RTreeNode, RTreeNode]]:
+        node.block = None  # an entry is added here or a child's MBR grows
         if node.is_leaf:
             node.entries.append(entry)
             self._sync_leaf_page(node)
@@ -180,10 +182,7 @@ class RTree:
     def _split_node(self, node: RTreeNode) -> Tuple[RTreeNode, RTreeNode]:
         """Quadratic split of an overfull node into two nodes."""
         entries = node.entries
-        boxes = np.array(
-            [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in entries]
-        )
-        in_a, in_b = quadratic_split(boxes, max(1, self.fanout // 3))
+        in_a, in_b = quadratic_split(_boxes(entries), max(1, self.fanout // 3))
         left = RTreeNode(
             is_leaf=node.is_leaf, entries=[entries[i] for i in in_a], level=node.level
         )
@@ -214,6 +213,26 @@ class RTree:
         if node.page_id is None:
             return list(node.entries)
         return list(self.disk.read_page(node.page_id).entries)
+
+    def leaf_block(self, node: RTreeNode) -> CandidateBlock:
+        """A leaf's entries as a candidate block of the objects' MBCs.
+
+        The page is read (and counted) on every call, as by
+        :meth:`_read_leaf`; the block is built from its entries the first
+        time and cached on the node until an insert changes the leaf.
+        """
+        entries = self._read_leaf(node)
+        if node.block is None:
+            node.block = CandidateBlock.from_boxes(
+                [entry.oid for entry in entries], _boxes(entries)
+            )
+        return node.block
+
+    def child_boxes(self, node: RTreeNode) -> np.ndarray:
+        """An internal node's child MBRs as an ``(n, 4)`` array (cached)."""
+        if node.block is None:
+            node.block = _boxes(node.entries)
+        return node.block
 
     def range_query(self, rect: Rect) -> List[int]:
         """Object ids whose MBRs intersect ``rect``."""
@@ -361,6 +380,13 @@ class RTree:
                 internal += 1
                 stack.extend(entry.child for entry in node.entries)
         return internal, leaves
+
+
+def _boxes(entries: Sequence[RTreeEntry]) -> np.ndarray:
+    """The entries' MBRs as an ``(n, 4)`` array of ``(xmin, ymin, xmax, ymax)``."""
+    return np.array(
+        [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in entries], dtype=float
+    )
 
 
 def _enlargements(group: np.ndarray, boxes: np.ndarray) -> np.ndarray:

@@ -47,9 +47,9 @@ from repro.engine.planner import (
     QueryPlan,
 )
 from repro.engine.snapshot import resolve_snapshot
-from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import PRUNE_TOLERANCE, CandidateBlock, d_minmax
 from repro.queries.knn import (
     KNNResult,
     ProbabilisticKNN,
@@ -69,10 +69,6 @@ from repro.wal.checkpoint import CheckpointResult, Checkpointer
 
 #: Backends whose range queries are answered from the global UV skeleton.
 _UV_BACKENDS = ("ic", "icr", "basic")
-
-#: Distance tolerance used by the shared verification pipeline; the routing
-#: margin must exceed it so routed-away shards provably cannot contribute.
-_PRUNE_TOLERANCE = 1e-12
 
 
 class FleetIO:
@@ -425,7 +421,7 @@ class ShardedQueryEngine:
         caches: Optional[Sequence[BatchReadCache]] = None,
         scatter_all: bool = False,
         probed: Optional[List[int]] = None,
-    ) -> List[Tuple[int, Circle]]:
+    ) -> CandidateBlock:
         """The routed candidate union for a PNN query at ``point``.
 
         Probes shards in ascending ``min_distance(q, bound)`` order and
@@ -434,22 +430,22 @@ class ShardedQueryEngine:
         routing margin).  Every object with
         ``min_distance <= d_minmax + tolerance`` lives in a probed shard,
         so verification over the union equals single-snapshot verification.
+        The routing margin exceeds the verification's ``PRUNE_TOLERANCE``,
+        so routed-away shards provably cannot contribute.
         """
-        merged: List[Tuple[int, Circle]] = []
-        d_minmax = float("inf")
+        merged: List[CandidateBlock] = []
+        bound = float("inf")
         for distance, index in self._shard_order(point):
-            if not scatter_all and merged and distance > d_minmax + self._margin:
+            if not scatter_all and merged and distance > bound + self._margin:
                 break
             cache = caches[index] if caches is not None else None
-            candidates = self.engines[index].backend.candidates(point, cache=cache)
+            block = self.engines[index].backend.candidates(point, cache=cache)
             if probed is not None:
                 probed.append(index)
-            for oid, mbc in candidates:
-                upper = mbc.max_distance(point)
-                if upper < d_minmax:
-                    d_minmax = upper
-            merged.extend(candidates)
-        return merged
+            if len(block):
+                bound = min(bound, d_minmax(point, block))
+                merged.append(block)
+        return CandidateBlock.concat(merged)
 
     def _fetch_objects(self, oids: List[int]) -> List[UncertainObject]:
         """Fetch answer objects from their owning shards (counted I/O)."""
@@ -475,7 +471,7 @@ class ShardedQueryEngine:
         caches: Optional[Sequence[BatchReadCache]] = None,
         scatter_all: bool = False,
     ) -> PNNResult:
-        def retrieve(point: Point) -> List[Tuple[int, Circle]]:
+        def retrieve(point: Point) -> CandidateBlock:
             return self._scatter_candidates(
                 point, caches=caches, scatter_all=scatter_all
             )
@@ -532,7 +528,7 @@ class ShardedQueryEngine:
                 continue
             processor = processors[index]
             for oid in processor.tree.circular_range_query(point, bound):
-                if processor.by_id[oid].min_distance(point) <= bound + _PRUNE_TOLERANCE:
+                if processor.by_id[oid].min_distance(point) <= bound + PRUNE_TOLERANCE:
                     candidate_ids.append(oid)
         candidate_ids.sort()
         candidates = [

@@ -4,11 +4,15 @@ families, on 200-object uniform datasets over seeds 0-2."""
 
 import hashlib
 import json
+import struct
 
 import pytest
 
 from repro import DiagramConfig, QueryEngine, generate_query_points, generate_uniform_objects
 from repro.core.uv_cell import answer_objects_brute_force
+from repro.datasets import generate_skewed_objects
+from repro.queries.spec import PNNQuery
+from repro.shard import ShardedQueryEngine, build_sharded_deployment
 
 
 CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16,
@@ -85,3 +89,53 @@ def test_uv_index_is_the_one_the_scalar_clip_built(backend, count, diameter, pag
     engine = QueryEngine.build(objects, domain, config)
     key = (backend, count, diameter, page_capacity)
     assert index_digest(engine) == PINNED_INDEXES[key]
+
+
+# ---------------------------------------------------------------------- #
+# the answers a query produces are pinned, down to the probability bits
+# ---------------------------------------------------------------------- #
+#: The end-to-end benchmark's configuration and populations (160 objects,
+#: seed 11): ``build``/``query-sparse``, ``query-dense`` and ``sharded``.
+E2E_CONFIG = DiagramConfig(backend="ic", seed_knn=60)
+E2E_POPULATIONS = {
+    "uniform-d40": lambda: generate_uniform_objects(160, diameter=40.0, seed=11),
+    "uniform-d350": lambda: generate_uniform_objects(160, diameter=350.0, seed=11),
+    "skewed-d40": lambda: generate_skewed_objects(160, sigma=2000.0, diameter=40.0, seed=11),
+}
+
+
+def answers_digest(engine, domain) -> str:
+    """Digest of 300 seeded PNN / tau / top-k queries: answer ids, the bits of
+    every probability, ``candidates_examined`` and counted page reads."""
+    payload = []
+    for i, point in enumerate(generate_query_points(300, domain, seed=5)):
+        query = (PNNQuery(point), PNNQuery(point, threshold=0.1), PNNQuery(point, top_k=2))[i % 3]
+        result = engine.execute(query)
+        payload.append((
+            [answer.oid for answer in result.answers],
+            [struct.pack("<d", answer.probability).hex() for answer in result.answers],
+            result.candidates_examined,
+            result.io.page_reads,
+        ))
+    return hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+
+
+#: (population, deployment) -> digest computed at 416f9da, the last commit
+#: whose candidates were ``(oid, Circle)`` pairs tested one at a time.
+PINNED_ANSWERS = {
+    ("uniform-d40", "engine"): "943b6cc7ea2e86c08341f33bfba41c1747d848bb4e888b26d769710d1c9a03e9",
+    ("uniform-d350", "engine"): "92390080bef02d6c7b36c04e02d1566ffdb7050025bc9471b58b415c169a30e9",
+    ("skewed-d40", "engine"): "44afd1eb57b4c72b9c962dcd566278047c55727f3ae3d1e65363e4be266187f7",
+    ("skewed-d40", "4-shards"): "e6c01c17085be3f0186039f96c99fd13507b30db7c6df3fffc9aecbefcef8d67",
+}
+
+
+@pytest.mark.parametrize("population,deployment", sorted(PINNED_ANSWERS))
+def test_answers_are_the_ones_the_scalar_verifier_gave(population, deployment, tmp_path):
+    objects, domain = E2E_POPULATIONS[population]()
+    if deployment == "engine":
+        engine = QueryEngine.build(objects, domain, E2E_CONFIG)
+    else:
+        build_sharded_deployment(objects, domain, str(tmp_path), config=E2E_CONFIG, shards=4)
+        engine = ShardedQueryEngine.open(str(tmp_path))
+    assert answers_digest(engine, domain) == PINNED_ANSWERS[(population, deployment)]

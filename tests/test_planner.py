@@ -342,3 +342,99 @@ class TestDeprecations:
             engine.execute(PNNQuery(queries[0]))
             engine.explain(PNNQuery(queries[0]))
             list(engine.execute(BatchQuery.of(queries[:2])))
+
+
+# ---------------------------------------------------------------------- #
+# planning cost does not grow with the population
+# ---------------------------------------------------------------------- #
+class _CountingDict(dict):
+    """A dict that counts full walks over it."""
+
+    walks = 0
+
+    def _walked(self):
+        _CountingDict.walks += 1
+
+    def values(self):
+        self._walked()
+        return super().values()
+
+    def items(self):
+        self._walked()
+        return super().items()
+
+    def keys(self):
+        self._walked()
+        return super().keys()
+
+    def __iter__(self):
+        self._walked()
+        return super().__iter__()
+
+
+class _CountingList(list):
+    """A list that counts full walks over it."""
+
+    def __iter__(self):
+        _CountingDict.walks += 1
+        return super().__iter__()
+
+
+def plan_signature(plan):
+    return [
+        plan.strategy,
+        repr(plan.estimated_page_reads),
+        repr(plan.estimated_candidates),
+        repr(plan.estimated_cost),
+        plan.buffer_pool,
+        list(plan.notes),
+    ]
+
+
+def planned_queries(domain):
+    """40 PNN / tau / top-k / batch descriptors over seeded points."""
+    for i, point in enumerate(generate_query_points(40, domain, seed=8)):
+        yield point, (
+            PNNQuery(point),
+            PNNQuery(point, threshold=0.1),
+            PNNQuery(point, top_k=2),
+            BatchQuery.of([point, point]),
+        )[i % 4]
+
+
+#: (backend, buffer_pages) -> digest of the plan signatures of
+#: ``planned_queries`` on 2,560 uniform objects (d=40, seed 11), a PNN
+#: executed after every plan so a buffer pool's observed hit ratio moves;
+#: computed at 416f9da, whose planner counted the object store's pages
+#: afresh for every PNN estimate.
+PINNED_PLANS = {
+    ("grid", 0): "97a964dff564943e1bee95c6e6282a1842ceaab970c4253db592b7eeb27301e5",
+    ("grid", 64): "a108873c6846027d589994eba6993488f385d18c791fb6e246d2609944d50c08",
+    ("rtree", 0): "62cc70953ec24adec7b06c3a94212c440cf2e77c3560a59403baf77b913f3281",
+    ("rtree", 64): "dfe38ce8c1a7beb24d463ab2dec054a0617a58079d00604f7cb7b86b4581a2fb",
+}
+
+
+@pytest.mark.parametrize("backend,buffer_pages", sorted(PINNED_PLANS))
+def test_plan_walks_no_population_sized_collection(backend, buffer_pages):
+    import hashlib
+    import json
+
+    objects, domain = generate_uniform_objects(2560, diameter=40.0, seed=11)
+    engine = QueryEngine.build(
+        objects, domain, DiagramConfig(backend=backend, buffer_pages=buffer_pages)
+    )
+    engine.objects = _CountingList(engine.objects)
+    engine.by_id = _CountingDict(engine.by_id)
+    store = engine.object_store
+    store._page_of_object = _CountingDict(store._page_of_object)
+    signatures = []
+    for number, (point, query) in enumerate(planned_queries(domain)):
+        walks = _CountingDict.walks
+        plan = engine.planner.plan(query)
+        if number > 0:  # the first plan fills the per-version caches
+            assert _CountingDict.walks == walks, f"plan() walked the population for {query!r}"
+        signatures.append(plan_signature(plan))
+        engine.execute(PNNQuery(point))
+    digest = hashlib.sha256(json.dumps(signatures).encode("utf-8")).hexdigest()
+    assert digest == PINNED_PLANS[(backend, buffer_pages)]

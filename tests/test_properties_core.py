@@ -19,7 +19,7 @@ from repro.core.uv_index import UVIndex
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.probability import qualification_probabilities
-from repro.queries.verifier import min_max_prune
+from repro.queries.candidates import CandidateBlock, min_max_prune
 from repro.uncertain.objects import UncertainObject
 
 
@@ -116,7 +116,7 @@ def test_uv_index_point_query_never_misses_answers(layout, queries):
 def test_min_max_prune_is_exact_filter(layout, query):
     objects = objects_from_layout(layout)
     q = Point(*query)
-    survivors = min_max_prune(q, [(o.oid, o.mbc()) for o in objects])
+    survivors = min_max_prune(q, CandidateBlock.from_circles((o.oid, o.mbc()) for o in objects))
     assert sorted(survivors) == answer_objects_brute_force(objects, q)
 
 

@@ -10,7 +10,7 @@ from repro.queries.probability import (
     qualification_probabilities_sampling,
 )
 from repro.queries.result import PNNAnswer, PNNResult
-from repro.queries.verifier import d_minmax, min_max_prune
+from repro.queries.candidates import CandidateBlock, d_minmax, min_max_prune
 from repro.uncertain.objects import UncertainObject
 
 
@@ -18,9 +18,9 @@ class TestVerifier:
     def test_d_minmax(self):
         q = Point(0.0, 0.0)
         circles = [Circle(Point(10.0, 0.0), 2.0), Circle(Point(5.0, 0.0), 1.0)]
-        assert d_minmax(q, circles) == pytest.approx(6.0)
+        assert d_minmax(q, CandidateBlock.from_circles(enumerate(circles))) == pytest.approx(6.0)
         with pytest.raises(ValueError):
-            d_minmax(q, [])
+            d_minmax(q, CandidateBlock.from_circles([]))
 
     def test_prune_removes_dominated_objects(self):
         q = Point(0.0, 0.0)
@@ -29,17 +29,17 @@ class TestVerifier:
             (2, Circle(Point(10.0, 0.0), 1.0)),   # min dist 9 > 4 -> pruned
             (3, Circle(Point(4.0, 0.0), 1.5)),    # min dist 2.5 <= 4 -> kept
         ]
-        assert min_max_prune(q, candidates) == [1, 3]
+        assert min_max_prune(q, CandidateBlock.from_circles(candidates)) == [1, 3]
 
     def test_prune_keeps_all_overlapping_candidates(self):
         q = Point(0.0, 0.0)
         candidates = [
             (i, Circle(Point(2.0 + 0.1 * i, 0.0), 3.0)) for i in range(5)
         ]
-        assert min_max_prune(q, candidates) == [0, 1, 2, 3, 4]
+        assert min_max_prune(q, CandidateBlock.from_circles(candidates)) == [0, 1, 2, 3, 4]
 
     def test_prune_empty(self):
-        assert min_max_prune(Point(0, 0), []) == []
+        assert min_max_prune(Point(0, 0), CandidateBlock.from_circles([])) == []
 
     def test_answer_object_semantics(self):
         """Surviving the filter is exactly the answer-object condition."""
@@ -51,7 +51,8 @@ class TestVerifier:
             for i in range(30)
         ]
         q = Point(50.0, 50.0)
-        survivors = min_max_prune(q, [(o.oid, o.mbc()) for o in objects])
+        block = CandidateBlock.from_circles((o.oid, o.mbc()) for o in objects)
+        survivors = min_max_prune(q, block)
         bound = min(o.max_distance(q) for o in objects)
         expected = [o.oid for o in objects if o.min_distance(q) <= bound + 1e-12]
         assert survivors == expected

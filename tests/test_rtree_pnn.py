@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.candidates import mbr_to_mbc
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
-from repro.rtree.pnn import RTreePNN, _mbr_to_mbc
+from repro.rtree.pnn import RTreePNN
 from repro.rtree.tree import RTree
 from repro.storage.disk import DiskManager
 from repro.storage.object_store import ObjectStore
@@ -28,7 +29,7 @@ def make_objects(count, seed=0, radius=30.0, extent=1000.0):
 class TestMbrToMbc:
     def test_roundtrip_through_mbr(self):
         obj = UncertainObject.uniform(1, Point(10.0, 20.0), 7.5)
-        mbc = _mbr_to_mbc(obj.mbr())
+        mbc = mbr_to_mbc(obj.mbr())
         assert mbc.center.is_close(obj.center)
         assert mbc.radius == pytest.approx(obj.radius)
 
@@ -39,7 +40,7 @@ class TestCandidateRetrieval:
         tree = RTree.bulk_load(objects, fanout=8)
         pnn = RTreePNN(tree, objects=objects)
         query = Point(400.0, 400.0)
-        candidate_ids = {oid for oid, _ in pnn.retrieve_candidates(query)}
+        candidate_ids = set(pnn.retrieve_candidates(query).oids.tolist())
         expected = set(answer_objects_brute_force(objects, query))
         assert expected <= candidate_ids
 
