@@ -15,7 +15,7 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
@@ -82,15 +82,6 @@ class UVEdge:
         if self.hyperbola is None:
             return False
         return all(self.in_outside_region(corner) for corner in rect.corners())
-
-    # ------------------------------------------------------------------ #
-    # boundary sampling (used by exact cell construction)
-    # ------------------------------------------------------------------ #
-    def arc_between(self, start: Point, end: Point, count: int = 12) -> List[Point]:
-        """Sample the edge between two (approximate) boundary points."""
-        if self.hyperbola is None:
-            return []
-        return self.hyperbola.arc_between(start, end, count=count)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         status = "exists" if self.exists() else "void"

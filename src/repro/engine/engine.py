@@ -434,6 +434,7 @@ class QueryEngine:
         query: Query,
         *,
         rng: Optional[np.random.Generator] = None,
+        force_strategy: Optional[str] = None,
     ) -> ExplainReport:
         """Plan, run, and report estimates against what actually happened.
 
@@ -441,12 +442,13 @@ class QueryEngine:
         carries the plan, its estimated page reads, the actual counted page
         reads, and the per-stage wall-clock breakdown.  A ``BatchQuery``'s
         stream is materialised into a list of triples so the whole batch is
-        measured.
+        measured.  ``force_strategy`` pins the PNN candidate strategy as in
+        :meth:`QueryPlanner.plan`, e.g. to measure the R-tree baseline.
         """
-        plan = self.planner.plan(query)
+        plan = self.planner.plan(query, force_strategy=force_strategy)
         before = self.disk.stats.snapshot()
         start = time.perf_counter()
-        result = self._run(query, plan, rng=rng)
+        result = self._run(query, plan, rng=rng, force_strategy=force_strategy)
         timings = TimingBreakdown()
         if isinstance(result, BatchStream):
             triples = list(result)
@@ -504,8 +506,8 @@ class QueryEngine:
         cache: Optional[BatchReadCache],
     ) -> PNNResult:
         if plan.strategy == STRATEGY_RTREE and self.backend.name != "rtree":
-            # The planner routed the query to the shared R-tree baseline
-            # (cost-based takeover, or the deprecated pnn_rtree wrapper).
+            # The plan routes the query to the shared R-tree baseline (a grid
+            # backend's cheaper route, a pinned plan, or the pnn_rtree wrapper).
             def retrieve(point: Point) -> CandidateBlock:
                 return branch_and_prune_candidates(self.rtree, point, cache=cache)
         else:

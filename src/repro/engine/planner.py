@@ -27,12 +27,12 @@ has a ``to_dict``/``from_dict`` pair registered with the decoder
 I/O, so the planner's numbers mean the same thing on every backend and
 store (*counted-io*).
 
-The cost model is deliberately simple -- a handful of closed-form estimates
-calibrated against the simulated disk -- but it is a real model: for PNN
-queries the planner prices the primary backend's point lookup against the
-shared R-tree's branch-and-prune traversal and picks the cheaper source
-(with hysteresis, so it only abandons the primary structure when the
-estimates clearly favour the baseline).
+The cost model is deliberately simple -- closed-form estimates -- but each
+PNN strategy is priced in what it pays: counted page reads plus the CPU of
+its candidate step, with constants from ``benchmarks/calibrate_planner.py``
+(fixed here, never measured on open, so plan choice is deterministic).  A UV
+backend always answers PNN itself; only a grid backend weighs its ring
+expansion against the shared R-tree.
 """
 
 from __future__ import annotations
@@ -69,13 +69,25 @@ _PRIMARY_STRATEGY = {
     "grid": STRATEGY_GRID,
 }
 
-#: The planner abandons the primary structure only when the R-tree estimate
-#: undercuts it by this factor (hysteresis against estimate noise).
-_RTREE_TAKEOVER_RATIO = 0.8
-
-#: Cost units charged per candidate for CPU-side verification / refinement,
-#: relative to one counted page read.
+#: Cost units charged per candidate of a range query, relative to one
+#: counted page read.
 _CPU_WEIGHT_PER_CANDIDATE = 0.05
+
+#: CPU of one candidate-block scan (a UV-index leaf or a grid cell: distances,
+#: ``d_minmax`` and survivors in one NumPy pass), in counted page reads.
+#: ``benchmarks/calibrate_planner.py`` (ic, seed_knn=60; 160/d40, 160/d350,
+#: 640 and 2,560 objects; 2-core Xeon, Python 3.11, NumPy 2.4; two runs)
+#: measured a counted read at 0.12-0.28 us and a UV leaf scan at 18-28 us:
+#: 66-211 page reads, medians 174 and 155.
+_BLOCK_SCAN_COST = 160.0
+
+#: CPU of one entry an R-tree branch-and-prune visits (nodes opened x
+#: occupancy), in counted page reads; same calibration: 0.43-0.62 us an
+#: entry, 1.8-4.6 page reads, medians 3.58 and 3.16.
+_RTREE_ENTRY_COST = 3.5
+
+#: Memoised PNN plans kept per structure version before the memo is reset.
+_PLAN_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -207,12 +219,16 @@ class QueryPlanner:
     The planner holds no query state of its own; it reads the engine's
     backend statistics (cached until a live update bumps the engine's
     structure version), disk / buffer-pool counters, and configuration.
+    Without a buffer pool a PNN plan depends on nothing else, so it is
+    memoised per structure version and descriptor shape.
     """
 
     def __init__(self, engine: "QueryEngine") -> None:
         self._engine = engine
         self._stats_cache: Optional[Dict[str, float]] = None
         self._stats_version: int = -1
+        self._plans: Dict[Tuple[Optional[str], bool, float, Optional[int]], QueryPlan] = {}
+        self._plans_version: int = -1
         self._answer_cache: Optional[float] = None
         self._answer_version: int = -1
         self._store_pages: int = 1
@@ -326,27 +342,28 @@ class QueryPlanner:
         name = engine.backend.name
         strategy = _PRIMARY_STRATEGY.get(name, STRATEGY_UV_POINT)
         stats = self.backend_statistics()
-        answers = self._expected_answers()
         if strategy == STRATEGY_UV_POINT:
-            # A point query reads exactly one leaf's page list; the leaf
-            # entries all enter d_minmax verification.
+            # A point query reads exactly one leaf's page list and scans its
+            # entries as one block.
             index_reads = max(1.0, stats.get("avg_pages_per_leaf", 1.0))
             candidates = max(1.0, stats.get("avg_entries_per_leaf", 1.0))
+            scan_cost = _BLOCK_SCAN_COST
         elif strategy == STRATEGY_GRID:
             pages_per_cell = stats.get("total_pages", 1.0) / max(
                 1.0, stats.get("populated_cells", 1.0)
             )
             cells = max(1.0, stats.get("populated_cells", 1.0))
             # The ring expansion reads the home cell plus (usually) its first
-            # ring before the d_minmax bound stops it.
+            # ring before the d_minmax bound stops it, scanning each cell.
             cells_read = min(cells, 5.0)
             index_reads = cells_read * max(1.0, pages_per_cell)
             # The expansion pre-filters entries by the running bound, so
             # what reaches verification is essentially the answer set.
-            candidates = answers
+            candidates = self._expected_answers()
+            scan_cost = cells_read * _BLOCK_SCAN_COST
         else:  # the backend IS the R-tree baseline
             return strategy, self._estimate_rtree()
-        return strategy, self._finish_pnn_estimate(index_reads, candidates)
+        return strategy, self._finish_pnn_estimate(index_reads, candidates, scan_cost)
 
     def _estimate_rtree(self) -> CostEstimate:
         engine = self._engine
@@ -357,20 +374,23 @@ class QueryPlanner:
         # Branch-and-prune touches the leaves whose MBR min-distance falls
         # under d_minmax: the home leaf plus a slowly growing neighbourhood.
         leaves_read = min(leaf_count, 1.0 + math.log2(leaf_count + 1.0) / 4.0)
-        # The traversal prunes entries against the running bound, so what
+        # It scans every entry of each node it opens (the internal nodes on
+        # the way down, which cost no counted read, and those leaves); what
         # reaches verification is essentially the answer set.
-        return self._finish_pnn_estimate(leaves_read, self._expected_answers())
+        entries = (leaves_read + tree.height - 1) * leaf_capacity
+        return self._finish_pnn_estimate(
+            leaves_read, self._expected_answers(), entries * _RTREE_ENTRY_COST
+        )
 
     def _finish_pnn_estimate(
-        self, index_reads: float, candidates: float
+        self, index_reads: float, candidates: float, scan_cost: float
     ) -> CostEstimate:
         answers = min(self._expected_answers(), candidates)
         fetch_reads = self._expected_fetch_pages(answers)
         _, miss_ratio = self._buffer_pool_state()
         page_reads = (index_reads + fetch_reads) * miss_ratio
-        cost = page_reads + candidates * _CPU_WEIGHT_PER_CANDIDATE
         return CostEstimate(
-            page_reads=page_reads, candidates=candidates, cost=cost
+            page_reads=page_reads, candidates=candidates, cost=page_reads + scan_cost
         )
 
     # ------------------------------------------------------------------ #
@@ -380,39 +400,43 @@ class QueryPlanner:
         self, query: PNNQuery, force_strategy: Optional[str]
     ) -> QueryPlan:
         engine = self._engine
+        # A buffer pool's observed hit ratio moves between calls; without
+        # one, nothing a PNN plan depends on changes until a live update.
+        memoise = engine.disk.buffer_pool is None
+        key = (force_strategy, query.compute_probabilities, query.threshold, query.top_k)
+        if memoise:
+            if self._plans_version != engine.structure_version:
+                self._plans = {}
+                self._plans_version = engine.structure_version
+            plan = self._plans.get(key)
+            if plan is not None:
+                return plan
+
         backend = engine.backend.name
         primary_strategy, primary = self._estimate_primary()
         notes: List[str] = []
-
-        if force_strategy == "primary":
+        if force_strategy in (None, "primary", primary_strategy):
             strategy, chosen = primary_strategy, primary
-            notes.append("strategy pinned to the primary backend structure")
-        elif force_strategy is not None:
-            if force_strategy == STRATEGY_RTREE:
-                strategy, chosen = STRATEGY_RTREE, self._estimate_rtree()
-            elif force_strategy == primary_strategy:
-                strategy, chosen = primary_strategy, primary
-            else:
-                raise ValueError(
-                    f"backend {backend!r} cannot serve strategy "
-                    f"{force_strategy!r} (available: {primary_strategy}, "
-                    f"{STRATEGY_RTREE})"
-                )
-            notes.append(f"strategy pinned to {strategy}")
-        elif primary_strategy == STRATEGY_RTREE:
-            strategy, chosen = primary_strategy, primary
+        elif force_strategy == STRATEGY_RTREE:
+            strategy, chosen = STRATEGY_RTREE, self._estimate_rtree()
         else:
+            raise ValueError(
+                f"backend {backend!r} cannot serve strategy "
+                f"{force_strategy!r} (available: {primary_strategy}, "
+                f"{STRATEGY_RTREE})"
+            )
+        if force_strategy is not None:
+            notes.append(f"strategy pinned to {strategy}")
+        elif primary_strategy == STRATEGY_GRID:
+            # The one primary structure the shared R-tree can undercut.
             rtree = self._estimate_rtree()
-            if rtree.cost < primary.cost * _RTREE_TAKEOVER_RATIO:
+            if rtree.cost < primary.cost:
                 strategy, chosen = STRATEGY_RTREE, rtree
                 notes.append(
                     f"r-tree branch-and-prune estimate ({rtree.cost:.2f}) "
-                    f"undercuts the primary {primary_strategy} "
-                    f"({primary.cost:.2f}) past the "
-                    f"{_RTREE_TAKEOVER_RATIO:.0%} takeover bar"
+                    f"undercuts the primary {primary_strategy} ({primary.cost:.2f})"
                 )
             else:
-                strategy, chosen = primary_strategy, primary
                 notes.append(
                     f"primary {primary_strategy} estimate ({primary.cost:.2f}) "
                     f"kept over r-tree branch-and-prune ({rtree.cost:.2f})"
@@ -427,7 +451,7 @@ class QueryPlanner:
                 "misses the threshold / top-k bar"
             )
         buffer_pool, _ = self._buffer_pool_state()
-        return QueryPlan(
+        plan = QueryPlan(
             kind="pnn",
             backend=backend,
             strategy=strategy,
@@ -440,6 +464,11 @@ class QueryPlanner:
             buffer_pool=buffer_pool,
             notes=tuple(notes),
         )
+        if memoise:
+            if len(self._plans) >= _PLAN_MEMO_SIZE:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
 
     def _plan_knn(self, query: KNNQuery) -> QueryPlan:
         engine = self._engine

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.geometry.point import Point
 
@@ -145,10 +145,6 @@ def circle_from_points(a: Point, b: Point, c: Optional[Point] = None) -> Circle:
     ) / d
     center = Point(ux, uy)
     return Circle(center, center.distance_to(a))
-
-
-def _circle_covers(circle: Circle, points: Sequence[Point], tol: float = 1e-7) -> bool:
-    return all(circle.contains_point(p, tol=tol) for p in points)
 
 
 def min_bounding_circle(points: Iterable[Point], seed: int = 7) -> Circle:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.geometry.point import Point
 
@@ -115,30 +115,6 @@ class Hyperbola:
     def point_at(self, t: float) -> Point:
         """Point of the branch at parameter ``t`` (``t = 0`` is the vertex)."""
         return self.to_world(Point(self.a * math.cosh(t), self.b * math.sinh(t)))
-
-    def parameter_of(self, p: Point) -> float:
-        """Parameter of the branch point closest (in parameter space) to ``p``.
-
-        ``p`` is assumed to lie on or very near the branch; the parameter is
-        recovered from the local ``y`` coordinate.
-        """
-        local = self.to_local(p)
-        return math.asinh(local.y / self.b)
-
-    def arc_between(self, start: Point, end: Point, count: int = 16) -> List[Point]:
-        """Sample ``count`` interior points of the branch between two points.
-
-        ``start`` and ``end`` must lie (approximately) on the branch; they are
-        *not* included in the result.  Used when a clipped possible-region
-        boundary needs to follow the curved UV-edge between two crossing
-        points.
-        """
-        if count <= 0:
-            return []
-        t0 = self.parameter_of(start)
-        t1 = self.parameter_of(end)
-        step = (t1 - t0) / (count + 1)
-        return [self.point_at(t0 + step * (k + 1)) for k in range(count)]
 
     def vertex(self) -> Point:
         """The vertex of the branch (the point closest to ``focus_i``)."""

@@ -198,14 +198,6 @@ class UniformGridIndex:
             block = self._cell_blocks[cell] = CandidateBlock.from_circles(entries)
         return block
 
-    def cells_within(self, center: Point, radius: float) -> List[Tuple[int, int]]:
-        """All cells whose rectangle intersects the disk ``Cir(center, radius)``."""
-        return [
-            cell
-            for cell in self._all_cells()
-            if self.cell_rect(cell).intersects_circle(center, radius)
-        ]
-
     def _all_cells(self) -> List[Tuple[int, int]]:
         return [
             (cx, cy)

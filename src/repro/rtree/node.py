@@ -21,10 +21,6 @@ class RTreeEntry:
     oid: Optional[int] = None
     child: Optional["RTreeNode"] = None
 
-    def is_leaf_entry(self) -> bool:
-        """Return ``True`` when this entry references an object."""
-        return self.oid is not None
-
 
 @dataclass
 class RTreeNode:

@@ -21,7 +21,7 @@ pool frame, so splits and live updates can never leave a stale page behind.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 from repro.storage.page import DEFAULT_ENTRY_SIZE_BYTES, PAGE_SIZE_BYTES, Page, entries_per_page
 from repro.storage.pagestore import MemoryPageStore, PageStore
@@ -131,10 +131,6 @@ class DiskManager:
             # Coherence: drop any stale frame, then admit the fresh page.
             self.buffer_pool.invalidate(page.page_id)
             self.buffer_pool.admit(page.page_id, page, count_miss=False)
-
-    def read_pages(self, page_ids: Iterable[int]) -> List[Page]:
-        """Read several pages, counting one I/O each."""
-        return [self.read_page(pid) for pid in page_ids]
 
     # ------------------------------------------------------------------ #
     # inspection (not counted -- used by tests and reports)

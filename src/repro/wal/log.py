@@ -467,12 +467,6 @@ class WriteAheadLog:
     def closed(self) -> bool:
         return self._file is None
 
-    def size_bytes(self) -> int:
-        """Current file size (header + records)."""
-        if self._file is not None:
-            self._file.flush()
-        return os.path.getsize(self.path)
-
     def close(self) -> None:
         """Flush, fsync, and release the file handle (idempotent)."""
         if self._file is None:

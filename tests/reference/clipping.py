@@ -17,9 +17,11 @@ A clip
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.uv_edge import UVEdge
+from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 
@@ -151,13 +153,31 @@ def clip_polygon_by_constraint(
     return Polygon(output)
 
 
+def arc_between(
+    hyperbola: Optional[Hyperbola], start: Point, end: Point, count: int
+) -> List[Point]:
+    """``count`` interior points of the branch between two points on it.
+
+    This was ``Hyperbola.arc_between`` (via ``UVEdge.arc_between``, which
+    returned nothing for a void edge); the kernel samples its arcs with the
+    same operations.  Each end's parameter is recovered from its local ``y``
+    coordinate, and the ends themselves are not included.
+    """
+    if hyperbola is None or count <= 0:
+        return []
+    t0 = math.asinh(hyperbola.to_local(start).y / hyperbola.b)
+    t1 = math.asinh(hyperbola.to_local(end).y / hyperbola.b)
+    step = (t1 - t0) / (count + 1)
+    return [hyperbola.point_at(t0 + step * (k + 1)) for k in range(count)]
+
+
 def clip_polygon_by_uv_edge(
     polygon: Polygon, edge: UVEdge, arc_samples: int, edge_samples: int
 ) -> Polygon:
     """What ``PossibleRegion.refine_with_edge`` used to hand to the clip above."""
 
     def arc_sampler(exit_point: Point, entry_point: Point) -> Sequence[Point]:
-        return edge.arc_between(exit_point, entry_point, count=arc_samples)
+        return arc_between(edge.hyperbola, exit_point, entry_point, arc_samples)
 
     return clip_polygon_by_constraint(
         polygon, edge.edge_value, arc_sampler=arc_sampler, edge_samples=edge_samples

@@ -11,6 +11,7 @@ import pytest
 from repro import DiagramConfig, QueryEngine, generate_query_points, generate_uniform_objects
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.datasets import generate_skewed_objects
+from repro.engine.planner import STRATEGY_RTREE
 from repro.queries.spec import PNNQuery
 from repro.shard import ShardedQueryEngine, build_sharded_deployment
 
@@ -104,13 +105,16 @@ E2E_POPULATIONS = {
 }
 
 
-def answers_digest(engine, domain) -> str:
+def answers_digest(engine, domain, force_strategy=None) -> str:
     """Digest of 300 seeded PNN / tau / top-k queries: answer ids, the bits of
     every probability, ``candidates_examined`` and counted page reads."""
     payload = []
     for i, point in enumerate(generate_query_points(300, domain, seed=5)):
         query = (PNNQuery(point), PNNQuery(point, threshold=0.1), PNNQuery(point, top_k=2))[i % 3]
-        result = engine.execute(query)
+        if force_strategy is None:
+            result = engine.execute(query)
+        else:
+            result = engine.explain(query, force_strategy=force_strategy).result
         payload.append((
             [answer.oid for answer in result.answers],
             [struct.pack("<d", answer.probability).hex() for answer in result.answers],
@@ -122,10 +126,16 @@ def answers_digest(engine, domain) -> str:
 
 #: (population, deployment) -> digest computed at 416f9da, the last commit
 #: whose candidates were ``(oid, Circle)`` pairs tested one at a time.
+#: ``engine`` is the planner's route (the UV-index point lookup; computed
+#: there with the plan pinned to the primary structure), ``engine-rtree`` the
+#: plan pinned to R-tree branch-and-prune, the route 416f9da's planner took.
 PINNED_ANSWERS = {
-    ("uniform-d40", "engine"): "943b6cc7ea2e86c08341f33bfba41c1747d848bb4e888b26d769710d1c9a03e9",
-    ("uniform-d350", "engine"): "92390080bef02d6c7b36c04e02d1566ffdb7050025bc9471b58b415c169a30e9",
-    ("skewed-d40", "engine"): "44afd1eb57b4c72b9c962dcd566278047c55727f3ae3d1e65363e4be266187f7",
+    ("uniform-d40", "engine"): "2645b9386058aaf3d4f20c4696ce5fbfb8ffc116881e7f524d3865c21396da7a",
+    ("uniform-d350", "engine"): "1078ab38c509357f0f303bff2511d1c7c35e56dc140647b2c9470d7f401e3803",
+    ("skewed-d40", "engine"): "d806c24902349ab0162363e02020158932c54a8a1a7ff22190a61a81c8c04d47",
+    ("uniform-d40", "engine-rtree"): "943b6cc7ea2e86c08341f33bfba41c1747d848bb4e888b26d769710d1c9a03e9",
+    ("uniform-d350", "engine-rtree"): "92390080bef02d6c7b36c04e02d1566ffdb7050025bc9471b58b415c169a30e9",
+    ("skewed-d40", "engine-rtree"): "44afd1eb57b4c72b9c962dcd566278047c55727f3ae3d1e65363e4be266187f7",
     ("skewed-d40", "4-shards"): "e6c01c17085be3f0186039f96c99fd13507b30db7c6df3fffc9aecbefcef8d67",
 }
 
@@ -133,9 +143,11 @@ PINNED_ANSWERS = {
 @pytest.mark.parametrize("population,deployment", sorted(PINNED_ANSWERS))
 def test_answers_are_the_ones_the_scalar_verifier_gave(population, deployment, tmp_path):
     objects, domain = E2E_POPULATIONS[population]()
-    if deployment == "engine":
+    force_strategy = STRATEGY_RTREE if deployment == "engine-rtree" else None
+    if deployment.startswith("engine"):
         engine = QueryEngine.build(objects, domain, E2E_CONFIG)
     else:
         build_sharded_deployment(objects, domain, str(tmp_path), config=E2E_CONFIG, shards=4)
         engine = ShardedQueryEngine.open(str(tmp_path))
-    assert answers_digest(engine, domain) == PINNED_ANSWERS[(population, deployment)]
+    digest = answers_digest(engine, domain, force_strategy)
+    assert digest == PINNED_ANSWERS[(population, deployment)]

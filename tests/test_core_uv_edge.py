@@ -30,7 +30,6 @@ class TestConstruction:
         # A void edge never excludes anything.
         assert not edge.in_outside_region(Point(24.0, 0.0))
         assert edge.edge_value(Point(24.0, 0.0)) < 0
-        assert edge.arc_between(Point(0, 0), Point(1, 1)) == []
         assert not edge.rect_in_outside_region(Rect(0, 0, 10, 10))
 
 

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
-from reference.clipping import clip_polygon_by_constraint, clip_polygon_by_uv_edge
+from reference.clipping import (
+    arc_between,
+    clip_polygon_by_constraint,
+    clip_polygon_by_uv_edge,
+)
 
 from repro.core.uv_edge import UVEdge
 from repro.geometry import region_kernel
@@ -116,7 +120,7 @@ class TestConstraintClipping:
         clipped = clip_polygon_by_constraint(
             square(),
             edge.edge_value,
-            arc_sampler=lambda a, b: edge.arc_between(a, b, count=16),
+            arc_sampler=lambda a, b: arc_between(edge, a, b, 16),
             edge_samples=8,
         )
         assert clipped.area() < 100.0

@@ -66,26 +66,10 @@ class TestBranchGeometry:
         assert vertex.distance_to(edge.focus_i) < edge.point_at(1.0).distance_to(edge.focus_i)
         assert vertex.distance_to(edge.focus_i) < edge.point_at(-1.0).distance_to(edge.focus_i)
 
-    def test_parameter_roundtrip(self):
-        edge = make_edge(ci=Point(1, -2), ri=0.7, cj=Point(6, 4), rj=1.1)
-        for t in (-1.5, -0.2, 0.0, 0.9, 2.2):
-            p = edge.point_at(t)
-            assert edge.parameter_of(p) == pytest.approx(t, abs=1e-9)
-
     def test_to_local_roundtrip(self):
         edge = make_edge(ci=Point(1, 1), ri=0.5, cj=Point(4, 5), rj=0.5)
         p = Point(2.3, -0.7)
         assert edge.to_world(edge.to_local(p)).is_close(p, tol=1e-9)
-
-    def test_arc_between_lies_on_branch(self):
-        edge = make_edge()
-        start = edge.point_at(-1.0)
-        end = edge.point_at(1.5)
-        arc = edge.arc_between(start, end, count=10)
-        assert len(arc) == 10
-        for p in arc:
-            assert abs(edge.edge_value(p)) < 1e-9
-        assert edge.arc_between(start, end, count=0) == []
 
 
 class TestMembership:

@@ -10,12 +10,13 @@ from repro import (
     Point,
     QueryEngine,
     Rect,
+    UncertainObject,
     generate_query_points,
     generate_uniform_objects,
 )
 from repro.core.pattern import PartitionQueryResult
 from repro.engine.engine import BatchStream
-from repro.engine.planner import STRATEGY_BATCH, STRATEGY_RTREE
+from repro.engine.planner import STRATEGY_BATCH, STRATEGY_RTREE, STRATEGY_UV_POINT
 from repro.queries.knn import KNNResult
 from repro.queries.result import PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
@@ -134,7 +135,7 @@ class TestPlans:
         plan = engines["ic"].planner.plan(PNNQuery(queries[0], threshold=0.2))
         assert plan.kind == "pnn"
         assert plan.backend == "ic"
-        assert plan.strategy in ("uv-point-lookup", STRATEGY_RTREE)
+        assert plan.strategy == STRATEGY_UV_POINT
         assert plan.prob_kernel == "vectorized"
         assert plan.threshold == 0.2
         assert plan.estimated_page_reads > 0
@@ -180,6 +181,34 @@ class TestPlans:
         engine.delete(objects[0].oid)
         engine.planner.plan(q)
         assert calls["n"] == 2
+
+    def test_pnn_plan_is_memoised_per_structure_version(self, dataset):
+        objects, domain, queries = dataset
+        engine = QueryEngine.build(objects, domain, CONFIG.replace(backend="ic"))
+        first = engine.planner.plan(PNNQuery(queries[0]))
+        # the plan does not depend on the point, only on the descriptor shape
+        assert engine.planner.plan(PNNQuery(queries[1])) is first
+        assert engine.planner.plan(PNNQuery(queries[0], threshold=0.2)) is not first
+        pinned = engine.planner.plan(PNNQuery(queries[0]), force_strategy=STRATEGY_RTREE)
+        assert pinned.strategy == STRATEGY_RTREE
+        engine.delete(objects[0].oid)
+        replanned = engine.planner.plan(PNNQuery(queries[0]))
+        assert replanned is not first
+        assert replanned.estimated_candidates != first.estimated_candidates
+
+    def test_pooled_plans_follow_the_observed_hit_ratio(self, dataset):
+        objects, domain, queries = dataset
+        engine = QueryEngine.build(
+            objects, domain, CONFIG.replace(backend="ic", buffer_pages=32)
+        )
+        engine.disk.reset_stats()
+        cold = engine.planner.plan(PNNQuery(queries[0]))
+        assert cold.buffer_pool.endswith("cold")
+        for q in queries:
+            engine.execute(PNNQuery(q))
+        warm = engine.planner.plan(PNNQuery(queries[0]))
+        assert "observed hit ratio" in warm.buffer_pool
+        assert warm.estimated_page_reads < cold.estimated_page_reads
 
     def test_plan_rejects_unservable_forced_strategy(self, engines, dataset):
         _, _, queries = dataset
@@ -404,15 +433,20 @@ def planned_queries(domain):
 
 #: (backend, buffer_pages) -> digest of the plan signatures of
 #: ``planned_queries`` on 2,560 uniform objects (d=40, seed 11), a PNN
-#: executed after every plan so a buffer pool's observed hit ratio moves;
-#: computed at 416f9da, whose planner counted the object store's pages
-#: afresh for every PNN estimate.
+#: executed after every plan so a buffer pool's observed hit ratio moves.
+#: The ``rtree`` and ``grid`` pins changed when the R-tree estimate started
+#: charging the entries branch-and-prune visits: every grid plan here is an
+#: R-tree plan, before and after, so it carries that estimate and its note.
+#: ``("ic", 0)`` locks the UV-index answering PNN itself.
 PINNED_PLANS = {
-    ("grid", 0): "97a964dff564943e1bee95c6e6282a1842ceaab970c4253db592b7eeb27301e5",
-    ("grid", 64): "a108873c6846027d589994eba6993488f385d18c791fb6e246d2609944d50c08",
-    ("rtree", 0): "62cc70953ec24adec7b06c3a94212c440cf2e77c3560a59403baf77b913f3281",
-    ("rtree", 64): "dfe38ce8c1a7beb24d463ab2dec054a0617a58079d00604f7cb7b86b4581a2fb",
+    ("grid", 0): "a50d44636600b7184a808f8c6468c81efdb6c4a565dc317cb2957ec830add12f",
+    ("grid", 64): "00e7ccc38df8526298eada353a80485cd77b34d47e10a2798acc5d5d949a2b64",
+    ("ic", 0): "8f813cfadb9fe9abbe0eb30b34f266e1a1a80ff3990c336c73b765d0fcc1f3ba",
+    ("rtree", 0): "b72bb51d6f7af50999dd9729ce102ca4d563eb1d248a84bd63816de100b19e59",
+    ("rtree", 64): "2638668461bda3f4481b521d46e6dc3bf97c29e2f46c707b06b21ee10a548714",
 }
+#: The strategy every PNN plan of each backend takes on that population.
+PINNED_STRATEGY = {"grid": STRATEGY_RTREE, "ic": STRATEGY_UV_POINT, "rtree": STRATEGY_RTREE}
 
 
 @pytest.mark.parametrize("backend,buffer_pages", sorted(PINNED_PLANS))
@@ -434,7 +468,76 @@ def test_plan_walks_no_population_sized_collection(backend, buffer_pages):
         plan = engine.planner.plan(query)
         if number > 0:  # the first plan fills the per-version caches
             assert _CountingDict.walks == walks, f"plan() walked the population for {query!r}"
+        expected = STRATEGY_BATCH if isinstance(query, BatchQuery) else PINNED_STRATEGY[backend]
+        assert plan.strategy == expected
         signatures.append(plan_signature(plan))
         engine.execute(PNNQuery(point))
     digest = hashlib.sha256(json.dumps(signatures).encode("utf-8")).hexdigest()
     assert digest == PINNED_PLANS[(backend, buffer_pages)]
+
+
+# ---------------------------------------------------------------------- #
+# the UV-index answers PNN on the benchmark's populations
+# ---------------------------------------------------------------------- #
+#: The e2e benchmark's configuration and populations (uniform, seed 11).
+E2E_CONFIG = DiagramConfig(seed_knn=60)
+POPULATIONS = {"160/d40": (160, 40.0), "160/d350": (160, 350.0), "640/d40": (640, 40.0)}
+#: A Basic build of 640 objects takes ~25 s; its plan comes from the same
+#: branch as ic's and icr's.
+UV_CASES = [
+    (backend, population)
+    for backend in ("ic", "icr", "basic")
+    for population in POPULATIONS
+    if (backend, population) != ("basic", "640/d40")
+]
+
+
+def pnn_shapes(domain, count):
+    for i, point in enumerate(generate_query_points(count, domain, seed=21)):
+        yield (
+            PNNQuery(point),
+            PNNQuery(point, threshold=0.1),
+            PNNQuery(point, top_k=2),
+        )[i % 3]
+
+
+def assert_same_as_pinned_rtree(engine, queries):
+    """Chosen plan vs the pinned R-tree plan, query by query: the same answers
+    and probability bits, and never more counted page reads."""
+    for query in queries:
+        chosen = engine.explain(query)
+        rtree = engine.explain(query, force_strategy=STRATEGY_RTREE)
+        assert rtree.plan.strategy == STRATEGY_RTREE
+        assert [(a.oid, a.probability) for a in chosen.result.answers] == [
+            (a.oid, a.probability) for a in rtree.result.answers
+        ]
+        assert chosen.actual_page_reads <= rtree.actual_page_reads
+
+
+@pytest.mark.parametrize("backend,population", UV_CASES)
+def test_uv_backends_answer_pnn_themselves(backend, population):
+    count, diameter = POPULATIONS[population]
+    objects, domain = generate_uniform_objects(count, diameter=diameter, seed=11)
+    engine = QueryEngine.build(objects, domain, E2E_CONFIG.replace(backend=backend))
+    queries = list(pnn_shapes(domain, 30))
+    for query in queries:
+        assert engine.planner.plan(query).strategy == STRATEGY_UV_POINT
+    assert_same_as_pinned_rtree(engine, queries)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_plans_match_pinned_rtree_through_live_updates(backend):
+    objects, domain = generate_uniform_objects(160, diameter=40.0, seed=11)
+    pool, _ = generate_uniform_objects(50, diameter=40.0, seed=14)
+    engine = QueryEngine.build(objects, domain, E2E_CONFIG.replace(backend=backend))
+    queries = list(pnn_shapes(domain, 30))
+    assert_same_as_pinned_rtree(engine, queries)
+    rng = np.random.default_rng(3)
+    live = [obj.oid for obj in objects]
+    for number, template in enumerate(pool):
+        victim = live.pop(int(rng.integers(len(live))))
+        engine.delete(victim)
+        replacement = UncertainObject(1000 + number, template.region, template.pdf)
+        engine.insert(replacement)
+        live.append(replacement.oid)
+    assert_same_as_pinned_rtree(engine, queries)

@@ -343,6 +343,38 @@ class TestCheckpoint:
         assert forced is not None and forced.generation == 2
         engine.close_wal()
 
+    def test_checkpoint_shortens_switch_interval_and_restores_it(
+            self, tmp_path, small_objects, small_domain, monkeypatch):
+        import sys
+
+        from repro.wal import Checkpointer
+        from repro.wal import checkpoint as module
+
+        directory = _deployment(tmp_path, small_objects, small_domain)
+        engine = QueryEngine.open_live(directory)
+        checkpointer = Checkpointer(engine, retry_attempts=1)
+        seen = []
+        original = checkpointer._checkpoint_once
+
+        def spy(force):
+            seen.append(sys.getswitchinterval())
+            return original(force)
+
+        monkeypatch.setattr(checkpointer, "_checkpoint_once", spy)
+        before = sys.getswitchinterval()
+        assert checkpointer.run_once(force=True) is not None
+        assert seen == [pytest.approx(module.CHECKPOINT_SWITCH_INTERVAL_S)]
+        assert sys.getswitchinterval() == before
+
+        def boom(force):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpointer, "_checkpoint_once", boom)
+        with pytest.raises(OSError):
+            checkpointer.run_once(force=True)
+        assert sys.getswitchinterval() == before
+        engine.close_wal()
+
     def test_updates_during_checkpoint_survive_truncation(self, tmp_path,
                                                           small_objects,
                                                           small_domain):
