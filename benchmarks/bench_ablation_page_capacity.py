@@ -10,10 +10,8 @@ import pytest
 
 from benchmarks.conftest import RTREE_FANOUT, SEED_KNN, emit, scaled_bundle
 from repro.analysis.report import format_table
-from repro.core.construction import build_uv_index_ic
-from repro.core.pnn import UVIndexPNN
-from repro.rtree.tree import RTree
-from repro.storage.disk import DiskManager
+from repro.engine import DiagramConfig, QueryEngine
+from repro.queries.spec import PNNQuery
 
 OBJECT_COUNT = 200
 CAPACITIES = [4, 8, 16, 32, 64]
@@ -22,28 +20,23 @@ CAPACITIES = [4, 8, 16, 32, 64]
 @pytest.fixture(scope="module")
 def capacity_sweep():
     bundle = scaled_bundle("uniform", OBJECT_COUNT, seed=37)
-    rtree = RTree.bulk_load(bundle.objects, disk=DiskManager(), fanout=RTREE_FANOUT)
+    config = DiagramConfig(rtree_fanout=RTREE_FANOUT, seed_knn=SEED_KNN)
     results = {}
     for capacity in CAPACITIES:
-        disk = DiskManager()
-        index, stats = build_uv_index_ic(
-            bundle.objects,
-            bundle.domain,
-            rtree=rtree,
-            disk=disk,
-            page_capacity=capacity,
-            seed_knn=SEED_KNN,
+        engine = QueryEngine.build(
+            bundle.objects, bundle.domain, config.replace(page_capacity=capacity)
         )
-        pnn = UVIndexPNN(index, objects=bundle.objects)
-        avg_io = sum(
-            pnn.query(q, compute_probabilities=False).io.page_reads
+        answers = [
+            engine.execute(PNNQuery(q, compute_probabilities=False))
             for q in bundle.queries
-        ) / len(bundle.queries)
+        ]
+        avg_io = sum(result.io.page_reads for result in answers) / len(answers)
         avg_candidates = sum(
-            pnn.query(q, compute_probabilities=False).candidates_examined
-            for q in bundle.queries
-        ) / len(bundle.queries)
-        results[capacity] = (index.statistics(), stats, avg_io, avg_candidates)
+            result.candidates_examined for result in answers
+        ) / len(answers)
+        results[capacity] = (
+            engine.statistics(), engine.construction_stats, avg_io, avg_candidates
+        )
     return results
 
 

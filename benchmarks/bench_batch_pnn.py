@@ -1,9 +1,9 @@
 """Batch PNN evaluation: shared leaf reads vs sequential queries.
 
-Not a paper figure -- this measures the engine's ``batch()`` query plane: a
+Not a paper figure -- this measures the engine's ``BatchQuery`` stream: a
 clustered workload (many queries landing in few UV-index leaves) reads each
 leaf's page list once per batch instead of once per query, so page reads
-drop while the answers stay identical to sequential ``pnn()`` calls.
+drop while the answers stay identical to sequential ``PNNQuery`` runs.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from benchmarks.conftest import (
 from repro.analysis.report import format_table
 from repro.engine import DiagramConfig, QueryEngine
 from repro.geometry.point import Point
+from repro.queries.spec import BatchQuery, PNNQuery
 
 BATCH_SIZES = [10, 50, 200]
 CLUSTER_SPAN = 600.0  # side of the square the clustered queries fall in
@@ -51,29 +52,39 @@ def clustered_queries(domain, count, seed):
     ]
 
 
+def run_batch(engine, workload):
+    """Consume one batch stream; returns its results, page reads and stream."""
+    before = engine.disk.stats.snapshot()
+    stream = engine.execute(BatchQuery.of(workload, compute_probabilities=False))
+    results = [result for _, result, _ in stream]
+    return results, engine.disk.stats.delta(before).page_reads, stream
+
+
 def test_batch_pnn_saves_page_reads(benchmark, batch_setup, capsys):
-    """Print sequential vs batch page reads per batch size, then time batch()."""
+    """Print sequential vs batch page reads per batch size, then time a batch."""
     bundle, engine = batch_setup
     rows = []
     for size in BATCH_SIZES:
         workload = clustered_queries(bundle.domain, size, seed=size)
         before = engine.disk.stats.snapshot()
-        sequential = [engine.pnn(q, compute_probabilities=False) for q in workload]
+        sequential = [
+            engine.execute(PNNQuery(q, compute_probabilities=False)) for q in workload
+        ]
         seq_reads = engine.disk.stats.delta(before).page_reads
 
-        batch = engine.batch(workload, compute_probabilities=False)
+        batch, batch_reads, stream = run_batch(engine, workload)
         assert [r.answer_ids for r in batch] == [r.answer_ids for r in sequential]
-        assert batch.page_reads <= seq_reads
-        saving = 1.0 - batch.page_reads / seq_reads if seq_reads else 0.0
-        rows.append([size, seq_reads, batch.page_reads, batch.cache_hits, saving])
+        assert batch_reads <= seq_reads
+        saving = 1.0 - batch_reads / seq_reads if seq_reads else 0.0
+        rows.append([size, seq_reads, batch_reads, stream.cache.hits, saving])
 
     emit(capsys, format_table(
         ["batch size", "sequential reads", "batch reads", "cache hits", "saving"],
         rows,
-        title=("batch() vs sequential pnn() page reads, clustered workload "
+        title=("BatchQuery vs sequential PNNQuery page reads, clustered workload "
                "(UV-index backend; answers verified identical)"),
         float_format="{:.1%}",
     ))
 
     workload = clustered_queries(bundle.domain, BATCH_SIZES[1], seed=1)
-    benchmark(lambda: engine.batch(workload, compute_probabilities=False))
+    benchmark(lambda: run_batch(engine, workload))

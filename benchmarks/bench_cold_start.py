@@ -22,6 +22,7 @@ from benchmarks.conftest import (
 )
 from repro.analysis.report import format_table
 from repro.engine import DiagramConfig, QueryEngine
+from repro.queries.spec import PNNQuery
 
 SIZES = [100, 200, 400]
 STORE_KINDS = ["file", "mmap", "memory"]
@@ -58,16 +59,17 @@ def test_open_is_faster_than_rebuild(snapshots, capsys):
     results = []
     for size in SIZES:
         bundle, engine, path, build_seconds = snapshots[size]
-        workload = bundle.queries[:VERIFY_QUERIES]
-        reference = [engine.pnn(q, compute_probabilities=False).answer_ids
-                     for q in workload]
+        workload = [
+            PNNQuery(q, compute_probabilities=False)
+            for q in bundle.queries[:VERIFY_QUERIES]
+        ]
+        reference = [engine.execute(q).answer_ids for q in workload]
         open_seconds = {}
         for kind in STORE_KINDS:
             start = time.perf_counter()
             reopened = QueryEngine.open(path, store=kind)
             open_seconds[kind] = time.perf_counter() - start
-            got = [reopened.pnn(q, compute_probabilities=False).answer_ids
-                   for q in workload]
+            got = [reopened.execute(q).answer_ids for q in workload]
             assert got == reference, f"{kind} diverged at size {size}"
             assert open_seconds[kind] < build_seconds
         speedup = build_seconds / max(open_seconds["mmap"], 1e-9)

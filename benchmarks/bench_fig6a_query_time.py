@@ -15,11 +15,8 @@ from benchmarks.conftest import (
     scaled_bundle,
 )
 from repro.analysis.report import format_table
-from repro.core.construction import build_uv_index_ic
-from repro.core.pnn import UVIndexPNN
-from repro.rtree.tree import RTree
-from repro.storage.disk import DiskManager
-from repro.storage.object_store import ObjectStore
+from repro.engine import DiagramConfig, QueryEngine
+from repro.queries.spec import PNNQuery
 
 # Query times (ms) read off Figure 6(a) of the paper (approximate).
 PAPER_SERIES_MS = {
@@ -29,25 +26,16 @@ PAPER_SERIES_MS = {
 
 
 @pytest.fixture(scope="module")
-def largest_uv_pnn():
-    """A UV-index PNN processor at the largest sweep size (for timing)."""
+def largest_uv_engine():
+    """A UV-index engine at the largest sweep size (for timing)."""
     bundle = scaled_bundle("uniform", SWEEP_SIZES[-1], seed=SWEEP_SIZES[-1])
-    disk = DiskManager()
-    store = ObjectStore(disk)
-    store.bulk_load(bundle.objects)
-    rtree = RTree.bulk_load(bundle.objects, disk=disk, fanout=RTREE_FANOUT)
-    index, _ = build_uv_index_ic(
-        bundle.objects,
-        bundle.domain,
-        rtree=rtree,
-        disk=disk,
-        page_capacity=PAGE_CAPACITY,
-        seed_knn=SEED_KNN,
+    config = DiagramConfig(
+        page_capacity=PAGE_CAPACITY, rtree_fanout=RTREE_FANOUT, seed_knn=SEED_KNN
     )
-    return bundle, UVIndexPNN(index, object_store=store)
+    return bundle, QueryEngine.build(bundle.objects, bundle.domain, config)
 
 
-def test_fig6a_query_time_sweep(benchmark, uniform_query_sweep, largest_uv_pnn, capsys):
+def test_fig6a_query_time_sweep(benchmark, uniform_query_sweep, largest_uv_engine, capsys):
     """Print the Tq-vs-|O| series and benchmark one UV-index PNN query."""
     rows = []
     for size, results in uniform_query_sweep.items():
@@ -70,7 +58,7 @@ def test_fig6a_query_time_sweep(benchmark, uniform_query_sweep, largest_uv_pnn, 
     for _size, results in uniform_query_sweep.items():
         assert results["uv-index"].avg_time_ms <= results["r-tree"].avg_time_ms * 1.25
 
-    bundle, pnn = largest_uv_pnn
-    query = bundle.queries[0]
-    answers = benchmark(lambda: len(pnn.query(query).answers))
+    bundle, engine = largest_uv_engine
+    query = PNNQuery(bundle.queries[0])
+    answers = benchmark(lambda: len(engine.execute(query).answers))
     assert answers >= 1

@@ -14,11 +14,9 @@ from benchmarks.conftest import (
     scaled_bundle,
 )
 from repro.analysis.report import format_table
-from repro.core.pattern import PatternAnalyzer
-from repro.core.construction import build_uv_index_ic
+from repro.engine import DiagramConfig, QueryEngine
 from repro.geometry.rectangle import Rect
-from repro.rtree.tree import RTree
-from repro.storage.disk import DiskManager
+from repro.queries.spec import RangeQuery
 
 OBJECT_COUNT = 300
 # Query-region side lengths, as fractions of the domain side.
@@ -30,21 +28,14 @@ PAPER_SERIES_MS = {100: 35, 200: 55, 300: 80, 400: 110, 500: 150}
 @pytest.fixture(scope="module")
 def pattern_setup():
     bundle = scaled_bundle("uniform", OBJECT_COUNT, seed=23)
-    disk = DiskManager()
-    rtree = RTree.bulk_load(bundle.objects, disk=DiskManager(), fanout=RTREE_FANOUT)
-    index, _ = build_uv_index_ic(
-        bundle.objects,
-        bundle.domain,
-        rtree=rtree,
-        disk=disk,
-        page_capacity=PAGE_CAPACITY,
-        seed_knn=SEED_KNN,
+    config = DiagramConfig(
+        page_capacity=PAGE_CAPACITY, rtree_fanout=RTREE_FANOUT, seed_knn=SEED_KNN
     )
-    return bundle, PatternAnalyzer(index)
+    return bundle, QueryEngine.build(bundle.objects, bundle.domain, config)
 
 
 def test_fig7h_partition_query(benchmark, pattern_setup, capsys):
-    bundle, analyzer = pattern_setup
+    bundle, engine = pattern_setup
     domain = bundle.domain
     center = domain.center
     rows = []
@@ -57,7 +48,7 @@ def test_fig7h_partition_query(benchmark, pattern_setup, capsys):
             min(domain.xmax, center.x + half),
             min(domain.ymax, center.y + half),
         )
-        result = analyzer.partitions_in(region)
+        result = engine.execute(RangeQuery(region))
         measurements[fraction] = result
         rows.append(
             [
@@ -88,4 +79,5 @@ def test_fig7h_partition_query(benchmark, pattern_setup, capsys):
     largest = REGION_FRACTIONS[-1]
     half = bundle.domain.width * largest / 2.0
     region = Rect(center.x - half, center.y - half, center.x + half, center.y + half)
-    benchmark(lambda: len(analyzer.partitions_in(region).partitions))
+    query = RangeQuery(region)
+    benchmark(lambda: len(engine.execute(query).partitions))

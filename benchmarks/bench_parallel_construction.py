@@ -32,6 +32,7 @@ from benchmarks.conftest import (
 from repro.analysis.report import format_table
 from repro.engine import DiagramConfig, QueryEngine
 from repro.parallel import ConstructionScheduler, available_workers
+from repro.queries.spec import PNNQuery
 
 OBJECTS = 320
 WORKER_COUNTS = [2, 4]
@@ -58,7 +59,10 @@ def _build(bundle, scheduler=None, workers=1):
 
 def _answers(engine, queries):
     return [
-        [(a.oid, a.probability) for a in engine.pnn(q).sorted_by_probability()]
+        [
+            (a.oid, a.probability)
+            for a in engine.execute(PNNQuery(q)).sorted_by_probability()
+        ]
         for q in queries
     ]
 

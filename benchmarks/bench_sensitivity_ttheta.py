@@ -15,10 +15,8 @@ from benchmarks.conftest import (
     scaled_bundle,
 )
 from repro.analysis.report import format_table
-from repro.core.construction import build_uv_index_ic
-from repro.core.pnn import UVIndexPNN
-from repro.rtree.tree import RTree
-from repro.storage.disk import DiskManager
+from repro.engine import DiagramConfig, QueryEngine
+from repro.queries.spec import PNNQuery
 
 OBJECT_COUNT = 200
 THRESHOLDS = [0.2, 0.5, 0.8, 1.0]
@@ -27,24 +25,18 @@ THRESHOLDS = [0.2, 0.5, 0.8, 1.0]
 @pytest.fixture(scope="module")
 def threshold_sweep():
     bundle = scaled_bundle("uniform", OBJECT_COUNT, seed=41)
-    rtree = RTree.bulk_load(bundle.objects, disk=DiskManager(), fanout=RTREE_FANOUT)
+    config = DiagramConfig(
+        page_capacity=PAGE_CAPACITY, rtree_fanout=RTREE_FANOUT, seed_knn=SEED_KNN
+    )
     results = {}
     for threshold in THRESHOLDS:
-        disk = DiskManager()
-        index, stats = build_uv_index_ic(
-            bundle.objects,
-            bundle.domain,
-            rtree=rtree,
-            disk=disk,
-            page_capacity=PAGE_CAPACITY,
-            split_threshold=threshold,
-            seed_knn=SEED_KNN,
+        engine = QueryEngine.build(
+            bundle.objects, bundle.domain, config.replace(split_threshold=threshold)
         )
-        pnn = UVIndexPNN(index, objects=bundle.objects)
         io_total = 0
         for q in bundle.queries:
-            io_total += pnn.query(q, compute_probabilities=False).io.page_reads
-        results[threshold] = (index, stats, io_total / len(bundle.queries))
+            io_total += engine.execute(PNNQuery(q, compute_probabilities=False)).io.page_reads
+        results[threshold] = (engine, io_total / len(bundle.queries))
     return bundle, results
 
 
@@ -52,8 +44,9 @@ def test_sensitivity_ttheta(benchmark, threshold_sweep, capsys):
     bundle, results = threshold_sweep
     rows = []
     for threshold in THRESHOLDS:
-        index, stats, avg_io = results[threshold]
-        index_stats = index.statistics()
+        engine, avg_io = results[threshold]
+        stats = engine.construction_stats
+        index_stats = engine.statistics()
         rows.append(
             [
                 threshold,
@@ -81,8 +74,8 @@ def test_sensitivity_ttheta(benchmark, threshold_sweep, capsys):
     assert small_index["leaf_nodes"] <= large_index["leaf_nodes"]
     assert small_index["max_pages_per_leaf"] >= large_index["max_pages_per_leaf"]
     # Query I/O with the degraded index is no better than with T_theta = 1.
-    assert results[THRESHOLDS[0]][2] >= results[THRESHOLDS[-1]][2] * 0.95
+    assert results[THRESHOLDS[0]][1] >= results[THRESHOLDS[-1]][1] * 0.95
 
-    pnn = UVIndexPNN(results[THRESHOLDS[-1]][0], objects=bundle.objects)
-    query = bundle.queries[0]
-    benchmark(lambda: len(pnn.query(query, compute_probabilities=False).answers))
+    engine = results[THRESHOLDS[-1]][0]
+    query = PNNQuery(bundle.queries[0], compute_probabilities=False)
+    benchmark(lambda: len(engine.execute(query).answers))

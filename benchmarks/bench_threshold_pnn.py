@@ -6,11 +6,10 @@ upper bound falls below tau before full integration; top-k PNN prunes
 against the running k-th probability.  This benchmark quantifies how much
 refinement work the filters actually save on the fig6c uniform workload:
 
-* **full integrations** -- candidates that went through the reference-
-  arithmetic integration path (deterministic, jitter-free work metric),
-* **wall time** of the scalar reference kernel, where full integration
-  dominates (the vectorized kernel's savings are smaller because its CDF
-  matrix is shared either way),
+* **full integrations** -- candidates that went through the full
+  integration path (deterministic, jitter-free work metric),
+* **wall time** of the refinement kernel (its savings are smaller than the
+  work saved because the CDF matrix is shared either way),
 
 and verifies along the way that every filtered result equals post-filtering
 the unfiltered output.  Standalone on purpose (no pytest)::
@@ -35,15 +34,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.datasets.loader import load_dataset  # noqa: E402
 from repro.engine import DiagramConfig, QueryEngine  # noqa: E402
-from repro.queries.probability import qualification_probabilities  # noqa: E402
 from repro.queries.probability_kernel import (  # noqa: E402
     RefinementStats,
     RingCache,
-    qualification_probabilities_vectorized,
+    compute_qualification_probabilities,
 )
 from repro.queries.spec import PNNQuery  # noqa: E402
 
-# The Figure 6(c) workload at benchmark scale (shared with bench_prob_kernel).
+# The Figure 6(c) workload at benchmark scale.
 OBJECTS = 400
 QUERIES = 12
 DIAMETER = 300.0
@@ -63,7 +61,7 @@ def collect_answer_sets(engine, queries):
     return answer_sets
 
 
-def run_kernel(answer_sets, kernel, repeats, threshold=0.0, top_k=None):
+def run_kernel(answer_sets, repeats, threshold=0.0, top_k=None):
     """Best-of-N wall time + aggregated work stats + per-query results."""
     best = float("inf")
     results = None
@@ -75,16 +73,10 @@ def run_kernel(answer_sets, kernel, repeats, threshold=0.0, top_k=None):
         round_results = []
         for query, objects in answer_sets:
             query_stats = RefinementStats()
-            if kernel == "scalar":
-                probabilities = qualification_probabilities(
-                    objects, query, threshold=threshold, top_k=top_k,
-                    stats=query_stats,
-                )
-            else:
-                probabilities = qualification_probabilities_vectorized(
-                    objects, query, ring_cache=ring_cache, threshold=threshold,
-                    top_k=top_k, stats=query_stats,
-                )
+            probabilities = compute_qualification_probabilities(
+                objects, query, ring_cache=ring_cache, threshold=threshold,
+                top_k=top_k, stats=query_stats,
+            )
             round_stats.merge(query_stats)
             round_results.append(probabilities)
         elapsed = time.perf_counter() - start
@@ -139,71 +131,43 @@ def main(argv=None) -> int:
           f"(mean {sum(answer_sizes) / len(answer_sizes):.1f})")
 
     rows = []
-    reference = {}
-    for kernel in ("scalar", "vectorized"):
-        for threshold in THRESHOLDS:
-            seconds, stats, results = run_kernel(
-                answer_sets, kernel, args.repeats, threshold=threshold
-            )
-            if threshold == 0.0:
-                reference[kernel] = results
-            else:
-                verify_post_filter_equality(
-                    reference[kernel], results, threshold, None,
-                    f"{kernel} tau={threshold}",
-                )
-            rows.append({
-                "kernel": kernel,
-                "threshold": threshold,
-                "top_k": None,
-                "seconds": seconds,
-                "candidates": stats.candidates,
-                "integrated": stats.integrated,
-                "pruned": stats.pruned,
-            })
-            print(f"  {kernel:10s} tau={threshold:<4g}: {seconds * 1000:7.2f} ms, "
-                  f"{stats.integrated}/{stats.candidates} fully integrated "
-                  f"({stats.pruned} pruned)")
-        for top_k in TOP_KS:
-            seconds, stats, results = run_kernel(
-                answer_sets, kernel, args.repeats, top_k=top_k
-            )
-            verify_post_filter_equality(
-                reference[kernel], results, 0.0, top_k, f"{kernel} top-{top_k}"
-            )
-            rows.append({
-                "kernel": kernel,
-                "threshold": 0.0,
-                "top_k": top_k,
-                "seconds": seconds,
-                "candidates": stats.candidates,
-                "integrated": stats.integrated,
-                "pruned": stats.pruned,
-            })
-            print(f"  {kernel:10s} top-{top_k:<5d}: {seconds * 1000:7.2f} ms, "
-                  f"{stats.integrated}/{stats.candidates} fully integrated "
-                  f"({stats.pruned} pruned)")
+    reference = None
+    settings = [(threshold, None) for threshold in THRESHOLDS]
+    settings += [(0.0, top_k) for top_k in TOP_KS]
+    for threshold, top_k in settings:
+        seconds, stats, results = run_kernel(
+            answer_sets, args.repeats, threshold=threshold, top_k=top_k
+        )
+        label = f"top-{top_k}" if top_k is not None else f"tau={threshold:g}"
+        if reference is None:
+            reference = results
+        else:
+            verify_post_filter_equality(reference, results, threshold, top_k, label)
+        rows.append({
+            "threshold": threshold,
+            "top_k": top_k,
+            "seconds": seconds,
+            "candidates": stats.candidates,
+            "integrated": stats.integrated,
+            "pruned": stats.pruned,
+        })
+        print(f"  {label:<8}: {seconds * 1000:7.2f} ms, "
+              f"{stats.integrated}/{stats.candidates} fully integrated "
+              f"({stats.pruned} pruned)")
 
-    def row(kernel, threshold, top_k=None):
+    def row(threshold, top_k=None):
         return next(
-            r for r in rows
-            if r["kernel"] == kernel and r["threshold"] == threshold
-            and r["top_k"] == top_k
+            r for r in rows if r["threshold"] == threshold and r["top_k"] == top_k
         )
 
-    scalar_full = row("scalar", 0.0)
-    scalar_tau = row("scalar", 0.1)
-    vector_full = row("vectorized", 0.0)
-    vector_tau = row("vectorized", 0.1)
-    work_reduction = 1.0 - scalar_tau["integrated"] / max(1, scalar_full["integrated"])
-    scalar_speedup = (
-        scalar_full["seconds"] / scalar_tau["seconds"]
-        if scalar_tau["seconds"] > 0 else float("inf")
-    )
-    print(f"tau=0.1 vs tau=0: {scalar_full['integrated']} -> "
-          f"{scalar_tau['integrated']} full integrations "
+    full = row(0.0)
+    tau = row(0.1)
+    work_reduction = 1.0 - tau["integrated"] / max(1, full["integrated"])
+    speedup = full["seconds"] / tau["seconds"] if tau["seconds"] > 0 else float("inf")
+    print(f"tau=0.1 vs tau=0: {full['integrated']} -> "
+          f"{tau['integrated']} full integrations "
           f"({work_reduction:.0%} less refinement work), "
-          f"scalar wall-time speedup {scalar_speedup:.2f}x")
+          f"wall-time speedup {speedup:.2f}x")
 
     payload = {
         "benchmark": "threshold_pnn",
@@ -212,11 +176,11 @@ def main(argv=None) -> int:
         "queries": len(queries),
         "answer_sizes": answer_sizes,
         "rows": rows,
-        "tau01_integrated": scalar_tau["integrated"],
-        "tau0_integrated": scalar_full["integrated"],
+        "tau01_integrated": tau["integrated"],
+        "tau0_integrated": full["integrated"],
         "tau01_work_reduction": work_reduction,
-        "tau01_scalar_speedup": scalar_speedup,
-        "tau01_vectorized_pruned": vector_tau["pruned"],
+        "tau01_speedup": speedup,
+        "tau01_pruned": tau["pruned"],
         "platform": platform.platform(),
         "python": platform.python_version(),
     }
@@ -226,21 +190,11 @@ def main(argv=None) -> int:
     print(f"wrote {path}")
 
     if args.check:
-        failures = []
-        if scalar_tau["integrated"] >= scalar_full["integrated"]:
-            failures.append(
-                "tau=0.1 did not reduce full integrations in the scalar kernel"
-            )
-        if vector_tau["integrated"] >= vector_full["integrated"]:
-            failures.append(
-                "tau=0.1 did not reduce full integrations in the vectorized kernel"
-            )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
+        if tau["integrated"] >= full["integrated"]:
+            print("FAIL: tau=0.1 did not reduce full integrations", file=sys.stderr)
             return 1
         print(f"gate passed (tau=0.1 integrates "
-              f"{scalar_tau['integrated']} < {scalar_full['integrated']} "
+              f"{tau['integrated']} < {full['integrated']} "
               f"candidates; {work_reduction:.0%} less refinement work)")
     return 0
 

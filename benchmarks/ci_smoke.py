@@ -122,40 +122,29 @@ def smoke_cold_start(engine, queries) -> dict:
 
 
 def smoke_refinement(engine, queries) -> dict:
-    """Vectorized vs scalar refinement (qualification probabilities) timing.
+    """Refinement (qualification probabilities) timing over the workload.
 
-    Reuses the collection / timing / parity helpers of the full benchmark
-    (``bench_prob_kernel.py``, importable because both scripts share this
-    directory) so the smoke and the benchmark cannot drift apart.
+    Each query's verified answer objects are collected first, so the timed
+    loop is the refinement kernel alone.  Its parity with the scalar oracle
+    is a tier-1 test (``tests/test_prob_kernel.py``), not a smoke concern.
     """
-    from bench_prob_kernel import collect_answer_sets, max_parity_diff, time_kernel
-    from repro.queries.probability import qualification_probabilities
     from repro.queries.probability_kernel import (
         RingCache,
-        qualification_probabilities_vectorized,
+        compute_qualification_probabilities,
     )
 
-    answer_sets = collect_answer_sets(engine, queries)
-    scalar_seconds, scalar = time_kernel(
-        answer_sets, 1, lambda objs, q: qualification_probabilities(objs, q)
-    )
+    answer_sets = []
+    for query in queries:
+        ids = engine.execute(PNNQuery(query, compute_probabilities=False)).answer_ids
+        answer_sets.append((query, engine.object_store.fetch_many(ids)))
     ring_cache = RingCache()
-    vectorized_seconds, vectorized = time_kernel(
-        answer_sets, 1,
-        lambda objs, q: qualification_probabilities_vectorized(
-            objs, q, ring_cache=ring_cache),
-    )
-
-    max_diff = max_parity_diff(scalar, vectorized)
-    if max_diff > 1e-9:
-        raise SystemExit(f"refinement kernels diverged: max abs diff {max_diff:.3e}")
+    start = time.perf_counter()
+    for query, objects in answer_sets:
+        compute_qualification_probabilities(objects, query, ring_cache=ring_cache)
     return {
         "benchmark": "refinement_smoke",
         "queries": len(queries),
-        "scalar_seconds": scalar_seconds,
-        "refinement_seconds": vectorized_seconds,
-        "speedup": scalar_seconds / vectorized_seconds if vectorized_seconds else 0.0,
-        "max_abs_diff": max_diff,
+        "refinement_seconds": time.perf_counter() - start,
     }
 
 
@@ -295,9 +284,8 @@ def main(argv=None) -> int:
     write_json(args.output_dir, "cold_start", cold)
 
     refinement = smoke_refinement(engine, queries)
-    print(f"refinement: vectorized {refinement['refinement_seconds']:.3f}s vs "
-          f"scalar {refinement['scalar_seconds']:.3f}s "
-          f"({refinement['speedup']:.1f}x)")
+    print(f"refinement: {refinement['refinement_seconds']:.3f}s "
+          f"over {refinement['queries']} queries")
     write_json(args.output_dir, "refinement", refinement)
 
     explain = smoke_execute_explain(engine, queries)

@@ -18,7 +18,6 @@ from repro import (
     PNNQuery,
     Point,
     QueryEngine,
-    UVDiagram,
     generate_uniform_objects,
 )
 from repro.uncertain.objects import UncertainObject
@@ -71,7 +70,7 @@ def main() -> None:
     # Render the final state of the UV-diagram.
     # ------------------------------------------------------------------ #
     canvas = render_uv_diagram(
-        UVDiagram.from_engine(engine),
+        engine,
         width=700,
         highlight_cells=[newcomer.oid],
         query_points=[incident],

@@ -24,11 +24,19 @@ Run with::
 
 import statistics
 
-from repro import Rect, UVDiagram, generate_skewed_objects, generate_uniform_objects
+from repro import (
+    DiagramConfig,
+    PNNQuery,
+    QueryEngine,
+    RangeQuery,
+    Rect,
+    generate_skewed_objects,
+    generate_uniform_objects,
+)
 from repro.voronoi.point_voronoi import PointVoronoiDiagram
 
 
-def describe_cell_areas(diagram: UVDiagram, label: str) -> None:
+def describe_cell_areas(diagram: QueryEngine, label: str) -> None:
     """Print summary statistics of the UV-cell areas."""
     areas = [diagram.uv_cell_area(obj.oid) for obj in diagram.objects]
     domain_area = diagram.domain.area()
@@ -38,9 +46,9 @@ def describe_cell_areas(diagram: UVDiagram, label: str) -> None:
           f"max {max(shares):.2%}")
 
 
-def describe_density(diagram: UVDiagram, region: Rect, label: str) -> None:
+def describe_density(diagram: QueryEngine, region: Rect, label: str) -> None:
     """Print the nearest-neighbour density inside a region."""
-    result = diagram.partitions_in(region)
+    result = diagram.execute(RangeQuery(region))
     counts = [p.object_count for p in result.partitions]
     print(f"  {label}: {len(result.partitions)} partitions, "
           f"avg {statistics.mean(counts):.1f} / max {max(counts)} candidate NNs per partition")
@@ -53,10 +61,9 @@ def main() -> None:
     uniform_objects, domain = generate_uniform_objects(count, diameter=diameter, seed=5)
     skewed_objects, _ = generate_skewed_objects(count, sigma=1500.0, diameter=diameter, seed=5)
 
-    uniform = UVDiagram.build(uniform_objects, domain, page_capacity=16,
-                              rtree_fanout=16, seed_knn=60)
-    skewed = UVDiagram.build(skewed_objects, domain, page_capacity=16,
-                             rtree_fanout=16, seed_knn=60)
+    config = DiagramConfig(page_capacity=16, rtree_fanout=16, seed_knn=60)
+    uniform = QueryEngine.build(uniform_objects, domain, config)
+    skewed = QueryEngine.build(skewed_objects, domain, config)
     print(f"built two UV-diagrams over {count} objects "
           f"(uniform: {uniform.construction_stats.total_seconds:.2f}s, "
           f"skewed: {skewed.construction_stats.total_seconds:.2f}s)")
@@ -86,7 +93,7 @@ def main() -> None:
     voronoi = PointVoronoiDiagram([o.center for o in skewed_objects], domain=domain)
     probe = domain.center
     crisp_owner = voronoi.nearest_site(probe)
-    fuzzy = skewed.pnn(probe)
+    fuzzy = skewed.execute(PNNQuery(probe))
     print("\nuncertainty matters:")
     print(f"  classic Voronoi at the domain centre: exactly one NN, object {crisp_owner}")
     print(f"  UV-diagram at the same point: {len(fuzzy.answers)} possible NNs, "

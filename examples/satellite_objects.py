@@ -5,7 +5,7 @@ The paper's introduction motivates the UV-diagram with geographical objects
 whose positions are imprecise -- e.g. objects extracted from noisy satellite
 images, or user positions deliberately blurred for privacy.  This example
 models a town whose features cluster along roads (the *roads-like* generator),
-builds a UV-diagram, and answers the kinds of questions the paper discusses:
+builds a UV-diagram engine, and answers the kinds of questions the paper discusses:
 
 * "which facilities could be closest to this incident location, and with what
   probability?" (PNN),
@@ -19,7 +19,7 @@ Run with::
     python examples/satellite_objects.py
 """
 
-from repro import Point, Rect, UVDiagram
+from repro import DiagramConfig, PNNQuery, Point, QueryEngine, RangeQuery, Rect
 from repro.datasets.real_like import generate_roads_like
 
 
@@ -28,8 +28,9 @@ def main() -> None:
     # uncertain within a 400-unit-diameter circle (image resolution + privacy
     # blurring).
     objects, domain = generate_roads_like(300, diameter=400.0, roads=15, seed=3)
-    diagram = UVDiagram.build(objects, domain, page_capacity=16, rtree_fanout=16,
-                              seed_knn=80)
+    diagram = QueryEngine.build(
+        objects, domain, DiagramConfig(page_capacity=16, rtree_fanout=16, seed_knn=80)
+    )
     print(f"indexed {len(diagram)} imprecise facilities "
           f"in {diagram.construction_stats.total_seconds:.2f}s")
 
@@ -38,7 +39,7 @@ def main() -> None:
     # might be the closest responder, and how likely is each?
     # ------------------------------------------------------------------ #
     incident = Point(4_200.0, 6_300.0)
-    result = diagram.pnn(incident)
+    result = diagram.execute(PNNQuery(incident))
     print(f"\nincident at ({incident.x:.0f}, {incident.y:.0f}) -- "
           f"{len(result.answers)} candidate nearest facilities:")
     for answer in result.sorted_by_probability():
@@ -64,7 +65,7 @@ def main() -> None:
     # neighbour across a chosen district?
     # ------------------------------------------------------------------ #
     district = Rect(3_000.0, 5_000.0, 6_000.0, 8_000.0)
-    partitions = diagram.partitions_in(district)
+    partitions = diagram.execute(RangeQuery(district))
     densities = [p.density for p in partitions.partitions]
     print(f"\ndistrict [{district.xmin:.0f},{district.xmax:.0f}] x "
           f"[{district.ymin:.0f},{district.ymax:.0f}]:")

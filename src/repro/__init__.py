@@ -17,7 +17,8 @@ Typical usage::
         print(answer.oid, answer.probability)
     print(engine.explain(PNNQuery(Point(5000.0, 5000.0))))
 
-The legacy ``UVDiagram`` facade remains available and forwards to the engine.
+``QueryEngine.execute`` / ``QueryEngine.explain`` are the one way to run a
+query; every descriptor (PNN, k-NN, range, batch) goes through them.
 """
 
 from repro.geometry.point import Point
@@ -25,9 +26,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.rectangle import Rect
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.pdf import HistogramPdf, TruncatedGaussianPdf, UniformPdf
-from repro.core.diagram import UVDiagram
 from repro.engine import (
-    BatchResult,
     BatchStream,
     DiagramConfig,
     ExplainReport,
@@ -55,11 +54,9 @@ from repro.core.construction import (
     build_uv_index_ic,
     build_uv_index_icr,
 )
-from repro.core.pnn import UVIndexPNN
 from repro.parallel import ConstructionScheduler, available_workers
 from repro.core.pattern import PatternAnalyzer
 from repro.rtree.tree import RTree
-from repro.rtree.pnn import RTreePNN
 from repro.queries.result import PNNAnswer, PNNResult
 from repro.datasets.synthetic import (
     DEFAULT_DOMAIN,
@@ -80,14 +77,12 @@ __all__ = [
     "UniformPdf",
     "TruncatedGaussianPdf",
     "HistogramPdf",
-    "UVDiagram",
     "QueryEngine",
     "QueryPlan",
     "QueryPlanner",
     "ExplainReport",
     "DiagramConfig",
     "IndexBackend",
-    "BatchResult",
     "BatchStream",
     "PNNQuery",
     "KNNQuery",
@@ -108,10 +103,8 @@ __all__ = [
     "build_uv_index_icr",
     "ConstructionScheduler",
     "available_workers",
-    "UVIndexPNN",
     "PatternAnalyzer",
     "RTree",
-    "RTreePNN",
     "PNNAnswer",
     "PNNResult",
     "DEFAULT_DOMAIN",

@@ -18,16 +18,14 @@ from repro.core.construction import (
     build_uv_index_ic,
     build_uv_index_icr,
 )
-from repro.core.pnn import UVIndexPNN
 from repro.datasets.loader import DatasetBundle
 from repro.engine.config import DiagramConfig
 from repro.engine.engine import QueryEngine
 from repro.geometry.point import Point
 from repro.queries.result import PNNResult
-from repro.rtree.pnn import RTreePNN
+from repro.queries.spec import PNNQuery
 from repro.rtree.tree import RTree
 from repro.storage.disk import DiskManager
-from repro.storage.object_store import ObjectStore
 from repro.storage.stats import TimingBreakdown
 
 
@@ -108,6 +106,14 @@ def _aggregate_queries(
     )
 
 
+def _primary_pnn(
+    engine: QueryEngine, point: Point, compute_probabilities: bool
+) -> PNNResult:
+    """One PNN pinned to the engine's own index structure."""
+    query = PNNQuery(point, compute_probabilities=compute_probabilities)
+    return engine.explain(query, force_strategy="primary").result
+
+
 def run_query_experiment(
     bundle: DatasetBundle,
     queries: Optional[Sequence[Point]] = None,
@@ -129,54 +135,27 @@ def run_query_experiment(
 
     Returns a mapping ``{"uv-index": ..., "r-tree": ...}``.
     """
+    if construction not in ("ic", "icr"):
+        raise ValueError(f"unsupported construction for query experiments: {construction!r}")
     queries = list(queries) if queries is not None else list(bundle.queries)
     objects = bundle.objects
-
-    # Separate disks so that each index's I/O is counted independently.
-    uv_disk = DiskManager(read_latency=read_latency)
-    uv_store = ObjectStore(uv_disk)
-    uv_store.bulk_load(objects)
-    helper_rtree = RTree.bulk_load(objects, disk=DiskManager(), fanout=rtree_fanout)
-
-    builder = {
-        "ic": build_uv_index_ic,
-        "icr": build_uv_index_icr,
-    }.get(construction)
-    if builder is None:
-        raise ValueError(f"unsupported construction for query experiments: {construction!r}")
-    uv_index, _ = builder(
-        objects,
-        bundle.domain,
-        rtree=helper_rtree,
-        disk=uv_disk,
+    config = DiagramConfig(
         page_capacity=page_capacity,
         max_nonleaf=max_nonleaf,
         split_threshold=split_threshold,
         seed_knn=seed_knn,
+        rtree_fanout=rtree_fanout,
     )
-    uv_pnn = UVIndexPNN(uv_index, object_store=uv_store)
 
-    rtree_disk = DiskManager(read_latency=read_latency)
-    rtree_store = ObjectStore(rtree_disk)
-    rtree_store.bulk_load(objects)
-    rtree = RTree.bulk_load(objects, disk=rtree_disk, fanout=rtree_fanout)
-    rtree_pnn = RTreePNN(rtree, object_store=rtree_store)
-
-    uv_results = [
-        uv_pnn.query(q, compute_probabilities=compute_probabilities) for q in queries
-    ]
-    rtree_results = [
-        rtree_pnn.query(q, compute_probabilities=compute_probabilities) for q in queries
-    ]
-
-    return {
-        "uv-index": _aggregate_queries(
-            "uv-index", bundle.name, len(objects), uv_results
-        ),
-        "r-tree": _aggregate_queries(
-            "r-tree", bundle.name, len(objects), rtree_results
-        ),
-    }
+    experiments: Dict[str, QueryExperimentResult] = {}
+    for name, backend in (("uv-index", construction), ("r-tree", "rtree")):
+        # Each engine owns its disk, so each index's I/O is counted
+        # independently; the simulated latency applies to queries, not builds.
+        engine = QueryEngine.build(objects, bundle.domain, config.replace(backend=backend))
+        engine.disk.read_latency = read_latency
+        results = [_primary_pnn(engine, q, compute_probabilities) for q in queries]
+        experiments[name] = _aggregate_queries(name, bundle.name, len(objects), results)
+    return experiments
 
 
 @dataclass
@@ -233,12 +212,10 @@ def run_backend_comparison(
             )
             build_seconds = time.perf_counter() - start
         workload_before = engine.disk.stats.snapshot()
-        # Pin each engine to its own primary structure: the table compares
-        # index structures, so the planner must not reroute a slow backend's
-        # queries to the shared R-tree.
+        # The table compares index structures, so the planner must not
+        # reroute a slow backend's queries to the shared R-tree.
         results = [
-            engine._legacy_pnn(q, compute_probabilities=compute_probabilities)
-            for q in queries
+            _primary_pnn(engine, q, compute_probabilities) for q in queries
         ]
         workload_io = engine.disk.stats.delta(workload_before)
         answers = [sorted(r.answer_ids) for r in results]

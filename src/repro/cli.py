@@ -55,8 +55,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma", type=float, default=2000.0,
                         help="centre standard deviation (skewed dataset only)")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--method", default=None, choices=available_backends(),
-                        help="deprecated alias of --backend")
     parser.add_argument("--backend", default=None, choices=available_backends(),
                         help="index backend (default: ic)")
     parser.add_argument("--page-capacity", type=int, default=16,
@@ -80,12 +78,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shard-strategy", default="round_robin",
                         choices=["round_robin", "spatial_tile"],
                         help="how objects are sharded across workers")
-    parser.add_argument("--prob-kernel", default=None,
-                        choices=["vectorized", "scalar"],
-                        help="qualification-probability kernel for the PNN "
-                             "refinement step (scalar is the pure-Python "
-                             "reference implementation; default: vectorized, "
-                             "or the saved value for --load)")
 
 
 def _add_query_point_arguments(parser: argparse.ArgumentParser) -> None:
@@ -122,13 +114,11 @@ def _load_bundle(args: argparse.Namespace) -> DatasetBundle:
 
 
 def _config_from_args(args: argparse.Namespace, backend: Optional[str] = None) -> DiagramConfig:
-    if args.method and not args.backend:
-        print("warning: --method is deprecated, use --backend", file=sys.stderr)
     if args.store == "file" and not args.store_path:
         print("error: --store file requires --store-path", file=sys.stderr)
         raise SystemExit(2)
     return DiagramConfig(
-        backend=backend or args.backend or args.method or "ic",
+        backend=backend or args.backend or "ic",
         page_capacity=args.page_capacity,
         seed_knn=args.seed_knn,
         rtree_fanout=16,
@@ -138,7 +128,6 @@ def _config_from_args(args: argparse.Namespace, backend: Optional[str] = None) -
         buffer_pages=args.buffer_pages if args.buffer_pages is not None else 0,
         workers=args.workers,
         shard_strategy=args.shard_strategy,
-        prob_kernel=args.prob_kernel or "vectorized",
     )
 
 
@@ -182,10 +171,6 @@ def _obtain_engine(args: argparse.Namespace):
     """A served engine: reopened from ``--load`` when given, else freshly built."""
     if getattr(args, "load", None):
         engine = _open_snapshot(args)
-        if args.prob_kernel and args.prob_kernel != engine.config.prob_kernel:
-            # The refinement kernel is a query-time setting, so an explicit
-            # --prob-kernel overrides the snapshot's saved choice.
-            engine.config = engine.config.replace(prob_kernel=args.prob_kernel)
         shards = getattr(engine, "engines", None)
         layout = f", {len(shards)} shards" if shards is not None else ""
         print(f"opened snapshot {args.load} ({_engine_backend_name(engine)!r} "
@@ -347,8 +332,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         from repro.datasets.synthetic import generate_query_points
 
         loaded = _open_snapshot(args)
-        if args.prob_kernel and args.prob_kernel != loaded.config.prob_kernel:
-            loaded.config = loaded.config.replace(prob_kernel=args.prob_kernel)
         bundle = DatasetBundle(
             name=f"snapshot:{args.load}",
             objects=loaded.objects,
@@ -368,7 +351,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         config = loaded.config.replace(
             backend=backends[0], store="memory", store_path=None
         )
-        # loaded.config already carries any explicit --prob-kernel override.
         print(f"opened snapshot {args.load} ({loaded.backend.name!r} backend); "
               f"other backends are built fresh over the snapshot's objects "
               f"with its config")
@@ -717,7 +699,6 @@ def _command_chaos(args: argparse.Namespace) -> int:
 
 
 def _command_render(args: argparse.Namespace) -> int:
-    from repro.core.diagram import UVDiagram
     from repro.viz.svg import render_uv_diagram
 
     engine = _obtain_engine(args)
@@ -725,13 +706,12 @@ def _command_render(args: argparse.Namespace) -> int:
         print("error: render requires a UV-index backend (ic/icr/basic)",
               file=sys.stderr)
         return 2
-    diagram = UVDiagram.from_engine(engine)
     highlight = [int(oid) for oid in args.highlight.split(",") if oid] if args.highlight else []
     canvas = render_uv_diagram(
-        diagram,
+        engine,
         width=args.width,
         highlight_cells=highlight,
-        title=f"UV-diagram ({args.dataset}, {len(diagram)} objects)",
+        title=f"UV-diagram ({args.dataset}, {len(engine)} objects)",
     )
     canvas.save(args.output)
     print(f"wrote {args.output} ({canvas.width}x{canvas.height})")

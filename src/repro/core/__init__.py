@@ -13,9 +13,8 @@ of the paper:
   Algorithms 3-5,
 * :mod:`repro.core.construction` -- the Basic / ICR / IC construction
   pipelines compared in Section VI,
-* :mod:`repro.core.pnn` -- PNN query evaluation over the UV-index,
-* :mod:`repro.core.pattern` -- nearest-neighbour pattern analysis queries,
-* :mod:`repro.core.diagram` -- the user-facing :class:`UVDiagram` facade.
+* :mod:`repro.core.pnn` -- PNN candidate retrieval over the UV-index,
+* :mod:`repro.core.pattern` -- nearest-neighbour pattern analysis queries.
 """
 
 from repro.core.uv_edge import UVEdge
@@ -29,9 +28,7 @@ from repro.core.construction import (
     build_uv_index_ic,
     build_uv_index_icr,
 )
-from repro.core.pnn import UVIndexPNN
 from repro.core.pattern import PartitionInfo, PatternAnalyzer
-from repro.core.diagram import UVDiagram
 
 __all__ = [
     "UVEdge",
@@ -47,8 +44,6 @@ __all__ = [
     "build_uv_index_basic",
     "build_uv_index_ic",
     "build_uv_index_icr",
-    "UVIndexPNN",
     "PartitionInfo",
     "PatternAnalyzer",
-    "UVDiagram",
 ]

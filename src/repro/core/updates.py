@@ -41,7 +41,7 @@ def unregister_object(diagram, oid: int) -> None:
 
     The R-tree substrate has no delete in this reproduction; rebuild it
     (cheap relative to index maintenance, and it keeps the baseline
-    comparable) and resync any attached R-tree query processor.
+    comparable).
     """
     from repro.rtree.tree import RTree
 
@@ -62,9 +62,6 @@ def unregister_object(diagram, oid: int) -> None:
     diagram.rtree = RTree.bulk_load(
         diagram.objects, disk=diagram.disk, fanout=diagram.rtree.fanout
     )
-    rtree_pnn = getattr(diagram, "_rtree_pnn", None)
-    if rtree_pnn is not None:
-        rtree_pnn.tree = diagram.rtree
 
 
 class UVDiagramUpdater:
@@ -76,11 +73,11 @@ class UVDiagramUpdater:
     runs no cr-object search of its own.
 
     Args:
-        diagram: the diagram to maintain -- a :class:`repro.core.diagram.UVDiagram`
-            or any object exposing the same components (``objects``, ``by_id``,
-            ``domain``, ``rtree``, ``object_store``, ``index``, ``disk``), such
-            as a :class:`repro.engine.engine.QueryEngine` with a UV-index
-            backend.
+        diagram: the diagram to maintain -- a
+            :class:`repro.engine.engine.QueryEngine` with a UV-index backend,
+            or any object exposing the same components (``objects``,
+            ``by_id``, ``domain``, ``rtree``, ``object_store``, ``index``,
+            ``disk``).
         seed_knn / seed_sectors: Algorithm 2 parameters used when cr-objects
             have to be recomputed; default to the values that make sense for
             the current dataset size.

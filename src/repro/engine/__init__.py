@@ -23,7 +23,6 @@ from repro.engine.backend import (
 )
 from repro.engine.config import DiagramConfig
 from repro.engine.engine import (
-    BatchResult,
     BatchStream,
     QueryEngine,
     ReadOnlyEngineError,
@@ -35,7 +34,6 @@ from repro.engine import backends as _builtin_backends  # noqa: F401
 
 __all__ = [
     "BatchReadCache",
-    "BatchResult",
     "BatchStream",
     "DiagramConfig",
     "ExplainReport",

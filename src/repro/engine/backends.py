@@ -4,9 +4,10 @@ Each adapter wraps one of the library's index structures behind the
 :class:`~repro.engine.backend.IndexBackend` protocol so that
 ``QueryEngine.build(..., backend="grid")`` works everywhere ``"ic"`` /
 ``"icr"`` / ``"basic"`` do.  The adapters do not re-implement candidate
-retrieval: they call the same functions the standalone processors
-(:class:`UVIndexPNN`, :class:`RTreePNN`, :class:`GridPNN`) use, so answers
-are identical whichever entry point a caller picks.
+retrieval: they call the structures' own candidate functions
+(``uv_index_candidates``, ``branch_and_prune_candidates``,
+``grid_candidates``) -- the engine's R-tree plan calls the same one -- so
+answers are identical whichever plan runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Typed configuration for building a UV-diagram / query engine.
 
 :class:`DiagramConfig` replaces the kwarg explosion that used to spread over
-``UVDiagram.build``, the ``build_uv_index_*`` functions, and the CLI: one
+the ``build_uv_index_*`` functions, the engine, and the CLI: one
 frozen, validated record that can round-trip through plain dicts for CLI and
 benchmark plumbing.
 """
@@ -46,12 +46,6 @@ class DiagramConfig:
         shard_strategy: how the object set is split across workers --
             ``"round_robin"`` (balanced deal-out) or ``"spatial_tile"``
             (domain tiles, spatially compact shards).
-        prob_kernel: refinement kernel computing qualification probabilities
-            -- ``"vectorized"`` (array-native numerical integration, the
-            default) or ``"scalar"`` (the pure-Python reference
-            implementation).  Both produce the same probabilities to well
-            within ``1e-9`` relative error; the vectorized kernel is
-            several times faster per query.
     """
 
     backend: str = "ic"
@@ -67,7 +61,6 @@ class DiagramConfig:
     buffer_pages: int = 0
     workers: int = 1
     shard_strategy: str = "round_robin"
-    prob_kernel: str = "vectorized"
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, str) or not self.backend:
@@ -100,11 +93,6 @@ class DiagramConfig:
             raise ValueError(
                 f"unknown shard_strategy: {self.shard_strategy!r} "
                 "(known: round_robin, spatial_tile)"
-            )
-        if self.prob_kernel not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"unknown prob_kernel: {self.prob_kernel!r} "
-                "(known: vectorized, scalar)"
             )
 
     # ------------------------------------------------------------------ #

@@ -11,9 +11,8 @@ descriptors (:mod:`repro.queries.spec`) handed to two entry points:
   plus per-stage timings (EXPLAIN ANALYZE).
 
 plus :meth:`insert` / :meth:`delete` for live updates after construction.
-The per-shape methods of earlier releases (:meth:`pnn`, :meth:`pnn_rtree`,
-:meth:`knn`, :meth:`batch`, :meth:`partitions_in`) remain as thin
-deprecating wrappers that build descriptors and call :meth:`execute`.
+These are the only way to run a query; ``explain(query,
+force_strategy="primary")`` pins a PNN to the backend's own structure.
 
 Typical usage::
 
@@ -32,8 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
@@ -71,7 +68,7 @@ from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
 from repro.queries.result import PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, Query, RangeQuery
-from repro.rtree.pnn import RTreePNN, branch_and_prune_candidates
+from repro.rtree.pnn import branch_and_prune_candidates
 from repro.rtree.tree import RTree
 from repro.storage.disk import DiskManager
 from repro.storage.object_store import ObjectStore
@@ -97,48 +94,14 @@ class ReadOnlyEngineError(RuntimeError):
     """
 
 
-@dataclass
-class BatchResult:
-    """Result of a :meth:`QueryEngine.batch` call.
-
-    Attributes:
-        results: one :class:`PNNResult` per query, in input order -- each
-            identical to what a sequential :meth:`QueryEngine.pnn` call would
-            have returned.
-        io: total I/O of the whole batch (the saving relative to sequential
-            evaluation comes from leaf/cell page lists read once).
-        seconds: wall-clock time of the batch.
-        cache_hits / cache_misses: granule-level hit statistics of the shared
-            read cache.
-    """
-
-    results: List[PNNResult] = field(default_factory=list)
-    io: Optional[IOStats] = None
-    seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self) -> Iterator[PNNResult]:
-        return iter(self.results)
-
-    @property
-    def page_reads(self) -> int:
-        """Total page reads of the batch."""
-        return self.io.page_reads if self.io is not None else 0
-
-
 class BatchStream:
     """Streaming execution of a :class:`~repro.queries.spec.BatchQuery`.
 
     An iterator of ``(query, result, plan)`` triples in input order.  All
     queries of the batch share one :class:`BatchReadCache` (leaf / cell page
     lists are read and counted once) and the engine's cross-query
-    :class:`RingCache`, so consuming the stream incrementally costs the same
-    total I/O as the old materialising ``batch()`` call while results become
-    available one by one.
+    :class:`RingCache`, so the batch pays each index granule once while
+    results become available one by one.
 
     Attributes:
         query: the batch descriptor being streamed.
@@ -221,15 +184,9 @@ class QueryEngine:
         self.construction_stats = construction_stats
         self.by_id: Dict[int, UncertainObject] = {obj.oid: obj for obj in self.objects}
         # Ring profiles are query-independent, so one cache serves every
-        # query (single, batch, and the R-tree comparison path) until a live
-        # update touches the object.
+        # query (single, batch, and the R-tree plan) until a live update
+        # touches the object.
         self._ring_cache = RingCache()
-        self._rtree_pnn = RTreePNN(
-            rtree,
-            object_store=object_store,
-            prob_kernel=self.config.prob_kernel,
-            ring_cache=self._ring_cache,
-        )
         # True when the in-memory state has diverged from the last saved or
         # opened snapshot (a freshly built engine was never saved at all).
         self._dirty = True
@@ -507,7 +464,7 @@ class QueryEngine:
     ) -> PNNResult:
         if plan.strategy == STRATEGY_RTREE and self.backend.name != "rtree":
             # The plan routes the query to the shared R-tree baseline (a grid
-            # backend's cheaper route, a pinned plan, or the pnn_rtree wrapper).
+            # backend's cheaper route, or a pinned plan).
             def retrieve(point: Point) -> CandidateBlock:
                 return branch_and_prune_candidates(self.rtree, point, cache=cache)
         else:
@@ -520,7 +477,6 @@ class QueryEngine:
             self._fetch_objects,
             self.disk.stats,
             compute_probabilities=query.compute_probabilities,
-            prob_kernel=self.config.prob_kernel,
             ring_cache=self._ring_cache,
             threshold=query.threshold,
             top_k=query.top_k,
@@ -529,141 +485,9 @@ class QueryEngine:
     def _fetch_objects(self, oids: List[int]) -> List[UncertainObject]:
         return self.object_store.fetch_many(oids)
 
-    def _legacy_pnn(self, query: Point, compute_probabilities: bool) -> PNNResult:
-        """The historical pnn() behaviour: primary structure, no filters.
-
-        Shared by the deprecated wrappers and the :class:`UVDiagram` facade
-        so they stay behaviour-identical without re-warning through each
-        other.
-        """
-        descriptor = PNNQuery(query, compute_probabilities=compute_probabilities)
-        plan = self.planner.plan(descriptor, force_strategy="primary")
-        return self._run(descriptor, plan)
-
-    # ------------------------------------------------------------------ #
-    # legacy per-shape methods (deprecating wrappers over execute)
-    # ------------------------------------------------------------------ #
-    def pnn(self, query: Point, compute_probabilities: bool = True) -> PNNResult:
-        """Probabilistic nearest-neighbour query through the active backend.
-
-        .. deprecated::
-            Use ``execute(PNNQuery(point))``, which also supports threshold
-            / top-k filtering and cost-based planning.
-        """
-        warnings.warn(
-            "QueryEngine.pnn() is deprecated; use "
-            "engine.execute(PNNQuery(point, ...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._legacy_pnn(query, compute_probabilities)
-
-    def pnn_rtree(self, query: Point, compute_probabilities: bool = True) -> PNNResult:
-        """The same query through the R-tree baseline (for comparison).
-
-        .. deprecated::
-            The planner now owns backend selection; use
-            ``execute(PNNQuery(point))`` (cost-based choice) or build a
-            second engine with ``DiagramConfig(backend="rtree")`` for a
-            fully separate baseline.
-        """
-        warnings.warn(
-            "QueryEngine.pnn_rtree() is deprecated; the planner selects the "
-            "candidate source cost-based -- use engine.execute(PNNQuery(point)) "
-            "or DiagramConfig(backend='rtree')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        descriptor = PNNQuery(query, compute_probabilities=compute_probabilities)
-        plan = self.planner.plan(descriptor, force_strategy=STRATEGY_RTREE)
-        return self._run(descriptor, plan)
-
-    def answer_objects(self, query: Point) -> List[int]:
-        """Just the answer-object ids (no probability computation)."""
-        return self._legacy_pnn(query, compute_probabilities=False).answer_ids
-
-    def knn(
-        self,
-        query: Point,
-        k: int,
-        worlds: int = 2000,
-        rng: Optional[np.random.Generator] = None,
-    ) -> KNNResult:
-        """Probabilistic k-NN query (answers with P(in top-k) estimates).
-
-        .. deprecated::
-            Use ``execute(KNNQuery(point, k, worlds, seed))``.
-        """
-        warnings.warn(
-            "QueryEngine.knn() is deprecated; use "
-            "engine.execute(KNNQuery(point, k, ...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        descriptor = KNNQuery(query, k, worlds=worlds)
-        return self._run(descriptor, self.planner.plan(descriptor), rng=rng)
-
-    # ------------------------------------------------------------------ #
-    # batch queries (deprecating wrapper over the streaming execution)
-    # ------------------------------------------------------------------ #
-    def batch(
-        self, queries: Sequence[Point], compute_probabilities: bool = True
-    ) -> BatchResult:
-        """Evaluate many PNN queries with a shared read cache.
-
-        Answers are identical to sequential :meth:`pnn` calls; the saving is
-        in I/O: a leaf (or cell) page list is read -- and counted -- once for
-        the whole batch, so clustered workloads collapse their repeated page
-        reads into one pass.
-
-        .. deprecated::
-            Use ``execute(BatchQuery.of(points))``, which streams
-            ``(query, result, plan)`` triples instead of materialising
-            every result up front.
-        """
-        warnings.warn(
-            "QueryEngine.batch() is deprecated; use "
-            "engine.execute(BatchQuery.of(points)) and consume the stream",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        descriptor = BatchQuery.of(
-            queries, compute_probabilities=compute_probabilities
-        )
-        start = time.perf_counter()
-        before = self.disk.stats.snapshot()
-        stream = self._run(
-            descriptor,
-            self.planner.plan(descriptor, force_strategy="primary"),
-            force_strategy="primary",
-        )
-        results = [result for _, result, _ in stream]
-        return BatchResult(
-            results=results,
-            io=self.disk.stats.delta(before),
-            seconds=time.perf_counter() - start,
-            cache_hits=stream.cache.hits,
-            cache_misses=stream.cache.misses,
-        )
-
     # ------------------------------------------------------------------ #
     # pattern analysis
     # ------------------------------------------------------------------ #
-    def partitions_in(self, region: Rect) -> PartitionQueryResult:
-        """UV-partition retrieval with densities (Section V-C, query 2).
-
-        .. deprecated::
-            Use ``execute(RangeQuery(region))``.
-        """
-        warnings.warn(
-            "QueryEngine.partitions_in() is deprecated; use "
-            "engine.execute(RangeQuery(region)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        descriptor = RangeQuery(region)
-        return self._run(descriptor, self.planner.plan(descriptor))
-
     def uv_cell_area(self, oid: int) -> float:
         """Approximate area of one object's UV-cell (UV-index backends only)."""
         return self._pattern_analyzer().uv_cell_area(oid)

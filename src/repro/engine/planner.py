@@ -109,8 +109,9 @@ class QueryPlan:
         backend: registry key of the engine's active backend.
         strategy: chosen candidate-retrieval strategy (one of the
             ``STRATEGY_*`` names above).
-        prob_kernel: refinement kernel the run will use (``"none"`` when no
-            probabilities are computed).
+        prob_kernel: refinement the run will use -- ``"vectorized"`` (the
+            numerical-integration kernel), ``"monte-carlo"`` (k-NN) or
+            ``"none"`` when no probabilities are computed.
         threshold / top_k: early-termination parameters pushed into the
             refinement step.
         estimated_page_reads: expected counted page reads of the run.
@@ -244,9 +245,8 @@ class QueryPlanner:
             query: a descriptor from :mod:`repro.queries.spec`.
             force_strategy: pin the candidate-retrieval strategy instead of
                 letting the cost model choose -- ``"primary"`` (the active
-                backend's own structure; what the legacy wrappers use to
-                stay behaviour-identical) or an explicit ``STRATEGY_*``
-                name such as :data:`STRATEGY_RTREE`.
+                backend's own structure) or an explicit ``STRATEGY_*`` name
+                such as :data:`STRATEGY_RTREE`.
         """
         if isinstance(query, PNNQuery):
             return self._plan_pnn(query, force_strategy)
@@ -442,9 +442,7 @@ class QueryPlanner:
                     f"kept over r-tree branch-and-prune ({rtree.cost:.2f})"
                 )
 
-        kernel = (
-            engine.config.prob_kernel if query.compute_probabilities else "none"
-        )
+        kernel = "vectorized" if query.compute_probabilities else "none"
         if query.threshold > 0.0 or query.top_k is not None:
             notes.append(
                 "refinement prunes candidates whose probability upper bound "
@@ -552,7 +550,7 @@ class QueryPlanner:
                 kind="batch",
                 backend=engine.backend.name,
                 strategy=STRATEGY_BATCH,
-                prob_kernel=engine.config.prob_kernel,
+                prob_kernel="vectorized",
                 buffer_pool=buffer_pool,
                 notes=("empty batch",),
             )

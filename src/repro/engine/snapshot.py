@@ -59,6 +59,11 @@ logger = logging.getLogger("repro.engine.snapshot")
 #: format 1 stored the circles by value (``cr_circles``) and stays readable.
 SNAPSHOT_FORMAT = 2
 
+#: Config keys earlier releases saved and this one no longer has, with the
+#: values they could hold.  :func:`open_engine` drops them before
+#: ``DiagramConfig.from_dict``, which still rejects every other unknown key.
+RETIRED_CONFIG_KEYS = {"prob_kernel": ("vectorized", "scalar")}
+
 
 def build_meta(engine: "QueryEngine") -> Dict[str, Any]:
     """The JSON metadata blob describing ``engine``'s non-page state."""
@@ -156,12 +161,17 @@ def open_engine(
             f"snapshot format {meta.get('snapshot_format')} is newer than this library"
         )
 
-    config = DiagramConfig.from_dict(meta["config"]).replace(
+    saved = {
+        key: value
+        for key, value in meta["config"].items()
+        if value not in RETIRED_CONFIG_KEYS.get(key, ())
+    }
+    config = DiagramConfig.from_dict(saved).replace(
         store=store,
         store_path=path,
         buffer_pages=(
             buffer_pages if buffer_pages is not None
-            else meta["config"].get("buffer_pages", 0)
+            else saved.get("buffer_pages", 0)
         ),
     )
     disk = DiskManager(

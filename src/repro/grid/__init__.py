@@ -6,6 +6,6 @@ multi-page retrieval overhead for nearest-neighbour search.  This package
 provides that baseline for completeness and for the ablation benchmarks.
 """
 
-from repro.grid.uniform_grid import UniformGridIndex, GridPNN
+from repro.grid.uniform_grid import UniformGridIndex
 
-__all__ = ["UniformGridIndex", "GridPNN"]
+__all__ = ["UniformGridIndex"]

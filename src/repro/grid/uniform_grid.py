@@ -1,9 +1,9 @@
-"""A uniform grid over uncertainty regions and a PNN evaluator on top of it.
+"""A uniform grid over uncertainty regions and its PNN candidate retrieval.
 
 Each grid cell keeps, on simulated disk pages, the ids and MBCs of the
-objects whose uncertainty regions intersect the cell.  PNN evaluation
-retrieves the query's cell, derives ``d_minmax`` from it, and expands to
-neighbouring cells until no unseen cell can contain a closer object.
+objects whose uncertainty regions intersect the cell.  PNN candidate
+retrieval reads the query's cell, derives ``d_minmax`` from it, and expands
+to neighbouring cells until no unseen cell can contain a closer object.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import BlockScan, CandidateBlock, d_minmax
-from repro.queries.pipeline import evaluate_pnn
-from repro.queries.probability_kernel import DEFAULT_PROB_KERNEL, RingCache
-from repro.queries.result import PNNResult
 from repro.storage.disk import DiskManager
-from repro.storage.object_store import ObjectStore
 from repro.uncertain.objects import UncertainObject
 
 
@@ -268,54 +264,3 @@ def _ring_cells(
                 cells.append((cx, cy))
     return cells
 
-
-class GridPNN:
-    """PNN evaluation over a :class:`UniformGridIndex`."""
-
-    def __init__(
-        self,
-        grid: UniformGridIndex,
-        object_store: Optional[ObjectStore] = None,
-        objects: Optional[Sequence[UncertainObject]] = None,
-        prob_kernel: str = DEFAULT_PROB_KERNEL,
-        ring_cache: Optional[RingCache] = None,
-    ):
-        if object_store is None and objects is None:
-            raise ValueError("either an object store or in-memory objects are required")
-        self.grid = grid
-        self.object_store = object_store
-        self.prob_kernel = prob_kernel
-        self.ring_cache = ring_cache
-        self._objects_by_id = {obj.oid: obj for obj in objects} if objects else {}
-
-    def query(
-        self,
-        query: Point,
-        compute_probabilities: bool = True,
-        threshold: float = 0.0,
-        top_k: "int | None" = None,
-    ) -> PNNResult:
-        """Evaluate a PNN query by expanding rings of cells around the query.
-
-        ``threshold`` / ``top_k`` push early termination into the refinement
-        step (probability-threshold and top-k PNN).
-        """
-        return evaluate_pnn(
-            query,
-            self._retrieve_candidates,
-            self._fetch_objects,
-            self.grid.disk.stats,
-            compute_probabilities=compute_probabilities,
-            prob_kernel=self.prob_kernel,
-            ring_cache=self.ring_cache,
-            threshold=threshold,
-            top_k=top_k,
-        )
-
-    def _retrieve_candidates(self, query: Point) -> CandidateBlock:
-        return grid_candidates(self.grid, query)
-
-    def _fetch_objects(self, oids: List[int]) -> List[UncertainObject]:
-        if self.object_store is not None:
-            return self.object_store.fetch_many(oids)
-        return [self._objects_by_id[oid] for oid in oids]

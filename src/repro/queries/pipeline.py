@@ -1,17 +1,18 @@
 """The shared PNN evaluation pipeline.
 
-Every PNN processor in the library -- UV-index point query, R-tree
-branch-and-prune, uniform-grid ring expansion, and the unified
-:class:`~repro.engine.engine.QueryEngine` -- evaluates a query the same way:
+Every PNN the library answers -- through a UV-index point query, R-tree
+branch-and-prune, uniform-grid ring expansion, or a sharded scatter-gather
+-- is evaluated the same way:
 
 1. retrieve a block of candidate ``<ID, MBC>`` entries from an index
    structure,
 2. verify them with the ``d_minmax`` rule (one array pass over the block),
 3. fetch the surviving objects (pdf retrieval, counted I/O),
-4. compute qualification probabilities by numerical integration,
+4. compute qualification probabilities by numerical integration
+   (:func:`compute_qualification_probabilities`, the one refinement kernel),
 
 while recording the three time buckets of Figure 6(c) and the I/O split of
-Figure 6(b).  This module implements that pipeline once; the processors only
+Figure 6(b).  This module implements that pipeline once; the engines only
 supply the candidate-retrieval step, which is the part that actually differs
 between index backends.
 """
@@ -24,7 +25,6 @@ from typing import Callable, List, Optional
 from repro.geometry.point import Point
 from repro.queries.candidates import CandidateBlock, min_max_prune
 from repro.queries.probability_kernel import (
-    DEFAULT_PROB_KERNEL,
     RefinementStats,
     RingCache,
     compute_qualification_probabilities,
@@ -43,7 +43,6 @@ def evaluate_pnn(
     fetch_objects: ObjectFetcher,
     io_counter: IOStats,
     compute_probabilities: bool = True,
-    prob_kernel: str = DEFAULT_PROB_KERNEL,
     ring_cache: Optional[RingCache] = None,
     threshold: float = 0.0,
     top_k: Optional[int] = None,
@@ -59,10 +58,7 @@ def evaluate_pnn(
         io_counter: the live :class:`IOStats` of the disk under the index.
         compute_probabilities: when ``False``, skip the numerical integration
             (answer sets only, as in the pruning experiments).
-        prob_kernel: refinement kernel -- ``"vectorized"`` (array-native,
-            the default) or ``"scalar"`` (the reference implementation).
-        ring_cache: optional cross-query cache of per-object ring profiles
-            (used by the vectorized kernel).
+        ring_cache: optional cross-query cache of per-object ring profiles.
         threshold: qualification-probability threshold ``tau``; answers with
             probability below it are dropped, and the kernel skips full
             integration for candidates provably below the bar.  The reported
@@ -97,7 +93,6 @@ def evaluate_pnn(
         probabilities = compute_qualification_probabilities(
             answer_objects,
             query,
-            kernel=prob_kernel,
             ring_cache=ring_cache,
             threshold=threshold,
             top_k=top_k,

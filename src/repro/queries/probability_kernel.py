@@ -9,8 +9,8 @@ Environments*, TKDE 2004):
 
 where ``f_i`` / ``F_i`` are the pdf / cdf of ``dist(q, X_i)``.  Discretised
 over the grid ``r_0 < r_1 < ... < r_S`` spanning ``[min_i distmin_i,
-min_i distmax_i]``, the scalar reference implementation
-(:func:`repro.queries.probability.qualification_probabilities`) computes
+min_i distmax_i]``, the scalar formulation (the test oracle in
+``tests/reference/probability.py``) computes
 
     P_i ~= sum_k [F_i(r_{k+1}) - F_i(r_k)]           (the cell mass of O_i)
               * prod_{j != i} (1 - (F_j(r_k) + F_j(r_{k+1})) / 2)
@@ -52,11 +52,6 @@ from repro.geometry.point import Point
 from repro.uncertain.distance_distribution import coverage_array, ring_profile
 from repro.uncertain.objects import UncertainObject
 
-#: Registry of the selectable refinement kernels (``DiagramConfig.prob_kernel``).
-PROB_KERNELS = ("vectorized", "scalar")
-DEFAULT_PROB_KERNEL = "vectorized"
-
-
 @dataclass
 class RefinementStats:
     """Work counters of one refinement (qualification-probability) pass.
@@ -76,7 +71,7 @@ class RefinementStats:
         trivial: candidates resolved without any integration at all --
             single-candidate queries, dominance short-circuits (one object's
             maximum distance under every other's minimum), and candidates
-            the vectorized kernel drops up front because their cdf vanishes
+            the kernel drops up front because their cdf vanishes
             on the whole integration range.
 
     Every candidate lands in exactly one bucket, so
@@ -208,12 +203,12 @@ def _uniform_fallback(
 ) -> Dict[int, float]:
     """Uniform split over eligible objects when every raw integral is zero.
 
-    The degenerate-discretisation fallback shared by both kernels: mass is
-    shared equally among objects whose minimum distance does not exceed the
-    integration bound.  Unreachable through the vectorized kernel's normal
-    flow (the minimum-``distmax`` object always keeps positive mass at the
-    upper boundary) but kept for exact behavioural parity with the scalar
-    reference, which calls this same helper.
+    The degenerate-discretisation fallback: mass is shared equally among
+    objects whose minimum distance does not exceed the integration bound.
+    Unreachable through the kernel's normal flow (the minimum-``distmax``
+    object always keeps positive mass at the upper boundary) but kept for
+    exact behavioural parity with the scalar oracle, which calls this same
+    helper.
     """
     eligible = [
         obj.oid for obj, low in zip(objects, lowers_all) if low <= upper + 1e-12
@@ -226,7 +221,7 @@ def _uniform_fallback(
     }
 
 
-def qualification_probabilities_vectorized(
+def compute_qualification_probabilities(
     objects: Sequence[UncertainObject],
     query: Point,
     steps: int = 120,
@@ -238,12 +233,12 @@ def qualification_probabilities_vectorized(
 ) -> Dict[int, float]:
     """Array-native evaluation of all candidates' qualification probabilities.
 
-    Produces the same mapping as the scalar reference
-    (:func:`repro.queries.probability.qualification_probabilities`) -- same
-    grid, same ring discretisation, same normalisation -- to within
-    floating-point reassociation error (well below ``1e-9`` relative), while
-    replacing the ``O(steps * m^2)`` Python loops with numpy array
-    operations.  The result is independent of the order of ``objects``.
+    Produces the same mapping as the scalar oracle
+    (``tests/reference/probability.py``) -- same grid, same ring
+    discretisation, same normalisation -- to within floating-point
+    reassociation error (well below ``1e-9`` relative), while replacing the
+    ``O(steps * m^2)`` Python loops with numpy array operations.  The result
+    is independent of the order of ``objects``.
 
     Args:
         objects: the answer objects (candidates that survived verification).
@@ -428,49 +423,3 @@ def _raw_with_early_termination(
         bar.observe(value)
     return raw
 
-
-def compute_qualification_probabilities(
-    objects: Sequence[UncertainObject],
-    query: Point,
-    kernel: str = DEFAULT_PROB_KERNEL,
-    steps: int = 120,
-    rings: int = 48,
-    ring_cache: Optional[RingCache] = None,
-    threshold: float = 0.0,
-    top_k: Optional[int] = None,
-    stats: Optional[RefinementStats] = None,
-) -> Dict[int, float]:
-    """Dispatch to the selected refinement kernel.
-
-    ``"vectorized"`` (the default) runs the array-native kernel above;
-    ``"scalar"`` runs the pure-Python reference implementation.  Both
-    produce the same probabilities to well within ``1e-9`` relative error,
-    and both honour the ``threshold`` / ``top_k`` early-termination hints
-    (see :func:`qualification_probabilities_vectorized`).
-    """
-    if kernel == "scalar":
-        from repro.queries.probability import qualification_probabilities
-
-        return qualification_probabilities(
-            objects,
-            query,
-            steps=steps,
-            rings=rings,
-            threshold=threshold,
-            top_k=top_k,
-            stats=stats,
-        )
-    if kernel == "vectorized":
-        return qualification_probabilities_vectorized(
-            objects,
-            query,
-            steps=steps,
-            rings=rings,
-            ring_cache=ring_cache,
-            threshold=threshold,
-            top_k=top_k,
-            stats=stats,
-        )
-    raise ValueError(
-        f"unknown probability kernel: {kernel!r} (known: {', '.join(PROB_KERNELS)})"
-    )

@@ -115,8 +115,7 @@ class KNNQuery:
         k: how many nearest neighbours the answers may rank among.
         worlds: number of sampled possible worlds for the estimator.
         seed: seed of the sampling generator; ``None`` uses the engine's
-            deterministic default (seed 0), matching the legacy
-            :meth:`~repro.engine.engine.QueryEngine.knn` behaviour.
+            deterministic default (seed 0).
     """
 
     point: Point

@@ -10,11 +10,10 @@ al. (TKDE'04).  This package implements that substrate from scratch:
 * window / circular range queries and best-first k-NN search (both are also
   used by the UV-diagram construction itself: seed selection issues a k-NN
   query and I-pruning issues a circular range query on this R-tree),
-* the branch-and-prune PNN baseline with per-query I/O accounting.
+* branch-and-prune PNN candidate retrieval with per-query I/O accounting.
 """
 
 from repro.rtree.node import RTreeEntry, RTreeNode
 from repro.rtree.tree import RTree
-from repro.rtree.pnn import RTreePNN
 
-__all__ = ["RTreeEntry", "RTreeNode", "RTree", "RTreePNN"]
+__all__ = ["RTreeEntry", "RTreeNode", "RTree"]

@@ -482,7 +482,6 @@ class ShardedQueryEngine:
             self._fetch_objects,
             self.fleet_io,
             compute_probabilities=query.compute_probabilities,
-            prob_kernel=self.config.prob_kernel,
             ring_cache=self._ring_cache,
             threshold=query.threshold,
             top_k=query.top_k,
@@ -657,7 +656,7 @@ class ShardedQueryEngine:
         kind = "batch"
         threshold = 0.0
         top_k: Optional[int] = None
-        prob_kernel = self.config.prob_kernel
+        prob_kernel = "vectorized"
         estimated_reads = 0.0
         estimated_candidates = 0.0
         estimated_cost = 0.0

@@ -1,9 +1,9 @@
 """Monte-Carlo utilities over uncertain objects.
 
 Kriegel et al. (DASFAA'07) estimate PNN qualification probabilities by
-sampling possible worlds; this module provides the possible-world sampler
-used both by that estimator (:mod:`repro.queries.probability`) and by the
-test-suite as an independent cross-check of the numerical integration.
+sampling possible worlds; this module provides that estimator and its
+possible-world sampler, which the test-suite uses as an independent
+cross-check of the numerical integration.
 """
 
 from __future__ import annotations

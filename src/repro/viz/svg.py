@@ -5,7 +5,7 @@ flipped so "north is up"), and offers primitives for the few shapes the
 library needs: circles (uncertainty regions), polygons (UV-cell
 approximations), rectangles (UV-index leaf regions), and point markers
 (query points).  :func:`render_uv_diagram` composes a full picture from a
-:class:`~repro.core.diagram.UVDiagram`.
+:class:`~repro.engine.engine.QueryEngine` with a UV-index backend.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class SvgCanvas:
 
 
 def render_uv_diagram(
-    diagram,
+    engine,
     width: int = 800,
     show_leaves: bool = True,
     show_objects: bool = True,
@@ -152,10 +152,11 @@ def render_uv_diagram(
     query_points: Optional[Iterable[Point]] = None,
     title: Optional[str] = None,
 ) -> SvgCanvas:
-    """Render a :class:`~repro.core.diagram.UVDiagram` onto a fresh canvas.
+    """Render a UV-index engine's diagram onto a fresh canvas.
 
     Args:
-        diagram: the UV-diagram to draw.
+        engine: the :class:`~repro.engine.engine.QueryEngine` to draw; its
+            backend must be a UV-index (``ic`` / ``icr`` / ``basic``).
         width: image width in pixels.
         show_leaves: draw the UV-index leaf regions (the adaptive grid).
         show_objects: draw the uncertainty regions of all objects.
@@ -167,23 +168,23 @@ def render_uv_diagram(
     Returns:
         The populated canvas; call :meth:`SvgCanvas.save` to write the file.
     """
-    canvas = SvgCanvas(diagram.domain, width=width)
+    canvas = SvgCanvas(engine.domain, width=width)
     if title:
         canvas.add_title(title)
 
     if show_leaves:
-        for leaf in diagram.index.leaves():
+        for leaf in engine.index.leaves():
             canvas.add_rect(leaf.region, stroke="#c0c0c0", stroke_width=0.4)
 
     highlight = list(highlight_cells or [])
     palette = ["#ff7f0e", "#9467bd", "#8c564b", "#e377c2", "#17becf"]
     for position, oid in enumerate(highlight):
         color = palette[position % len(palette)]
-        for region in diagram._pattern.uv_cell_leaf_regions(oid):
+        for region in engine.backend.pattern.uv_cell_leaf_regions(oid):
             canvas.add_rect(region, stroke=color, fill=color, opacity=0.25, stroke_width=0.3)
 
     if show_objects:
-        for obj in diagram.objects:
+        for obj in engine.objects:
             stroke = "#1f77b4"
             if obj.oid in highlight:
                 stroke = palette[highlight.index(obj.oid) % len(palette)]

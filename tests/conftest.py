@@ -1,8 +1,13 @@
 """Shared fixtures for the test-suite.
 
-The heavier fixtures (built indexes and diagrams) are session-scoped so that
+The heavier fixtures (built indexes and engines) are session-scoped so that
 expensive constructions run once; tests must therefore treat them as
 read-only.
+
+Every ``DeprecationWarning`` is an error: the library keeps one query surface
+and no deprecated shims.  A shim warns with ``stacklevel=2``, which
+attributes the warning to the calling test module rather than to ``repro``,
+so the filter matches the category alone.
 """
 
 from __future__ import annotations
@@ -10,14 +15,19 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    DiagramConfig,
     Point,
+    QueryEngine,
     Rect,
-    UVDiagram,
     UncertainObject,
     generate_query_points,
     generate_uniform_objects,
 )
 from repro.rtree.tree import RTree
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 SMALL_DOMAIN = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -71,14 +81,18 @@ def small_rtree(small_objects):
 
 @pytest.fixture(scope="session")
 def small_diagram(small_objects, small_domain):
-    """A UV-diagram (IC construction) over the small dataset."""
-    return UVDiagram.build(
-        small_objects, small_domain, page_capacity=4, seed_knn=10, rtree_fanout=4
+    """A UV-index engine (IC construction) over the small dataset."""
+    return QueryEngine.build(
+        small_objects,
+        small_domain,
+        DiagramConfig(page_capacity=4, seed_knn=10, rtree_fanout=4),
     )
 
 
 @pytest.fixture(scope="session")
 def medium_diagram(medium_dataset):
-    """A UV-diagram (IC construction) over the medium dataset."""
+    """A UV-index engine (IC construction) over the medium dataset."""
     objects, domain = medium_dataset
-    return UVDiagram.build(objects, domain, page_capacity=8, seed_knn=40)
+    return QueryEngine.build(
+        objects, domain, DiagramConfig(page_capacity=8, seed_knn=40)
+    )

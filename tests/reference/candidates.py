@@ -149,7 +149,7 @@ def scatter_candidates(sharded, point: Point, scatter_all: bool = False) -> Cand
 
 
 def evaluate(
-    query: PNNQuery, candidates: Candidates, fetch, prob_kernel: str = "vectorized"
+    query: PNNQuery, candidates: Candidates, fetch
 ) -> Tuple[List[Tuple[int, float]], int]:
     """Verify, fetch and refine like the shared pipeline.
 
@@ -162,8 +162,7 @@ def evaluate(
     objects = fetch(answer_ids)
     if query.compute_probabilities and objects:
         probabilities = compute_qualification_probabilities(
-            objects, point, kernel=prob_kernel,
-            threshold=query.threshold, top_k=query.top_k,
+            objects, point, threshold=query.threshold, top_k=query.top_k,
         )
     else:
         probabilities = {obj.oid: 0.0 for obj in objects}

@@ -1,4 +1,10 @@
-"""Qualification probabilities of PNN answer objects.
+"""Qualification probabilities of PNN answer objects, one scalar at a time.
+
+This was ``repro.queries.probability`` and the ``"scalar"`` refinement
+kernel until the array-native kernel
+(:func:`repro.queries.probability_kernel.compute_qualification_probabilities`)
+became the only one on the production path.  The kernel must match it to
+``1e-9``, including the threshold / top-k prune counters.
 
 Given the answer objects ``A = {O_1, ..., O_m}`` of a PNN query at ``q``, the
 qualification probability of ``O_i`` is
@@ -21,7 +27,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.queries.probability_kernel import RefinementStats, _PruneBar
+from repro.queries.probability_kernel import (
+    RefinementStats,
+    _PruneBar,
+    _uniform_fallback,
+)
 from repro.uncertain.distance_distribution import DistanceDistribution
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.sampling import estimate_nn_probabilities
@@ -64,7 +74,7 @@ def _cheap_raw_integral(
     ``O(steps)`` instead of the reference loop's ``O(steps * m)``: the
     product over the *other* candidates' survivals is the all-candidate
     column product divided by this candidate's own survival (with explicit
-    zero handling, mirroring the vectorized kernel).  Only used for
+    zero handling, mirroring the production kernel).  Only used for
     candidates the prune bar already proved irrelevant, where the ~1e-16
     relative reassociation difference against the reference loop cannot
     affect the reported answers.
@@ -89,10 +99,10 @@ def qualification_probabilities(
 ) -> Dict[int, float]:
     """Numerically integrate each candidate's probability of being the NN.
 
-    This is the pure-Python *reference* implementation of the refinement
-    step (``O(steps * m^2)`` scalar operations); production queries use the
-    array-native kernel in :mod:`repro.queries.probability_kernel`, which
-    computes the same probabilities to well within ``1e-9`` relative error.
+    The pure-Python formulation of the refinement step (``O(steps * m^2)``
+    scalar operations); the production kernel in
+    :mod:`repro.queries.probability_kernel` computes the same probabilities
+    to well within ``1e-9`` relative error.
 
     Args:
         objects: the answer objects (candidates that survived verification).
@@ -161,9 +171,7 @@ def qualification_probabilities(
     if total <= 0:
         # Degenerate discretisation; fall back to a uniform assignment over
         # objects whose minimum distance does not exceed the bound (shared
-        # with the vectorized kernel so the parity contract cannot drift).
-        from repro.queries.probability_kernel import _uniform_fallback
-
+        # with the production kernel so the parity contract cannot drift).
         return _uniform_fallback(objects, [dist.lower for dist in distributions], upper)
     return {obj.oid: float(value) / total for obj, value in zip(objects, raw)}
 
@@ -177,7 +185,7 @@ def _raw_with_early_termination_scalar(
     top_k: Optional[int],
     stats: Optional[RefinementStats],
 ) -> List[float]:
-    """Raw integrals with threshold / top-k early termination (scalar kernel).
+    """Raw integrals with threshold / top-k early termination.
 
     Candidates are visited in decreasing order of their raw upper bound (the
     cdf mass inside the integration range).  Clearing the
@@ -232,6 +240,6 @@ def qualification_probabilities_sampling(
     """Monte-Carlo estimate of the qualification probabilities.
 
     A thin wrapper over :func:`repro.uncertain.sampling.estimate_nn_probabilities`
-    so that callers can switch estimator without changing imports.
+    so that tests can switch estimator without changing imports.
     """
     return estimate_nn_probabilities(list(objects), query, worlds=worlds, rng=rng)

@@ -8,10 +8,11 @@ from repro.core.construction import (
     build_uv_index_ic,
     build_uv_index_icr,
 )
-from repro.core.pnn import UVIndexPNN
+from repro.core.pnn import uv_index_candidates
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import min_max_prune
 from repro.rtree.tree import RTree
 from repro.uncertain.objects import UncertainObject
 
@@ -110,21 +111,10 @@ class TestRelativeCost:
 class TestQueryEquivalence:
     def test_all_methods_answer_identically(self, built_indexes, shared_dataset):
         objects, _ = shared_dataset
-        processors = {
-            name: UVIndexPNN(index, objects=objects)
-            for name, (index, _) in built_indexes.items()
-        }
         rng = np.random.default_rng(5)
         for _ in range(15):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
             expected = answer_objects_brute_force(objects, q)
-            for name, pnn in processors.items():
-                got = sorted(pnn.query(q, compute_probabilities=False).answer_ids)
+            for name, (index, _) in built_indexes.items():
+                got = sorted(min_max_prune(q, uv_index_candidates(index, q)))
                 assert got == expected, f"{name} disagreed at {q}"
-
-    def test_invalid_method_rejected(self, shared_dataset):
-        objects, _ = shared_dataset
-        from repro.core.diagram import UVDiagram
-
-        with pytest.raises(ValueError):
-            UVDiagram.build(objects, DOMAIN, method="bogus")

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.pattern import PatternAnalyzer
-from repro.core.pnn import UVIndexPNN
+from repro.core.pnn import uv_index_candidates
 from repro.core.uv_cell import answer_objects_brute_force
+from repro.engine import QueryEngine
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.candidates import min_max_prune
+from repro.queries.spec import PNNQuery
 
 
 class TestUVIndexPNN:
@@ -15,11 +18,12 @@ class TestUVIndexPNN:
         rng = np.random.default_rng(3)
         for _ in range(20):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-            got = sorted(small_diagram.pnn(q, compute_probabilities=False).answer_ids)
+            result = small_diagram.execute(PNNQuery(q, compute_probabilities=False))
+            got = sorted(result.answer_ids)
             assert got == answer_objects_brute_force(small_objects, q)
 
     def test_probabilities_sum_to_one(self, small_diagram):
-        result = small_diagram.pnn(Point(430.0, 520.0))
+        result = small_diagram.execute(PNNQuery(Point(430.0, 520.0)))
         assert result.answers
         assert result.total_probability() == pytest.approx(1.0, abs=1e-6)
 
@@ -27,27 +31,25 @@ class TestUVIndexPNN:
         # Query right at an object's centre: that object should be the most
         # probable nearest neighbour.
         target = small_objects[4]
-        result = small_diagram.pnn(target.center)
+        result = small_diagram.execute(PNNQuery(target.center))
         assert result.top() is not None
         assert result.top().oid == target.oid
 
     def test_timing_and_io_recorded(self, small_diagram):
-        result = small_diagram.pnn(Point(100.0, 200.0))
+        result = small_diagram.execute(PNNQuery(Point(100.0, 200.0)))
         assert result.io is not None
         assert result.io.page_reads >= 1
         assert result.timing is not None
         assert result.timing.total() > 0.0
 
-    def test_requires_store_or_objects(self, small_diagram):
+    def test_requires_objects(self, small_domain):
         with pytest.raises(ValueError):
-            UVIndexPNN(small_diagram.index)
+            QueryEngine.build([], small_domain)
 
-    def test_in_memory_objects_variant(self, small_diagram, small_objects):
-        pnn = UVIndexPNN(small_diagram.index, objects=small_objects)
-        result = pnn.query(Point(500.0, 500.0), compute_probabilities=False)
-        assert sorted(result.answer_ids) == answer_objects_brute_force(
-            small_objects, Point(500.0, 500.0)
-        )
+    def test_leaf_candidates_without_the_store(self, small_diagram, small_objects):
+        q = Point(500.0, 500.0)
+        answers = min_max_prune(q, uv_index_candidates(small_diagram.index, q))
+        assert sorted(answers) == answer_objects_brute_force(small_objects, q)
 
 
 class TestPatternAnalyzer:

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from repro import DiagramConfig, QueryEngine, UVDiagram
+from repro import DiagramConfig, QueryEngine
 from repro.core.cr_objects import CRObjectFinder
 from repro.core.updates import UVDiagramUpdater
 from repro.core.uv_cell import answer_objects_brute_force
+from repro.engine.planner import STRATEGY_RTREE
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.spec import PNNQuery
 from repro.uncertain.objects import UncertainObject
 
 
 DOMAIN = Rect(0.0, 0.0, 1000.0, 1000.0)
+CONFIG = DiagramConfig(page_capacity=8, seed_knn=20, rtree_fanout=8)
 
 
 def make_objects(count, seed=0, radius=30.0):
@@ -31,8 +34,7 @@ def make_objects(count, seed=0, radius=30.0):
 @pytest.fixture()
 def updatable_diagram():
     objects = make_objects(35, seed=51)
-    diagram = UVDiagram.build(objects, DOMAIN, page_capacity=8, seed_knn=20,
-                              rtree_fanout=8)
+    diagram = QueryEngine.build(objects, DOMAIN, CONFIG)
     updater = UVDiagramUpdater(diagram, seed_knn=20)
     return diagram, updater
 
@@ -45,11 +47,16 @@ def queries(seed=77, count=15):
     ]
 
 
+def answer_ids(diagram, q, strategy="primary"):
+    query = PNNQuery(q, compute_probabilities=False)
+    return diagram.explain(query, force_strategy=strategy).result.answer_ids
+
+
 def assert_consistent(diagram):
     for q in queries():
         expected = answer_objects_brute_force(diagram.objects, q)
-        assert sorted(diagram.pnn(q, compute_probabilities=False).answer_ids) == expected
-        assert sorted(diagram.pnn_rtree(q, compute_probabilities=False).answer_ids) == expected
+        assert sorted(answer_ids(diagram, q)) == expected
+        assert sorted(answer_ids(diagram, q, STRATEGY_RTREE)) == expected
 
 
 class TestInsertion:
@@ -66,8 +73,7 @@ class TestInsertion:
         diagram, updater = updatable_diagram
         new_object = UncertainObject.uniform(1000, Point(250.0, 750.0), 35.0)
         updater.insert(new_object)
-        result = diagram.pnn(new_object.center, compute_probabilities=False)
-        assert 1000 in result.answer_ids
+        assert 1000 in answer_ids(diagram, new_object.center)
 
     def test_duplicate_id_rejected(self, updatable_diagram):
         diagram, updater = updatable_diagram
@@ -102,8 +108,7 @@ class TestDeletion:
         diagram, updater = updatable_diagram
         target = diagram.object(7)
         updater.remove(7)
-        result = diagram.pnn(target.center, compute_probabilities=False)
-        assert 7 not in result.answer_ids
+        assert 7 not in answer_ids(diagram, target.center)
 
     def test_remove_unknown_raises(self, updatable_diagram):
         _, updater = updatable_diagram
@@ -143,8 +148,8 @@ class TestBookkeeping:
     @pytest.mark.parametrize("method", ("ic", "icr", "basic"))
     def test_bookkeeping_survives_churn(self, method):
         count = 12 if method == "basic" else 35
-        diagram = UVDiagram.build(make_objects(count, seed=51), DOMAIN, method=method,
-                                  page_capacity=8, seed_knn=20, rtree_fanout=8)
+        diagram = QueryEngine.build(make_objects(count, seed=51), DOMAIN,
+                                    CONFIG.replace(backend=method))
         updater = UVDiagramUpdater(diagram, seed_knn=20)
         index = diagram.index
         rng = np.random.default_rng(9)
@@ -223,16 +228,14 @@ class TestNoBootstrap:
         diagram, _ = updatable_diagram
         UVDiagramUpdater(diagram, seed_knn=20)
         path = str(tmp_path / "snap.uv")
-        diagram.engine.save(path)
+        diagram.save(path)
         reopened = QueryEngine.open(path)
         UVDiagramUpdater(reopened, seed_knn=20)
         assert find_calls == []
 
     def test_recovery_searches_once_per_insert_and_affected_object(
             self, find_calls, tmp_path):
-        engine = QueryEngine.build(
-            make_objects(35, seed=51), DOMAIN,
-            DiagramConfig(page_capacity=8, seed_knn=20, rtree_fanout=8))
+        engine = QueryEngine.build(make_objects(35, seed=51), DOMAIN, CONFIG)
         directory = str(tmp_path / "live")
         engine.save_generation(directory)
         del find_calls[:]

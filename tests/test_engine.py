@@ -1,5 +1,5 @@
 """Tests for the unified query-engine API: config, registry, engine, batch,
-live updates, and the backward-compatibility shims."""
+and live updates."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,13 @@ from repro import (
     Rect,
     UncertainObject,
     UnsupportedQueryError,
-    UVDiagram,
     available_backends,
     register_backend,
 )
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.engine.backend import BatchReadCache, create_backend, unregister_backend
 from repro.engine.backends import UniformGridBackend, UVIndexBackend
+from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 
 
 DOMAIN = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -52,6 +52,12 @@ def engines(dataset):
         name: QueryEngine.build(dataset, DOMAIN, SMALL_CONFIG.replace(backend=name))
         for name in ("ic", "rtree", "grid")
     }
+
+
+def pnn(engine, point, **options):
+    """A PNN pinned to the engine's own index structure."""
+    query = PNNQuery(point, **options)
+    return engine.explain(query, force_strategy="primary").result
 
 
 def queries(seed=3, count=10):
@@ -133,8 +139,16 @@ class TestRegistry:
         engine = engines["grid"]
         assert isinstance(engine.backend, UniformGridBackend)
         for q in queries(seed=5, count=6):
-            got = sorted(engine.pnn(q, compute_probabilities=False).answer_ids)
+            got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(dataset, q)
+
+    def test_grid_backend_has_no_uv_index(self, engines, dataset):
+        engine = engines["grid"]
+        assert engine.index is None
+        q = Point(250.0, 250.0)
+        assert sorted(pnn(engine, q, compute_probabilities=False).answer_ids) == (
+            answer_objects_brute_force(dataset, q)
+        )
 
 
 class TestQueryPlane:
@@ -142,19 +156,19 @@ class TestQueryPlane:
         for q in queries():
             expected = answer_objects_brute_force(dataset, q)
             for name, engine in engines.items():
-                got = sorted(engine.pnn(q, compute_probabilities=False).answer_ids)
+                got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
                 assert got == expected, name
 
     def test_knn_through_engine(self, engines):
         for engine in engines.values():
-            result = engine.knn(Point(500.0, 500.0), k=3, worlds=500)
+            result = engine.execute(KNNQuery(Point(500.0, 500.0), 3, worlds=500))
             assert result.answers
             assert result.expected_in_top_k() == pytest.approx(3.0, abs=0.1)
 
     def test_partitions_in_all_backends(self, engines):
         window = Rect(100.0, 100.0, 500.0, 500.0)
         for name, engine in engines.items():
-            result = engine.partitions_in(window)
+            result = engine.execute(RangeQuery(window))
             assert result.partitions, name
             assert result.total_objects() > 0, name
 
@@ -178,8 +192,9 @@ class TestBatch:
     def test_batch_matches_sequential_pnn(self, engines):
         workload = queries(seed=9, count=12)
         for name, engine in engines.items():
-            sequential = [engine.pnn(q) for q in workload]
-            batch = engine.batch(workload)
+            sequential = [pnn(engine, q) for q in workload]
+            report = engine.explain(BatchQuery.of(workload), force_strategy="primary")
+            batch = [result for _, result, _ in report.result]
             assert len(batch) == len(workload)
             for seq, got in zip(sequential, batch):
                 assert got.answer_ids == seq.answer_ids, name
@@ -188,7 +203,7 @@ class TestBatch:
 
     def test_clustered_batch_saves_page_reads(self, engines):
         """50 clustered queries: the shared leaf cache must beat 50
-        sequential pnn() calls on the UV-index backend."""
+        sequential PNN queries on the UV-index backend."""
         engine = engines["ic"]
         rng = np.random.default_rng(17)
         clustered = [
@@ -197,12 +212,14 @@ class TestBatch:
         ]
         before = engine.disk.stats.snapshot()
         for q in clustered:
-            engine.pnn(q, compute_probabilities=False)
+            engine.execute(PNNQuery(q, compute_probabilities=False))
         sequential_reads = engine.disk.stats.delta(before).page_reads
 
-        batch = engine.batch(clustered, compute_probabilities=False)
-        assert batch.page_reads < sequential_reads
-        assert batch.cache_hits > 0
+        before = engine.disk.stats.snapshot()
+        stream = engine.execute(BatchQuery.of(clustered, compute_probabilities=False))
+        assert len(list(stream)) == len(clustered)
+        assert engine.disk.stats.delta(before).page_reads < sequential_reads
+        assert stream.cache.hits > 0
 
     def test_cache_counts_hits_and_misses(self):
         cache = BatchReadCache()
@@ -219,9 +236,9 @@ class TestLiveUpdates:
         newcomer = UncertainObject.uniform(900, Point(512.0, 488.0), 40.0)
         engine.insert(newcomer)
         assert len(engine) == 31
-        assert 900 in engine.pnn(newcomer.center, compute_probabilities=False).answer_ids
+        assert 900 in pnn(engine, newcomer.center, compute_probabilities=False).answer_ids
         for q in queries(seed=2, count=8):
-            got = sorted(engine.pnn(q, compute_probabilities=False).answer_ids)
+            got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
 
     @pytest.mark.parametrize("backend", ["ic", "rtree", "grid"])
@@ -231,9 +248,9 @@ class TestLiveUpdates:
         target = engine.object(5)
         engine.delete(5)
         assert len(engine) == 29
-        assert 5 not in engine.pnn(target.center, compute_probabilities=False).answer_ids
+        assert 5 not in pnn(engine, target.center, compute_probabilities=False).answer_ids
         for q in queries(seed=4, count=8):
-            got = sorted(engine.pnn(q, compute_probabilities=False).answer_ids)
+            got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
 
     def test_grid_churn_does_not_grow_pages(self):
@@ -250,7 +267,7 @@ class TestLiveUpdates:
             engine.delete(obj.oid)
         assert sum(len(pages) for pages in grid._cell_pages.values()) == baseline_pages
         for q in queries(seed=6, count=6):
-            got = sorted(engine.pnn(q, compute_probabilities=False).answer_ids)
+            got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
 
     def test_duplicate_insert_and_unknown_delete(self, engines):
@@ -261,36 +278,33 @@ class TestLiveUpdates:
             engine.delete(987654)
 
 
-class TestCompatibilityShims:
-    def test_uvdiagram_build_warns_and_delegates(self, dataset):
-        with pytest.warns(DeprecationWarning, match="UVDiagram.build"):
-            diagram = UVDiagram.build(
-                dataset, DOMAIN, page_capacity=8, seed_knn=20, rtree_fanout=8
-            )
-        assert isinstance(diagram.engine, QueryEngine)
-        q = Point(321.0, 654.0)
-        assert sorted(diagram.pnn(q, compute_probabilities=False).answer_ids) == (
-            answer_objects_brute_force(dataset, q)
-        )
+class TestOneQuerySurface:
+    """``execute``/``explain`` are the only way to run a query."""
 
-    def test_pnn_rtree_warns_and_matches_baseline(self, dataset):
-        with pytest.warns(DeprecationWarning):
-            diagram = UVDiagram.build(
-                dataset, DOMAIN, page_capacity=8, seed_knn=20, rtree_fanout=8
-            )
-        q = Point(700.0, 200.0)
-        with pytest.warns(DeprecationWarning, match="pnn_rtree"):
-            result = diagram.pnn_rtree(q, compute_probabilities=False)
-        assert sorted(result.answer_ids) == answer_objects_brute_force(dataset, q)
+    def test_engine_has_no_legacy_query_methods(self, engines):
+        retired = ("pnn", "pnn_rtree", "knn", "batch", "partitions_in",
+                   "answer_objects", "_legacy_pnn", "_rtree_pnn")
+        for name, engine in engines.items():
+            assert [attr for attr in retired if hasattr(engine, attr)] == [], name
 
-    def test_uvdiagram_build_accepts_grid_backend(self, dataset):
-        with pytest.warns(DeprecationWarning):
-            diagram = UVDiagram.build(
-                dataset, DOMAIN, method="grid", page_capacity=8, seed_knn=20,
-                rtree_fanout=8
-            )
-        assert diagram.index is None
-        q = Point(250.0, 250.0)
-        assert sorted(diagram.pnn(q, compute_probabilities=False).answer_ids) == (
-            answer_objects_brute_force(dataset, q)
-        )
+    def test_facade_and_wrappers_are_gone(self):
+        import importlib.util
+
+        import repro
+        import repro.core.pnn
+        import repro.grid.uniform_grid
+        import repro.rtree.pnn
+
+        for name in ("UVDiagram", "BatchResult", "UVIndexPNN", "RTreePNN", "GridPNN"):
+            assert not hasattr(repro, name), name
+        assert not hasattr(repro.core.pnn, "UVIndexPNN")
+        assert not hasattr(repro.rtree.pnn, "RTreePNN")
+        assert not hasattr(repro.grid.uniform_grid, "GridPNN")
+        assert importlib.util.find_spec("repro.core.diagram") is None
+        assert importlib.util.find_spec("repro.queries.probability") is None
+
+    def test_config_has_no_kernel_field(self):
+        assert "prob_kernel" not in DiagramConfig().to_dict()
+        with pytest.raises(TypeError):
+            DiagramConfig(prob_kernel="scalar")
+

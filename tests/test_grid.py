@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import DiagramConfig, QueryEngine
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.grid.uniform_grid import GridPNN, UniformGridIndex
-from repro.storage.disk import DiskManager
+from repro.grid.uniform_grid import UniformGridIndex
+from repro.queries.spec import PNNQuery
 from repro.uncertain.objects import UncertainObject
 
 
@@ -52,37 +53,40 @@ class TestGridStructure:
             UniformGridIndex(DOMAIN, resolution=0)
 
 
+def grid_engine(objects, resolution):
+    config = DiagramConfig(backend="grid", grid_resolution=resolution)
+    return QueryEngine.build(objects, DOMAIN, config)
+
+
+def grid_pnn(engine, point, **options):
+    """A PNN answered by the grid's own ring expansion (never the R-tree)."""
+    query = PNNQuery(point, **options)
+    return engine.explain(query, force_strategy="primary").result
+
+
 class TestGridPNN:
     def test_matches_brute_force(self):
         objects = make_objects(90, seed=3)
-        grid = UniformGridIndex(DOMAIN, resolution=8)
-        grid.build(objects)
-        pnn = GridPNN(grid, objects=objects)
+        engine = grid_engine(objects, resolution=8)
         rng = np.random.default_rng(1)
         for _ in range(12):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-            got = sorted(pnn.query(q, compute_probabilities=False).answer_ids)
+            got = sorted(grid_pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(objects, q)
 
     def test_probabilities_sum_to_one(self):
         objects = make_objects(40, seed=4, radius=60.0)
-        grid = UniformGridIndex(DOMAIN, resolution=6)
-        grid.build(objects)
-        pnn = GridPNN(grid, objects=objects)
-        result = pnn.query(Point(500.0, 500.0))
+        engine = grid_engine(objects, resolution=6)
+        result = grid_pnn(engine, Point(500.0, 500.0))
         assert result.total_probability() == pytest.approx(1.0, abs=1e-6)
 
     def test_io_counted(self):
-        disk = DiskManager()
         objects = make_objects(60, seed=5)
-        grid = UniformGridIndex(DOMAIN, resolution=8, disk=disk)
-        grid.build(objects)
-        pnn = GridPNN(grid, objects=objects)
-        result = pnn.query(Point(123.0, 456.0), compute_probabilities=False)
+        engine = grid_engine(objects, resolution=8)
+        result = grid_pnn(engine, Point(123.0, 456.0), compute_probabilities=False)
         assert result.io is not None
         assert result.io.page_reads >= 1
 
-    def test_requires_store_or_objects(self):
-        grid = UniformGridIndex(DOMAIN, resolution=4)
+    def test_requires_objects(self):
         with pytest.raises(ValueError):
-            GridPNN(grid)
+            grid_engine([], resolution=4)

@@ -9,11 +9,22 @@ brute-force answer set and mutually consistent probabilities.
 import numpy as np
 import pytest
 
-from repro import UVDiagram, load_dataset
+from reference.probability import qualification_probabilities_sampling
+from repro import DiagramConfig, QueryEngine, load_dataset
 from repro.core.uv_cell import answer_objects_brute_force
+from repro.engine.planner import STRATEGY_RTREE
 from repro.geometry.rectangle import Rect
-from repro.grid.uniform_grid import GridPNN, UniformGridIndex
-from repro.queries.probability import qualification_probabilities_sampling
+from repro.queries.spec import PNNQuery, RangeQuery
+
+
+def pnn(engine, point, strategy="primary", **options):
+    """A PNN with its candidate strategy pinned (the backend's own by default)."""
+    query = PNNQuery(point, **options)
+    return engine.explain(query, force_strategy=strategy).result
+
+
+def answer_ids(engine, point, strategy="primary"):
+    return sorted(pnn(engine, point, strategy, compute_probabilities=False).answer_ids)
 
 
 @pytest.fixture(scope="module")
@@ -26,63 +37,55 @@ def clustered_diagram(clustered_bundle):
     # Page capacity and R-tree fanout are set to the same (scaled-down) value
     # so that per-query I/O numbers of the two indexes are comparable, as in
     # the paper's setup where both use 4 KB pages.
-    return UVDiagram.build(
+    return QueryEngine.build(
         clustered_bundle.objects,
         clustered_bundle.domain,
-        page_capacity=16,
-        rtree_fanout=16,
-        seed_knn=35,
+        DiagramConfig(page_capacity=16, rtree_fanout=16, seed_knn=35),
     )
 
 
 class TestCrossIndexConsistency:
     def test_uniform_data_all_indexes_agree(self):
         bundle = load_dataset("uniform", 60, diameter=350.0, query_count=10, seed=29)
-        diagram = UVDiagram.build(
-            bundle.objects, bundle.domain, page_capacity=8, seed_knn=30
+        config = DiagramConfig(page_capacity=8, seed_knn=30, grid_resolution=8)
+        diagram = QueryEngine.build(bundle.objects, bundle.domain, config)
+        grid = QueryEngine.build(
+            bundle.objects, bundle.domain, config.replace(backend="grid")
         )
-        grid = UniformGridIndex(bundle.domain, resolution=8)
-        grid.build(bundle.objects)
-        grid_pnn = GridPNN(grid, objects=bundle.objects)
 
         for q in bundle.queries:
             expected = answer_objects_brute_force(bundle.objects, q)
-            assert sorted(diagram.pnn(q, compute_probabilities=False).answer_ids) == expected
-            assert sorted(diagram.pnn_rtree(q, compute_probabilities=False).answer_ids) == expected
-            assert sorted(grid_pnn.query(q, compute_probabilities=False).answer_ids) == expected
+            assert answer_ids(diagram, q) == expected
+            assert answer_ids(diagram, q, STRATEGY_RTREE) == expected
+            assert answer_ids(grid, q) == expected
 
     def test_clustered_data_uv_index_correct(self, clustered_bundle, clustered_diagram):
         for q in clustered_bundle.queries:
             expected = answer_objects_brute_force(clustered_bundle.objects, q)
-            got = sorted(clustered_diagram.pnn(q, compute_probabilities=False).answer_ids)
-            assert got == expected
+            assert answer_ids(clustered_diagram, q) == expected
 
     def test_icr_diagram_matches_ic(self, clustered_bundle, clustered_diagram):
-        icr = UVDiagram.build(
+        icr = QueryEngine.build(
             clustered_bundle.objects,
             clustered_bundle.domain,
-            method="icr",
-            page_capacity=8,
-            seed_knn=35,
+            DiagramConfig(backend="icr", page_capacity=8, seed_knn=35),
         )
         for q in clustered_bundle.queries[:6]:
-            assert sorted(icr.pnn(q, compute_probabilities=False).answer_ids) == sorted(
-                clustered_diagram.pnn(q, compute_probabilities=False).answer_ids
-            )
+            assert answer_ids(icr, q) == answer_ids(clustered_diagram, q)
 
 
 class TestProbabilityConsistency:
     def test_uv_and_rtree_probabilities_agree(self, clustered_bundle, clustered_diagram):
         q = clustered_bundle.queries[0]
-        uv = clustered_diagram.pnn(q).probabilities
-        rt = clustered_diagram.pnn_rtree(q).probabilities
+        uv = pnn(clustered_diagram, q).probabilities
+        rt = pnn(clustered_diagram, q, STRATEGY_RTREE).probabilities
         assert set(uv) == set(rt)
         for oid in uv:
             assert uv[oid] == pytest.approx(rt[oid], abs=1e-9)
 
     def test_integration_probabilities_close_to_sampling(self, clustered_bundle, clustered_diagram):
         q = clustered_bundle.queries[1]
-        result = clustered_diagram.pnn(q)
+        result = pnn(clustered_diagram, q)
         answers = [clustered_diagram.object(a.oid) for a in result.answers]
         sampled = qualification_probabilities_sampling(
             answers, q, worlds=15000, rng=np.random.default_rng(3)
@@ -94,22 +97,23 @@ class TestProbabilityConsistency:
 class TestWorkloadLevelBehaviour:
     def test_every_query_has_at_least_one_answer(self, clustered_bundle, clustered_diagram):
         for q in clustered_bundle.queries:
-            result = clustered_diagram.pnn(q, compute_probabilities=False)
-            assert len(result.answers) >= 1
+            assert len(answer_ids(clustered_diagram, q)) >= 1
 
     def test_uv_index_io_never_worse_than_rtree_on_average(self, clustered_bundle, clustered_diagram):
         uv_total = 0
         rt_total = 0
         for q in clustered_bundle.queries:
-            uv_total += clustered_diagram.pnn(q, compute_probabilities=False).io.page_reads
-            rt_total += clustered_diagram.pnn_rtree(q, compute_probabilities=False).io.page_reads
+            uv_total += pnn(clustered_diagram, q, compute_probabilities=False).io.page_reads
+            rt_total += pnn(
+                clustered_diagram, q, STRATEGY_RTREE, compute_probabilities=False
+            ).io.page_reads
         assert uv_total <= rt_total
 
     def test_pattern_queries_over_clustered_data(self, clustered_bundle, clustered_diagram):
         domain = clustered_bundle.domain
-        dense_area = clustered_diagram.partitions_in(
+        dense_area = clustered_diagram.execute(RangeQuery(
             Rect(domain.xmin, domain.ymin, domain.xmin + domain.width / 2, domain.ymax)
-        )
+        ))
         assert dense_area.partitions
         total_area = sum(p.region.area() for p in dense_area.partitions)
         assert total_area > 0.0
@@ -119,5 +123,5 @@ class TestWorkloadLevelBehaviour:
         smallest maximum distance over the whole dataset."""
         for q in clustered_bundle.queries[:5]:
             bound = min(o.max_distance(q) for o in clustered_bundle.objects)
-            for oid in clustered_diagram.pnn(q, compute_probabilities=False).answer_ids:
+            for oid in answer_ids(clustered_diagram, q):
                 assert clustered_diagram.object(oid).min_distance(q) <= bound + 1e-9

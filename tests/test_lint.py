@@ -11,6 +11,7 @@ import ast
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,20 @@ class TestRealTree:
                     if name.split(".")[0] in ("reference", "tests")
                 ]
         assert not offenders, "\n".join(offenders)
+
+    def test_package_keeps_no_deprecated_shim(self):
+        """One query surface: nothing in the package warns of deprecation."""
+        offenders = [
+            str(path)
+            for path in sorted(default_root().rglob("*.py"))
+            if "DeprecationWarning" in path.read_text()
+        ]
+        assert not offenders, "\n".join(offenders)
+
+    def test_suite_turns_deprecation_warnings_into_errors(self):
+        """A reintroduced shim fails the suite instead of only warning."""
+        with pytest.raises(DeprecationWarning):
+            warnings.warn("deprecated shim", DeprecationWarning, stacklevel=2)
 
     def test_resolve_root_accepts_src_and_repo_root(self):
         package = default_root()

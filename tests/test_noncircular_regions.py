@@ -9,10 +9,11 @@ overestimated, never missed).
 import numpy as np
 import pytest
 
-from repro import UVDiagram
+from repro import DiagramConfig, QueryEngine
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
+from repro.queries.spec import PNNQuery
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.pdf import UniformPdf
 
@@ -69,10 +70,12 @@ class TestConservativeApproximation:
                 UncertainObject.uniform(i, center, min(half_w, half_h))
             )
 
-        diagram = UVDiagram.build(converted, DOMAIN, page_capacity=8, seed_knn=20)
+        config = DiagramConfig(page_capacity=8, seed_knn=20)
+        diagram = QueryEngine.build(converted, DOMAIN, config)
         for _ in range(12):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-            conservative = set(diagram.pnn(q, compute_probabilities=False).answer_ids)
+            result = diagram.execute(PNNQuery(q, compute_probabilities=False))
+            conservative = set(result.answer_ids)
             true_answers = set(answer_objects_brute_force(originals, q))
             assert true_answers <= conservative
 
@@ -84,8 +87,10 @@ class TestConservativeApproximation:
             )
             for i in range(30)
         ]
-        diagram = UVDiagram.build(points, DOMAIN, page_capacity=8, seed_knn=15)
+        config = DiagramConfig(page_capacity=8, seed_knn=15)
+        diagram = QueryEngine.build(points, DOMAIN, config)
         for _ in range(10):
             q = Point(float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000)))
-            got = sorted(diagram.pnn(q, compute_probabilities=False).answer_ids)
+            result = diagram.execute(PNNQuery(q, compute_probabilities=False))
+            got = sorted(result.answer_ids)
             assert got == answer_objects_brute_force(points, q)

@@ -24,6 +24,7 @@ from repro.parallel import (
     shard_round_robin,
     shard_spatial_tiles,
 )
+from repro.queries.spec import KNNQuery, PNNQuery
 from repro.storage.stats import TimingBreakdown
 
 ALL_BACKENDS = ["ic", "icr", "basic", "rtree", "grid"]
@@ -45,7 +46,11 @@ def leaf_fingerprint(index):
 def answer_profile(engine, queries):
     """Answer ids AND exact probabilities -- bit-level query parity."""
     return [
-        [(a.oid, a.probability) for a in engine.pnn(q).sorted_by_probability()]
+        [
+            (a.oid, a.probability)
+            for a in engine.explain(PNNQuery(q), force_strategy="primary")
+            .result.sorted_by_probability()
+        ]
         for q in queries
     ]
 
@@ -212,8 +217,9 @@ class TestEngineParity:
         serial = QueryEngine.build(objects[:40], domain, config)
         parallel = QueryEngine.build(objects[:40], domain, config.replace(workers=2))
         query = generate_query_points(1, domain, seed=5)[0]
-        got_serial = serial.knn(query, k=3, worlds=300, rng=np.random.default_rng(9))
-        got_parallel = parallel.knn(query, k=3, worlds=300, rng=np.random.default_rng(9))
+        knn = KNNQuery(query, 3, worlds=300)
+        got_serial = serial.execute(knn, rng=np.random.default_rng(9))
+        got_parallel = parallel.execute(knn, rng=np.random.default_rng(9))
         assert [(a.oid, a.probability) for a in got_serial.answers] == \
                [(a.oid, a.probability) for a in got_parallel.answers]
 

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.engine.backend import UnsupportedQueryError
 from repro.geometry.rectangle import Rect
+from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 from repro.storage.pagestore import FilePageStore, MemoryPageStore, MmapPageStore
 
 CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16,
@@ -36,11 +37,17 @@ def _build(backend, count=70, seed=4):
     return engine, domain
 
 
+def pnn(engine, point, **options):
+    """A PNN pinned to the engine's own index structure."""
+    query = PNNQuery(point, **options)
+    return engine.explain(query, force_strategy="primary").result
+
+
 def _reads_per_query(engine, queries):
     reads = []
     for q in queries:
         before = engine.disk.stats.snapshot()
-        engine.pnn(q, compute_probabilities=False)
+        pnn(engine, q, compute_probabilities=False)
         reads.append(engine.disk.stats.delta(before).page_reads)
     return reads
 
@@ -50,7 +57,7 @@ def test_save_open_parity(backend, tmp_path):
     engine, domain = _build(backend)
     queries = generate_query_points(6, domain, seed=17)
     path = str(tmp_path / f"{backend}.uv")
-    reference = [engine.pnn(q) for q in queries]
+    reference = [pnn(engine, q) for q in queries]
     reference_reads = _reads_per_query(engine, queries)
     engine.save(path)
 
@@ -58,7 +65,7 @@ def test_save_open_parity(backend, tmp_path):
     assert reopened.backend.name == backend
     assert len(reopened) == len(engine)
     for q, ref in zip(queries, reference):
-        got = reopened.pnn(q)
+        got = pnn(reopened, q)
         assert got.answer_ids == ref.answer_ids
         assert got.probabilities == ref.probabilities  # bit-identical
     assert _reads_per_query(reopened, queries) == reference_reads
@@ -70,7 +77,7 @@ def test_store_kinds_serve_identically(store_kind, tmp_path):
     engine, domain = _build("ic")
     queries = generate_query_points(5, domain, seed=23)
     path = str(tmp_path / "snap.uv")
-    reference = [engine.pnn(q) for q in queries]
+    reference = [pnn(engine, q) for q in queries]
     engine.save(path)
 
     reopened = QueryEngine.open(path, store=store_kind)
@@ -79,7 +86,7 @@ def test_store_kinds_serve_identically(store_kind, tmp_path):
     assert isinstance(reopened.disk.store, expected_store)
     assert reopened.config.store == store_kind
     for q, ref in zip(queries, reference):
-        got = reopened.pnn(q)
+        got = pnn(reopened, q)
         assert got.answer_ids == ref.answer_ids
         assert got.probabilities == ref.probabilities
     assert reopened.index.ref_ids == engine.index.ref_ids
@@ -107,7 +114,7 @@ def test_format_1_snapshot_still_opens_and_updates(tmp_path):
     reopened = QueryEngine.open(path, verify=True)
     assert reopened.index.ref_ids == engine.index.ref_ids
     for q in queries:
-        assert reopened.pnn(q).probabilities == engine.pnn(q).probabilities
+        assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
     for live in (reopened, engine):
         live.delete(live.objects[3].oid)
         live.insert(UncertainObject.uniform(
@@ -115,7 +122,38 @@ def test_format_1_snapshot_still_opens_and_updates(tmp_path):
                         domain.ymin + domain.height / 2), 120.0))
     assert reopened.index.ref_ids == engine.index.ref_ids
     for q in queries:
-        assert reopened.pnn(q).probabilities == engine.pnn(q).probabilities
+        assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
+
+
+def test_snapshot_with_retired_prob_kernel_key_still_opens(tmp_path, monkeypatch):
+    """Snapshots saved while ``prob_kernel`` was a config field reopen."""
+    engine, domain = _build("ic")
+    queries = generate_query_points(6, domain, seed=37)
+    path = str(tmp_path / "retired.uv")
+    saved_config = DiagramConfig.to_dict
+
+    def with_retired_key(config, value="scalar"):
+        return {**saved_config(config), "prob_kernel": value}
+
+    monkeypatch.setattr(DiagramConfig, "to_dict", with_retired_key)
+    engine.save(path)
+    monkeypatch.undo()
+    expected = [pnn(engine, q) for q in queries]
+    for store_kind in ("file", "mmap", "memory"):
+        reopened = QueryEngine.open(path, store=store_kind, verify=True)
+        assert reopened.config == engine.config.replace(store=store_kind, store_path=path)
+        for q, ref in zip(queries, expected):
+            got = pnn(reopened, q)
+            assert got.answer_ids == ref.answer_ids
+            assert got.probabilities == ref.probabilities  # bit-identical
+
+    monkeypatch.setattr(
+        DiagramConfig, "to_dict", lambda config: with_retired_key(config, "magic")
+    )
+    engine.save(path)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="unknown DiagramConfig keys"):
+        QueryEngine.open(path)
 
 
 @pytest.mark.parametrize("backend", ("ic", "rtree", "grid"))
@@ -126,14 +164,15 @@ def test_knn_and_partition_parity(backend, tmp_path):
     reopened = QueryEngine.open(path)
 
     q = Point(domain.xmin + domain.width / 3, domain.ymin + domain.height / 3)
-    ka = engine.knn(q, 3, worlds=300, rng=np.random.default_rng(5))
-    kb = reopened.knn(q, 3, worlds=300, rng=np.random.default_rng(5))
+    knn = KNNQuery(q, 3, worlds=300)
+    ka = engine.execute(knn, rng=np.random.default_rng(5))
+    kb = reopened.execute(knn, rng=np.random.default_rng(5))
     assert [a.oid for a in ka.answers] == [a.oid for a in kb.answers]
 
     region = Rect(domain.xmin, domain.ymin,
                   domain.xmin + domain.width / 2, domain.ymin + domain.height / 2)
-    pa = engine.partitions_in(region)
-    pb = reopened.partitions_in(region)
+    pa = engine.execute(RangeQuery(region))
+    pb = reopened.execute(RangeQuery(region))
     assert len(pa.partitions) == len(pb.partitions)
     assert pa.total_objects() == pb.total_objects()
 
@@ -144,8 +183,11 @@ def test_batch_parity_after_reopen(tmp_path):
     path = str(tmp_path / "snap.uv")
     engine.save(path)
     reopened = QueryEngine.open(path)
-    batch = reopened.batch(queries, compute_probabilities=False)
-    sequential = [engine.pnn(q, compute_probabilities=False) for q in queries]
+    report = reopened.explain(
+        BatchQuery.of(queries, compute_probabilities=False), force_strategy="primary"
+    )
+    batch = [result for _, result, _ in report.result]
+    sequential = [pnn(engine, q, compute_probabilities=False) for q in queries]
     assert [r.answer_ids for r in batch] == [r.answer_ids for r in sequential]
 
 
@@ -164,13 +206,13 @@ def test_live_updates_after_reopen(backend, tmp_path):
     reopened.insert(new)
     queries = generate_query_points(6, domain, seed=41)
     for q in queries:
-        assert (reopened.pnn(q, compute_probabilities=False).answer_ids
-                == engine.pnn(q, compute_probabilities=False).answer_ids)
+        assert (pnn(reopened, q, compute_probabilities=False).answer_ids
+                == pnn(engine, q, compute_probabilities=False).answer_ids)
     engine.delete(7777)
     reopened.delete(7777)
     for q in queries:
-        assert (reopened.pnn(q, compute_probabilities=False).answer_ids
-                == engine.pnn(q, compute_probabilities=False).answer_ids)
+        assert (pnn(reopened, q, compute_probabilities=False).answer_ids
+                == pnn(engine, q, compute_probabilities=False).answer_ids)
 
 
 def test_updates_on_opened_engine_never_corrupt_the_snapshot(tmp_path):
@@ -192,8 +234,8 @@ def test_updates_on_opened_engine_never_corrupt_the_snapshot(tmp_path):
     # The untouched snapshot still opens and answers.
     again = QueryEngine.open(path)
     q = generate_query_points(1, domain, seed=2)[0]
-    assert again.pnn(q, compute_probabilities=False).answer_ids \
-        == engine.pnn(q, compute_probabilities=False).answer_ids
+    assert pnn(again, q, compute_probabilities=False).answer_ids \
+        == pnn(engine, q, compute_probabilities=False).answer_ids
 
 
 def test_save_opened_engine_back_to_same_path(tmp_path):
@@ -209,8 +251,8 @@ def test_save_opened_engine_back_to_same_path(tmp_path):
     reopened = QueryEngine.open(path)
     assert 9001 in reopened.by_id
     q = generate_query_points(1, domain, seed=7)[0]
-    assert (reopened.pnn(q, compute_probabilities=False).answer_ids
-            == served.pnn(q, compute_probabilities=False).answer_ids)
+    assert (pnn(reopened, q, compute_probabilities=False).answer_ids
+            == pnn(served, q, compute_probabilities=False).answer_ids)
 
 
 def test_dirty_flag_lifecycle(tmp_path):
@@ -247,11 +289,11 @@ def test_build_on_file_store_then_reopen_same_path(tmp_path):
     )
     assert isinstance(engine.disk.store, FilePageStore)
     queries = generate_query_points(5, domain, seed=13)
-    reference = [engine.pnn(q) for q in queries]
+    reference = [pnn(engine, q) for q in queries]
     engine.save(path)  # in-place flush + meta
     reopened = QueryEngine.open(path)
     for q, ref in zip(queries, reference):
-        got = reopened.pnn(q)
+        got = pnn(reopened, q)
         assert got.answer_ids == ref.answer_ids
         assert got.probabilities == ref.probabilities
 
@@ -321,9 +363,9 @@ class TestBufferPoolIntegration:
         )
         q = generate_query_points(1, domain, seed=3)[0]
         engine.disk.reset_stats()
-        first = engine.pnn(q, compute_probabilities=False)
+        first = pnn(engine, q, compute_probabilities=False)
         cold_reads = engine.io_stats().page_reads
-        second = engine.pnn(q, compute_probabilities=False)
+        second = pnn(engine, q, compute_probabilities=False)
         stats = engine.io_stats()
         assert first.answer_ids == second.answer_ids
         assert stats.page_reads == cold_reads  # warm query fully cached
@@ -353,7 +395,7 @@ class TestBufferPoolIntegration:
         # Warm the pool, then force page churn through inserts and deletes.
         workload = generate_query_points(8, domain, seed=19)
         for q in workload:
-            pooled.pnn(q, compute_probabilities=False)
+            pnn(pooled, q, compute_probabilities=False)
         for i in range(5):
             extra = UncertainObject.gaussian(
                 600 + i,
@@ -365,5 +407,5 @@ class TestBufferPoolIntegration:
         pooled.delete(602)
         plain.delete(602)
         for q in workload:
-            assert (pooled.pnn(q, compute_probabilities=False).answer_ids
-                    == plain.pnn(q, compute_probabilities=False).answer_ids)
+            assert (pnn(pooled, q, compute_probabilities=False).answer_ids
+                    == pnn(plain, q, compute_probabilities=False).answer_ids)

@@ -42,7 +42,7 @@ def engines(dataset):
     }
 
 
-class TestExecuteMatchesLegacy:
+class TestExecuteMatchesPinnedPlans:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_execute_pnn_is_answer_and_probability_identical(
         self, engines, dataset, backend
@@ -51,10 +51,9 @@ class TestExecuteMatchesLegacy:
         engine = engines[backend]
         for q in queries:
             new = engine.execute(PNNQuery(q))
-            with pytest.warns(DeprecationWarning, match="pnn"):
-                legacy = engine.pnn(q)
-            assert new.answer_ids == legacy.answer_ids
-            for oid, p in legacy.probabilities.items():
+            primary = engine.explain(PNNQuery(q), force_strategy="primary").result
+            assert new.answer_ids == primary.answer_ids
+            for oid, p in primary.probabilities.items():
                 assert new.probabilities[oid] == pytest.approx(p, abs=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -65,14 +64,13 @@ class TestExecuteMatchesLegacy:
         assert isinstance(result, PNNResult)
         assert all(a.probability == 0.0 for a in result.answers)
 
-    def test_legacy_knn_and_execute_agree(self, engines, dataset):
+    def test_knn_default_seed_is_zero(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]
-        with pytest.warns(DeprecationWarning, match="knn"):
-            legacy = engine.knn(queries[0], 3, worlds=500)
+        seeded = engine.execute(KNNQuery(queries[0], 3, worlds=500, seed=0))
         new = engine.execute(KNNQuery(queries[0], 3, worlds=500))
         assert isinstance(new, KNNResult)
-        assert new.answer_ids == legacy.answer_ids
+        assert new.answer_ids == seeded.answer_ids
 
     def test_knn_seed_is_deterministic(self, engines, dataset):
         _, _, queries = dataset
@@ -91,38 +89,23 @@ class TestExecuteMatchesLegacy:
         )
         assert isinstance(result, KNNResult)
 
-    def test_range_query_matches_legacy_partitions(self, engines):
+    def test_range_query_matches_backend_partitions(self, engines):
         engine = engines["ic"]
         region = Rect(2000.0, 2000.0, 6000.0, 6000.0)
         new = engine.execute(RangeQuery(region))
-        with pytest.warns(DeprecationWarning, match="partitions_in"):
-            legacy = engine.partitions_in(region)
+        direct = engine.backend.partitions_in(region)
         assert isinstance(new, PartitionQueryResult)
-        assert len(new.partitions) == len(legacy.partitions)
+        assert len(new.partitions) == len(direct.partitions)
 
-    def test_pnn_rtree_wrapper_matches_rtree_backend(self, engines, dataset):
+    def test_pinned_rtree_plan_matches_rtree_backend(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]
         for q in queries[:3]:
-            with pytest.warns(DeprecationWarning, match="pnn_rtree"):
-                via_wrapper = engine.pnn_rtree(q)
+            pinned = engine.explain(PNNQuery(q), force_strategy=STRATEGY_RTREE).result
             baseline = engines["rtree"].execute(PNNQuery(q))
-            assert sorted(via_wrapper.answer_ids) == sorted(baseline.answer_ids)
+            assert sorted(pinned.answer_ids) == sorted(baseline.answer_ids)
             for oid, p in baseline.probabilities.items():
-                assert via_wrapper.probabilities[oid] == pytest.approx(p, abs=1e-12)
-
-    def test_batch_wrapper_warns_and_matches_stream(self, engines, dataset):
-        _, _, queries = dataset
-        engine = engines["ic"]
-        with pytest.warns(DeprecationWarning, match="batch"):
-            legacy = engine.batch(queries, compute_probabilities=False)
-        stream = engine.execute(
-            BatchQuery.of(queries, compute_probabilities=False)
-        )
-        streamed = [result for _, result, _ in stream]
-        assert [r.answer_ids for r in streamed] == [
-            r.answer_ids for r in legacy.results
-        ]
+                assert pinned.probabilities[oid] == pytest.approx(p, abs=1e-12)
 
     def test_unknown_descriptor_rejected(self, engines):
         with pytest.raises(TypeError, match="descriptor"):
@@ -318,7 +301,7 @@ class TestBatchStreaming:
 class TestSnapshotPlanning:
     def test_plans_respect_loaded_config(self, dataset, tmp_path):
         objects, domain, queries = dataset
-        config = CONFIG.replace(backend="ic", prob_kernel="scalar")
+        config = CONFIG.replace(backend="ic", buffer_pages=32)
         engine = QueryEngine.build(objects, domain, config)
         reference = engine.execute(PNNQuery(queries[0]))
         path = str(tmp_path / "planner.snap")
@@ -327,9 +310,9 @@ class TestSnapshotPlanning:
         reopened = QueryEngine.open(path)
         plan = reopened.planner.plan(PNNQuery(queries[0]))
         assert plan.backend == "ic"
-        assert plan.prob_kernel == "scalar"
+        assert plan.buffer_pool.startswith("lru(32 pages)")
         report = reopened.explain(PNNQuery(queries[0]))
-        assert report.plan.prob_kernel == "scalar"
+        assert report.plan.prob_kernel == "vectorized"
         assert report.result.answer_ids == reference.answer_ids
         for oid, p in reference.probabilities.items():
             assert report.result.probabilities[oid] == pytest.approx(p, abs=1e-12)
@@ -349,20 +332,6 @@ class TestSnapshotPlanning:
 
 
 class TestDeprecations:
-    def test_every_legacy_method_warns(self, engines, dataset):
-        _, _, queries = dataset
-        engine = engines["ic"]
-        with pytest.warns(DeprecationWarning):
-            engine.pnn(queries[0])
-        with pytest.warns(DeprecationWarning):
-            engine.pnn_rtree(queries[0])
-        with pytest.warns(DeprecationWarning):
-            engine.knn(queries[0], 2, worlds=200)
-        with pytest.warns(DeprecationWarning):
-            engine.batch(queries[:2])
-        with pytest.warns(DeprecationWarning):
-            engine.partitions_in(Rect(0.0, 0.0, 1000.0, 1000.0))
-
     def test_execute_and_explain_do_not_warn(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]

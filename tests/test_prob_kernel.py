@@ -1,14 +1,16 @@
-"""Vectorized qualification-probability kernel: parity, stability, caching.
+"""The qualification-probability kernel: parity, stability, caching.
 
-The acceptance contract of the kernel (ISSUE 4): agree with the scalar
-reference to <= 1e-9 relative error on all five backends, be bit-stable
-under permutation of the candidates, pre-prune dominated candidates, and
-share per-object ring profiles across queries through a ``RingCache``.
+The kernel's contract: agree with the scalar oracle
+(``tests/reference/probability.py``) to <= 1e-9 relative error on all five
+backends, be bit-stable under permutation of the candidates, pre-prune
+dominated candidates, and share per-object ring profiles across queries
+through a ``RingCache``.
 """
 
 import numpy as np
 import pytest
 
+from reference.probability import qualification_probabilities
 from repro import (
     DiagramConfig,
     QueryEngine,
@@ -17,12 +19,12 @@ from repro import (
 )
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.queries.probability import qualification_probabilities
+from repro.geometry.rectangle import Rect
 from repro.queries.probability_kernel import (
     RingCache,
     compute_qualification_probabilities,
-    qualification_probabilities_vectorized,
 )
+from repro.queries.spec import BatchQuery, PNNQuery
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.pdf import TruncatedGaussianPdf
 
@@ -67,19 +69,19 @@ class TestScalarVectorizedParity:
         query = Point(float(rng.uniform(0, 30)), float(rng.uniform(0, 30)))
         assert_close(
             qualification_probabilities(objects, query),
-            qualification_probabilities_vectorized(objects, query),
+            compute_qualification_probabilities(objects, query),
         )
 
     def test_single_candidate(self):
         only = UncertainObject.uniform(7, Point(1.0, 1.0), 2.0)
-        assert qualification_probabilities_vectorized([only], Point(0, 0)) == {7: 1.0}
-        assert qualification_probabilities_vectorized([], Point(0, 0)) == {}
+        assert compute_qualification_probabilities([only], Point(0, 0)) == {7: 1.0}
+        assert compute_qualification_probabilities([], Point(0, 0)) == {}
 
     def test_overlapping_supports(self):
         a = UncertainObject.uniform(1, Point(2.0, 0.0), 3.0)
         b = UncertainObject.uniform(2, Point(4.0, 0.0), 3.0)
         query = Point(0.0, 0.0)
-        probabilities = qualification_probabilities_vectorized([a, b], query)
+        probabilities = compute_qualification_probabilities([a, b], query)
         assert 0.0 < probabilities[1] < 1.0
         assert 0.0 < probabilities[2] < 1.0
         assert sum(probabilities.values()) == pytest.approx(1.0)
@@ -89,7 +91,7 @@ class TestScalarVectorizedParity:
         near = UncertainObject.uniform(1, Point(2.0, 0.0), 1.0)   # dist in [1, 3]
         far = UncertainObject.uniform(2, Point(10.0, 0.0), 1.0)   # dist in [9, 11]
         query = Point(0.0, 0.0)
-        probabilities = qualification_probabilities_vectorized([near, far], query)
+        probabilities = compute_qualification_probabilities([near, far], query)
         assert probabilities[1] == pytest.approx(1.0)
         assert probabilities[2] == pytest.approx(0.0)
         assert_close(qualification_probabilities([near, far], query), probabilities)
@@ -101,7 +103,7 @@ class TestScalarVectorizedParity:
         hopeless = UncertainObject.uniform(3, Point(50.0, 0.0), 1.0)  # distmin 49
         query = Point(0.0, 0.0)
         cache = RingCache()
-        probabilities = qualification_probabilities_vectorized(
+        probabilities = compute_qualification_probabilities(
             [near, also, hopeless], query, ring_cache=cache
         )
         assert probabilities[3] == 0.0
@@ -115,7 +117,7 @@ class TestScalarVectorizedParity:
     def test_degenerate_dominance(self):
         dominator = UncertainObject.point_object(11, Point(3.0, 4.0))  # dist 5
         loser = UncertainObject.uniform(12, Point(30.0, 40.0), 45.0)   # distmin 5
-        probabilities = qualification_probabilities_vectorized(
+        probabilities = compute_qualification_probabilities(
             [loser, dominator], Point(0.0, 0.0)
         )
         assert probabilities == {11: 1.0, 12: 0.0}
@@ -123,10 +125,10 @@ class TestScalarVectorizedParity:
     def test_all_zero_integral_fallback(self, monkeypatch):
         """Zero raw integrals fall back to a uniform split over eligible oids.
 
-        The vectorized kernel cannot reach the fallback through its normal
+        The production kernel cannot reach the fallback through its normal
         flow (the minimum-distmax object always keeps mass at the upper
         boundary), so the shared helper is exercised directly -- and the
-        scalar reference's reachable fallback is forced by stubbing out the
+        scalar oracle's reachable fallback is forced by stubbing out the
         distance cdf.
         """
         from repro.queries.probability_kernel import _uniform_fallback
@@ -139,7 +141,7 @@ class TestScalarVectorizedParity:
         upper = min(obj.max_distance(query) for obj in (a, b, far))
         assert _uniform_fallback([a, b, far], lowers, upper) == {1: 0.5, 2: 0.5, 3: 0.0}
 
-        import repro.queries.probability as scalar_module
+        import reference.probability as scalar_module
 
         class ZeroCdf(scalar_module.DistanceDistribution):
             def cdf(self, r):
@@ -150,10 +152,24 @@ class TestScalarVectorizedParity:
             1: 0.5, 2: 0.5, 3: 0.0,
         }
 
-    def test_dispatcher_rejects_unknown_kernel(self):
-        objects = [UncertainObject.uniform(1, Point(1.0, 0.0), 1.0)]
-        with pytest.raises(ValueError, match="unknown probability kernel"):
-            compute_qualification_probabilities(objects, Point(0, 0), kernel="magic")
+    def test_pipeline_refines_through_its_module_global(self, monkeypatch):
+        """Span tracing wraps ``repro.queries.pipeline``'s kernel by name, so
+        every refinement must resolve the kernel through that global."""
+        import repro.queries.pipeline as pipeline
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return compute_qualification_probabilities(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compute_qualification_probabilities", spy)
+        objects = [UncertainObject.uniform(i, Point(2.0 * i, 0.0), 3.0) for i in (1, 2)]
+        domain = Rect(-50.0, -50.0, 50.0, 50.0)
+        engine = QueryEngine.build(objects, domain, seed_knn=2)
+        result = engine.execute(PNNQuery(Point(0.0, 0.0)))
+        assert calls == [Point(0.0, 0.0)]
+        assert sum(result.probabilities.values()) == pytest.approx(1.0)
 
 
 class TestBitStability:
@@ -162,20 +178,20 @@ class TestBitStability:
         rng = np.random.default_rng(5)
         objects = random_cluster(rng, 8)
         query = Point(15.0, 15.0)
-        reference = qualification_probabilities_vectorized(objects, query)
+        reference = compute_qualification_probabilities(objects, query)
         for seed in range(6):
             permuted = list(objects)
             np.random.default_rng(seed).shuffle(permuted)
-            assert qualification_probabilities_vectorized(permuted, query) == reference
+            assert compute_qualification_probabilities(permuted, query) == reference
 
     def test_cache_does_not_change_results(self):
         rng = np.random.default_rng(6)
         objects = random_cluster(rng, 6)
         query = Point(12.0, 12.0)
         cache = RingCache()
-        uncached = qualification_probabilities_vectorized(objects, query)
-        first = qualification_probabilities_vectorized(objects, query, ring_cache=cache)
-        second = qualification_probabilities_vectorized(objects, query, ring_cache=cache)
+        uncached = compute_qualification_probabilities(objects, query)
+        first = compute_qualification_probabilities(objects, query, ring_cache=cache)
+        second = compute_qualification_probabilities(objects, query, ring_cache=cache)
         assert first == uncached
         assert second == uncached
         assert cache.hits > 0
@@ -213,7 +229,7 @@ class TestEngineIntegration:
 
     @pytest.mark.parametrize("backend", ENGINE_BACKENDS)
     def test_kernel_parity_on_all_backends(self, dataset, backend):
-        """Vectorized and scalar kernels agree to <= 1e-9 on every backend."""
+        """The kernel agrees with the scalar oracle to <= 1e-9 on every backend."""
         objects, domain, queries = dataset
         engine = QueryEngine.build(
             objects,
@@ -223,13 +239,10 @@ class TestEngineIntegration:
                 grid_resolution=16,
             ),
         )
-        assert engine.config.prob_kernel == "vectorized"
         for query in queries:
-            vectorized = engine.pnn(query).probabilities
-            engine.config = engine.config.replace(prob_kernel="scalar")
-            scalar = engine.pnn(query).probabilities
-            engine.config = engine.config.replace(prob_kernel="vectorized")
-            assert_close(scalar, vectorized)
+            result = engine.explain(PNNQuery(query), force_strategy="primary").result
+            objects = engine.object_store.fetch_many(result.answer_ids)
+            assert_close(qualification_probabilities(objects, query), result.probabilities)
 
     def test_batch_shares_ring_profiles(self, dataset):
         objects, domain, queries = dataset
@@ -237,7 +250,7 @@ class TestEngineIntegration:
             objects, domain, DiagramConfig(page_capacity=16, seed_knn=60,
                                            rtree_fanout=16)
         )
-        batch = engine.batch(list(queries) + list(queries))
+        batch = list(engine.execute(BatchQuery.of(list(queries) + list(queries))))
         assert len(batch) == 2 * len(queries)
         # The duplicated workload must serve its second half from the cache.
         assert engine._ring_cache.hits >= engine._ring_cache.misses
@@ -248,12 +261,13 @@ class TestEngineIntegration:
             objects, domain, DiagramConfig(page_capacity=16, seed_knn=60,
                                            rtree_fanout=16)
         )
-        engine.pnn(queries[0])
+        engine.execute(PNNQuery(queries[0]))
         cached = {key[0] for key in engine._ring_cache._profiles}
         victim = next(iter(cached))
         engine.delete(victim)
         assert victim not in {key[0] for key in engine._ring_cache._profiles}
 
-    def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown prob_kernel"):
-            DiagramConfig(prob_kernel="magic")
+    def test_config_rejects_the_retired_kernel_key(self):
+        """Only snapshot open drops ``prob_kernel``; a config dict may not."""
+        with pytest.raises(ValueError, match="unknown DiagramConfig keys"):
+            DiagramConfig.from_dict({"backend": "ic", "prob_kernel": "vectorized"})

@@ -18,7 +18,7 @@ from repro.core.uv_cell import answer_objects_brute_force, build_all_uv_cells, b
 from repro.core.uv_index import UVIndex
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.queries.probability import qualification_probabilities
+from repro.queries.probability_kernel import compute_qualification_probabilities
 from repro.queries.candidates import CandidateBlock, min_max_prune
 from repro.uncertain.objects import UncertainObject
 
@@ -127,7 +127,7 @@ def test_qualification_probabilities_form_distribution(layout, query):
     q = Point(*query)
     answer_ids = answer_objects_brute_force(objects, q)
     answers = [o for o in objects if o.oid in answer_ids]
-    probs = qualification_probabilities(answers, q, steps=60, rings=24)
+    probs = compute_qualification_probabilities(answers, q, steps=60, rings=24)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-6)
     assert all(-1e-9 <= p <= 1.0 + 1e-9 for p in probs.values())
 

@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.probability import qualification_probabilities_sampling
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
-from repro.queries.probability import (
-    qualification_probabilities,
-    qualification_probabilities_sampling,
-)
+from repro.queries.probability_kernel import compute_qualification_probabilities
 from repro.queries.result import PNNAnswer, PNNResult
 from repro.queries.candidates import CandidateBlock, d_minmax, min_max_prune
 from repro.uncertain.objects import UncertainObject
@@ -60,9 +58,9 @@ class TestVerifier:
 
 class TestQualificationProbabilities:
     def test_empty_and_singleton(self):
-        assert qualification_probabilities([], Point(0, 0)) == {}
+        assert compute_qualification_probabilities([], Point(0, 0)) == {}
         only = UncertainObject.uniform(7, Point(1.0, 1.0), 2.0)
-        assert qualification_probabilities([only], Point(0, 0)) == {7: 1.0}
+        assert compute_qualification_probabilities([only], Point(0, 0)) == {7: 1.0}
 
     def test_probabilities_sum_to_one(self):
         objects = [
@@ -70,26 +68,26 @@ class TestQualificationProbabilities:
             UncertainObject.gaussian(1, Point(4.0, 0.0), 3.0),
             UncertainObject.gaussian(2, Point(0.0, 5.0), 3.0),
         ]
-        probs = qualification_probabilities(objects, Point(1.0, 1.0))
+        probs = compute_qualification_probabilities(objects, Point(1.0, 1.0))
         assert sum(probs.values()) == pytest.approx(1.0)
         assert all(0.0 <= p <= 1.0 for p in probs.values())
 
     def test_closer_object_more_probable(self):
         near = UncertainObject.uniform(0, Point(1.0, 0.0), 2.0)
         far = UncertainObject.uniform(1, Point(6.0, 0.0), 2.0)
-        probs = qualification_probabilities([near, far], Point(0.0, 0.0))
+        probs = compute_qualification_probabilities([near, far], Point(0.0, 0.0))
         assert probs[0] > probs[1]
 
     def test_symmetric_objects_get_equal_probability(self):
         a = UncertainObject.uniform(0, Point(-3.0, 0.0), 2.0)
         b = UncertainObject.uniform(1, Point(3.0, 0.0), 2.0)
-        probs = qualification_probabilities([a, b], Point(0.0, 0.0))
+        probs = compute_qualification_probabilities([a, b], Point(0.0, 0.0))
         assert probs[0] == pytest.approx(probs[1], abs=0.02)
 
     def test_dominating_object_gets_everything(self):
         near = UncertainObject.uniform(0, Point(0.5, 0.0), 0.5)
         far = UncertainObject.uniform(1, Point(50.0, 0.0), 0.5)
-        probs = qualification_probabilities([near, far], Point(0.0, 0.0))
+        probs = compute_qualification_probabilities([near, far], Point(0.0, 0.0))
         assert probs[0] == pytest.approx(1.0)
         assert probs[1] == pytest.approx(0.0)
 
@@ -110,7 +108,7 @@ class TestQualificationProbabilities:
         winner = UncertainObject.point_object(winner_oid_a, Point(3.0, 4.0))
         duplicate = UncertainObject.point_object(winner_oid_b, Point(3.0, 4.0))
         far = UncertainObject.uniform(int("400"), Point(30.0, 40.0), 45.0)
-        probs = qualification_probabilities([winner, duplicate, far], Point(0.0, 0.0))
+        probs = compute_qualification_probabilities([winner, duplicate, far], Point(0.0, 0.0))
         assert probs[300] == 1.0
         assert probs[400] == 0.0
 
@@ -123,7 +121,7 @@ class TestQualificationProbabilities:
             for i in range(4)
         ]
         q = Point(20.0, 20.0)
-        integrated = qualification_probabilities(objects, q, steps=200, rings=64)
+        integrated = compute_qualification_probabilities(objects, q, steps=200, rings=64)
         sampled = qualification_probabilities_sampling(
             objects, q, worlds=20000, rng=np.random.default_rng(17)
         )

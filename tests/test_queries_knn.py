@@ -101,10 +101,10 @@ class TestProbabilities:
         knn = ProbabilisticKNN(RTree.bulk_load(objects, fanout=8), objects)
         q = Point(450.0, 550.0)
         result = knn.query(q, 1, worlds=20000, rng=np.random.default_rng(4))
-        from repro.queries.probability import qualification_probabilities
+        from repro.queries.probability_kernel import compute_qualification_probabilities
 
         answers = [o for o in objects if o.oid in result.answer_ids]
-        integrated = qualification_probabilities(answers, q)
+        integrated = compute_qualification_probabilities(answers, q)
         for answer in result.answers:
             assert answer.probability == pytest.approx(integrated[answer.oid], abs=0.05)
 

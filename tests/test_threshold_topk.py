@@ -2,27 +2,32 @@
 
 The contract: a tau / top-k query's answers must equal post-filtering the
 full refinement output -- same answer ids, same probabilities -- on every
-backend and with both kernels, while the refinement step provably does less
-full integration whenever the filters actually bite.
+backend, for the production kernel and for the scalar oracle
+(``tests/reference/probability.py``), which agree to 1e-9; and the
+refinement step provably does less full integration whenever the filters
+actually bite.
 """
 
 import pytest
 
+from reference.probability import qualification_probabilities
 from repro import (
     DiagramConfig,
     QueryEngine,
     generate_query_points,
     generate_uniform_objects,
 )
-from repro.queries.probability import qualification_probabilities
 from repro.queries.probability_kernel import (
     RefinementStats,
     RingCache,
-    qualification_probabilities_vectorized,
+    compute_qualification_probabilities,
 )
+from repro.queries.result import PNNAnswer
 from repro.queries.spec import PNNQuery
 
 BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+#: ``vectorized`` is the production kernel behind ``execute``; ``scalar`` is
+#: the oracle, refining the same answer objects.
 KERNELS = ("vectorized", "scalar")
 # A dense dataset so answer sets carry several low-probability candidates.
 CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16,
@@ -45,18 +50,43 @@ def engines(dataset):
     }
 
 
-def post_filter(full, threshold=0.0, top_k=None):
-    """The specification: filter the full result's answers after the fact."""
-    answers = [a for a in full.answers if a.probability >= threshold]
+def post_filter(answers, threshold=0.0, top_k=None):
+    """The specification: filter the full answers after the fact."""
+    answers = [a for a in answers if a.probability >= threshold]
     if top_k is not None:
         answers = answers[:top_k]
     return answers
 
 
-def assert_answers_match(got, expected):
+def assert_answers_match(got, expected, abs=1e-12):
     assert [a.oid for a in got] == [a.oid for a in expected]
     for g, e in zip(got, expected):
-        assert g.probability == pytest.approx(e.probability, abs=1e-12)
+        assert g.probability == pytest.approx(e.probability, abs=abs)
+
+
+def refined_answers(engine, kernel, query):
+    """``query``'s answers, refined by the production kernel or the oracle.
+
+    The oracle refines the engine's answer objects and orders and filters
+    them the way the pipeline does; its answers must equal the production
+    kernel's to 1e-9.
+    """
+    result = engine.execute(query)
+    if kernel == "vectorized":
+        return result.answers
+    point = query.point
+    ids = engine.execute(PNNQuery(point, compute_probabilities=False)).answer_ids
+    probabilities = qualification_probabilities(
+        engine.object_store.fetch_many(ids), point,
+        threshold=query.threshold, top_k=query.top_k,
+    )
+    answers = sorted(
+        (PNNAnswer(oid=oid, probability=probabilities[oid]) for oid in ids),
+        key=lambda a: (-a.probability, a.oid),
+    )
+    answers = post_filter(answers, threshold=query.threshold, top_k=query.top_k)
+    assert_answers_match(answers, result.answers, abs=1e-9)
+    return answers
 
 
 class TestThresholdEqualsPostFilter:
@@ -68,16 +98,10 @@ class TestThresholdEqualsPostFilter:
     ):
         _, _, queries = dataset
         engine = engines[backend]
-        engine.config = engine.config.replace(prob_kernel=kernel)
-        try:
-            for q in queries:
-                full = engine.execute(PNNQuery(q))
-                filtered = engine.execute(PNNQuery(q, threshold=threshold))
-                assert_answers_match(
-                    filtered.answers, post_filter(full, threshold=threshold)
-                )
-        finally:
-            engine.config = engine.config.replace(prob_kernel="vectorized")
+        for q in queries:
+            full = refined_answers(engine, kernel, PNNQuery(q))
+            filtered = refined_answers(engine, kernel, PNNQuery(q, threshold=threshold))
+            assert_answers_match(filtered, post_filter(full, threshold=threshold))
 
     def test_tau_zero_is_identical_to_unfiltered(self, engines, dataset):
         _, _, queries = dataset
@@ -112,15 +136,11 @@ class TestTopKEqualsPostFilter:
     ):
         _, _, queries = dataset
         engine = engines[backend]
-        engine.config = engine.config.replace(prob_kernel=kernel)
-        try:
-            for q in queries:
-                full = engine.execute(PNNQuery(q))
-                cut = engine.execute(PNNQuery(q, top_k=top_k))
-                assert_answers_match(cut.answers, post_filter(full, top_k=top_k))
-                assert len(cut.answers) <= top_k
-        finally:
-            engine.config = engine.config.replace(prob_kernel="vectorized")
+        for q in queries:
+            full = refined_answers(engine, kernel, PNNQuery(q))
+            cut = refined_answers(engine, kernel, PNNQuery(q, top_k=top_k))
+            assert_answers_match(cut, post_filter(full, top_k=top_k))
+            assert len(cut) <= top_k
 
     def test_k_larger_than_answer_set_returns_everything(self, engines, dataset):
         _, _, queries = dataset
@@ -137,7 +157,7 @@ class TestTopKEqualsPostFilter:
             full = engine.execute(PNNQuery(q))
             both = engine.execute(PNNQuery(q, threshold=0.1, top_k=2))
             assert_answers_match(
-                both.answers, post_filter(full, threshold=0.1, top_k=2)
+                both.answers, post_filter(full.answers, threshold=0.1, top_k=2)
             )
 
 
@@ -162,11 +182,11 @@ class TestEarlyTermination:
         cache = RingCache()
         for q, objects in answer_sets:
             a = RefinementStats()
-            qualification_probabilities_vectorized(objects, q, ring_cache=cache,
+            compute_qualification_probabilities(objects, q, ring_cache=cache,
                                                    stats=a)
             full.merge(a)
             b = RefinementStats()
-            qualification_probabilities_vectorized(
+            compute_qualification_probabilities(
                 objects, q, ring_cache=cache, threshold=0.1, top_k=2, stats=b
             )
             filtered.merge(b)
@@ -199,20 +219,25 @@ class TestEarlyTermination:
     def test_filters_without_probabilities_rejected_everywhere(
         self, engines, dataset
     ):
-        """The pipeline guards the processor-level query() APIs too: a
-        threshold over never-computed probabilities would silently empty
-        every answer set."""
-        from repro.core.pnn import UVIndexPNN
-        from repro.rtree.pnn import RTreePNN
+        """The pipeline guards direct evaluate_pnn() calls too, whatever the
+        candidate source: a threshold over never-computed probabilities would
+        silently empty every answer set."""
+        from repro.core.pnn import uv_index_candidates
+        from repro.queries.pipeline import evaluate_pnn
+        from repro.rtree.pnn import branch_and_prune_candidates
 
         _, _, queries = dataset
         engine = engines["ic"]
-        processor = UVIndexPNN(engine.index, object_store=engine.object_store)
-        with pytest.raises(ValueError, match="compute_probabilities"):
-            processor.query(queries[0], compute_probabilities=False, threshold=0.1)
-        baseline = RTreePNN(engine.rtree, object_store=engine.object_store)
-        with pytest.raises(ValueError, match="compute_probabilities"):
-            baseline.query(queries[0], compute_probabilities=False, top_k=2)
+        sources = (
+            (lambda p: uv_index_candidates(engine.index, p), {"threshold": 0.1}),
+            (lambda p: branch_and_prune_candidates(engine.rtree, p), {"top_k": 2}),
+        )
+        for retrieve, options in sources:
+            with pytest.raises(ValueError, match="compute_probabilities"):
+                evaluate_pnn(
+                    queries[0], retrieve, engine.object_store.fetch_many,
+                    engine.disk.stats, compute_probabilities=False, **options,
+                )
 
     def test_result_carries_refinement_stats(self, engines, dataset):
         _, _, queries = dataset
@@ -222,13 +247,13 @@ class TestEarlyTermination:
         assert result.threshold == 0.1
 
     def test_kernel_parity_under_filters(self, engines, dataset):
-        """Scalar and vectorized kernels agree on filtered probabilities."""
+        """The kernel agrees with the scalar oracle on filtered probabilities."""
         _, _, queries = dataset
         answer_sets = self.collect_answer_sets(engines["ic"], queries)
         cache = RingCache()
         for q, objects in answer_sets:
             scalar = qualification_probabilities(objects, q, threshold=0.15)
-            vectorized = qualification_probabilities_vectorized(
+            vectorized = compute_qualification_probabilities(
                 objects, q, ring_cache=cache, threshold=0.15
             )
             assert scalar.keys() == vectorized.keys()
@@ -240,10 +265,10 @@ class TestEarlyTermination:
         _, _, queries = dataset
         answer_sets = self.collect_answer_sets(engines["ic"], queries)
         q, objects = answer_sets[0]
-        forward = qualification_probabilities_vectorized(
+        forward = compute_qualification_probabilities(
             objects, q, threshold=0.1
         )
-        backward = qualification_probabilities_vectorized(
+        backward = compute_qualification_probabilities(
             list(reversed(objects)), q, threshold=0.1
         )
         assert forward == backward

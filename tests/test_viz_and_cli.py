@@ -123,6 +123,16 @@ class TestCli:
         assert code == 0
         assert output.exists()
 
+    @pytest.mark.parametrize(
+        "flag", [["--prob-kernel", "scalar"], ["--method", "ic"]],
+        ids=["prob-kernel", "method"],
+    )
+    def test_retired_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["query", "--objects", "10", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestServeCli:
     def test_parser_accepts_serve(self):
