@@ -139,32 +139,21 @@ def _build_engine(args: argparse.Namespace) -> QueryEngine:
 def _open_snapshot(args: argparse.Namespace):
     """Open ``--load`` with clean CLI errors for bad paths and formats.
 
-    A live deployment directory resolves through its manifest to the current
-    snapshot generation (read-path only: the WAL is already folded in or
-    pending, and a query CLI must not replay someone else's log).  A sharded
-    deployment (a directory holding a ``SHARDMAP``) opens as a scatter-gather
-    router over every shard's current generation.
+    A live deployment directory opens at its current snapshot generation
+    (read path only: the WAL is already folded in or pending, and a query
+    CLI must not replay someone else's log).  A sharded deployment (a
+    directory holding a ``SHARDMAP``) opens as a scatter-gather router over
+    every shard's current generation.
     """
-    from repro.engine.snapshot import resolve_snapshot
-    from repro.shard import ShardedQueryEngine, is_sharded_directory
+    from repro.shard.deployment import open_deployment
     from repro.storage.pagestore import PageStoreError
 
     try:
-        if is_sharded_directory(args.load):
-            return ShardedQueryEngine.open(args.load, store=args.load_store,
-                                           buffer_pages=args.buffer_pages)
-        target, _generation = resolve_snapshot(args.load)
-        return QueryEngine.open(target, store=args.load_store,
-                                buffer_pages=args.buffer_pages)
+        return open_deployment(args.load, store=args.load_store,
+                               buffer_pages=args.buffer_pages)
     except (OSError, PageStoreError, ValueError) as exc:
         print(f"error: cannot open snapshot {args.load}: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
-
-
-def _engine_backend_name(engine) -> str:
-    """Backend label of a single engine or a sharded router."""
-    name = getattr(engine, "backend_name", None)
-    return name if name is not None else engine.backend.name
 
 
 def _obtain_engine(args: argparse.Namespace):
@@ -173,10 +162,19 @@ def _obtain_engine(args: argparse.Namespace):
         engine = _open_snapshot(args)
         shards = getattr(engine, "engines", None)
         layout = f", {len(shards)} shards" if shards is not None else ""
-        print(f"opened snapshot {args.load} ({_engine_backend_name(engine)!r} "
+        print(f"opened snapshot {args.load} ({engine.backend_name!r} "
               f"backend, {len(engine)} objects, {args.load_store} store{layout})")
         return engine
     return _build_engine(args)
+
+
+def _single_snapshot(engine, command: str) -> bool:
+    """``False`` (with the CLI error printed) for a sharded deployment."""
+    if isinstance(engine, QueryEngine):
+        return True
+    print(f"error: {command} needs a single-snapshot deployment, not a "
+          f"sharded one", file=sys.stderr)
+    return False
 
 
 def _command_info(_: argparse.Namespace) -> int:
@@ -332,6 +330,8 @@ def _command_compare(args: argparse.Namespace) -> int:
         from repro.datasets.synthetic import generate_query_points
 
         loaded = _open_snapshot(args)
+        if not _single_snapshot(loaded, "compare"):
+            return 2
         bundle = DatasetBundle(
             name=f"snapshot:{args.load}",
             objects=loaded.objects,
@@ -422,36 +422,29 @@ def _command_serve(args: argparse.Namespace) -> int:
         return 1
 
 
-def _command_checkpoint_status(directory: str) -> int:
-    """``repro checkpoint --status``: the checkpointer's cross-process view.
+def _shard_directories(directory: str) -> Optional[List[str]]:
+    """The live directory of every shard behind ``directory`` (one for an
+    unsharded deployment); ``None`` with the CLI error printed."""
+    from repro.shard.deployment import deployment_layout
 
-    A sharded deployment reports every shard's status in shard-id order
-    (each shard directory is an ordinary live deployment underneath).
-    """
-    import os
-
-    from repro.shard import is_sharded_directory, read_shard_deployment
-
-    if is_sharded_directory(directory):
-        try:
-            deployment = read_shard_deployment(directory)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read sharded deployment {directory}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"sharded deployment {directory}: epoch {deployment.epoch}, "
-              f"{len(deployment.shard_map)} shards "
-              f"({deployment.backend!r} backend)")
-        worst = 0
-        for name in deployment.shard_dirs:
-            worst = max(worst,
-                        _single_checkpoint_status(os.path.join(directory, name)))
-        return worst
-    return _single_checkpoint_status(directory)
+    try:
+        layout = deployment_layout(directory)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read sharded deployment {directory}: {exc}",
+              file=sys.stderr)
+        return None
+    if not layout.directories:
+        print(f"error: {directory} is not a live deployment "
+              f"(no MANIFEST or SHARDMAP)", file=sys.stderr)
+        return None
+    if layout.epoch:
+        print(f"sharded deployment {directory}: epoch {layout.epoch}, "
+              f"{len(layout.directories)} shards")
+    return list(layout.directories)
 
 
-def _single_checkpoint_status(directory: str) -> int:
-    """Status report of one (non-sharded) live deployment directory."""
+def _checkpoint_status(directory: str) -> int:
+    """Status report of one live deployment directory (one shard)."""
     from repro.engine.snapshot import list_quarantined, read_manifest
     from repro.wal import read_checkpoint_status
 
@@ -486,19 +479,15 @@ def _single_checkpoint_status(directory: str) -> int:
     return 0
 
 
-def _command_checkpoint(args: argparse.Namespace) -> int:
-    from repro.shard import is_sharded_directory
+def _checkpoint_once(directory: str, args: argparse.Namespace) -> int:
+    """Fold one live deployment directory's (one shard's) WAL tail."""
     from repro.storage.pagestore import PageStoreError
     from repro.wal import Checkpointer
 
-    if args.status:
-        return _command_checkpoint_status(args.dir)
-    if is_sharded_directory(args.dir):
-        return _command_checkpoint_sharded(args)
     try:
-        engine = QueryEngine.open_live(args.dir, store=args.load_store)
+        engine = QueryEngine.open_live(directory, store=args.load_store)
     except (OSError, PageStoreError, ValueError) as exc:
-        print(f"error: cannot open deployment {args.dir}: {exc}", file=sys.stderr)
+        print(f"error: cannot open deployment {directory}: {exc}", file=sys.stderr)
         return 2
     try:
         checkpointer = Checkpointer(
@@ -506,12 +495,13 @@ def _command_checkpoint(args: argparse.Namespace) -> int:
         )
         result = checkpointer.run_once(force=args.force)
         if result is None:
-            print(f"nothing to checkpoint: {engine.pending_wal_records} pending "
-                  f"record(s) over generation {engine.generation} "
-                  f"(--min-records {args.min_records}; --force overrides)")
+            print(f"nothing to checkpoint in {directory}: "
+                  f"{engine.pending_wal_records} pending record(s) over "
+                  f"generation {engine.generation} (--min-records "
+                  f"{args.min_records}; --force overrides)")
             return 0
         pruned = ", ".join(name for _, name in sorted(result.pruned.items())) or "none"
-        print(f"checkpointed {args.dir}")
+        print(f"checkpointed {directory}")
         print(f"  generation        : {result.generation} ({result.snapshot_path})")
         print(f"  folded records    : {result.folded_records} (base_lsn "
               f"{result.base_lsn})")
@@ -523,37 +513,23 @@ def _command_checkpoint(args: argparse.Namespace) -> int:
         engine.close_wal()
 
 
-def _command_checkpoint_sharded(args: argparse.Namespace) -> int:
-    """One checkpoint round across every shard of a sharded deployment."""
-    from repro.shard import ShardedQueryEngine
-    from repro.storage.pagestore import PageStoreError
+def _command_checkpoint(args: argparse.Namespace) -> int:
+    """``repro checkpoint [--status]``: one round over every shard directory.
 
-    try:
-        engine = ShardedQueryEngine.open_live(args.dir, store=args.load_store)
-    except (OSError, PageStoreError, ValueError) as exc:
-        print(f"error: cannot open sharded deployment {args.dir}: {exc}",
-              file=sys.stderr)
+    An unsharded live deployment is one shard, itself; a sharded one is
+    walked in shard-id order (each shard checkpoints independently, so a
+    crash between shards leaves every shard in its old or new generation).
+    """
+    directories = _shard_directories(args.dir)
+    if directories is None:
         return 2
-    try:
-        results = engine.checkpoint(
-            force=args.force,
-            min_records=max(1, args.min_records),
-            workers=args.workers,
-        )
-        print(f"checkpointed sharded deployment {args.dir} "
-              f"(epoch {engine.epoch}, {len(engine.engines)} shards)")
-        for shard_id, result in enumerate(results):
-            if result is None:
-                pending = engine.engines[shard_id].pending_wal_records
-                print(f"  shard {shard_id}: skipped ({pending} pending "
-                      f"record(s) < --min-records {args.min_records})")
-                continue
-            print(f"  shard {shard_id}: generation {result.generation}, "
-                  f"{result.folded_records} record(s) folded, "
-                  f"{result.objects} object(s), {result.seconds:.2f} s")
-        return 0
-    finally:
-        engine.close()
+    worst = 0
+    for directory in directories:
+        if args.status:
+            worst = max(worst, _checkpoint_status(directory))
+        else:
+            worst = max(worst, _checkpoint_once(directory, args))
+    return worst
 
 
 def _command_shard_build(args: argparse.Namespace) -> int:
@@ -586,13 +562,9 @@ def _command_shard_build(args: argparse.Namespace) -> int:
 
 def _command_rebalance(args: argparse.Namespace) -> int:
     """``repro rebalance``: split / merge shards into a new epoch."""
-    from repro.shard import is_sharded_directory, rebalance
+    from repro.shard import rebalance
     from repro.storage.pagestore import PageStoreError
 
-    if not is_sharded_directory(args.dir):
-        print(f"error: {args.dir} is not a sharded deployment (no SHARDMAP)",
-              file=sys.stderr)
-        return 2
     try:
         plan, deployment = rebalance(
             args.dir,
@@ -702,6 +674,8 @@ def _command_render(args: argparse.Namespace) -> int:
     from repro.viz.svg import render_uv_diagram
 
     engine = _obtain_engine(args)
+    if not _single_snapshot(engine, "render"):
+        return 2
     if engine.index is None:
         print("error: render requires a UV-index backend (ic/icr/basic)",
               file=sys.stderr)

@@ -44,6 +44,13 @@ class PartitionInfo:
         }
 
     @classmethod
+    def of(cls, region: Rect, object_count: int) -> "PartitionInfo":
+        """``object_count`` objects over ``region``, with their density (zero
+        over a degenerate region)."""
+        area = region.area()
+        return cls(region, object_count, object_count / area if area > 0 else 0.0)
+
+    @classmethod
     def from_dict(cls, state: dict) -> "PartitionInfo":
         """Rebuild a partition from :meth:`to_dict` output."""
         return cls(
@@ -137,14 +144,10 @@ class PatternAnalyzer:
         """All (approximate) UV-partitions intersecting ``region`` with densities."""
         start = time.perf_counter()
         before = self.index.disk.stats.snapshot()
-        partitions: List[PartitionInfo] = []
-        for leaf in self.index.leaves_in(region):
-            count = self._leaf_object_count(leaf)
-            area = leaf.region.area()
-            density = count / area if area > 0 else 0.0
-            partitions.append(
-                PartitionInfo(region=leaf.region, object_count=count, density=density)
-            )
+        partitions = [
+            PartitionInfo.of(leaf.region, self._leaf_object_count(leaf))
+            for leaf in self.index.leaves_in(region)
+        ]
         io = self.index.disk.stats.delta(before)
         return PartitionQueryResult(
             partitions=partitions, io=io, seconds=time.perf_counter() - start

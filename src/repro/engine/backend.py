@@ -156,14 +156,8 @@ class IndexBackend(abc.ABC):
         start = time.perf_counter()
         before = self.engine.disk.stats.snapshot()
         oids = {oid for oid, _ in self.range_candidates(region)}
-        area = region.area()
-        info = PartitionInfo(
-            region=region,
-            object_count=len(oids),
-            density=len(oids) / area if area > 0 else 0.0,
-        )
         return PartitionQueryResult(
-            partitions=[info],
+            partitions=[PartitionInfo.of(region, len(oids))],
             io=self.engine.disk.stats.delta(before),
             seconds=time.perf_counter() - start,
         )

@@ -218,18 +218,13 @@ class UniformGridBackend(IndexBackend):
         """Grid cells are natural partitions: one entry per intersecting cell."""
         start = time.perf_counter()
         before = self.engine.disk.stats.snapshot()
-        partitions: List[PartitionInfo] = []
-        for cell in self._cells_in(region):
-            count = len({oid for oid, _ in self.grid.read_cell(cell)})
-            cell_rect = self.grid.cell_rect(cell)
-            area = cell_rect.area()
-            partitions.append(
-                PartitionInfo(
-                    region=cell_rect,
-                    object_count=count,
-                    density=count / area if area > 0 else 0.0,
-                )
+        partitions = [
+            PartitionInfo.of(
+                self.grid.cell_rect(cell),
+                len({oid for oid, _ in self.grid.read_cell(cell)}),
             )
+            for cell in self._cells_in(region)
+        ]
         return PartitionQueryResult(
             partitions=partitions,
             io=self.engine.disk.stats.delta(before),

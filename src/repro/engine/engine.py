@@ -33,6 +33,7 @@ import threading
 import time
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -63,7 +64,7 @@ from repro.engine.planner import (
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import CandidateBlock
-from repro.queries.knn import KNNResult, ProbabilisticKNN
+from repro.queries.knn import KNNResult, evaluate_knn
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
 from repro.queries.result import PNNResult
@@ -103,6 +104,11 @@ class BatchStream:
     :class:`RingCache`, so the batch pays each index granule once while
     results become available one by one.
 
+    The stream needs only the engine's ``structure_version``, a plan
+    callback and ``_execute_pnn(query, plan, cache)``, so the sharded router
+    streams through it too: cache keys name index granules by identity (or,
+    for grid cells, scoped to their grid), so shards never collide.
+
     Attributes:
         query: the batch descriptor being streamed.
         cache: the shared read cache (``hits`` / ``misses`` are live while
@@ -112,21 +118,20 @@ class BatchStream:
 
     def __init__(
         self,
-        engine: "QueryEngine",
+        engine: Any,
         query: BatchQuery,
         plan: QueryPlan,
-        force_strategy: Optional[str] = None,
+        plan_for: Callable[[PNNQuery], QueryPlan],
     ) -> None:
         self.query = query
         self.plan = plan
         self.cache = BatchReadCache()
         self._version = engine.structure_version
-        self._iterator = self._generate(engine, force_strategy)
+        self._iterator = self._generate(engine, plan_for)
 
     def _generate(
-        self, engine: "QueryEngine", force_strategy: Optional[str]
+        self, engine: Any, plan_for: Callable[[PNNQuery], QueryPlan]
     ) -> Iterator[Tuple[PNNQuery, PNNResult, QueryPlan]]:
-        plans: Dict[Tuple[float, Optional[int], bool], QueryPlan] = {}
         for query in self.query.queries:
             if engine.structure_version != self._version:
                 # The shared read cache memoises index granules; a live
@@ -137,13 +142,8 @@ class BatchStream:
                     "while a BatchStream was being consumed; re-issue the "
                     "batch against the updated diagram"
                 )
-            shape = (query.threshold, query.top_k, query.compute_probabilities)
-            plan = plans.get(shape)
-            if plan is None:
-                plan = engine.planner.plan(query, force_strategy=force_strategy)
-                plans[shape] = plan
-            result = engine._execute_pnn(query, plan, cache=self.cache)
-            yield query, result, plan
+            plan = plan_for(query)
+            yield query, engine._execute_pnn(query, plan, self.cache), plan
 
     def __iter__(self) -> "BatchStream":
         return self
@@ -153,6 +153,42 @@ class BatchStream:
 
     def __len__(self) -> int:
         return len(self.query)
+
+
+def explain_analyze(
+    engine: Any, query: Query, plan: QueryPlan, run: Callable[[], Any]
+) -> ExplainReport:
+    """The EXPLAIN ANALYZE body of every engine: ``run()`` the query, measured.
+
+    A ``BatchStream`` is materialised into a list of triples so the whole
+    batch is measured; the counted I/O is the delta of ``engine.io_stats()``
+    (one disk, or the sum over every shard's disk).
+    """
+    before = engine.io_stats()
+    start = time.perf_counter()
+    result = run()
+    timings = TimingBreakdown()
+    if isinstance(result, BatchStream):
+        result = list(result)
+        for _, item, _ in result:
+            if item.timing is not None:
+                timings.merge(item.timing)
+    elif isinstance(result, PNNResult):
+        if result.timing is not None:
+            timings.merge(result.timing)
+    elif isinstance(result, PartitionQueryResult):
+        timings.add("partitions", result.seconds)
+    seconds = time.perf_counter() - start
+    if not timings.buckets:
+        timings.add("total", seconds)
+    return ExplainReport(
+        query=query,
+        plan=plan,
+        result=result,
+        io=engine.io_stats().delta(before),
+        seconds=seconds,
+        timings=timings,
+    )
 
 
 class QueryEngine:
@@ -306,7 +342,8 @@ class QueryEngine:
         """Reopen a saved engine without reconstruction (cold-start serving).
 
         Args:
-            path: snapshot written by :meth:`save`.
+            path: snapshot written by :meth:`save`, or a live deployment
+                directory (opened read path only at its current generation).
             store: page-store kind serving the reads -- ``"file"`` (lazy
                 reads through the page file), ``"mmap"`` (memory-mapped
                 read-mostly view) or ``"memory"`` (eager load).
@@ -403,31 +440,11 @@ class QueryEngine:
         :meth:`QueryPlanner.plan`, e.g. to measure the R-tree baseline.
         """
         plan = self.planner.plan(query, force_strategy=force_strategy)
-        before = self.disk.stats.snapshot()
-        start = time.perf_counter()
-        result = self._run(query, plan, rng=rng, force_strategy=force_strategy)
-        timings = TimingBreakdown()
-        if isinstance(result, BatchStream):
-            triples = list(result)
-            for _, item, _ in triples:
-                if item.timing is not None:
-                    timings.merge(item.timing)
-            result = triples
-        elif isinstance(result, PNNResult):
-            if result.timing is not None:
-                timings.merge(result.timing)
-        elif isinstance(result, PartitionQueryResult):
-            timings.add("partitions", result.seconds)
-        seconds = time.perf_counter() - start
-        if not timings.buckets:
-            timings.add("total", seconds)
-        return ExplainReport(
-            query=query,
-            plan=plan,
-            result=result,
-            io=self.disk.stats.delta(before),
-            seconds=seconds,
-            timings=timings,
+        return explain_analyze(
+            self,
+            query,
+            plan,
+            lambda: self._run(query, plan, rng=rng, force_strategy=force_strategy),
         )
 
     @property
@@ -445,13 +462,18 @@ class QueryEngine:
         if isinstance(query, PNNQuery):
             return self._execute_pnn(query, plan, cache=None)
         if isinstance(query, BatchQuery):
-            return BatchStream(self, query, plan, force_strategy=force_strategy)
+            # Queries of one shape share the plan of the first of them.
+            plans: Dict[Tuple[float, Optional[int], bool], QueryPlan] = {}
+
+            def plan_for(item: PNNQuery) -> QueryPlan:
+                shape = (item.threshold, item.top_k, item.compute_probabilities)
+                if shape not in plans:
+                    plans[shape] = self.planner.plan(item, force_strategy=force_strategy)
+                return plans[shape]
+
+            return BatchStream(self, query, plan, plan_for)
         if isinstance(query, KNNQuery):
-            if rng is None and query.seed is not None:
-                rng = np.random.default_rng(query.seed)
-            return ProbabilisticKNN(self.rtree, self.objects).query(
-                query.point, query.k, worlds=query.worlds, rng=rng
-            )
+            return evaluate_knn([(0.0, self.rtree, self.by_id)], query, rng=rng)
         if isinstance(query, RangeQuery):
             return self.backend.partitions_in(query.region)
         raise TypeError(f"unknown query descriptor: {query!r}")
@@ -756,6 +778,11 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
+    @property
+    def backend_name(self) -> str:
+        """Registry key of the active backend."""
+        return self.backend.name
+
     @property
     def index(self) -> Any:
         """The underlying UV-index, or ``None`` for non-UV backends."""

@@ -134,7 +134,10 @@ def open_engine(
     """Restore a :class:`QueryEngine` from a snapshot, without reconstruction.
 
     Args:
-        path: snapshot file written by :func:`save_engine`.
+        path: snapshot file written by :func:`save_engine`, or a live
+            deployment directory -- opened at its current generation (read
+            path only: the write-ahead log is not replayed), which the
+            engine reports as its ``generation``.
         store: how to serve the pages -- ``"file"`` (lazy reads through the
             page file), ``"mmap"`` (memory-mapped read-mostly view) or
             ``"memory"`` (eagerly load everything, fully in-memory serving).
@@ -149,7 +152,7 @@ def open_engine(
     """
     from repro.engine.engine import QueryEngine  # deferred: import cycle
 
-    path = os.fspath(path)
+    path, generation = resolve_snapshot(path)
     page_store = open_page_store(store, path, verify=verify)
     meta = page_store.read_meta()
     if meta is None:
@@ -212,6 +215,7 @@ def open_engine(
     )
     engine._dirty = False
     engine._readonly = readonly
+    engine._generation = generation or 0
     engine.shard_info = meta.get("shard")
     return engine
 

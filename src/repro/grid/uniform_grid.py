@@ -219,7 +219,8 @@ def grid_candidates(
     def read_cell(cell: Tuple[int, int]) -> CandidateBlock:
         if cache is None:
             return grid.cell_block(cell)
-        return cache.get(("grid-cell", cell), lambda: grid.cell_block(cell))
+        # Scoped to this grid: one batch cache serves every shard's grid.
+        return cache.get(("grid-cell", id(grid), cell), lambda: grid.cell_block(cell))
 
     seen_cells: Set[Tuple[int, int]] = set()
     blocks: List[CandidateBlock] = []

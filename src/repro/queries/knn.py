@@ -21,11 +21,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
+from repro.queries.candidates import PRUNE_TOLERANCE
+from repro.queries.spec import KNNQuery
 from repro.rtree.tree import RTree
 from repro.uncertain.objects import UncertainObject
 
@@ -111,101 +113,114 @@ def knn_answer_objects_brute_force(
     )
 
 
-class ProbabilisticKNN:
-    """k-PNN query processor over an R-tree of uncertain objects.
+#: One source of k-PNN candidates: its routing-bound distance from the
+#: query point, its R-tree, and its objects by id.
+KNNPart = Tuple[float, RTree, Mapping[int, UncertainObject]]
 
-    Args:
-        tree: R-tree over the objects (used for bound computation and
-            candidate retrieval).
-        objects: the full objects, keyed by id (needed for pdf sampling).
+
+def kth_max_distance_values(
+    tree: RTree, by_id: Mapping[int, UncertainObject], query: Point, k: int
+) -> List[float]:
+    """The (up to) ``k`` smallest object maximum distances, ascending.
+
+    A best-first traversal of ``tree`` by *maximum* distance: the multiset it
+    pops before stopping.  Merged across disjoint trees, the k-th smallest of
+    these lists is the single-tree ``d_kminmax`` exactly.
     """
+    heap: List[tuple] = []
+    counter = itertools.count()
+    heapq.heappush(heap, (0.0, next(counter), False, tree.root))
+    found: List[float] = []
+    while heap and len(found) < k:
+        key, _, is_object, item = heapq.heappop(heap)
+        if is_object:
+            found.append(key)
+            continue
+        node = item
+        if node.is_leaf:
+            for entry in tree._read_leaf(node):
+                # Use the object's true maximum distance (the MBC inscribed
+                # in the MBR), not the MBR corner distance, so the bound
+                # matches the answer-object semantics exactly.
+                max_dist = by_id[entry.oid].max_distance(query)
+                heapq.heappush(heap, (max_dist, next(counter), True, entry.oid))
+        else:
+            for entry in node.entries:
+                # A child's smallest possible "max distance" is its min
+                # distance; use it as an optimistic key.
+                heapq.heappush(
+                    heap,
+                    (
+                        entry.mbr.min_distance_to_point(query),
+                        next(counter),
+                        False,
+                        entry.child,
+                    ),
+                )
+    return found
 
-    def __init__(self, tree: RTree, objects: Sequence[UncertainObject]):
-        self.tree = tree
-        self.by_id: Dict[int, UncertainObject] = {obj.oid: obj for obj in objects}
 
-    # ------------------------------------------------------------------ #
-    # candidate retrieval
-    # ------------------------------------------------------------------ #
-    def _kth_max_distance_bound(self, query: Point, k: int) -> float:
-        """Best-first traversal by *maximum* distance to find ``d_kminmax``."""
-        found = self.kth_max_distance_values(query, k)
-        return found[-1] if found else float("inf")
+def knn_candidates(
+    parts: Sequence[KNNPart], query: Point, k: int, margin: float = 0.0
+) -> List[UncertainObject]:
+    """Objects with non-zero probability of being among the ``k`` nearest.
 
-    def kth_max_distance_values(self, query: Point, k: int) -> List[float]:
-        """The (up to) ``k`` smallest object maximum distances, ascending.
+    ``parts`` come in ascending bound distance.  The ``d_kminmax`` bound is
+    the k-th smallest of the merged per-part maximum distances; a part
+    whose bound distance exceeds the running bound by more than ``margin``
+    cannot hold a candidate and is skipped (``margin=inf`` probes every
+    part).  Candidates are the objects within ``d_kminmax`` of the query,
+    sorted by id -- the order the Monte-Carlo estimate consumes its
+    generator in.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    values: List[float] = []
+    for distance, tree, by_id in parts:
+        if len(values) >= k and distance > values[k - 1] + margin:
+            break
+        if by_id:
+            values.extend(kth_max_distance_values(tree, by_id, query, k))
+            values.sort()
+    if not values:
+        return []
+    bound = values[min(k, len(values)) - 1]
+    # MBR-disk intersection is an object-local predicate, so per-part
+    # circular range queries union to exactly the single-tree result.
+    candidates: List[UncertainObject] = []
+    for distance, tree, by_id in parts:
+        if distance > bound + margin:
+            break
+        for oid in tree.circular_range_query(query, bound):
+            obj = by_id[oid]
+            if obj.min_distance(query) <= bound + PRUNE_TOLERANCE:
+                candidates.append(obj)
+    candidates.sort(key=lambda obj: obj.oid)
+    return candidates
 
-        This is the multiset the best-first traversal pops before stopping;
-        the sharded engine merges these lists across shards, whose k-th
-        smallest equals the single-tree ``d_kminmax`` exactly.
-        """
-        heap: List[tuple] = []
-        counter = itertools.count()
-        heapq.heappush(heap, (0.0, next(counter), False, self.tree.root))
-        found: List[float] = []
-        while heap and len(found) < k:
-            key, _, is_object, item = heapq.heappop(heap)
-            if is_object:
-                found.append(key)
-                continue
-            node = item
-            if node.is_leaf:
-                for entry in self.tree._read_leaf(node):
-                    # Use the object's true maximum distance (the MBC inscribed
-                    # in the MBR), not the MBR corner distance, so the bound
-                    # matches the answer-object semantics exactly.
-                    max_dist = self.by_id[entry.oid].max_distance(query)
-                    heapq.heappush(heap, (max_dist, next(counter), True, entry.oid))
-            else:
-                for entry in node.entries:
-                    # A child's smallest possible "max distance" is its min
-                    # distance; use it as an optimistic key.
-                    heapq.heappush(
-                        heap,
-                        (
-                            entry.mbr.min_distance_to_point(query),
-                            next(counter),
-                            False,
-                            entry.child,
-                        ),
-                    )
-        return found
 
-    def retrieve_candidates(self, query: Point, k: int) -> List[int]:
-        """Ids of objects with non-zero probability of being in the top ``k``."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        bound = self._kth_max_distance_bound(query, k)
-        if bound == float("inf"):
-            return []
-        candidates = self.tree.circular_range_query(query, bound)
-        return sorted(
-            oid
-            for oid in candidates
-            if self.by_id[oid].min_distance(query) <= bound + 1e-12
-        )
+def evaluate_knn(
+    parts: Sequence[KNNPart],
+    query: KNNQuery,
+    rng: Optional[np.random.Generator] = None,
+    margin: float = 0.0,
+) -> KNNResult:
+    """Evaluate a k-PNN query with Monte-Carlo probability estimation.
 
-    # ------------------------------------------------------------------ #
-    # full query
-    # ------------------------------------------------------------------ #
-    def query(
-        self,
-        query: Point,
-        k: int,
-        worlds: int = 2000,
-        rng: Optional[np.random.Generator] = None,
-    ) -> KNNResult:
-        """Evaluate a k-PNN query with Monte-Carlo probability estimation."""
-        candidate_ids = self.retrieve_candidates(query, k)
-        candidates = [self.by_id[oid] for oid in candidate_ids]
-        if not candidates:
-            return KNNResult(query=query, k=k)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        answers = estimate_knn_probabilities(
-            candidates, query, k, worlds=worlds, rng=rng
-        )
-        return KNNResult(query=query, k=k, answers=answers)
+    ``parts`` and ``margin`` are as in :func:`knn_candidates`: one engine
+    passes its single ``(0.0, rtree, by_id)`` part, the sharded router one
+    part per shard in routing order.  ``rng`` overrides the descriptor's
+    seed; with neither, the estimate uses seed 0.
+    """
+    candidates = knn_candidates(parts, query.point, query.k, margin)
+    if not candidates:
+        return KNNResult(query=query.point, k=query.k)
+    if rng is None:
+        rng = np.random.default_rng(0 if query.seed is None else query.seed)
+    answers = estimate_knn_probabilities(
+        candidates, query.point, query.k, worlds=query.worlds, rng=rng
+    )
+    return KNNResult(query=query.point, k=query.k, answers=answers)
 
 
 def estimate_knn_probabilities(

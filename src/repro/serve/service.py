@@ -188,8 +188,10 @@ class QueryService:
         self._watch_thread: Optional[threading.Thread] = None
         self._generation: Optional[int] = None
         self._last_reload_error: Optional[str] = None
-        self._sharded = False
-        self._shard_token: Optional[tuple] = None
+        # The deployment token (epoch, per-shard generations) every live
+        # worker last confirmed; the watcher reloads while the one on disk
+        # differs.
+        self._token: Optional[tuple] = None
 
     # -- lifecycle ------------------------------------------------------- #
     def start(self, ready_timeout: float = 60.0) -> "QueryService":
@@ -249,6 +251,8 @@ class QueryService:
         watcher retries the roll on its next poll instead of stranding
         that worker on a stale, possibly pruned generation.
         """
+        # Read before the roll: workers reload to this token or a newer one.
+        token = self._read_token()
         responses = self.router.reload_workers()
         swapped = 0
         confirmed: List[int] = []
@@ -269,6 +273,7 @@ class QueryService:
                 confirmed.append(generation)
         if all_ok:
             self._generation = min(confirmed)
+            self._token = token
             self._last_reload_error = None
         elif failure is not None:
             # Typically a worker that verified the new generation, found it
@@ -283,35 +288,25 @@ class QueryService:
         plain snapshot files or before the first manifest read)."""
         return self._generation
 
-    def _sharded_token(self) -> Optional[tuple]:
-        """(epoch, per-shard generations) of a sharded deployment, or
-        ``None`` mid-flip -- the watcher's change-detection token."""
-        from repro.engine.snapshot import resolve_snapshot
-        from repro.shard import read_shard_deployment
+    def _read_token(self) -> Optional[tuple]:
+        """The deployment's (epoch, per-shard generations), or ``None``
+        mid-flip -- the watcher's change-detection token."""
+        from repro.shard.deployment import deployment_token
 
         try:
-            deployment = read_shard_deployment(self.config.snapshot_path)
-            generations = tuple(
-                resolve_snapshot(path)[1] or 0
-                for path in deployment.shard_paths(self.config.snapshot_path)
-            )
+            return deployment_token(self.config.snapshot_path)
         except (OSError, ValueError):
             return None
-        return (deployment.epoch, generations)
 
     def _start_watcher(self) -> None:
-        from repro.engine.snapshot import is_live_directory, read_manifest
-        from repro.shard import is_sharded_directory
+        from repro.shard.deployment import token_generation
 
-        self._sharded = is_sharded_directory(self.config.snapshot_path)
-        if self._sharded:
-            token = self._sharded_token()
-            self._shard_token = token
-            self._generation = token[0] if token else None
-        elif is_live_directory(self.config.snapshot_path):
-            self._generation = read_manifest(self.config.snapshot_path).generation
-        else:
-            return
+        token = self._read_token()
+        if token == (0, ()):
+            return  # a plain snapshot file has no manifest to watch
+        self._token = token
+        if token is not None:
+            self._generation = token_generation(token)
         if self.config.reload_poll <= 0:
             return
         self._watch_stop.clear()
@@ -321,30 +316,16 @@ class QueryService:
         self._watch_thread.start()
 
     def _watch_manifest(self) -> None:
-        """Poll the manifest; roll reloads when a checkpoint flips it."""
-        from repro.engine.snapshot import read_manifest
-
+        """Poll the manifests; roll reloads when a checkpoint or a
+        rebalance flips one."""
         while not self._watch_stop.wait(self.config.reload_poll):
-            if self._sharded:
-                token = self._sharded_token()
-                if token is None or token == self._shard_token:
-                    continue  # flip in progress, read error, or no change
-                try:
-                    self.reload()
-                    self._shard_token = token
-                except Exception:  # noqa: BLE001 - the watcher must survive
-                    continue
-                continue
+            token = self._read_token()
+            if token is None or token == self._token:
+                continue  # flip in progress, read error, or no change
             try:
-                manifest = read_manifest(self.config.snapshot_path)
-            except (OSError, ValueError):
-                continue  # flip in progress or transient read error
-            if manifest.generation == self._generation:
-                continue
-            try:
-                # reload() advances self._generation only when every live
-                # worker confirms the new generation; on a partial failure
-                # it stays behind the manifest and this loop retries.
+                # reload() advances the token only when every live worker
+                # confirms; on a partial failure it stays behind the
+                # manifests and this loop retries.
                 self.reload()
             except Exception:  # noqa: BLE001 - the watcher must survive
                 continue
@@ -402,62 +383,39 @@ class QueryService:
 
         Everything here degrades to ``None`` rather than failing: the
         endpoint must answer even mid-checkpoint-flip or over a plain
-        snapshot file (which has no manifest at all).
+        snapshot file (which has no manifest at all).  A sharded
+        deployment's state is the union of its shard directories' states
+        (each is an ordinary live deployment); a live directory is its own.
         """
-        from repro.engine.snapshot import (
-            is_live_directory,
-            list_quarantined,
-            read_manifest,
-        )
-        from repro.wal.checkpoint import read_checkpoint_status
-
         import os
 
-        from repro.shard import is_sharded_directory, read_shard_deployment
+        from repro.shard.deployment import deployment_layout
 
         stats: Dict[str, Any] = {
             "live_directory": False,
             "sharded": False,
             "last_reload_error": self._last_reload_error,
         }
-        if is_sharded_directory(self.config.snapshot_path):
-            # A sharded deployment's durability state is the union of its
-            # shard directories' states (each is a PR 8 live deployment).
-            stats["sharded"] = True
-            try:
-                deployment = read_shard_deployment(self.config.snapshot_path)
-            except (OSError, ValueError):
-                stats["shard_map"] = None
-                return stats
-            stats["epoch"] = deployment.epoch
-            stats["shard_map"] = deployment.shard_map.to_dict()
-            shards: List[Dict[str, Any]] = []
-            for name in deployment.shard_dirs:
-                shard_path = os.path.join(self.config.snapshot_path, name)
-                entry: Dict[str, Any] = {
-                    "directory": name,
-                    "live_directory": is_live_directory(shard_path),
-                }
-                if entry["live_directory"]:
-                    try:
-                        entry["manifest"] = read_manifest(shard_path).to_dict()
-                    except (OSError, ValueError):
-                        entry["manifest"] = None
-                    entry["quarantined"] = list_quarantined(shard_path)
-                    entry["checkpoint"] = read_checkpoint_status(shard_path)
-                shards.append(entry)
-            stats["shards"] = shards
-            return stats
-        if not is_live_directory(self.config.snapshot_path):
-            return stats
-        stats["live_directory"] = True
         try:
-            manifest = read_manifest(self.config.snapshot_path)
-            stats["manifest"] = manifest.to_dict()
+            layout = deployment_layout(self.config.snapshot_path)
         except (OSError, ValueError):
-            stats["manifest"] = None
-        stats["quarantined"] = list_quarantined(self.config.snapshot_path)
-        stats["checkpoint"] = read_checkpoint_status(self.config.snapshot_path)
+            # Only a SHARDMAP is read here; a rebalance may be flipping it.
+            stats.update(sharded=True, shard_map=None)
+            return stats
+        shards = [_directory_durability(path) for path in layout.directories]
+        if layout.shard_map is None:
+            if shards:
+                stats.update(shards[0])
+            return stats
+        stats.update(
+            sharded=True,
+            epoch=layout.epoch,
+            shard_map=layout.shard_map.to_dict(),
+            shards=[
+                {"directory": os.path.basename(path), **entry}
+                for path, entry in zip(layout.directories, shards)
+            ],
+        )
         return stats
 
     # -- addresses ------------------------------------------------------- #
@@ -472,6 +430,26 @@ class QueryService:
     def url(self) -> str:
         """Base URL of the running service."""
         return f"http://{self.config.host}:{self.port}"
+
+
+def _directory_durability(directory: str) -> Dict[str, Any]:
+    """Manifest, quarantine, and checkpointer state of one shard directory."""
+    from repro.engine.snapshot import (
+        is_live_directory,
+        list_quarantined,
+        read_manifest,
+    )
+    from repro.wal.checkpoint import read_checkpoint_status
+
+    entry: Dict[str, Any] = {"live_directory": is_live_directory(directory)}
+    if entry["live_directory"]:
+        try:
+            entry["manifest"] = read_manifest(directory).to_dict()
+        except (OSError, ValueError):
+            entry["manifest"] = None
+        entry["quarantined"] = list_quarantined(directory)
+        entry["checkpoint"] = read_checkpoint_status(directory)
+    return entry
 
 
 def serve_forever(config: ServeConfig, banner=print) -> int:

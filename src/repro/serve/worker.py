@@ -1,12 +1,12 @@
 """The worker process: one read-only engine, one request loop.
 
-Each worker ``QueryEngine.open()``-s the shared snapshot with
-``readonly=True`` (mmap store by default, so N workers share one set of
-physical pages) and then loops: take a :class:`~repro.serve.protocol.Request`
-from its queue, execute it, put a :class:`~repro.serve.protocol.Response` on
-the shared response queue.  Workers hold no routing state -- crash recovery
-is entirely the router's job, which is what makes kill -9 on a worker a
-recoverable event.
+Each worker opens the shared deployment read-only through
+:func:`~repro.shard.deployment.open_deployment` (mmap store by default, so
+N workers share one set of physical pages) and then loops: take a
+:class:`~repro.serve.protocol.Request` from its queue, execute it, put a
+:class:`~repro.serve.protocol.Response` on the shared response queue.
+Workers hold no routing state -- crash recovery is entirely the router's
+job, which is what makes kill -9 on a worker a recoverable event.
 
 The module is imported fresh in each spawned process, so everything the
 worker needs arrives through :func:`worker_main`'s picklable arguments.
@@ -40,9 +40,8 @@ SHUTDOWN = None
 def _encode_result(result) -> Dict[str, Any]:
     """Serialize whatever ``QueryEngine.execute`` returned."""
     from repro.engine.engine import BatchStream
-    from repro.shard.engine import ShardedBatchStream
 
-    if isinstance(result, (BatchStream, ShardedBatchStream)):
+    if isinstance(result, BatchStream):
         # Materialise the stream worker-side: the shared read cache only
         # lives for the stream's duration anyway, and the wire carries the
         # per-query results plus the cache counters the stream accumulated.
@@ -111,49 +110,33 @@ class WorkerRuntime:
     """
 
     def __init__(self, worker_id: int, config, injector=None):
-        from repro.engine.snapshot import resolve_snapshot
-        from repro.shard import is_sharded_directory
+        from repro.shard.deployment import deployment_token
 
         self.worker_id = worker_id
         self.config = config
         self.injector = injector
-        self.sharded = is_sharded_directory(config.snapshot_path)
-        if self.sharded:
-            # A sharded deployment opens as a scatter-gather router over
-            # every shard's current generation; the worker's "generation"
-            # is the deployment epoch and reloads track per-shard
-            # generations alongside it.
-            self.snapshot_file = config.snapshot_path
-            self.engine = self._open_sharded()
-            self.generation = self.engine.epoch
-            self._shard_generations = tuple(self.engine.generations)
-        else:
-            # A live deployment directory resolves through its manifest to
-            # the current generation's snapshot file; a plain snapshot
-            # resolves to itself with no generation.
-            self.snapshot_file, self.generation = resolve_snapshot(
-                config.snapshot_path
-            )
-            self.engine = self._open(self.snapshot_file)
+        # A plain snapshot, a live directory (its current generation) and a
+        # sharded deployment (every shard's current generation behind the
+        # scatter-gather router) all open through one opener.  The reload
+        # token is read before the open: a flip in between costs one
+        # redundant reload, never a missed one.
+        self._token = deployment_token(config.snapshot_path)
+        self.engine = self._open()
         self.requests_handled = 0
         self.reloads = 0
 
-    def _open(self, snapshot_file: str, verify: bool = False):
-        from repro.engine.engine import QueryEngine
+    @property
+    def generation(self):
+        """The served generation: a sharded deployment's epoch, a live
+        directory's snapshot generation, ``None`` for a snapshot file."""
+        from repro.shard.deployment import token_generation
 
-        return QueryEngine.open(
-            snapshot_file,
-            store=self.config.store,
-            buffer_pages=self.config.buffer_pages,
-            read_latency=self.config.read_latency,
-            readonly=True,
-            verify=verify,
-        )
+        return token_generation(self._token)
 
-    def _open_sharded(self, verify: bool = False):
-        from repro.shard import ShardedQueryEngine
+    def _open(self, verify: bool = False):
+        from repro.shard.deployment import open_deployment
 
-        return ShardedQueryEngine.open(
+        return open_deployment(
             self.config.snapshot_path,
             store=self.config.store,
             buffer_pages=self.config.buffer_pages,
@@ -162,7 +145,8 @@ class WorkerRuntime:
         )
 
     def _reload(self) -> Dict[str, Any]:
-        """Reopen the snapshot when the manifest names a newer generation.
+        """Reopen the deployment when its ``(epoch, per-shard generations)``
+        token moved on (a checkpoint or a rebalance flipped a manifest).
 
         The new engine is fully opened -- and, on a reload, *verified*
         end-to-end -- before the old one is swapped out, so a corrupt or
@@ -172,58 +156,18 @@ class WorkerRuntime:
         latency matters there and a lazily surfacing fault still raises a
         structured error.)
         """
-        from repro.engine.snapshot import resolve_snapshot
+        from repro.shard.deployment import deployment_token
 
-        if self.sharded:
-            return self._reload_sharded()
-        snapshot_file, generation = resolve_snapshot(self.config.snapshot_path)
-        if snapshot_file == self.snapshot_file and generation == self.generation:
-            return {
-                "reloaded": False,
-                "generation": generation,
-                "objects": len(self.engine),
-            }
-        engine = self._open(snapshot_file, verify=True)
-        self.engine = engine
-        self.snapshot_file = snapshot_file
-        self.generation = generation
-        self.reloads += 1
+        token = deployment_token(self.config.snapshot_path)
+        reloaded = token != self._token
+        if reloaded:
+            self.engine = self._open(verify=True)
+            self._token = token
+            self.reloads += 1
         return {
-            "reloaded": True,
-            "generation": generation,
-            "objects": len(engine),
-        }
-
-    def _reload_sharded(self) -> Dict[str, Any]:
-        """Swap in a new epoch or per-shard generations if the SHARDMAP or
-        any shard manifest moved on (same swap-only-on-success contract as
-        the single-snapshot path)."""
-        from repro.engine.snapshot import resolve_snapshot
-        from repro.shard import read_shard_deployment
-
-        deployment = read_shard_deployment(self.config.snapshot_path)
-        generations = tuple(
-            resolve_snapshot(path)[1] or 0
-            for path in deployment.shard_paths(self.config.snapshot_path)
-        )
-        if (
-            deployment.epoch == self.generation
-            and generations == self._shard_generations
-        ):
-            return {
-                "reloaded": False,
-                "generation": self.generation,
-                "objects": len(self.engine),
-            }
-        engine = self._open_sharded(verify=True)
-        self.engine = engine
-        self.generation = engine.epoch
-        self._shard_generations = tuple(engine.generations)
-        self.reloads += 1
-        return {
-            "reloaded": True,
+            "reloaded": reloaded,
             "generation": self.generation,
-            "objects": len(engine),
+            "objects": len(self.engine),
         }
 
     def handle(self, request: Request) -> Response:
@@ -286,13 +230,13 @@ class WorkerRuntime:
         """Engine-side statistics surfaced by the ``/stats`` endpoint."""
         engine = self.engine
         io = engine.io_stats()
-        backend = getattr(engine, "backend_name", None)
-        if backend is None:
-            backend = engine.backend.name
+        # A sharded deployment has one planner per shard; report the home
+        # (first) shard's model plus the shard layout.
+        shards = getattr(engine, "engines", [engine])
         payload = {
             "worker_id": self.worker_id,
             "pid": os.getpid(),
-            "backend": backend,
+            "backend": engine.backend_name,
             "objects": len(engine),
             "readonly": engine.readonly,
             "generation": self.generation,
@@ -301,20 +245,13 @@ class WorkerRuntime:
             "io": io.as_dict(),
             "buffer_pool_hit_ratio": io.cache_hit_ratio,
             "index_statistics": dict(engine.statistics()),
+            "planner_statistics": dict(shards[0].planner.backend_statistics()),
         }
-        if self.sharded:
-            # The fleet has one planner per shard; report the home (first)
-            # shard's model plus the shard layout instead of a single view.
-            payload["shards"] = len(engine.engines)
-            payload["epoch"] = engine.epoch
-            payload["shard_generations"] = list(engine.generations)
-            payload["planner_statistics"] = dict(
-                engine.engines[0].planner.backend_statistics()
-            )
-        else:
-            payload["planner_statistics"] = dict(
-                engine.planner.backend_statistics()
-            )
+        epoch, generations = self._token
+        if epoch:
+            payload["shards"] = len(generations)
+            payload["epoch"] = epoch
+            payload["shard_generations"] = list(generations)
         return payload
 
 

@@ -17,13 +17,19 @@ shape:
   candidates, and runs one refinement so answers are bit-identical to the
   single-snapshot engine,
 * :mod:`~repro.shard.rebalance` -- splits / merges shards from observed
-  per-shard statistics into a new deployment epoch.
+  per-shard statistics into a new deployment epoch,
+* :func:`~repro.shard.deployment.open_deployment` /
+  :func:`~repro.shard.deployment.deployment_layout` -- every deployment as
+  N >= 1 shard directories: the one place that tells a ``SHARDMAP``
+  directory from a live directory or a snapshot file.
 """
 
 from repro.shard.deployment import (
     SHARDMAP_NAME,
     ShardDeployment,
+    deployment_layout,
     is_sharded_directory,
+    open_deployment,
     read_shard_deployment,
     write_shard_deployment,
 )
@@ -42,7 +48,9 @@ __all__ = [
     "RebalancePlan",
     "build_shard_map",
     "build_sharded_deployment",
+    "deployment_layout",
     "is_sharded_directory",
+    "open_deployment",
     "plan_rebalance",
     "read_shard_deployment",
     "rebalance",

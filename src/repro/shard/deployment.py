@@ -176,3 +176,87 @@ def write_shard_deployment(directory: str, deployment: ShardDeployment) -> str:
     finally:
         os.close(directory_fd)
     return target
+
+
+@dataclass(frozen=True)
+class DeploymentLayout:
+    """Where the shards of whatever ``path`` names live (N >= 1 view).
+
+    Attributes:
+        epoch: the ``SHARDMAP`` epoch; ``0`` for anything unsharded.
+        directories: the live deployment directory of every shard, by shard
+            id.  A plain live directory is one shard, itself; a snapshot
+            file has none.
+        shard_map: the sharded deployment's map, ``None`` when unsharded.
+    """
+
+    epoch: int
+    directories: Tuple[str, ...]
+    shard_map: Optional[ShardMap] = None
+
+
+def deployment_layout(path: str) -> DeploymentLayout:
+    """The :class:`DeploymentLayout` behind ``path``.
+
+    Raises ``OSError`` / ``ValueError`` when a ``SHARDMAP`` cannot be read
+    (a rebalance flipping it, or corruption).
+    """
+    from repro.engine.snapshot import is_live_directory
+
+    if is_sharded_directory(path):
+        deployment = read_shard_deployment(path)
+        return DeploymentLayout(
+            deployment.epoch,
+            tuple(deployment.shard_paths(path)),
+            deployment.shard_map,
+        )
+    return DeploymentLayout(0, (path,) if is_live_directory(path) else ())
+
+
+def deployment_token(path: str) -> Tuple[int, Tuple[int, ...]]:
+    """``(epoch, per-shard generations)``, what a served deployment reloads
+    on: it moves when a checkpoint flips any shard's manifest or a rebalance
+    flips the ``SHARDMAP``."""
+    from repro.engine.snapshot import resolve_snapshot
+
+    layout = deployment_layout(path)
+    return layout.epoch, tuple(
+        resolve_snapshot(directory)[1] or 0 for directory in layout.directories
+    )
+
+
+def token_generation(token: Tuple[int, Tuple[int, ...]]) -> Optional[int]:
+    """The generation a deployment reports for ``token``: a sharded
+    deployment's epoch, a live directory's snapshot generation, ``None`` for
+    a plain snapshot file."""
+    epoch, generations = token
+    if epoch:
+        return epoch
+    return generations[0] if generations else None
+
+
+def open_deployment(
+    path: str,
+    *,
+    store: str = "file",
+    buffer_pages: Optional[int] = None,
+    read_latency: float = 0.0,
+    verify: bool = False,
+) -> Any:
+    """Open any deployment read-only: the one opener of every serving path.
+
+    A snapshot file or a live directory opens as a
+    :class:`~repro.engine.engine.QueryEngine` (a directory at its current
+    generation); a ``SHARDMAP`` directory opens as a
+    :class:`~repro.shard.engine.ShardedQueryEngine` over every shard's
+    current generation.  Either way the engine refuses mutation and reports
+    the generation it serves.
+    """
+    from repro.engine.engine import QueryEngine
+    from repro.shard.engine import ShardedQueryEngine
+
+    options = dict(store=store, buffer_pages=buffer_pages,
+                   read_latency=read_latency, verify=verify)
+    if is_sharded_directory(path):
+        return ShardedQueryEngine.open(path, **options)
+    return QueryEngine.open(path, readonly=True, **options)

@@ -15,60 +15,56 @@ shard map's possible-region bounds:
   :func:`~repro.queries.pipeline.evaluate_pnn` refinement over the union
   reproduces the global answers -- ids, probabilities, and ordering --
   bit-identically.
-* **KNN** -- the global ``d_kminmax`` bound is the k-th smallest of the
-  merged per-shard k-smallest maximum distances (the same multiset the
-  single engine's best-first traversal consumes); candidates and the
-  Monte-Carlo estimation then run over the identical sorted candidate list
-  with the identical generator, so probabilities match exactly.
+* **KNN** -- the single engine's own routine,
+  :func:`~repro.queries.knn.evaluate_knn`, over one part per shard in
+  bound-distance order: the global ``d_kminmax`` bound is the k-th smallest
+  of the merged per-shard k-smallest maximum distances, and the Monte-Carlo
+  estimate runs over the identical sorted candidate list with the identical
+  generator, so probabilities match exactly.
 * **Range** -- UV backends answer from the deployment's global leaf
-  skeleton, the grid merges per-shard distinct counts over the shared cell
-  geometry, and other backends union candidate ids; each path reproduces
-  the single-snapshot partition listing value-for-value.
+  skeleton; other backends sum the shards' own partition listings (the
+  grid's shared cells, or the region itself); each path reproduces the
+  single-snapshot partition listing value-for-value.
 
-Routing decisions never change answers -- only which shards pay page reads
--- and the ``bench_sharded`` benchmark gates that the routed path reads at
-least 2x fewer candidate pages than scattering to every shard.
+Batches stream through the single engine's
+:class:`~repro.engine.engine.BatchStream` and EXPLAIN is its
+:func:`~repro.engine.engine.explain_analyze`.  Routing decisions never
+change answers -- only which shards pay page reads -- and the
+``bench_sharded`` benchmark gates that the routed path reads at least 2x
+fewer candidate pages than scattering to every shard.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.pattern import PartitionInfo, PartitionQueryResult
 from repro.engine.backend import BatchReadCache
 from repro.engine.config import DiagramConfig
-from repro.engine.engine import QueryEngine
+from repro.engine.engine import BatchStream, QueryEngine, explain_analyze
 from repro.engine.planner import (
     STRATEGY_SCATTER_GATHER,
     ExplainReport,
     QueryPlan,
 )
-from repro.engine.snapshot import resolve_snapshot
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.queries.candidates import PRUNE_TOLERANCE, CandidateBlock, d_minmax
-from repro.queries.knn import (
-    KNNResult,
-    ProbabilisticKNN,
-    estimate_knn_probabilities,
-)
+from repro.queries.candidates import CandidateBlock, d_minmax
+from repro.queries.knn import evaluate_knn
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
 from repro.queries.result import PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, Query, RangeQuery
-from repro.shard.deployment import (
-    ShardDeployment,
-    read_shard_deployment,
-)
-from repro.storage.stats import IOStats, TimingBreakdown
+from repro.shard.builder import UV_BACKENDS
+from repro.shard.deployment import ShardDeployment, read_shard_deployment
+from repro.storage.codec import rect_state
+from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
 from repro.wal.checkpoint import CheckpointResult, Checkpointer
-
-#: Backends whose range queries are answered from the global UV skeleton.
-_UV_BACKENDS = ("ic", "icr", "basic")
 
 
 class FleetIO:
@@ -82,8 +78,8 @@ class FleetIO:
     def __init__(self, engines: Sequence[QueryEngine]) -> None:
         self._engines = engines
 
-    def current(self) -> IOStats:
-        """Summed counters across every shard disk."""
+    def snapshot(self) -> IOStats:
+        """Summed counters across every shard disk (pipeline protocol)."""
         total = IOStats()
         for engine in self._engines:
             stats = engine.disk.stats
@@ -94,83 +90,9 @@ class FleetIO:
             total.cache_misses += stats.cache_misses
         return total
 
-    def snapshot(self) -> IOStats:
-        """Independent copy of the summed counters (pipeline protocol)."""
-        return self.current()
-
     def delta(self, before: IOStats) -> IOStats:
         """Summed counters accumulated since ``before`` (pipeline protocol)."""
-        return self.current().delta(before)
-
-
-class ShardBatchCaches:
-    """Per-shard read caches of one batch, plus the aggregate counters.
-
-    Cache keys identify index granules *within one shard's disk*, so a
-    single shared cache would collide across shards; each shard gets its own
-    :class:`BatchReadCache` and this wrapper reports the summed hit/miss
-    counters the CLI and benchmarks read.
-    """
-
-    def __init__(self, shards: int) -> None:
-        self.per_shard: List[BatchReadCache] = [BatchReadCache() for _ in range(shards)]
-
-    @property
-    def hits(self) -> int:
-        return sum(cache.hits for cache in self.per_shard)
-
-    @property
-    def misses(self) -> int:
-        return sum(cache.misses for cache in self.per_shard)
-
-    def __len__(self) -> int:
-        return sum(len(cache) for cache in self.per_shard)
-
-
-class ShardedBatchStream:
-    """Streaming batch evaluation with per-shard shared read caches.
-
-    Mirrors the single-engine ``BatchStream`` contract: yields
-    ``(query, result, plan)`` triples in input order, exposes the aggregate
-    ``cache`` and total ``page_reads``, and refuses to continue when any
-    shard's structure changes mid-stream.
-    """
-
-    def __init__(self, engine: "ShardedQueryEngine", batch: BatchQuery) -> None:
-        self._engine = engine
-        self._queries = list(batch)
-        self._position = 0
-        self._page_reads = 0
-        self._versions = tuple(e.structure_version for e in engine.engines)
-        self.cache = ShardBatchCaches(len(engine.engines))
-
-    @property
-    def page_reads(self) -> int:
-        """Counted page reads consumed by the stream so far."""
-        return self._page_reads
-
-    def __len__(self) -> int:
-        return len(self._queries)
-
-    def __iter__(self) -> "ShardedBatchStream":
-        return self
-
-    def __next__(self) -> Tuple[PNNQuery, PNNResult, QueryPlan]:
-        if self._position >= len(self._queries):
-            raise StopIteration
-        current = tuple(e.structure_version for e in self._engine.engines)
-        if current != self._versions:
-            raise RuntimeError(
-                "sharded deployment changed while a batch stream was open; "
-                "restart the batch to see a consistent diagram"
-            )
-        query = self._queries[self._position]
-        self._position += 1
-        plan = self._engine._plan(query)
-        result = self._engine._execute_pnn(query, caches=self.cache.per_shard)
-        if result.io is not None:
-            self._page_reads += result.io.page_reads
-        return query, result, plan
+        return self.snapshot().delta(before)
 
 
 class ShardedQueryEngine:
@@ -239,22 +161,17 @@ class ShardedQueryEngine:
     ) -> "ShardedQueryEngine":
         """Open every shard snapshot read-only (cold-start serving)."""
         deployment = read_shard_deployment(directory)
-        engines = []
-        for path in deployment.shard_paths(directory):
-            snapshot_file, generation = resolve_snapshot(path)
-            engine = QueryEngine.open(
-                snapshot_file,
+        engines = [
+            QueryEngine.open(
+                path,
                 store=store,
                 buffer_pages=buffer_pages,
                 read_latency=read_latency,
                 readonly=True,
                 verify=verify,
             )
-            # A read-only open of a plain snapshot file does not know its
-            # generation; stamp the manifest's so reload change-detection
-            # and /stats report the served generation accurately.
-            engine._generation = generation or 0
-            engines.append(engine)
+            for path in deployment.shard_paths(directory)
+        ]
         return cls(directory, deployment, engines, live=False)
 
     @classmethod
@@ -269,18 +186,17 @@ class ShardedQueryEngine:
     ) -> "ShardedQueryEngine":
         """Open every shard as a live deployment (recovery + WAL attach)."""
         deployment = read_shard_deployment(directory)
-        engines = []
-        for path in deployment.shard_paths(directory):
-            engines.append(
-                QueryEngine.open_live(
-                    path,
-                    store=store,
-                    buffer_pages=buffer_pages,
-                    read_latency=read_latency,
-                    fsync=fsync,
-                    verify=verify,
-                )
+        engines = [
+            QueryEngine.open_live(
+                path,
+                store=store,
+                buffer_pages=buffer_pages,
+                read_latency=read_latency,
+                fsync=fsync,
+                verify=verify,
             )
+            for path in deployment.shard_paths(directory)
+        ]
         return cls(directory, deployment, engines, live=True)
 
     # ------------------------------------------------------------------ #
@@ -307,11 +223,6 @@ class ShardedQueryEngine:
         return not self.live
 
     @property
-    def index(self) -> None:
-        """No single UV-index exists fleet-wide (rendering needs one shard)."""
-        return None
-
-    @property
     def pending_wal_records(self) -> int:
         """Un-checkpointed WAL records summed across every shard."""
         return sum(engine.pending_wal_records for engine in self.engines)
@@ -324,9 +235,14 @@ class ShardedQueryEngine:
         """Current snapshot generation of every shard, by shard id."""
         return [engine.generation or 0 for engine in self.engines]
 
+    @property
+    def structure_version(self) -> int:
+        """Sum of the shards' structural-change counters (each only grows)."""
+        return sum(engine.structure_version for engine in self.engines)
+
     def io_stats(self) -> IOStats:
         """Summed counted I/O across every shard disk."""
-        return self.fleet_io.current()
+        return self.fleet_io.snapshot()
 
     def statistics(self) -> Dict[str, Any]:
         """Fleet statistics: per-shard object counts, bounds, generations."""
@@ -340,12 +256,7 @@ class ShardedQueryEngine:
                     "shard_id": shard.shard_id,
                     "objects": len(self.engines[shard.shard_id]),
                     "generation": self.engines[shard.shard_id].generation,
-                    "tile": [
-                        shard.tile.xmin,
-                        shard.tile.ymin,
-                        shard.tile.xmax,
-                        shard.tile.ymax,
-                    ],
+                    "tile": rect_state(shard.tile),
                 }
                 for shard in self.shard_map.shards
             ],
@@ -368,13 +279,16 @@ class ShardedQueryEngine:
         and the routing benchmark can measure what pruning saves.
         """
         if isinstance(query, PNNQuery):
-            return self._execute_pnn(query, scatter_all=scatter_all)
+            return self._execute_pnn(query, None, None, scatter_all=scatter_all)
         if isinstance(query, BatchQuery):
-            return ShardedBatchStream(self, query)
+            return BatchStream(self, query, self._plan(query), self._plan)
         if isinstance(query, KNNQuery):
-            if rng is None and query.seed is not None:
-                rng = np.random.default_rng(query.seed)
-            return self._execute_knn(query, rng=rng, scatter_all=scatter_all)
+            margin = math.inf if scatter_all else self._margin
+            parts = [
+                (distance, self.engines[index].rtree, self.engines[index].by_id)
+                for distance, index in self._shard_order(query.point)
+            ]
+            return evaluate_knn(parts, query, rng=rng, margin=margin)
         if isinstance(query, RangeQuery):
             return self._execute_range(query, scatter_all=scatter_all)
         raise TypeError(f"unknown query descriptor: {query!r}")
@@ -382,28 +296,7 @@ class ShardedQueryEngine:
     def explain(self, query: Query) -> ExplainReport:
         """EXPLAIN ANALYZE over the fleet: routed plan plus actual I/O."""
         plan = self._plan(query)
-        before = self.fleet_io.snapshot()
-        timings = TimingBreakdown()
-        start = time.perf_counter()
-        result: Any = self.execute(query)
-        if isinstance(result, ShardedBatchStream):
-            triples = [(item, answer, item_plan) for item, answer, item_plan in result]
-            for _, answer, _ in triples:
-                if answer.timing is not None:
-                    timings.merge(answer.timing)
-            result = triples
-        elif isinstance(result, PNNResult) and result.timing is not None:
-            timings.merge(result.timing)
-        seconds = time.perf_counter() - start
-        io = self.fleet_io.delta(before)
-        return ExplainReport(
-            query=query,
-            plan=plan,
-            result=result,
-            io=io,
-            seconds=seconds,
-            timings=timings,
-        )
+        return explain_analyze(self, query, plan, lambda: self.execute(query))
 
     # ------------------------------------------------------------------ #
     # routing
@@ -418,9 +311,8 @@ class ShardedQueryEngine:
     def _scatter_candidates(
         self,
         point: Point,
-        caches: Optional[Sequence[BatchReadCache]] = None,
+        cache: Optional[BatchReadCache] = None,
         scatter_all: bool = False,
-        probed: Optional[List[int]] = None,
     ) -> CandidateBlock:
         """The routed candidate union for a PNN query at ``point``.
 
@@ -438,10 +330,7 @@ class ShardedQueryEngine:
         for distance, index in self._shard_order(point):
             if not scatter_all and merged and distance > bound + self._margin:
                 break
-            cache = caches[index] if caches is not None else None
             block = self.engines[index].backend.candidates(point, cache=cache)
-            if probed is not None:
-                probed.append(index)
             if len(block):
                 bound = min(bound, d_minmax(point, block))
                 merged.append(block)
@@ -468,12 +357,15 @@ class ShardedQueryEngine:
     def _execute_pnn(
         self,
         query: PNNQuery,
-        caches: Optional[Sequence[BatchReadCache]] = None,
+        plan: Optional[QueryPlan],
+        cache: Optional[BatchReadCache],
         scatter_all: bool = False,
     ) -> PNNResult:
+        """Route, verify and refine one PNN query (``plan`` only informs)."""
+
         def retrieve(point: Point) -> CandidateBlock:
             return self._scatter_candidates(
-                point, caches=caches, scatter_all=scatter_all
+                point, cache=cache, scatter_all=scatter_all
             )
 
         return evaluate_pnn(
@@ -487,72 +379,15 @@ class ShardedQueryEngine:
             top_k=query.top_k,
         )
 
-    def _execute_knn(
-        self,
-        query: KNNQuery,
-        rng: Optional[np.random.Generator],
-        scatter_all: bool = False,
-    ) -> KNNResult:
-        point, k = query.point, query.k
-        processors = [
-            ProbabilisticKNN(engine.rtree, engine.objects) for engine in self.engines
-        ]
-        order = self._shard_order(point)
-        # Phase 1: the global d_kminmax bound.  Each shard's k smallest
-        # maximum distances form the same multiset the single engine's
-        # best-first traversal pops, so the merged k-th smallest is exact.
-        values: List[float] = []
-        for distance, index in order:
-            if (
-                not scatter_all
-                and len(values) >= k
-                and distance > values[k - 1] + self._margin
-            ):
-                break
-            if len(self.engines[index]) == 0:
-                continue
-            values.extend(processors[index].kth_max_distance_values(point, k))
-            values.sort()
-        if not values:
-            return KNNResult(query=point, k=k)
-        bound = values[k - 1] if len(values) >= k else values[-1]
-        # Phase 2: the candidate union under the global bound.  MBR-disk
-        # intersection is an object-local predicate, so per-shard circular
-        # range queries union to exactly the single-tree result.
-        candidate_ids: List[int] = []
-        for distance, index in order:
-            if not scatter_all and distance > bound + self._margin:
-                break
-            if len(self.engines[index]) == 0:
-                continue
-            processor = processors[index]
-            for oid in processor.tree.circular_range_query(point, bound):
-                if processor.by_id[oid].min_distance(point) <= bound + PRUNE_TOLERANCE:
-                    candidate_ids.append(oid)
-        candidate_ids.sort()
-        candidates = [
-            processors[self._owner[oid]].by_id[oid] for oid in candidate_ids
-        ]
-        if not candidates:
-            return KNNResult(query=point, k=k)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        answers = estimate_knn_probabilities(
-            candidates, point, k, worlds=query.worlds, rng=rng
-        )
-        return KNNResult(query=point, k=k, answers=answers)
-
     def _execute_range(
         self, query: RangeQuery, scatter_all: bool = False
     ) -> PartitionQueryResult:
         start = time.perf_counter()
         before = self.fleet_io.snapshot()
-        if self.backend_name in _UV_BACKENDS:
+        if self.backend_name in UV_BACKENDS:
             partitions = self._range_from_skeleton(query.region)
-        elif self.backend_name == "grid":
-            partitions = self._range_grid(query.region, scatter_all=scatter_all)
         else:
-            partitions = self._range_generic(query.region, scatter_all=scatter_all)
+            partitions = self._range_summed(query.region, scatter_all=scatter_all)
         return PartitionQueryResult(
             partitions=partitions,
             io=self.fleet_io.delta(before),
@@ -573,30 +408,27 @@ class ShardedQueryEngine:
                 f"deployment at {self.directory} has no UV skeleton; "
                 "was it built with a UV backend?"
             )
-        partitions: List[PartitionInfo] = []
-        for leaf_region, count in skeleton:
-            if not leaf_region.intersects(region):
-                continue
-            area = leaf_region.area()
-            partitions.append(
-                PartitionInfo(
-                    region=leaf_region,
-                    object_count=count,
-                    density=count / area if area > 0 else 0.0,
-                )
-            )
-        return partitions
+        return [
+            PartitionInfo.of(leaf_region, count)
+            for leaf_region, count in skeleton
+            if leaf_region.intersects(region)
+        ]
 
-    def _range_grid(
+    def _range_summed(
         self, region: Rect, scatter_all: bool = False
     ) -> List[PartitionInfo]:
-        """Merged grid partitions: shared cell geometry, summed counts."""
-        grid = getattr(self.engines[0].backend, "grid")
-        low = grid.cell_of(Point(region.xmin, region.ymin))
-        high = grid.cell_of(Point(region.xmax, region.ymax))
-        low_rect = grid.cell_rect(low)
-        high_rect = grid.cell_rect(high)
-        covered = Rect(low_rect.xmin, low_rect.ymin, high_rect.xmax, high_rect.ymax)
+        """Every probed shard's own partition listing, counts summed.
+
+        Shards list the same partitions (the grid's shared cells, or the
+        region itself) over disjoint objects, so the summed counts are the
+        single-snapshot ones.  Shard 0 lists them when no bound meets them.
+        """
+        covered = region
+        if self.backend_name == "grid":
+            grid = getattr(self.engines[0].backend, "grid")
+            low = grid.cell_rect(grid.cell_of(Point(region.xmin, region.ymin)))
+            high = grid.cell_rect(grid.cell_of(Point(region.xmax, region.ymax)))
+            covered = Rect(low.xmin, low.ymin, high.xmax, high.ymax)
         probed = [
             index
             for index in range(len(self.engines))
@@ -607,137 +439,99 @@ class ShardedQueryEngine:
             for index in probed
         ]
         base = listings[0]
-        for other in listings[1:]:
-            if len(other) != len(base):
-                raise RuntimeError(
-                    "shard grids disagree on cell geometry; the deployment "
-                    "was built with mismatched configurations"
-                )
-        partitions: List[PartitionInfo] = []
-        for position, info in enumerate(base):
-            count = sum(listing[position].object_count for listing in listings)
-            area = info.region.area()
-            partitions.append(
-                PartitionInfo(
-                    region=info.region,
-                    object_count=count,
-                    density=count / area if area > 0 else 0.0,
-                )
+        if any(len(listing) != len(base) for listing in listings):
+            raise RuntimeError(
+                "shards disagree on partition geometry; the deployment was "
+                "built with mismatched configurations"
             )
-        return partitions
-
-    def _range_generic(
-        self, region: Rect, scatter_all: bool = False
-    ) -> List[PartitionInfo]:
-        """Generic single-partition summary: union of shard candidate ids."""
-        oids = set()
-        for index in range(len(self.engines)):
-            if not scatter_all and not self._bounds[index].intersects(region):
-                continue
-            for oid, _ in self.engines[index].backend.range_candidates(region):
-                oids.add(oid)
-        area = region.area()
         return [
-            PartitionInfo(
-                region=region,
-                object_count=len(oids),
-                density=len(oids) / area if area > 0 else 0.0,
+            PartitionInfo.of(
+                info.region, sum(listing[position].object_count for listing in listings)
             )
+            for position, info in enumerate(base)
         ]
 
     # ------------------------------------------------------------------ #
     # planning / EXPLAIN
     # ------------------------------------------------------------------ #
     def _plan(self, query: Query) -> QueryPlan:
-        """A scatter-gather plan annotated with per-shard estimates."""
-        notes: List[str] = [
-            f"scatter-gather over {len(self.engines)} shards (epoch {self.epoch})"
-        ]
-        kind = "batch"
-        threshold = 0.0
-        top_k: Optional[int] = None
-        prob_kernel = "vectorized"
-        estimated_reads = 0.0
-        estimated_candidates = 0.0
-        estimated_cost = 0.0
-        if isinstance(query, (PNNQuery, KNNQuery)):
-            kind = "pnn" if isinstance(query, PNNQuery) else "knn"
-            if isinstance(query, PNNQuery):
-                threshold = query.threshold
-                top_k = query.top_k
-                if not query.compute_probabilities:
-                    prob_kernel = "none"
-            else:
-                prob_kernel = "monte-carlo"
-            order = self._shard_order(query.point)
+        """A scatter-gather plan annotated with per-shard estimates.
+
+        Point queries (and a batch, by its first point) take the plan of the
+        home shard -- the one with the nearest bound -- and its estimates; a
+        range sums the plans of the shards its region touches, or costs no
+        page reads when the epoch skeleton answers it.
+        """
+        count = len(self.engines)
+        notes = [f"scatter-gather over {count} shards (epoch {self.epoch})"]
+        if isinstance(query, RangeQuery):
+            plan = self._plan_range(query, notes)
+        else:
+            points = (
+                [item.point for item in query.queries[:1]]
+                if isinstance(query, BatchQuery) else [query.point]
+            )
+            order = self._shard_order(points[0]) if points else [(0.0, 0)]
             home = order[0][1]
-            home_plan = self.engines[home].planner.plan(query)
-            estimated_reads = home_plan.estimated_page_reads
-            estimated_candidates = home_plan.estimated_candidates
-            estimated_cost = home_plan.estimated_cost
-            for distance, index in order:
-                shard = self.shard_map.shards[index]
+            plan = self.engines[home].planner.plan(query)
+            if points:
+                for distance, index in order:
+                    notes.append(
+                        f"shard {index}: bound mindist {distance:.3f}, "
+                        f"{len(self.engines[index])} objects, max radius "
+                        f"{self.shard_map.shards[index].max_radius:.3f}"
+                    )
                 notes.append(
-                    f"shard {index}: bound mindist {distance:.3f}, "
-                    f"{len(self.engines[index])} objects, "
-                    f"max radius {shard.max_radius:.3f}"
+                    f"home shard {home} estimates "
+                    f"{plan.estimated_page_reads:.1f} page reads"
                 )
-            notes.append(
-                f"home shard {home} estimates {estimated_reads:.1f} page reads"
-            )
-        elif isinstance(query, RangeQuery):
-            kind = "range"
-            prob_kernel = "none"
-            touched = [
-                index
-                for index in range(len(self.engines))
-                if self._bounds[index].intersects(query.region)
-            ]
-            notes.append(
-                f"region intersects {len(touched)} of {len(self.engines)} "
-                f"shard bounds"
-            )
-            if self.backend_name in _UV_BACKENDS and self.deployment.uv_skeleton:
-                matching = sum(
-                    1
-                    for leaf_region, _ in self.deployment.uv_skeleton
-                    if leaf_region.intersects(query.region)
-                )
-                estimated_candidates = float(matching)
-                notes.append(
-                    f"answered from the epoch skeleton: {matching} leaves, "
-                    "0 page reads"
-                )
-            else:
-                for index in touched:
-                    shard_plan = self.engines[index].planner.plan(query)
-                    estimated_reads += shard_plan.estimated_page_reads
-                    estimated_candidates += shard_plan.estimated_candidates
-                    estimated_cost += shard_plan.estimated_cost
-        elif isinstance(query, BatchQuery):
-            kind = "batch"
-            notes.append(
-                f"{len(query)} queries stream through per-shard read caches"
-            )
-            if len(query):
-                first = self.engines[
-                    self._shard_order(query.queries[0].point)[0][1]
-                ].planner.plan(query.queries[0])
-                estimated_reads = first.estimated_page_reads * len(query)
-                estimated_candidates = first.estimated_candidates * len(query)
-                estimated_cost = first.estimated_cost * len(query)
+            if isinstance(query, BatchQuery):
+                notes.append(f"{len(query)} queries stream through one shared read cache")
         return QueryPlan(
-            kind=kind,
+            kind=plan.kind,
             backend=self.backend_name,
             strategy=STRATEGY_SCATTER_GATHER,
-            prob_kernel=prob_kernel,
-            threshold=threshold,
-            top_k=top_k,
-            estimated_page_reads=estimated_reads,
-            estimated_candidates=estimated_candidates,
-            estimated_cost=estimated_cost,
+            prob_kernel=plan.prob_kernel,
+            threshold=plan.threshold,
+            top_k=plan.top_k,
+            estimated_page_reads=plan.estimated_page_reads,
+            estimated_candidates=plan.estimated_candidates,
+            estimated_cost=plan.estimated_cost,
             buffer_pool="per-shard",
             notes=tuple(notes),
+        )
+
+    def _plan_range(self, query: RangeQuery, notes: List[str]) -> QueryPlan:
+        """The summed plans of the shards a region touches -- or none at all
+        when the epoch skeleton answers the query."""
+        touched = [
+            index for index in range(len(self.engines))
+            if self._bounds[index].intersects(query.region)
+        ]
+        notes.append(
+            f"region intersects {len(touched)} of {len(self.engines)} shard bounds"
+        )
+        plans: List[QueryPlan] = []
+        skeleton = self.deployment.uv_skeleton
+        if self.backend_name in UV_BACKENDS and skeleton:
+            matching = sum(
+                1 for leaf_region, _ in skeleton if leaf_region.intersects(query.region)
+            )
+            candidates = float(matching)
+            notes.append(
+                f"answered from the epoch skeleton: {matching} leaves, 0 page reads"
+            )
+        else:
+            plans = [self.engines[index].planner.plan(query) for index in touched]
+            candidates = sum(plan.estimated_candidates for plan in plans)
+        return QueryPlan(
+            kind="range",
+            backend=self.backend_name,
+            strategy=STRATEGY_SCATTER_GATHER,
+            prob_kernel="none",
+            estimated_page_reads=sum(plan.estimated_page_reads for plan in plans),
+            estimated_candidates=candidates,
+            estimated_cost=sum(plan.estimated_cost for plan in plans),
         )
 
     # ------------------------------------------------------------------ #

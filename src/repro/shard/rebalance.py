@@ -20,10 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro.engine.config import DiagramConfig
 from repro.shard.builder import ShardedBuilder
-from repro.shard.deployment import (
-    ShardDeployment,
-    read_shard_deployment,
-)
+from repro.shard.deployment import ShardDeployment
 from repro.shard.engine import ShardedQueryEngine
 from repro.uncertain.objects import UncertainObject
 
@@ -61,10 +58,6 @@ class RebalancePlan:
         for reason in self.reasons:
             lines.append(f"  {reason}")
         return "\n".join(lines)
-
-
-def _observed_counts(engine: ShardedQueryEngine) -> Tuple[int, ...]:
-    return tuple(len(shard) for shard in engine.engines)
 
 
 def plan_rebalance(
@@ -148,10 +141,10 @@ def rebalance(
     Returns:
         The plan and the new deployment manifest (``None`` on dry runs).
     """
-    deployment = read_shard_deployment(directory)
     engine = ShardedQueryEngine.open_live(directory)
+    deployment = engine.deployment
     try:
-        counts = _observed_counts(engine)
+        counts = tuple(len(shard) for shard in engine.engines)
         plan = plan_rebalance(
             deployment, counts, target_shards=target_shards, max_skew=max_skew
         )

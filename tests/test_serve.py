@@ -27,7 +27,14 @@ from repro.serve import (
     WorkerRuntime,
     wait_for_health,
 )
-from repro.serve.protocol import OP_EXPLAIN, OP_PING, OP_QUERY, OP_STATS, Request
+from repro.serve.protocol import (
+    OP_EXPLAIN,
+    OP_PING,
+    OP_QUERY,
+    OP_RELOAD,
+    OP_STATS,
+    Request,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,68 @@ class TestLatencyHistogram:
             "count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0,
             "max_ms": 0.0,
         }
+
+
+@pytest.fixture(scope="module")
+def deployments(tmp_path_factory, medium_dataset):
+    """The same 80 objects as a snapshot file, a live directory, a fleet."""
+    from repro.shard import build_sharded_deployment
+
+    objects, domain = medium_dataset
+    config = DiagramConfig(backend="grid")
+    root = tmp_path_factory.mktemp("surface")
+    engine = QueryEngine.build(objects, domain, config)
+    engine.save(str(root / "engine.snap"))
+    engine.save_generation(str(root / "live"))
+    build_sharded_deployment(objects, domain, str(root / "fleet"),
+                             config=config, shards=2)
+    return {"file": str(root / "engine.snap"), "live": str(root / "live"),
+            "fleet": str(root / "fleet")}
+
+
+class TestDeploymentSurface:
+    """Every deployment kind opens, reloads and reports through one path,
+    with the ``/stats`` keys and values each kind has always had."""
+
+    @pytest.mark.parametrize("kind,generation,shard_generations", [
+        ("file", None, None), ("live", 1, None), ("fleet", 1, [1, 1]),
+    ])
+    def test_worker_stats_and_reload(self, deployments, kind, generation,
+                                     shard_generations):
+        runtime = WorkerRuntime(0, ServeConfig(snapshot_path=deployments[kind]))
+        stats = runtime.stats()
+        assert (stats["backend"], stats["objects"], stats["readonly"]) == (
+            "grid", 80, True)
+        assert stats["generation"] == generation
+        assert stats.get("shard_generations") == shard_generations
+        assert stats.get("epoch") == (1 if kind == "fleet" else None)
+        assert "planner_statistics" in stats
+        reload = runtime.handle(Request(1, OP_RELOAD, None))
+        assert reload.payload == {"reloaded": False, "generation": generation,
+                                  "objects": 80}
+
+    @pytest.mark.parametrize("kind", ["file", "live", "fleet"])
+    def test_durability_stats(self, deployments, kind):
+        from repro.shard.map import ShardMap
+
+        stats = QueryService(
+            ServeConfig(snapshot_path=deployments[kind]))._durability_stats()
+        assert stats["sharded"] is (kind == "fleet")
+        assert stats["live_directory"] is (kind == "live")
+        if kind == "file":
+            assert set(stats) == {"live_directory", "sharded", "last_reload_error"}
+            return
+        shards = stats["shards"] if kind == "fleet" else [stats]
+        for entry in shards:
+            assert entry["manifest"]["generation"] == 1
+            assert entry["quarantined"] == []
+            assert entry["checkpoint"] is None
+        if kind == "fleet":
+            assert stats["epoch"] == 1
+            assert len(ShardMap.from_dict(stats["shard_map"])) == 2
+            assert [entry["directory"] for entry in shards] == [
+                "shard-001-0000", "shard-001-0001"]
+            assert all(entry["live_directory"] for entry in shards)
 
 
 class TestWorkerRuntime:

@@ -20,6 +20,7 @@ import pytest
 from repro import DiagramConfig, Point, QueryEngine
 from repro.engine.snapshot import read_manifest
 from repro.serve import QueryService, ServeConfig, wait_for_health
+from repro.shard import build_sharded_deployment, read_shard_deployment
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.pdf import UniformPdf
 from repro.geometry.circle import Circle
@@ -160,6 +161,35 @@ class TestPartialReloadFailure:
         service = self._service_with(deployment, [])
         assert service.reload() == 0
         assert service.generation == 1
+
+    def test_sharded_watcher_retries_a_partial_failure(self, tmp_path,
+                                                       medium_dataset):
+        """A sharded deployment's watcher keeps its token behind the
+        manifests after a partial failure, exactly like a live directory's."""
+        objects, domain = medium_dataset
+        fleet = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, fleet, shards=2,
+                                 config=DiagramConfig(backend="grid"))
+        service = QueryService(ServeConfig(snapshot_path=fleet, port=0,
+                                           reload_poll=0.05))
+        service.router = self._StubRouter([
+            self._response(True, {"reloaded": True, "generation": 1},
+                           worker_id=0),
+            self._response(False, {"error": "internal", "message": "boom"},
+                           worker_id=1),
+        ])
+        service._start_watcher()
+        try:
+            shard = read_shard_deployment(fleet).shard_paths(fleet)[0]
+            _checkpoint_with_extra_object(shard)  # shard 0 -> generation 2
+            deadline = time.monotonic() + 10.0
+            while service.router.calls < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert service.router.calls >= 2, "the watcher never retried"
+            assert service.generation == 1
+        finally:
+            service._watch_stop.set()
+            service._watch_thread.join(timeout=2.0)
 
 
 class TestManifestWatcher:

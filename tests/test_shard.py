@@ -31,6 +31,7 @@ from repro.shard import (
     read_shard_deployment,
     rebalance,
 )
+from repro.shard.deployment import open_deployment
 from repro.shard.map import ShardInfo, ShardMap
 from repro.uncertain.objects import UncertainObject
 
@@ -195,9 +196,12 @@ class TestParity:
                 a.to_dict() for a in scattered.answers
             ]
 
-    def test_batch_stream_matches_sequential(self, dataset, deployments):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_stream_matches_sequential(self, backend, dataset, deployments):
+        """One read cache serves every shard: granule keys must not collide
+        (grid cells are keyed per grid, not by cell coordinates alone)."""
         _, domain = dataset
-        directory, reference = deployments["ic"]
+        directory, reference = deployments[backend]
         sharded = ShardedQueryEngine.open(directory)
         batch = BatchQuery([PNNQuery(p) for p in _query_points(domain)])
         triples = list(sharded.execute(batch))
@@ -394,6 +398,115 @@ class TestLiveCycle:
         ]
 
 
+# --------------------------------------------------------------------- #
+# a deployment is N >= 1 shards: N = 1 is the unsharded engine
+# --------------------------------------------------------------------- #
+class _CountingDict(dict):
+    """A dict that counts full walks over it."""
+
+    walks = 0
+
+    def _walked(self):
+        _CountingDict.walks += 1
+
+    def values(self):
+        self._walked()
+        return super().values()
+
+    def items(self):
+        self._walked()
+        return super().items()
+
+    def keys(self):
+        self._walked()
+        return super().keys()
+
+    def __iter__(self):
+        self._walked()
+        return super().__iter__()
+
+
+class _CountingList(list):
+    """A list that counts full walks over it."""
+
+    def __iter__(self):
+        _CountingDict.walks += 1
+        return super().__iter__()
+
+
+def _count_walks(engine):
+    engine.objects = _CountingList(engine.objects)
+    engine.by_id = _CountingDict(engine.by_id)
+
+
+class TestSingleShard:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_one_shard_answers_like_a_live_directory(self, backend, dataset,
+                                                     tmp_path):
+        objects, domain = dataset
+        config = CONFIG.replace(backend=backend)
+        fleet = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, fleet, config=config, shards=1)
+        single = str(tmp_path / "single")
+        QueryEngine.build(objects, domain, config).save_generation(single)
+
+        sharded = open_deployment(fleet)
+        plain = open_deployment(single)
+        assert isinstance(sharded, ShardedQueryEngine)
+        assert isinstance(plain, QueryEngine)
+        assert sharded.generations == [plain.generation] == [1]
+        span_x = domain.xmax - domain.xmin
+        span_y = domain.ymax - domain.ymin
+        region = Rect(domain.xmin + 0.2 * span_x, domain.ymin + 0.2 * span_y,
+                      domain.xmin + 0.7 * span_x, domain.ymin + 0.6 * span_y)
+        range_query = RangeQuery(region=region)
+        assert sharded.execute(range_query).partitions == \
+            plain.execute(range_query).partitions
+        for point in _query_points(domain):
+            for query in (
+                PNNQuery(point),
+                PNNQuery(point, threshold=0.05),
+                PNNQuery(point, top_k=2),
+                KNNQuery(point, k=3, worlds=300, seed=11),
+            ):
+                assert sharded.execute(query).to_dict()["answers"] == \
+                    plain.execute(query).to_dict()["answers"]
+
+    def test_checkpoint_status_reports_the_same_shard(self, dataset, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        objects, domain = dataset
+        fleet = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, fleet, config=CONFIG, shards=1)
+        single = str(tmp_path / "single")
+        QueryEngine.build(objects, domain, CONFIG).save_generation(single)
+        shard = read_shard_deployment(fleet).shard_paths(fleet)[0]
+
+        assert main(["checkpoint", "--dir", fleet, "--status"]) == 0
+        header, *fleet_report = capsys.readouterr().out.splitlines()
+        assert header.startswith(f"sharded deployment {fleet}: epoch 1, 1 shards")
+        assert main(["checkpoint", "--dir", single, "--status"]) == 0
+        single_report = capsys.readouterr().out.splitlines()
+        assert [line.replace(shard, "<dir>") for line in fleet_report] == \
+            [line.replace(single, "<dir>") for line in single_report]
+
+    @pytest.mark.parametrize("backend", ("ic", "grid"))
+    def test_knn_walks_no_population(self, backend, dataset, deployments):
+        _, domain = dataset
+        directory, reference = deployments[backend]
+        sharded = ShardedQueryEngine.open(directory)
+        for engine in [reference, *sharded.engines]:
+            _count_walks(engine)
+        for engine in (reference, sharded):
+            for point in _query_points(domain):
+                walks = _CountingDict.walks
+                engine.execute(KNNQuery(point, k=3, worlds=50, seed=1))
+                assert _CountingDict.walks == walks, (
+                    f"{type(engine).__name__} walked the population for a KNN query"
+                )
+
+
 class TestRebalancePlanning:
     def _deployment(self, dataset, tmp_path):
         objects, domain = dataset
@@ -454,6 +567,23 @@ class TestCli:
                      "--prune"]) == 0
         assert "epoch 2" in capsys.readouterr().out
         assert len(read_shard_deployment(directory).shard_map) == 2
+
+    def test_compare_and_render_need_a_single_snapshot(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = str(tmp_path / "fleet")
+        assert main(["shard-build", "--objects", "30", "--seed", "3",
+                     "--backend", "ic", "--save-dir", directory,
+                     "--shards", "2"]) == 0
+        capsys.readouterr()
+        for command in (
+            ["compare", "--load", directory, "--backends", "ic,rtree",
+             "--queries", "2"],
+            ["render", "--load", directory,
+             "--output", str(tmp_path / "fleet.svg")],
+        ):
+            assert main(command) == 2
+            assert "needs a single-snapshot deployment" in capsys.readouterr().err
 
     def test_rebalance_refuses_plain_directories(self, tmp_path, capsys):
         from repro.cli import main
