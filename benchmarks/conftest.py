@@ -1,9 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at reduced scale
-(pure-Python substrate, see DESIGN.md): the printed tables show the paper's
+(pure-Python substrate, see README.md): the printed tables show the paper's
 reported series next to the measured one so that the *shape* comparison (who
-wins, by how much, where it bends) is immediate.
+wins, by how much, where it bends) is immediate.  Query times are real CPU
+time; page reads are the counted I/O the paper reports.
 
 Expensive constructions are shared across benchmark modules through
 session-scoped fixtures; the ``benchmark`` fixture then times the individual
@@ -12,9 +13,6 @@ operation each figure is about.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
 from typing import Dict, List
 
 import pytest
@@ -31,9 +29,7 @@ from repro.datasets.loader import DatasetBundle, load_dataset
 # page capacity accordingly).  UV-index leaf entries (<ID, MBC, pointer>) are
 # roughly half the size of R-tree leaf entries (MBR + id), so on equal-sized
 # pages the UV-index fits about twice as many entries per page -- hence
-# PAGE_CAPACITY = 2 * RTREE_FANOUT.  A small simulated read latency makes
-# wall-clock query times reflect page I/O, as the paper's disk-based numbers
-# do.
+# PAGE_CAPACITY = 2 * RTREE_FANOUT.
 SWEEP_SIZES: List[int] = [100, 200, 400]
 QUERY_COUNT = 12
 PAGE_CAPACITY = 32
@@ -45,7 +41,6 @@ SEED_KNN = 60
 # default scales the diameter up to keep the uncertainty density (and hence
 # answer-set sizes) comparable to the paper's workload.
 DIAMETER = 300.0
-READ_LATENCY_S = 0.002
 
 
 def run_scaled_query_experiment_defaults() -> Dict[str, object]:
@@ -54,7 +49,6 @@ def run_scaled_query_experiment_defaults() -> Dict[str, object]:
         page_capacity=PAGE_CAPACITY,
         rtree_fanout=RTREE_FANOUT,
         seed_knn=SEED_KNN,
-        read_latency=READ_LATENCY_S,
         compute_probabilities=True,
     )
 
@@ -121,21 +115,3 @@ def emit(capsys, text: str) -> None:
     """Print a result table straight to the terminal, bypassing capture."""
     with capsys.disabled():
         print("\n" + text + "\n")
-
-
-def bench_output_dir() -> Path:
-    """Where machine-readable ``BENCH_*.json`` files go.
-
-    Defaults to ``bench-out/`` under the current directory; CI points
-    ``BENCH_OUTPUT_DIR`` at its artifact staging directory.
-    """
-    root = Path(os.environ.get("BENCH_OUTPUT_DIR", "bench-out"))
-    root.mkdir(parents=True, exist_ok=True)
-    return root
-
-
-def write_bench_json(name: str, payload: Dict) -> Path:
-    """Write one benchmark's machine-readable result as ``BENCH_<name>.json``."""
-    path = bench_output_dir() / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

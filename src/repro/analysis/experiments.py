@@ -124,14 +124,8 @@ def run_query_experiment(
     split_threshold: float = 1.0,
     seed_knn: int = 300,
     rtree_fanout: int = 100,
-    read_latency: float = 0.0,
 ) -> Dict[str, QueryExperimentResult]:
     """Run the same PNN workload on the UV-index and the R-tree baseline.
-
-    Args:
-        read_latency: optional simulated cost (seconds) of one page read,
-            applied to both indexes' disks so that wall-clock query times
-            reflect I/O the way the paper's disk-based measurements do.
 
     Returns a mapping ``{"uv-index": ..., "r-tree": ...}``.
     """
@@ -150,9 +144,8 @@ def run_query_experiment(
     experiments: Dict[str, QueryExperimentResult] = {}
     for name, backend in (("uv-index", construction), ("r-tree", "rtree")):
         # Each engine owns its disk, so each index's I/O is counted
-        # independently; the simulated latency applies to queries, not builds.
+        # independently.
         engine = QueryEngine.build(objects, bundle.domain, config.replace(backend=backend))
-        engine.disk.read_latency = read_latency
         results = [_primary_pnn(engine, q, compute_probabilities) for q in queries]
         experiments[name] = _aggregate_queries(name, bundle.name, len(objects), results)
     return experiments

@@ -408,7 +408,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             rate_limit=args.rate_limit,
             rate_burst=args.rate_burst,
             drain_timeout=args.drain_timeout,
-            read_latency=args.read_latency,
             buffer_pages=args.buffer_pages,
             reload_poll=args.reload_poll,
         )
@@ -766,9 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="token-bucket burst capacity (default: 20)")
     serve.add_argument("--drain-timeout", type=float, default=10.0,
                        help="seconds to wait for in-flight work on shutdown")
-    serve.add_argument("--read-latency", type=float, default=0.0,
-                       help="simulated seconds per counted page read "
-                            "(models cold-storage serving)")
     serve.add_argument("--buffer-pages", type=int, default=None,
                        help="buffer-pool override for the workers' engines")
     serve.add_argument("--reload-poll", type=float, default=0.0,

@@ -335,7 +335,6 @@ class QueryEngine:
         path: str,
         store: str = "file",
         buffer_pages: Optional[int] = None,
-        read_latency: float = 0.0,
         readonly: bool = False,
         verify: bool = False,
     ) -> "QueryEngine":
@@ -348,7 +347,6 @@ class QueryEngine:
                 reads through the page file), ``"mmap"`` (memory-mapped
                 read-mostly view) or ``"memory"`` (eager load).
             buffer_pages: buffer-pool override; defaults to the saved config.
-            read_latency: simulated seconds per counted page read.
             readonly: when ``True``, :meth:`insert` / :meth:`delete` raise
                 :class:`ReadOnlyEngineError` instead of applying the change
                 to the store's volatile in-memory overlay.  This is the
@@ -364,7 +362,6 @@ class QueryEngine:
             path,
             store=store,
             buffer_pages=buffer_pages,
-            read_latency=read_latency,
             readonly=readonly,
             verify=verify,
         )
@@ -646,7 +643,6 @@ class QueryEngine:
         directory: str,
         store: str = "file",
         buffer_pages: Optional[int] = None,
-        read_latency: float = 0.0,
         fsync: str = "always",
         verify: bool = False,
     ) -> "QueryEngine":
@@ -666,7 +662,6 @@ class QueryEngine:
             store: page-store kind for the snapshot reads (``"file"``,
                 ``"mmap"``, ``"memory"``).
             buffer_pages: buffer-pool override; defaults to the saved config.
-            read_latency: simulated seconds per counted page read.
             fsync: WAL durability policy -- ``"always"`` (fsync every
                 append; an acknowledged update survives kill -9) or
                 ``"batch"`` (group commit via :meth:`wal_sync`).
@@ -680,7 +675,6 @@ class QueryEngine:
             directory,
             store=store,
             buffer_pages=buffer_pages,
-            read_latency=read_latency,
             fsync=fsync,
             verify=verify,
         )

@@ -127,7 +127,6 @@ def open_engine(
     path: str,
     store: str = "file",
     buffer_pages: Optional[int] = None,
-    read_latency: float = 0.0,
     readonly: bool = False,
     verify: bool = False,
 ) -> "QueryEngine":
@@ -143,7 +142,6 @@ def open_engine(
             ``"memory"`` (eagerly load everything, fully in-memory serving).
         buffer_pages: override for the buffer-pool capacity; defaults to the
             value recorded in the snapshot's configuration.
-        read_latency: optional simulated seconds per counted page read.
         readonly: reject ``insert`` / ``delete`` on the reopened engine (the
             serving-correctness guard -- see :class:`ReadOnlyEngineError`).
         verify: checksum the whole snapshot before opening it, so a corrupt
@@ -177,11 +175,7 @@ def open_engine(
             else saved.get("buffer_pages", 0)
         ),
     )
-    disk = DiskManager(
-        read_latency=read_latency,
-        store=page_store,
-        buffer_pages=config.buffer_pages,
-    )
+    disk = DiskManager(store=page_store, buffer_pages=config.buffer_pages)
     domain = rect_from_state(meta["domain"])
     object_store = ObjectStore.from_snapshot(meta["object_store"], disk)
     objects = object_store.load_all(meta["object_order"])
@@ -500,7 +494,6 @@ def open_live_engine(
     directory: str,
     store: str = "file",
     buffer_pages: Optional[int] = None,
-    read_latency: float = 0.0,
     fsync: str = "always",
     verify: bool = False,
 ) -> "QueryEngine":
@@ -533,7 +526,6 @@ def open_live_engine(
             os.path.join(directory, current.snapshot),
             store=store,
             buffer_pages=buffer_pages,
-            read_latency=read_latency,
             readonly=False,
             verify=verify,
         )

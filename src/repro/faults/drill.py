@@ -113,21 +113,23 @@ def _pnn_answers(engine, queries) -> Answers:
     return answers
 
 
-def _apply_inserts(directory: str, seed: int, updates: int) -> List[int]:
-    """Open the live deployment, append ``updates`` durable inserts."""
-    from repro.engine.engine import QueryEngine
+def _apply_inserts_into(engine, seed: int, updates: int) -> None:
+    """Append ``updates`` seeded durable inserts to a live engine."""
     from repro.wal.drill import synthesize_object
 
-    engine = QueryEngine.open_live(directory)
     rng = random.Random(seed)
     base = max(engine.by_id) + 1000
-    inserted = []
     for index in range(updates):
-        oid = base + index
-        engine.insert(synthesize_object(oid, rng, engine.domain))
-        inserted.append(oid)
+        engine.insert(synthesize_object(base + index, rng, engine.domain))
+
+
+def _apply_inserts(directory: str, seed: int, updates: int) -> None:
+    """Open the live deployment, append ``updates`` durable inserts, close."""
+    from repro.engine.engine import QueryEngine
+
+    engine = QueryEngine.open_live(directory)
+    _apply_inserts_into(engine, seed, updates)
     engine.close_wal()
-    return inserted
 
 
 def _wal_live_ids(initial: Set[int], wal_file: str) -> Set[int]:
@@ -403,15 +405,6 @@ def drill_checkpoint_fallback(ctx: DrillContext) -> str:
             "fallback generation does not serve its own bit-identical answers")
     return (f"gen 2 flip at byte {offset} quarantined; "
             f"fell back to gen 1 with bit-identical answers")
-
-
-def _apply_inserts_into(engine, seed: int, updates: int) -> None:
-    from repro.wal.drill import synthesize_object
-
-    rng = random.Random(seed)
-    base = max(engine.by_id) + 1000
-    for index in range(updates):
-        engine.insert(synthesize_object(base + index, rng, engine.domain))
 
 
 # --------------------------------------------------------------------- #

@@ -43,9 +43,6 @@ class ServeConfig:
             above the sustained rate.
         drain_timeout: seconds :meth:`~repro.serve.service.QueryService.stop`
             waits for in-flight requests before shutting workers down.
-        read_latency: simulated seconds per counted page read inside each
-            worker (models cold-storage serving; the load benchmark uses it
-            to make the workload I/O-bound the way the paper's disk is).
         buffer_pages: buffer-pool override for the workers' engines;
             ``None`` keeps the snapshot's saved configuration.
         respawn_delay: seconds the monitor waits between respawn attempts of
@@ -73,7 +70,6 @@ class ServeConfig:
     rate_limit: float = 0.0
     rate_burst: int = 20
     drain_timeout: float = 10.0
-    read_latency: float = 0.0
     buffer_pages: Optional[int] = None
     respawn_delay: float = 0.25
     reload_poll: float = 0.0
@@ -99,8 +95,6 @@ class ServeConfig:
             raise ValueError(f"rate_burst must be positive, got {self.rate_burst}")
         if self.drain_timeout < 0:
             raise ValueError("drain_timeout must be non-negative")
-        if self.read_latency < 0:
-            raise ValueError("read_latency must be non-negative")
         if self.buffer_pages is not None and self.buffer_pages < 0:
             raise ValueError("buffer_pages must be non-negative when given")
         if self.respawn_delay < 0:

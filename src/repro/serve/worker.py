@@ -140,7 +140,6 @@ class WorkerRuntime:
             self.config.snapshot_path,
             store=self.config.store,
             buffer_pages=self.config.buffer_pages,
-            read_latency=self.config.read_latency,
             verify=verify,
         )
 

@@ -240,7 +240,6 @@ def open_deployment(
     *,
     store: str = "file",
     buffer_pages: Optional[int] = None,
-    read_latency: float = 0.0,
     verify: bool = False,
 ) -> Any:
     """Open any deployment read-only: the one opener of every serving path.
@@ -255,8 +254,7 @@ def open_deployment(
     from repro.engine.engine import QueryEngine
     from repro.shard.engine import ShardedQueryEngine
 
-    options = dict(store=store, buffer_pages=buffer_pages,
-                   read_latency=read_latency, verify=verify)
+    options = dict(store=store, buffer_pages=buffer_pages, verify=verify)
     if is_sharded_directory(path):
         return ShardedQueryEngine.open(path, **options)
     return QueryEngine.open(path, readonly=True, **options)

@@ -29,9 +29,9 @@ shard map's possible-region bounds:
 Batches stream through the single engine's
 :class:`~repro.engine.engine.BatchStream` and EXPLAIN is its
 :func:`~repro.engine.engine.explain_analyze`.  Routing decisions never
-change answers -- only which shards pay page reads -- and the
-``bench_sharded`` benchmark gates that the routed path reads at least 2x
-fewer candidate pages than scattering to every shard.
+change answers -- only which shards pay page reads; the e2e ``sharded``
+workload reports the routed candidate page reads per query
+(``shard.index_page_reads_per_query``).
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ class ShardedQueryEngine:
         directory: str,
         store: str = "file",
         buffer_pages: Optional[int] = None,
-        read_latency: float = 0.0,
         verify: bool = False,
     ) -> "ShardedQueryEngine":
         """Open every shard snapshot read-only (cold-start serving)."""
@@ -166,7 +165,6 @@ class ShardedQueryEngine:
                 path,
                 store=store,
                 buffer_pages=buffer_pages,
-                read_latency=read_latency,
                 readonly=True,
                 verify=verify,
             )
@@ -180,7 +178,6 @@ class ShardedQueryEngine:
         directory: str,
         store: str = "file",
         buffer_pages: Optional[int] = None,
-        read_latency: float = 0.0,
         fsync: str = "always",
         verify: bool = False,
     ) -> "ShardedQueryEngine":
@@ -191,7 +188,6 @@ class ShardedQueryEngine:
                 path,
                 store=store,
                 buffer_pages=buffer_pages,
-                read_latency=read_latency,
                 fsync=fsync,
                 verify=verify,
             )

@@ -20,7 +20,6 @@ pool frame, so splits and live updates can never leave a stale page behind.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
 from repro.storage.page import DEFAULT_ENTRY_SIZE_BYTES, PAGE_SIZE_BYTES, Page, entries_per_page
@@ -35,7 +34,6 @@ class DiskManager:
         entry_size_bytes: serialized size of one entry, used to derive the
             per-page capacity.
         page_size_bytes: page size (4 KB by default, as in the paper).
-        read_latency: optional simulated seconds per counted page read.
         store: the persistence substrate; defaults to the in-memory
             simulator, preserving the historical behaviour.  Pass a
             :class:`~repro.storage.pagestore.FilePageStore` opened on a
@@ -48,18 +46,14 @@ class DiskManager:
         self,
         entry_size_bytes: int = DEFAULT_ENTRY_SIZE_BYTES,
         page_size_bytes: int = PAGE_SIZE_BYTES,
-        read_latency: float = 0.0,
         store: Optional[PageStore] = None,
         buffer_pages: int = 0,
     ):
-        if read_latency < 0:
-            raise ValueError("read latency must be non-negative")
         if buffer_pages < 0:
             raise ValueError("buffer_pages must be non-negative")
         self.page_capacity = entries_per_page(entry_size_bytes, page_size_bytes)
         self.page_size_bytes = page_size_bytes
         self.entry_size_bytes = entry_size_bytes
-        self.read_latency = read_latency
         self.stats = IOStats()
         self.store: PageStore = store if store is not None else MemoryPageStore()
         self._cache: Dict[int, Page] = {}
@@ -99,11 +93,6 @@ class DiskManager:
     def read_page(self, page_id: int) -> Page:
         """Read a page, counting one I/O (unless the buffer pool has it).
 
-        When ``read_latency`` is non-zero the call also sleeps for that long,
-        so that wall-clock measurements reflect the cost of a real page read
-        (the paper's query times are dominated by exactly this cost on the
-        R-tree side).
-
         Raises:
             KeyError: for an unknown page id.
         """
@@ -117,8 +106,6 @@ class DiskManager:
         if self.buffer_pool is not None:
             self.stats.cache_misses += 1
             self.buffer_pool.admit(page_id, page)
-        if self.read_latency > 0.0:
-            time.sleep(self.read_latency)
         return page
 
     def write_page(self, page: Page) -> None:

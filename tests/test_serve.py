@@ -17,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro import DiagramConfig, QueryEngine
+from repro.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
 from repro.serve import (
     LatencyHistogram,
     QueryService,
@@ -70,6 +71,19 @@ def _get(url, path, timeout=30.0):
         return error.code, json.loads(error.read())
 
 
+def _hang_first_request(monkeypatch, seconds):
+    """Make every worker's first request hang for ``seconds``.
+
+    Set before the service starts: spawned workers read the plan from the
+    environment.  ``/health`` never reaches a worker, so the first request a
+    worker handles is the first query sent to it.
+    """
+    plan = FaultPlan(
+        seed=0, faults=(FaultSpec("worker.request", 1, "hang", seconds),)
+    )
+    monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+
+
 class TestServeConfig:
     def test_round_trip(self, snapshot):
         config = ServeConfig(snapshot_path=snapshot, workers=3, rate_limit=5.0)
@@ -94,6 +108,10 @@ class TestServeConfig:
             ServeConfig(snapshot_path=snapshot, request_timeout=0.0)
         with pytest.raises(ValueError):
             ServeConfig(snapshot_path=snapshot, rate_limit=-1.0)
+
+    def test_retired_read_latency_field_is_gone(self, snapshot):
+        with pytest.raises(TypeError):
+            ServeConfig(snapshot_path=snapshot, read_latency=0.01)
 
 
 class TestTokenBucket:
@@ -359,12 +377,12 @@ class TestHTTPEndpoints:
 
 
 class TestAdmissionControl:
-    def test_queue_full_yields_429(self, snapshot):
-        # One worker, budget 1, slow reads: the second concurrent request
-        # must be rejected, not queued behind the first.
+    def test_queue_full_yields_429(self, snapshot, monkeypatch):
+        # One worker, budget 1, a slow first query: the second concurrent
+        # request must be rejected, not queued behind the first.
+        _hang_first_request(monkeypatch, 1.0)
         config = ServeConfig(
-            snapshot_path=snapshot, workers=1, queue_depth=1,
-            read_latency=0.2, port=0,
+            snapshot_path=snapshot, workers=1, queue_depth=1, port=0,
         )
         with QueryService(config) as service:
             assert wait_for_health(service.url, timeout=30)
@@ -417,10 +435,9 @@ class TestAdmissionControl:
             _, stats = _get(service.url, "/stats")
             assert stats["router"]["counters"]["rejected_rate_limited"] >= 1
 
-    def test_request_timeout_yields_504(self, snapshot):
-        config = ServeConfig(
-            snapshot_path=snapshot, workers=1, read_latency=0.3, port=0,
-        )
+    def test_request_timeout_yields_504(self, snapshot, monkeypatch):
+        _hang_first_request(monkeypatch, 0.3)
+        config = ServeConfig(snapshot_path=snapshot, workers=1, port=0)
         with QueryService(config) as service:
             assert wait_for_health(service.url, timeout=30)
             status, body = _post(
@@ -434,13 +451,14 @@ class TestAdmissionControl:
 
 
 class TestCrashRecovery:
-    def test_killed_worker_respawns_and_request_is_retried(self, snapshot):
+    def test_killed_worker_respawns_and_request_is_retried(self, snapshot,
+                                                           monkeypatch):
         import os
         import signal
 
+        _hang_first_request(monkeypatch, 0.5)
         config = ServeConfig(
-            snapshot_path=snapshot, workers=1, read_latency=0.1,
-            respawn_delay=0.05, port=0,
+            snapshot_path=snapshot, workers=1, respawn_delay=0.05, port=0,
         )
         with QueryService(config) as service:
             assert wait_for_health(service.url, timeout=30)
@@ -487,10 +505,10 @@ class TestCrashRecovery:
 
 
 class TestDrainAndShutdown:
-    def test_drain_rejects_new_work_and_finishes_old(self, snapshot):
-        config = ServeConfig(
-            snapshot_path=snapshot, workers=1, read_latency=0.15, port=0,
-        )
+    def test_drain_rejects_new_work_and_finishes_old(self, snapshot,
+                                                     monkeypatch):
+        _hang_first_request(monkeypatch, 0.5)
+        config = ServeConfig(snapshot_path=snapshot, workers=1, port=0)
         service = QueryService(config)
         service.start()
         try:

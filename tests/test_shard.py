@@ -230,6 +230,23 @@ class TestRouting:
 
         assert routed.index_io.page_reads < scattered.index_io.page_reads
 
+    def test_routing_halves_candidate_page_reads(self, dataset, deployments):
+        """Summed over the workload, the routed path reads at most half the
+        index pages of scattering to every shard (page counts are exact)."""
+        _, domain = dataset
+        directory, _ = deployments["ic"]
+
+        def index_reads(scatter_all):
+            # A fresh engine per mode: neither inherits the other's caches.
+            engine = ShardedQueryEngine.open(directory)
+            return sum(
+                engine.execute(PNNQuery(point), scatter_all=scatter_all)
+                .index_io.page_reads
+                for point in _query_points(domain)
+            )
+
+        assert 2 * index_reads(False) <= index_reads(True)
+
     def test_explain_reports_scatter_gather_plan(self, dataset, deployments):
         _, domain = dataset
         directory, _ = deployments["ic"]

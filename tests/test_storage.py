@@ -79,6 +79,10 @@ class TestDiskManager:
         page.add(2)
         assert disk.total_entries() == 2
 
+    def test_retired_read_latency_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            DiskManager(read_latency=0.01)
+
 
 class TestIOStats:
     def test_snapshot_and_delta(self):

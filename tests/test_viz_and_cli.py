@@ -139,13 +139,19 @@ class TestServeCli:
         parser = build_parser()
         args = parser.parse_args([
             "serve", "--load", "uv.snap", "--workers", "4", "--port", "0",
-            "--rate-limit", "10", "--read-latency", "0.01",
+            "--rate-limit", "10",
         ])
         assert args.command == "serve"
         assert args.workers == 4
         assert args.load == "uv.snap"
         assert args.load_store == "mmap"
         assert args.rate_limit == 10.0
+
+    def test_retired_read_latency_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--load", "uv.snap", "--read-latency", "0.01"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_requires_load(self, capsys):
         with pytest.raises(SystemExit):

@@ -488,6 +488,48 @@ class TestCheckpoint:
         generations = list_generations(directory)
         assert sorted(generations) == [3, 4]
 
+    def test_churn_folds_to_a_steady_state(self, tmp_path, small_objects,
+                                           small_domain):
+        """Delete+insert rounds folded by two checkpoints: the WAL empties,
+        the two folded generations stay within 2x of each other on disk and
+        the population holds.  (Generation 1 is the build's own save, not a
+        fold, so it is not part of the comparison.)"""
+        import random
+
+        from repro.wal import Checkpointer
+        from repro.wal.drill import synthesize_object
+
+        directory = _deployment(tmp_path, small_objects, small_domain)
+        engine = QueryEngine.open_live(directory)
+        checkpointer = Checkpointer(engine)
+        rng = random.Random(97)
+        population = len(engine)
+        next_oid = max(engine.by_id) + 1000
+
+        def snapshot_bytes(generation):
+            return os.path.getsize(
+                os.path.join(directory, generation_filename(generation))
+            )
+
+        sizes = []
+        for _ in range(2):
+            for _ in range(20):
+                live = sorted(engine.by_id)
+                engine.delete(live[rng.randrange(len(live))])
+                engine.insert(synthesize_object(next_oid, rng, engine.domain))
+                next_oid += 1
+            result = checkpointer.run_once()
+            assert result is not None and result.folded_records == 40
+            sizes.append(snapshot_bytes(result.generation))
+
+        assert engine.generation == 3
+        assert engine.pending_wal_records == 0
+        assert read_records(wal_path(directory)).records == []
+        assert len(engine) == population
+        earlier, later = sizes
+        assert 0.5 <= later / earlier <= 2.0, sizes
+        engine.close_wal()
+
     def test_background_thread_checkpoints(self, tmp_path, small_objects,
                                            small_domain):
         import time
