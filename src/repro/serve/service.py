@@ -58,8 +58,22 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        # Status line, headers and body leave in one write: headers flushed
+        # apart from the body (end_headers) stall a keep-alive reply ~40 ms
+        # between Nagle's algorithm and the client's delayed ACK.
+        if self.request_version != "HTTP/0.9":  # 0.9 replies are bare bodies
+            self._headers_buffer.append(b"\r\n")
+            body = b"".join(self._headers_buffer) + body
+            self._headers_buffer = []
         self.wfile.write(body)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """``http.server``'s own errors (bad request line, unknown verb), as
+        JSON through the one-write path; the connection closes after."""
+        message = message or self.responses.get(code, ("error",))[0]
+        self._send_json(code, {"error": "bad-request", "message": message},
+                        headers={"Connection": "close"})
 
     def _client_id(self) -> str:
         explicit = self.headers.get("X-Client-Id")
@@ -67,17 +81,31 @@ class _Handler(BaseHTTPRequestHandler):
             return explicit
         return self.client_address[0] if self.client_address else "unknown"
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+    def _read_body(self) -> Optional[bytes]:
+        """The whole request body, or ``None`` after a 400/413 reply.
+
+        A body left unread would be parsed as the next request on a
+        keep-alive socket, so every reply either follows a full read or
+        closes the connection.
+        """
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            status, message = (
+                (413, "request body too large") if length > MAX_BODY_BYTES
+                else (400, "Content-Length must be a non-negative integer"))
+            self._send_json(status, {"error": "bad-request", "message": message},
+                            headers={"Connection": "close"})
+            return None
+        return self.rfile.read(length)
+
+    def _parse_body(self, raw: bytes) -> Optional[Dict[str, Any]]:
+        if not raw:
             self._send_json(400, {"error": "bad-request",
                                   "message": "a JSON request body is required"})
             return None
-        if length > MAX_BODY_BYTES:
-            self._send_json(413, {"error": "bad-request",
-                                  "message": "request body too large"})
-            return None
-        raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -96,11 +124,16 @@ class _Handler(BaseHTTPRequestHandler):
         header_timeout = self.headers.get("X-Request-Timeout")
         if header_timeout:
             try:
-                timeout = max(0.001, float(header_timeout))
+                timeout = float(header_timeout)
             except ValueError:
-                self._send_json(400, {"error": "bad-request",
-                                      "message": "X-Request-Timeout must be a number"})
+                timeout = -1.0
+            # nan fails the test too; past TIMEOUT_MAX Event.wait overflows.
+            if not 0.0 < timeout <= threading.TIMEOUT_MAX:
+                self._send_json(400, {"error": "bad-request", "message":
+                                      "X-Request-Timeout must be a positive, "
+                                      "finite number of seconds"})
                 return
+            timeout = max(0.001, timeout)
         try:
             response = router.dispatch(
                 op, payload, client_id=self._client_id(), timeout=timeout
@@ -127,18 +160,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- verbs ----------------------------------------------------------- #
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/query":
-            op = OP_QUERY
-        elif self.path == "/explain":
-            op = OP_EXPLAIN
-        else:
+        op = {"/query": OP_QUERY, "/explain": OP_EXPLAIN}.get(self.path)
+        raw = self._read_body()  # read first, even for a 404: see _read_body
+        if raw is None:
+            return
+        if op is None:
             self._send_json(404, {"error": "not-found",
                                   "message": f"unknown endpoint {self.path}"})
             return
-        payload = self._read_body()
-        if payload is None:
-            return
-        self._dispatch(op, payload)
+        payload = self._parse_body(raw)
+        if payload is not None:
+            self._dispatch(op, payload)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/health":

@@ -8,7 +8,10 @@ exercise the full path including crash recovery and graceful drain.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -28,6 +31,7 @@ from repro.serve import (
     WorkerRuntime,
     wait_for_health,
 )
+from repro.serve import service as service_module
 from repro.serve.protocol import (
     OP_EXPLAIN,
     OP_PING,
@@ -82,6 +86,31 @@ def _hang_first_request(monkeypatch, seconds):
         seed=0, faults=(FaultSpec("worker.request", 1, "hang", seconds),)
     )
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+
+
+def _raw_request(port, data, timeout=30.0):
+    """Send raw request bytes; return the parsed (status, headers, body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, dict(response.getheaders()), response.read()
+
+
+def _json_post(connection, path, body, headers=None):
+    """POST on a persistent ``http.client`` connection: (status, JSON)."""
+    raw = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    connection.request("POST", path, body=raw,
+                       headers={"Content-Type": "application/json",
+                                **(headers or {})})
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def _oversized_request():
+    """A POST announcing one byte more than the body limit (body not sent)."""
+    return (b"POST /query HTTP/1.1\r\nContent-Length: "
+            + str(service_module.MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n")
 
 
 class TestServeConfig:
@@ -448,6 +477,161 @@ class TestAdmissionControl:
             assert body["error"] == "timeout"
             _, stats = _get(service.url, "/stats")
             assert stats["router"]["counters"]["timeouts"] >= 1
+
+
+class TestOneWriteReplies:
+    """Every reply -- status line, headers, body -- leaves in one write.
+
+    Headers written apart from the body hold each keep-alive reply ~40 ms
+    between Nagle's algorithm and the client's delayed ACK.
+    """
+
+    @staticmethod
+    def _count_writes(monkeypatch):
+        writes = []
+        lock = threading.Lock()
+        setup = service_module._Handler.setup
+
+        class CountingWriter:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def write(self, data):
+                with lock:
+                    writes.append(bytes(data))
+                return self._inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(service_module._Handler, "setup", counting_setup)
+        return writes
+
+    def test_every_reply_path_is_one_write(self, snapshot, monkeypatch):
+        writes = self._count_writes(monkeypatch)
+        _hang_first_request(monkeypatch, 2.0)
+        config = ServeConfig(snapshot_path=snapshot, workers=1,
+                             queue_depth=1, port=0)
+        statuses = []
+        with QueryService(config) as service:
+            assert wait_for_health(service.url, timeout=30)
+            writes.clear()  # the readiness polls
+            router = service.router
+            pnn = {"type": "pnn", "point": [500.0, 500.0]}
+
+            def post(path, body, headers=None):
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", service.port, timeout=30)
+                try:
+                    statuses.append(_json_post(connection, path, body, headers)[0])
+                finally:
+                    connection.close()
+
+            # The worker hangs on its first request: 504, then a request
+            # queued behind it fills the budget, so the next one is a 429.
+            post("/query", pnn, {"X-Request-Timeout": "0.05"})
+            queued = threading.Thread(target=post, args=("/query", pnn))
+            queued.start()
+            deadline = time.monotonic() + 10.0
+            while router.counters["accepted"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            post("/query", pnn)
+            queued.join(timeout=30)
+            assert not queued.is_alive()
+            post("/query", pnn)
+            post("/query", b"{not json")
+            post("/nope", pnn)
+            statuses.append(_raw_request(service.port, _oversized_request())[0])
+            for path in ("/health", "/stats", "/nope"):
+                statuses.append(_get(service.url, path)[0])
+            for line in (b"GET /a b HTTP/1.1\r\n\r\n",
+                         b"PUT /query HTTP/1.1\r\nContent-Length: 0\r\n\r\n"):
+                status, headers, body = _raw_request(service.port, line)
+                assert headers["Content-Type"] == "application/json"
+                assert json.loads(body)["error"] == "bad-request"
+                statuses.append(status)
+            router.drain(timeout=5.0)
+            post("/query", pnn)
+            statuses.append(_get(service.url, "/health")[0])
+        assert sorted(statuses) == sorted([504, 200, 429, 200, 400, 404, 413,
+                                           200, 200, 404, 400, 501, 503, 503])
+        assert len(writes) == len(statuses)
+        for write in writes:
+            head, _, body = write.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 ")
+            assert b"Content-Type: application/json" in head
+            assert f"Content-Length: {len(body)}".encode() in head
+            json.loads(body)
+
+    def test_keep_alive_pnn_p50_under_10ms(self, snapshot, medium_queries):
+        config = ServeConfig(snapshot_path=snapshot, workers=1, port=0)
+        with QueryService(config) as service:
+            assert wait_for_health(service.url, timeout=30)
+            connection = http.client.HTTPConnection("127.0.0.1", service.port,
+                                                    timeout=30)
+            timings = []
+            try:
+                for i in range(50):
+                    point = medium_queries[i % len(medium_queries)]
+                    start = time.perf_counter()
+                    status, _ = _json_post(connection, "/query", {
+                        "type": "pnn", "point": [point.x, point.y]})
+                    timings.append(time.perf_counter() - start)
+                    assert status == 200
+            finally:
+                connection.close()
+        # A split write costs ~40 ms a reply here (Nagle + delayed ACK).
+        assert statistics.median(timings) < 0.010
+
+
+class TestConnectionFraming:
+    """A reply never leaves unread request bytes on a keep-alive socket,
+    and a malformed header gets a 400, not a dropped connection."""
+
+    def test_404_reads_the_body_so_the_connection_survives(
+            self, service, medium_queries):
+        point = medium_queries[0]
+        connection = http.client.HTTPConnection("127.0.0.1", service.port,
+                                                timeout=30)
+        try:
+            status, body = _json_post(connection, "/nope", {"type": "pnn"})
+            assert status == 404 and body["error"] == "not-found"
+            status, body = _json_post(connection, "/query", {
+                "type": "pnn", "point": [point.x, point.y]})
+            assert status == 200 and body["type"] == "pnn_result"
+        finally:
+            connection.close()
+
+    def test_oversized_body_closes_the_connection(self, service):
+        status, headers, body = _raw_request(service.port, _oversized_request())
+        assert status == 413 and headers["Connection"] == "close"
+        assert json.loads(body)["message"] == "request body too large"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, service, length):
+        request = (b"POST /query HTTP/1.1\r\nContent-Length: "
+                   + length.encode() + b"\r\n\r\n{}")
+        status, headers, body = _raw_request(service.port, request)
+        assert status == 400 and headers["Connection"] == "close"
+        assert "Content-Length" in json.loads(body)["message"]
+
+    @pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "1e300", "soon"])
+    def test_bad_request_timeout_is_400_before_admission(self, service,
+                                                         timeout):
+        accepted = service.router.counters["accepted"]
+        body = b'{"type": "pnn", "point": [500.0, 500.0]}'
+        request = (b"POST /query HTTP/1.1\r\nContent-Length: "
+                   + str(len(body)).encode()
+                   + b"\r\nX-Request-Timeout: " + timeout.encode()
+                   + b"\r\n\r\n" + body)
+        status, _, reply = _raw_request(service.port, request)
+        assert status == 400
+        assert "X-Request-Timeout" in json.loads(reply)["message"]
+        assert service.router.counters["accepted"] == accepted
 
 
 class TestCrashRecovery:
