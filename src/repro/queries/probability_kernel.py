@@ -165,37 +165,35 @@ class RingCache:
 
     A ring profile (masses + midpoints of the radial integration rings) is a
     pure function of the object's pdf, so queries hitting the same candidate
-    can reuse it.  Keys are ``(oid, rings)``; the owning engine invalidates
-    an object's entries when it is inserted or deleted.
+    can reuse it.  Profiles are kept per ``oid``, then per ``rings``, so the
+    owning engine drops an inserted or deleted object's entries in O(1).
     """
 
     def __init__(self) -> None:
-        self._profiles: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._profiles: Dict[int, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
         self.hits = 0
         self.misses = 0
 
     def get(self, obj: UncertainObject, rings: int) -> Tuple[np.ndarray, np.ndarray]:
         """The ring profile of ``obj``, computed at most once per object."""
-        key = (obj.oid, rings)
-        profile = self._profiles.get(key)
+        by_rings = self._profiles.setdefault(obj.oid, {})
+        profile = by_rings.get(rings)
         if profile is None:
             self.misses += 1
-            profile = ring_profile(obj, rings)
-            self._profiles[key] = profile
+            profile = by_rings[rings] = ring_profile(obj, rings)
         else:
             self.hits += 1
         return profile
 
     def invalidate(self, oid: int) -> None:
         """Drop every cached profile of one object (live update support)."""
-        for key in [key for key in self._profiles if key[0] == oid]:
-            del self._profiles[key]
+        self._profiles.pop(oid, None)
 
     def clear(self) -> None:
         self._profiles.clear()
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return sum(len(by_rings) for by_rings in self._profiles.values())
 
 
 def _uniform_fallback(
@@ -307,19 +305,21 @@ def compute_qualification_probabilities(
         mids[:, :, None], dists[:, None, None], grid[None, None, :]
     )                                                              # (m, rings, S+1)
     cdfs = np.einsum("mk,mkg->mg", masses, coverage)               # (m, S+1)
-    cdfs = np.minimum(1.0, np.maximum(0.0, cdfs))
-    cdfs = np.where(grid[None, :] < lowers[:, None], 0.0, cdfs)
-    cdfs = np.where(grid[None, :] >= uppers[:, None], 1.0, cdfs)
+    np.minimum(1.0, np.maximum(0.0, cdfs, out=cdfs), out=cdfs)
+    np.putmask(cdfs, grid[None, :] < lowers[:, None], 0.0)
+    np.putmask(cdfs, grid[None, :] >= uppers[:, None], 1.0)
 
     survivals = 1.0 - cdfs
-    mid_survivals = 0.5 * (survivals[:, :-1] + survivals[:, 1:])   # (m, S)
+    mid_survivals = np.add(survivals[:, :-1], survivals[:, 1:])    # (m, S)
+    mid_survivals *= 0.5
     cell_masses = cdfs[:, 1:] - cdfs[:, :-1]                       # (m, S)
 
     # prod_{j != i} via log-survival column sums.  Zeros are masked out of
     # the logs and tracked per column: the exclusive product of row i is
     # zero whenever any *other* row is zero in that column.
     zero = mid_survivals <= 0.0
-    log_survivals = np.log(np.where(zero, 1.0, mid_survivals))
+    log_survivals = np.where(zero, 1.0, mid_survivals)
+    np.log(log_survivals, out=log_survivals)
     column_log = log_survivals.sum(axis=0)                         # (S,)
     zero_count = zero.sum(axis=0)                                  # (S,)
     if threshold <= 0.0 and top_k is None:

@@ -60,27 +60,40 @@ def coverage_array(ring_radii, center_distances, query_radii) -> np.ndarray:
     the broadcast shape.  The piecewise cases mirror the scalar function
     exactly: whole-ring-inside, whole-ring-outside, the arc fraction in
     between, and the degenerate zero-radius ring / centred-query indicators.
+
+    The result is built in place in one buffer, its ``s``/``d`` terms on
+    the small operands; ``tests/reference/coverage.py`` keeps the
+    ``np.where`` chain it equals bit for bit.
     """
     s = np.asarray(ring_radii, dtype=float)
     d = np.asarray(center_distances, dtype=float)
     r = np.asarray(query_radii, dtype=float)
+    out = np.empty(np.broadcast_shapes(s.shape, d.shape, r.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos_angle = (s * s + d * d - r * r) / (2.0 * s * d)
-        partial = np.arccos(np.clip(cos_angle, -1.0, 1.0)) / math.pi
-    result = np.where((d + s) <= r, 1.0, np.where(np.abs(d - s) >= r, 0.0, partial))
-    # The masks mirror the scalar degenerate guards: exactly-zero entries are
-    # the ones whose division above produced nan/inf.
+        np.subtract(s * s + d * d, r * r, out=out)
+        np.divide(out, 2.0 * s * d, out=out)
+        np.clip(out, -1.0, 1.0, out=out)
+        np.arccos(out, out=out)
+        np.divide(out, math.pi, out=out)
+    np.putmask(out, np.abs(d - s) >= r, 0.0)  # outside, then inside: inside wins
+    np.putmask(out, (d + s) <= r, 1.0)
+    # The scalar's degenerate guards in its order, each only where present:
+    # exactly-zero entries are the ones whose division above gave nan/inf.
     # repro-lint: ignore[float-eq] -- exact-zero mask replaces the divide-by-zero rows
-    result = np.where(s == 0.0, (d <= r).astype(float), result)
+    if (point_ring := s == 0.0).any():
+        np.copyto(out, d <= r, where=point_ring)
     # repro-lint: ignore[float-eq] -- exact-zero mask replaces the divide-by-zero rows
-    result = np.where(d == 0.0, (s <= r).astype(float), result)
-    return np.where(r <= 0.0, 0.0, result)
+    if (centred := d == 0.0).any():
+        np.copyto(out, s <= r, where=centred)
+    if (empty_disk := r <= 0.0).any():
+        np.copyto(out, 0.0, where=empty_disk)
+    return out
 
 
 def ring_coverage_matrix(mids, center_distance: float, radii) -> np.ndarray:
-    """The ``(rings, len(radii))`` coverage matrix of one object at one query."""
+    """The ``(rings, radii.size)`` coverage matrix of one object at one query."""
     s = np.asarray(mids, dtype=float)[:, None]
-    r = np.asarray(radii, dtype=float)[None, :]
+    r = np.asarray(radii, dtype=float).reshape(1, -1)
     return coverage_array(s, float(center_distance), r)
 
 
@@ -177,6 +190,7 @@ class DistanceDistribution:
         raw = self._masses_arr @ ring_coverage_matrix(
             self._midpoints_arr, self.center_distance, r
         )
+        raw = raw.reshape(r.shape)
         interior = np.minimum(1.0, np.maximum(0.0, raw))
         return np.where(r < self.lower, 0.0, np.where(r >= self.upper, 1.0, interior))
 

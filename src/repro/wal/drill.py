@@ -7,7 +7,8 @@ mutator *returns* (i.e. after the record is durable per the fsync policy).
 The parent test (or the CI crash smoke) reads some ACK lines, sends
 ``SIGKILL``, reopens the directory, and asserts that every acknowledged LSN
 was recovered: acked is a subset of replayed, which is exactly the WAL's
-durability contract.
+durability contract.  :func:`verify_acknowledged` is that check over a
+saved drill log.
 
 The stream is a pure function of ``(directory contents, seed)``, so an
 uninterrupted run over a copy of the same deployment produces the identical
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 from typing import List
 
 from repro.geometry.circle import Circle
@@ -71,6 +73,38 @@ def run_stream(directory: str, updates: int, seed: int,
     print("DONE", flush=True)
     engine.close_wal()
     return 0
+
+
+def verify_acknowledged(directory: str, log_path: str) -> str:
+    """Check a drill log against the deployment the drill ran on.
+
+    Every ``ACK <lsn>`` line of ``log_path`` must name a record that is
+    durable in the directory's WAL, and ``QueryEngine.open_live`` must
+    recover past the largest acknowledged LSN.  Raises
+    :class:`~repro.wal.log.WalError` naming the lost LSNs otherwise, and
+    returns a one-line summary.
+    """
+    from repro.engine.engine import QueryEngine
+    from repro.engine.snapshot import wal_path
+    from repro.wal.log import WalError, scan_wal
+
+    with open(log_path, encoding="utf-8") as log:
+        acked = [int(m.group(1)) for line in log if (m := re.match(r"ACK (\d+)", line))]
+    durable = {record.lsn for record in scan_wal(wal_path(directory)).records}
+    missing = [lsn for lsn in acked if lsn not in durable]
+    if missing:
+        raise WalError(f"lost acknowledged updates: {missing}")
+    engine = QueryEngine.open_live(directory)
+    try:
+        if acked and engine.last_lsn < max(acked):
+            raise WalError(
+                f"recovered up to LSN {engine.last_lsn}, "
+                f"but LSN {max(acked)} was acknowledged"
+            )
+    finally:
+        engine.close_wal()
+    return (f"recovered {len(durable)} durable records; "
+            f"all {len(acked)} acknowledged updates present")
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -179,3 +179,31 @@ class TestKillNineDrill:
             assert sorted(reopened.by_id) == sorted(engine.by_id)
         finally:
             reopened.close_wal()
+
+
+class TestVerifyAcknowledged:
+    """The CI crash smoke's recovery check, as a library function."""
+
+    def test_a_drill_log_verifies_and_a_phantom_ack_fails(
+        self, tmp_path, small_objects, small_domain
+    ):
+        import contextlib
+
+        from repro.wal import WalError
+        from repro.wal.drill import run_stream, verify_acknowledged
+
+        directory = _deployment(tmp_path, small_objects, small_domain, "ic")
+        log_path = tmp_path / "drill.log"
+        with open(log_path, "w", encoding="utf-8") as log:
+            with contextlib.redirect_stdout(log):
+                run_stream(directory, updates=8, seed=3)
+        acked = [int(line.split()[1]) for line in log_path.read_text().splitlines()
+                 if line.startswith("ACK")]
+        assert len(acked) == 8
+        summary = verify_acknowledged(directory, str(log_path))
+        assert "all 8 acknowledged updates present" in summary
+
+        with open(log_path, "a", encoding="utf-8") as log:
+            log.write(f"ACK {max(acked) + 1} insert 99999\n")
+        with pytest.raises(WalError, match=f"lost acknowledged updates: \\[{max(acked) + 1}\\]"):
+            verify_acknowledged(directory, str(log_path))

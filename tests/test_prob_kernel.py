@@ -7,6 +7,10 @@ dominated candidates, and share per-object ring profiles across queries
 through a ``RingCache``.
 """
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -108,8 +112,7 @@ class TestScalarVectorizedParity:
         )
         assert probabilities[3] == 0.0
         assert sum(probabilities.values()) == pytest.approx(1.0)
-        cached_oids = {key[0] for key in cache._profiles}
-        assert 3 not in cached_oids  # pruned before any distribution was built
+        assert 3 not in cache._profiles  # pruned before any distribution was built
         assert_close(
             qualification_probabilities([near, also, hopeless], query), probabilities
         )
@@ -216,6 +219,43 @@ class TestRingCache:
         cache.invalidate(9)
         assert len(cache) == 0
 
+    def test_invalidate_leaves_other_objects_and_counters_alone(self):
+        cache = RingCache()
+        objects = [UncertainObject.uniform(oid, Point(oid, 0.0), 2.0) for oid in range(5)]
+        profiles = {obj.oid: (cache.get(obj, 48), cache.get(obj, 16)) for obj in objects}
+        hits, misses = cache.hits, cache.misses
+        cache.invalidate(2)
+        cache.invalidate(77)  # never cached: a no-op
+        assert (cache.hits, cache.misses) == (hits, misses)
+        assert len(cache) == 8 and 2 not in cache._profiles
+        for obj in objects:
+            if obj.oid != 2:
+                assert cache.get(obj, 48) is profiles[obj.oid][0]
+                assert cache.get(obj, 16) is profiles[obj.oid][1]
+        assert (cache.hits, cache.misses) == (hits + 8, misses)
+
+
+#: sha256 of every probability (oid and IEEE-754 bits) that PNN, threshold-0.1
+#: and top-2 queries report at 300 seeded points over the e2e ``query-dense``
+#: population, computed at 66c9c3d -- the last commit whose ring coverage and
+#: grid CDFs were chains of ``np.where`` temporaries.
+PINNED_DENSE_PROBABILITIES = "be8db36d90bb5b90e180911e267210aec5ce5025101db642189590ccfa5aa01d"
+
+
+def test_dense_probabilities_are_the_where_chain_bits():
+    objects, domain = generate_uniform_objects(160, diameter=350.0, seed=11)
+    engine = QueryEngine.build(objects, domain, DiagramConfig(backend="ic", seed_knn=60))
+    payload = []
+    for point in generate_query_points(300, domain, seed=5):
+        for query in (PNNQuery(point), PNNQuery(point, threshold=0.1), PNNQuery(point, top_k=2)):
+            probabilities = engine.execute(query).probabilities
+            payload.append(sorted(
+                (oid, struct.pack("<d", p).hex()) for oid, p in probabilities.items()
+            ))
+    assert sum(len(row) for row in payload) == 1858
+    digest = hashlib.sha256(json.dumps(payload).encode("utf-8")).hexdigest()
+    assert digest == PINNED_DENSE_PROBABILITIES
+
 
 ENGINE_BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
 
@@ -262,10 +302,9 @@ class TestEngineIntegration:
                                            rtree_fanout=16)
         )
         engine.execute(PNNQuery(queries[0]))
-        cached = {key[0] for key in engine._ring_cache._profiles}
-        victim = next(iter(cached))
+        victim = next(iter(engine._ring_cache._profiles))
         engine.delete(victim)
-        assert victim not in {key[0] for key in engine._ring_cache._profiles}
+        assert victim not in engine._ring_cache._profiles
 
     def test_config_rejects_the_retired_kernel_key(self):
         """Only snapshot open drops ``prob_kernel``; a config dict may not."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.coverage import coverage_array as reference_coverage_array
 from repro.geometry.point import Point
 from repro.uncertain.distance_distribution import (
     DistanceDistribution,
@@ -138,6 +139,16 @@ class TestVectorizedCdf:
         for r, value in zip(radii, vectorized):
             assert value == pytest.approx(dist.cdf(float(r)), abs=1e-12)
 
+    def test_cdf_many_keeps_the_shape_of_its_radii(self):
+        dist = DistanceDistribution(UncertainObject.uniform(1, Point(0, 0), 5.0), Point(3.0, 0.0))
+        single = dist.cdf_many(6.0)
+        assert single.shape == ()
+        assert float(single) == pytest.approx(dist.cdf(6.0), abs=1e-12)
+        grid = np.array([[0.0, 1.0, 6.0], [8.5, 9.0, -1.0]])
+        values = dist.cdf_many(grid)
+        assert values.shape == grid.shape
+        assert values.ravel().tolist() == dist.cdf_many(grid.ravel()).tolist()
+
     def test_coverage_array_matches_scalar(self):
         rng = np.random.default_rng(11)
         s = rng.uniform(0.0, 5.0, 40)
@@ -148,6 +159,66 @@ class TestVectorizedCdf:
             expected = [_ring_coverage(float(si), d, float(ri)) for si, ri in zip(s, r)]
             got = coverage_array(s, d, r)
             assert np.allclose(got, expected, atol=1e-15)
+
+    #: (s, d, r) where the scalar answers an exact 0.0 or 1.0.
+    BOUNDARY_CASES = [
+        (1.5, 2.5, 4.0), (2.5, 1.5, 4.0),            # tangent inside: d + s == r
+        (1.5, 4.0, 2.5), (4.0, 1.5, 2.5),            # tangent outside: |d - s| == r
+        (0.0, 2.0, 3.0), (0.0, 3.0, 2.0), (0.0, 2.0, 2.0),  # point ring
+        (2.0, 0.0, 3.0), (3.0, 0.0, 2.0), (2.0, 0.0, 2.0),  # centred query
+        (0.0, 0.0, 1.0), (0.0, 0.0, 0.0),            # both zero
+        (1.0, 2.0, 0.0), (0.0, 2.0, 0.0), (2.0, 0.0, 0.0),  # r == 0
+        (1.0, 2.0, -1.0), (0.0, 0.0, -1.0), (1.0, 0.5, -0.5),  # r < 0
+    ]
+
+    def test_coverage_array_is_exact_at_the_boundaries(self):
+        expected = [_ring_coverage(s, d, r) for s, d, r in self.BOUNDARY_CASES]
+        assert set(expected) == {0.0, 1.0}
+        # 0-d: plain floats in, a 0-d array out.
+        for (s, d, r), want in zip(self.BOUNDARY_CASES, expected):
+            got = coverage_array(s, d, r)
+            assert got.shape == () and float(got) == want, (s, d, r)
+        # 1-d: one case per element.
+        s, d, r = (np.array(column) for column in zip(*self.BOUNDARY_CASES))
+        assert coverage_array(s, d, r).tolist() == expected
+        # 3-d: every (s, d, r) combination of the boundary values.
+        values = np.array([0.0, 1.5, 2.5, 4.0, -1.0])
+        cube = coverage_array(values[:, None, None], values[None, :, None], values[None, None, :])
+        assert cube.shape == (5, 5, 5)
+        for i, si in enumerate(values):
+            for j, dj in enumerate(values):
+                for k, rk in enumerate(values):
+                    want = _ring_coverage(float(si), float(dj), float(rk))
+                    if want in (0.0, 1.0):
+                        assert cube[i, j, k] == want, (si, dj, rk)
+
+    def test_coverage_array_is_the_where_chain_bit_for_bit(self):
+        """The in-place kernel returns the reference ``np.where`` chain's bytes
+        on random operand shapes, with exact zeros, negative radii and
+        tangencies mixed in -- and NaN distances, where only the zero guards
+        (not the inside/outside masks) decide a point ring's or a centred
+        query's coverage."""
+        rng = np.random.default_rng(34)
+        for _ in range(400):
+            full = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(0, 4))))
+            operands = []
+            for _ in range(3):
+                # Each operand keeps or collapses every axis of the full shape.
+                shape = tuple(n if rng.random() < 0.5 else 1 for n in full)
+                shape = shape[int(rng.integers(0, len(shape) + 1)):]
+                operand = rng.uniform(0.0, 6.0, size=shape)
+                operand[rng.random(shape) < 0.2] = 0.0
+                operands.append(operand)
+            s, d, r = operands
+            r = r - (rng.random(r.shape) < 0.1)   # some negative query radii
+            s[rng.random(s.shape) < 0.05] = np.nan
+            d[rng.random(d.shape) < 0.05] = np.nan
+            tangent = np.broadcast_to(d + s, np.broadcast_shapes(s.shape, d.shape, r.shape))
+            for radius in (r, np.abs(d - s) + 0.0 * r, tangent.copy()):
+                got = coverage_array(s, d, radius)
+                want = reference_coverage_array(s, d, radius)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_precomputed_profile_equivalence(self):
         obj = UncertainObject.gaussian(1, Point(3.0, -2.0), 5.0)
