@@ -157,3 +157,44 @@ def test_answers_are_the_ones_the_scalar_verifier_gave(population, deployment, t
         engine = ShardedQueryEngine.open(str(tmp_path))
     digest = answers_digest(engine, domain, force_strategy)
     assert digest == PINNED_ANSWERS[(population, deployment)]
+
+
+# ---------------------------------------------------------------------- #
+# a build is pinned at a larger size and on skewed data, reads included
+# ---------------------------------------------------------------------- #
+BUILD_POPULATIONS = {
+    "uniform-640-d40": lambda: generate_uniform_objects(640, diameter=40.0, seed=11),
+    "uniform-d40": E2E_POPULATIONS["uniform-d40"],
+    "skewed-d40": E2E_POPULATIONS["skewed-d40"],
+}
+
+#: population -> (index digest, ``io_stats().page_reads`` right after the
+#: build) under ``E2E_CONFIG``, computed at b326264, the last commit that
+#: clipped one possible region at a time and walked the R-tree one entry at
+#: a time.  The R-tree walks of Algorithm 2 charge the build's page reads, so
+#: a walk that visits one leaf more or less changes the second value.
+PINNED_BUILDS = {
+    "uniform-640-d40": (
+        "0e4e3a7533ec2ea1f205f6595207d90bc7aae308b1b017a482bcf759df4a9435", 2810
+    ),
+    "uniform-d40": (
+        "5a04a12a6be17d5c9aa64fd28d33244e0bba821940991e7c7ed54b1fec944fc8", 512
+    ),
+    "skewed-d40": (
+        "41a668bf9ace7c0b100ed185d831641ab4867702033abd382c434092102a5444", 559
+    ),
+}
+
+
+@pytest.mark.parametrize("population", sorted(PINNED_BUILDS))
+def test_build_is_the_one_the_scalar_walks_built(population):
+    objects, domain = BUILD_POPULATIONS[population]()
+    engine = QueryEngine.build(objects, domain, E2E_CONFIG)
+    built = (index_digest(engine), engine.io_stats().page_reads)
+    assert built == PINNED_BUILDS[population]
+
+
+def test_two_worker_build_equals_the_pinned_serial_build():
+    objects, domain = BUILD_POPULATIONS["uniform-640-d40"]()
+    engine = QueryEngine.build(objects, domain, E2E_CONFIG.replace(workers=2))
+    assert index_digest(engine) == PINNED_BUILDS["uniform-640-d40"][0]
