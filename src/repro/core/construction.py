@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cr_objects import CRObjectFinder
+from repro.core.cr_objects import LOCKSTEP_OWNERS, CRObjectFinder, CRObjectResult
 from repro.core.uv_cell import build_exact_uv_cell
 from repro.core.uv_index import UVIndex
 from repro.geometry.rectangle import Rect
@@ -240,47 +240,59 @@ class ConstructionContext:
 
     def compute(self, oid: int) -> ObjectCellResult:
         """Compute one object's reference set (pure: no shared mutable state)."""
-        obj = self.by_id[oid]
-        spec = self.spec
-        phases: Dict[str, float] = {}
+        return self.compute_many([oid])[0]
 
-        if spec.method == "basic":
+    def compute_many(self, oids: Sequence[int]) -> List[ObjectCellResult]:
+        """Compute a shard of objects, in the given order.
+
+        IC and ICR run Algorithm 2 for :data:`LOCKSTEP_OWNERS` objects at a
+        time (:meth:`CRObjectFinder.find_many`), each object charged an even
+        share of its batch's ``pruning`` seconds.
+        """
+        if self.spec.method == "basic":
+            return [self._basic(oid) for oid in oids]
+        results: List[ObjectCellResult] = []
+        for first in range(0, len(oids), LOCKSTEP_OWNERS):
+            batch = oids[first:first + LOCKSTEP_OWNERS]
             start = time.perf_counter()
-            others = [o for o in self.objects if o.oid != oid]
-            cell = build_exact_uv_cell(
-                obj, others, spec.domain, arc_samples=spec.arc_samples
-            )
-            r_objects = cell.r_objects if cell.r_objects else [o.oid for o in others]
-            phases["r_objects"] = time.perf_counter() - start
-            return ObjectCellResult(
-                oid=oid,
-                ref_objects=list(r_objects),
-                examined=len(self.objects) - 1,
-                refined=len(r_objects),
-                phase_seconds=phases,
-            )
+            found = self.finder.find_many([self.by_id[oid] for oid in batch])
+            pruning = (time.perf_counter() - start) / len(batch)
+            results.extend(self._refine(cr, pruning) for cr in found)
+        return results
 
+    def _basic(self, oid: int) -> ObjectCellResult:
+        """Algorithm 1 against every other object (the Basic method)."""
+        obj = self.by_id[oid]
         start = time.perf_counter()
-        found = self.finder.find(obj)
-        phases["pruning"] = time.perf_counter() - start
+        others = [o for o in self.objects if o.oid != oid]
+        cell = build_exact_uv_cell(obj, others, self.spec.domain, arc_samples=self.spec.arc_samples)
+        r_objects = cell.r_objects if cell.r_objects else [o.oid for o in others]
+        return ObjectCellResult(
+            oid=oid,
+            ref_objects=list(r_objects),
+            examined=len(self.objects) - 1,
+            refined=len(r_objects),
+            phase_seconds={"r_objects": time.perf_counter() - start},
+        )
 
-        if spec.method == "ic":
+    def _refine(self, found: CRObjectResult, pruning: float) -> ObjectCellResult:
+        """IC keeps Algorithm 2's cr-objects; ICR refines them to exact r-objects."""
+        phases: Dict[str, float] = {"pruning": pruning}
+        if self.spec.method == "ic":
             ref_objects = list(found.cr_objects)
             refined = None
         else:  # icr
             start = time.perf_counter()
             cr_objs = [self.by_id[other] for other in found.cr_objects]
             cell = build_exact_uv_cell(
-                obj, cr_objs, spec.domain, arc_samples=spec.arc_samples
+                self.by_id[found.oid], cr_objs, self.spec.domain, arc_samples=self.spec.arc_samples
             )
-            ref_objects = list(
-                cell.r_objects if cell.r_objects else found.cr_objects
-            )
+            ref_objects = list(cell.r_objects if cell.r_objects else found.cr_objects)
             phases["r_objects"] = time.perf_counter() - start
             refined = len(ref_objects)
 
         return ObjectCellResult(
-            oid=oid,
+            oid=found.oid,
             ref_objects=ref_objects,
             cr_objects=list(found.cr_objects),
             candidates_after_i_pruning=found.candidates_after_i_pruning,
@@ -288,10 +300,6 @@ class ConstructionContext:
             refined=refined,
             phase_seconds=phases,
         )
-
-    def compute_many(self, oids: Sequence[int]) -> List[ObjectCellResult]:
-        """Compute a shard of objects, in the given order."""
-        return [self.compute(oid) for oid in oids]
 
 
 # ---------------------------------------------------------------------- #

@@ -31,11 +31,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.possible_region import PossibleRegion
+from repro.core.possible_region import PossibleRegion, refine_many
 from repro.geometry.rectangle import Rect
 from repro.rtree.tree import RTree
 from repro.storage.stats import TimingBreakdown
 from repro.uncertain.objects import UncertainObject
+
+#: owners whose seed regions a build clips in lock-step (one
+#: :meth:`CRObjectFinder.find_many` call); bounds the kernel's arrays and the
+#: regions held at once.
+LOCKSTEP_OWNERS = 256
 
 
 @dataclass
@@ -138,18 +143,29 @@ class CRObjectFinder:
                 break
         return list(chosen.values())
 
+    def initial_possible_regions(
+        self, owners: Sequence[UncertainObject], seeds: Sequence[Sequence[int]]
+    ) -> List[PossibleRegion]:
+        """Clip the domain by each owner's seeds' UV-edges (``initPossibleRegion``).
+
+        All owners' regions advance through their seeds in lock-step
+        (:func:`~repro.core.possible_region.refine_many`); each ends as if it
+        had been clipped alone.
+        """
+        regions = [
+            PossibleRegion(
+                owner, self.domain, arc_samples=self.arc_samples, edge_samples=self.edge_samples
+            )
+            for owner in owners
+        ]
+        refine_many(regions, [[self.by_id[oid] for oid in chosen] for chosen in seeds])
+        return regions
+
     def initial_possible_region(
         self, owner: UncertainObject, seeds: Sequence[int]
     ) -> PossibleRegion:
-        """Clip the domain by the seeds' UV-edges (``initPossibleRegion``)."""
-        region = PossibleRegion(
-            owner,
-            self.domain,
-            arc_samples=self.arc_samples,
-            edge_samples=self.edge_samples,
-        )
-        region.refine_all([self.by_id[oid] for oid in seeds])
-        return region
+        """One owner's initial possible region."""
+        return self.initial_possible_regions([owner], [seeds])[0]
 
     # ------------------------------------------------------------------ #
     # Step 2: I-pruning (Lemma 2)
@@ -161,12 +177,8 @@ class CRObjectFinder:
         d = region.max_distance_from_center()
         radius = max(0.0, 2.0 * d - owner.radius)
 
-        def center_inside(oid: int, mbr) -> bool:
-            center = mbr.center
-            return owner.center.distance_to(center) <= radius
-
         survivors = self.rtree.circular_range_query(
-            owner.center, radius, center_filter=center_inside
+            owner.center, radius, center_radius=radius
         )
         return [oid for oid in survivors if oid != owner.oid]
 
@@ -199,12 +211,36 @@ class CRObjectFinder:
     # ------------------------------------------------------------------ #
     def find(self, owner: UncertainObject) -> CRObjectResult:
         """Derive the cr-objects of one object."""
-        timing = TimingBreakdown()
+        return self.find_many([owner])[0]
 
+    def find_many(self, owners: Sequence[UncertainObject]) -> List[CRObjectResult]:
+        """Derive the cr-objects of a batch of objects.
+
+        The seed regions of the whole batch are clipped in lock-step; every
+        other step runs per owner.  Each result equals :meth:`find` of its
+        owner alone, except that the batch's ``seed`` time is split evenly
+        across its owners.  The caller bounds the batch
+        (:data:`LOCKSTEP_OWNERS` owners at a time during a build).
+        """
         start = time.perf_counter()
-        seeds = self.select_seeds(owner)
-        region = self.initial_possible_region(owner, seeds)
-        timing.add("seed", time.perf_counter() - start)
+        seeds = [self.select_seeds(owner) for owner in owners]
+        regions = self.initial_possible_regions(owners, seeds)
+        seed_seconds = (time.perf_counter() - start) / max(1, len(owners))
+        return [
+            self._prune(owner, chosen, region, seed_seconds)
+            for owner, chosen, region in zip(owners, seeds, regions)
+        ]
+
+    def _prune(
+        self,
+        owner: UncertainObject,
+        seeds: List[int],
+        region: PossibleRegion,
+        seed_seconds: float,
+    ) -> CRObjectResult:
+        """I- and C-pruning of one owner around its seed region."""
+        timing = TimingBreakdown()
+        timing.add("seed", seed_seconds)
 
         start = time.perf_counter()
         after_i = self.index_prune(owner, region)
@@ -229,4 +265,4 @@ class CRObjectFinder:
 
     def find_all(self) -> Dict[int, CRObjectResult]:
         """Run Algorithm 2 for every object of the dataset."""
-        return {obj.oid: self.find(obj) for obj in self.objects}
+        return {result.oid: result for result in self.find_many(self.objects)}

@@ -80,21 +80,14 @@ class PossibleRegion:
             ``True`` when the possible region actually shrank (``other`` is a
             potential r-object), ``False`` otherwise.
         """
-        if other.oid == self.owner.oid:
-            return False
-        edge = UVEdge.between(self.owner, other)
-        return self.refine_with_edge(edge)
+        return bool(self.refine_all([other]))
 
-    def refine_with_edge(self, edge: UVEdge) -> bool:
-        """Refine with an already-constructed UV-edge."""
-        other = edge.other
-        self.refined_by.add(other.oid)
-        if edge.hyperbola is None or self.is_empty():
-            return False
+    def refine_all(self, others: Sequence[UncertainObject]) -> List[int]:
+        """Refine with every object in ``others``; return ids that had an effect."""
+        return refine_many([self], [others])[0]
 
-        clipped = region_kernel.clip(
-            self._xs, self._ys, edge.hyperbola, self.edge_samples, self.arc_samples
-        )
+    def _take(self, clipped: Optional[region_kernel.ClippedRing], oid: int) -> bool:
+        """Adopt a clip's result if it removed area; ``oid``'s edge made it."""
         if clipped is None:
             return False
         xs, ys, area = clipped
@@ -102,16 +95,8 @@ class PossibleRegion:
         if changed:
             self._xs, self._ys, self._area = xs, ys, area
             self._polygon = None
-            self._contributors.add(other.oid)
+            self._contributors.add(oid)
         return changed
-
-    def refine_all(self, others: Sequence[UncertainObject]) -> List[int]:
-        """Refine with every object in ``others``; return ids that had an effect."""
-        effective = []
-        for other in others:
-            if self.refine(other):
-                effective.append(other.oid)
-        return effective
 
     # ------------------------------------------------------------------ #
     # measurements used by the pruning lemmas
@@ -191,3 +176,45 @@ class PossibleRegion:
             if (np.abs(values) <= tol).any():
                 found.add(candidate.oid)
         return sorted(found)
+
+
+def refine_many(
+    regions: Sequence[PossibleRegion], others: Sequence[Sequence[UncertainObject]]
+) -> List[List[int]]:
+    """Refine ``regions[r]`` with every object of ``others[r]``, in lock-step.
+
+    Step ``s`` clips every region that has an ``s``-th object by that
+    object's UV-edge in one :func:`~repro.geometry.region_kernel.clip_many`
+    pass.  A region's clips run in its own order and each equals clipping
+    that ring alone, so every region ends exactly as
+    :meth:`PossibleRegion.refine_all` over its own objects leaves it.  The
+    regions must share their sampling (one finder builds them all).
+
+    Returns:
+        Per region, the ids whose refinement had an effect.
+    """
+    if len({(region.edge_samples, region.arc_samples) for region in regions}) > 1:
+        raise ValueError("regions refined in lock-step must share their sampling")
+    effective: List[List[int]] = [[] for _ in regions]
+    for step in range(max(map(len, others), default=0)):
+        batch = []
+        for r, (region, objects) in enumerate(zip(regions, others)):
+            if step >= len(objects) or objects[step].oid == region.owner.oid:
+                continue
+            edge = UVEdge.between(region.owner, objects[step])
+            region.refined_by.add(edge.other.oid)
+            if edge.hyperbola is not None and not region.is_empty():
+                batch.append((r, edge))
+        if not batch:
+            continue
+        sampling = regions[batch[0][0]]
+        clipped = region_kernel.clip_many(
+            [(regions[r]._xs, regions[r]._ys) for r, _ in batch],
+            [edge.hyperbola for _, edge in batch],
+            sampling.edge_samples,
+            sampling.arc_samples,
+        )
+        for (r, edge), result in zip(batch, clipped):
+            if regions[r]._take(result, edge.other.oid):
+                effective[r].append(edge.other.oid)
+    return effective

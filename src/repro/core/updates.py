@@ -116,10 +116,9 @@ class UVDiagramUpdater:
             if not referrers:
                 del self._referencing[ref]
 
-    def _index(self, obj: UncertainObject, finder: CRObjectFinder) -> List[int]:
-        """Run Algorithm 2 for ``obj`` and insert it with Algorithm 3."""
+    def _index(self, obj: UncertainObject, cr_objects: List[int]) -> List[int]:
+        """Insert ``obj`` with Algorithm 3 under its Algorithm 2 cr-objects."""
         by_id = self.diagram.by_id
-        cr_objects = finder.find(obj).cr_objects
         self.diagram.index.insert(obj, [by_id[oid] for oid in cr_objects])
         self._link(obj.oid)
         return list(cr_objects)
@@ -134,7 +133,7 @@ class UVDiagramUpdater:
 
         # Keep every component of the diagram in sync.
         register_object(self.diagram, obj)
-        return self._index(obj, self._finder())
+        return self._index(obj, self._finder().find(obj).cr_objects)
 
     # ------------------------------------------------------------------ #
     # deletion
@@ -154,12 +153,15 @@ class UVDiagramUpdater:
 
         # Refresh every object whose UV-cell may have grown: exactly those
         # whose stored reference list names the victim, because a stored
-        # cell depends on nothing but its stored list.
-        finder = self._finder()
-        for refreshed_oid in affected:
+        # cell depends on nothing but its stored list.  Algorithm 2 reads
+        # only the objects and the R-tree, which the index operations below
+        # leave alone, so all the cells are derived in one batch up front.
+        by_id = self.diagram.by_id
+        found = self._finder().find_many([by_id[refreshed] for refreshed in affected])
+        for refreshed_oid, result in zip(affected, found):
             self._unlink(refreshed_oid)
             index.remove_object(refreshed_oid)
-            self._index(self.diagram.by_id[refreshed_oid], finder)
+            self._index(by_id[refreshed_oid], result.cr_objects)
         # Only now is the victim's circle unreferenced: until its turn came,
         # an affected object still listed the victim, and a leaf split caused
         # by an earlier refresh re-tests it against that list.

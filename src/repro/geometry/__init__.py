@@ -14,8 +14,8 @@ The UV-diagram is built from a small number of geometric primitives:
   UV-edges (Equation 5 of the paper),
 * convex hulls (:func:`~repro.geometry.hull.convex_hull`) used by C-pruning,
 * the possible-region kernel (:mod:`repro.geometry.region_kernel`): clipping
-  a ring of coordinates by a UV-edge, the step Algorithms 1 and 2 repeat when
-  they subtract outside regions,
+  a batch of coordinate rings, each by its own UV-edge, the step Algorithms 1
+  and 2 repeat when they subtract outside regions,
 * exact half-plane / rectangle clipping (:mod:`repro.geometry.clipping`).
 
 All coordinates are plain ``float``; the kernel does not depend on any other

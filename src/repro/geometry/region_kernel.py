@@ -1,19 +1,24 @@
-"""Array-native possible-region kernel: clip a ring by a UV-edge.
+"""Array-native possible-region kernel: clip a batch of rings by UV-edges.
 
 Algorithm 1 (and the seed step of Algorithm 2) shrinks a possible region by
 subtracting *outside regions*, each bounded by a hyperbolic UV-edge.  Here a
 region is a **ring**: two flat float lists ``xs`` / ``ys`` holding the
 vertices of a simple polygon whose curved pieces are densely sampled, and a
 UV-edge is a :class:`~repro.geometry.hyperbola.Hyperbola` record.  One
-:func:`clip`
+:func:`clip_many` clips every ring of a batch by its own edge (Algorithm 2
+advances a whole batch of owners through their seeds this way; a single
+ring is a batch of one):
 
 1. evaluates the edge function ``distmin(O_i, p) - distmax(O_j, p)`` on the
-   whole ``(vertices x edge_samples + 1)`` grid of boundary samples in one
-   NumPy pass and reads the sign flips off it,
+   ``(vertices x edge_samples + 1)`` grid of boundary samples of *all* rings
+   in one NumPy pass, each row against its ring's edge, and reads the sign
+   flips off it,
 2. bisects only the flipped intervals,
 3. keeps the vertices inside the constraint and replaces each removed run by
    sampled points of the UV-edge itself, and
-4. normalises the result (consecutive duplicates dropped, counter-clockwise).
+4. normalises each result (consecutive duplicates dropped, counter-clockwise).
+
+Steps 2-4 run per ring on plain floats.
 
 What is an array and what is not is deliberate.  The grid only *decides*
 (inside or outside), and ``np.hypot`` may differ from ``math.hypot`` in the
@@ -23,14 +28,15 @@ the two cannot disagree.  Everything that *produces a coordinate* --
 bisection, arc sampling, areas -- runs on plain floats with
 ``math.hypot`` / ``cosh`` / ``sinh`` in a fixed operation order, so a ring is
 bit-for-bit the one the per-``Point`` formulation in
-``tests/reference/clipping.py`` yields, and with it every cr-object set, leaf
-list and page the index derives from it.
+``tests/reference/clipping.py`` yields, whatever batch it was clipped in, and
+with it every cr-object set, leaf list and page the index derives from it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +63,25 @@ ClippedRing = Tuple[List[float], List[float], float]
 # ---------------------------------------------------------------------- #
 # the edge function
 # ---------------------------------------------------------------------- #
+def _parameters(edge: Hyperbola) -> Tuple[float, float, float, float, float, float]:
+    """``(x_i, y_i, r_i, x_j, y_j, r_j)`` of a UV-edge."""
+    return (
+        edge.focus_i.x, edge.focus_i.y, edge.radius_i,
+        edge.focus_j.x, edge.focus_j.y, edge.radius_j,
+    )
+
+
+def _edge_function(gx, gy, fix, fiy, ri, fjx, fjy, rj) -> np.ndarray:
+    """``distmin(O_i, p) - distmax(O_j, p)`` over arrays, parameters broadcast."""
+    values = np.hypot(gx - fix, gy - fiy)
+    values -= ri
+    np.maximum(values, 0.0, out=values)
+    dist_max_j = np.hypot(gx - fjx, gy - fjy)
+    dist_max_j += rj
+    values -= dist_max_j
+    return values
+
+
 def edge_values(
     edge: Hyperbola, gx: np.ndarray, gy: np.ndarray, around: float = 0.0
 ) -> np.ndarray:
@@ -66,18 +91,33 @@ def edge_values(
     overwritten with :meth:`Hyperbola.edge_value`, so comparing the result
     against ``+-around`` gives the scalar formula's answer for every entry.
     """
-    fi, fj = edge.focus_i, edge.focus_j
-    values = np.hypot(gx - fi.x, gy - fi.y)
-    values -= edge.radius_i
-    np.maximum(values, 0.0, out=values)
-    dist_max_j = np.hypot(gx - fj.x, gy - fj.y)
-    dist_max_j += edge.radius_j
-    values -= dist_max_j
+    values = _edge_function(gx, gy, *_parameters(edge))
     near = np.abs(np.abs(values) - around) < RECHECK_BAND
     if near.any():
         for index in zip(*np.nonzero(near)):
             values[index] = edge.edge_value(Point(float(gx[index]), float(gy[index])))
     return values
+
+
+def _inside(
+    points: np.ndarray, params: np.ndarray, edges: Sequence[Hyperbola], ring_ends: Sequence[int]
+) -> np.ndarray:
+    """``edge value <= 0`` per point, each row against its own ring's edge.
+
+    ``points`` stacks the ``x`` and ``y`` arrays; ``params`` are the
+    ``x_i, y_i, r_i, x_j, y_j, r_j`` of each row's edge, as scalars or as
+    arrays broadcastable against either.  Row ``v`` belongs to the first ring whose end offset in
+    ``ring_ends`` exceeds it.  Values within :data:`RECHECK_BAND` of zero
+    come from :meth:`Hyperbola.edge_value`, as in :func:`edge_values`.
+    """
+    gx, gy = points
+    values = _edge_function(gx, gy, *params)
+    near = np.abs(values) < RECHECK_BAND
+    if near.any():
+        for index in zip(*np.nonzero(near)):
+            edge = edges[bisect_right(ring_ends, index[0])]
+            values[index] = edge.edge_value(Point(float(gx[index]), float(gy[index])))
+    return values <= 0.0
 
 
 # ---------------------------------------------------------------------- #
@@ -176,60 +216,35 @@ def _append_arc(
         out_y.append(cy + local_x * sin_t + local_y * cos_t)
 
 
-def clip(
+
+
+def _emit(
     xs: List[float],
     ys: List[float],
+    keep: List[bool],
     edge: Hyperbola,
-    edge_samples: int,
+    flips: Sequence[Tuple[int, int]],
+    base: int,
+    gx: np.ndarray,
+    gy: np.ndarray,
+    inside: np.ndarray,
     arc_samples: int,
-) -> Optional[ClippedRing]:
-    """Clip a ring by a UV-edge, keeping the side where ``O_i`` can still win.
-
-    Args:
-        xs, ys: the ring's vertices.
-        edge: the UV-edge ``E_i(j)``; points with a positive edge value (the
-            outside region ``X_i(j)``) are removed.
-        edge_samples: sub-samples per ring edge used to detect crossings, so
-            an edge that leaves and re-enters between its endpoints is seen.
-        arc_samples: points of the UV-edge inserted per removed boundary run;
-            0 joins the two crossings by a straight chord, which slightly
-            over-approximates the kept region (safe for a *possible* region).
-
-    Returns:
-        ``None`` when no vertex violates the constraint (the ring is
-        untouched); otherwise the normalised clipped ring and its area --
-        empty when every vertex violates it (the boundary is all outside;
-        for convex-ish possible regions so is the interior).
-    """
-    n = len(xs)
-    if n == 0:
-        return None
-    start = np.array((xs, ys))
-    end = np.array((xs[1:] + xs[:1], ys[1:] + ys[:1]))
-    t = np.arange(edge_samples + 1) / edge_samples
-    # Row i samples the edge v_i -> v_{i+1}; column 0 is v_i itself.
-    gx, gy = start[:, :, None] + (end - start)[:, :, None] * t
-    inside = edge_values(edge, gx, gy) <= 0.0
-    vertex_inside = inside[:, 0]
-    if vertex_inside.all():
-        return None
-    if not vertex_inside.any():
-        return [], [], 0.0
-
-    keep = vertex_inside.tolist()
+) -> ClippedRing:
+    """One ring's clipped vertices, given the grid rows ``base ..`` it owns."""
     out_x: List[float] = []
     out_y: List[float] = []
     pending_exit: Optional[Tuple[float, float]] = None
     copied = 0  # vertices before this index are already decided
-    rows, cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
-    for i, k in zip(rows.tolist(), cols.tolist()):
+    for row, k in flips:
+        i = row - base
         if i >= copied:
             out_x.extend(compress(xs[copied:i + 1], keep[copied:i + 1]))
             out_y.extend(compress(ys[copied:i + 1], keep[copied:i + 1]))
             copied = i + 1
-        leaving = bool(inside[i, k])
+        leaving = inside.item(row, k)
         crossing = _bisect(
-            edge, gx.item(i, k), gy.item(i, k), gx.item(i, k + 1), gy.item(i, k + 1), leaving
+            edge, gx.item(row, k), gy.item(row, k), gx.item(row, k + 1), gy.item(row, k + 1),
+            leaving,
         )
         if leaving:
             pending_exit = crossing
@@ -251,3 +266,87 @@ def clip(
                 _append_arc(edge, pending_exit, (px, py), arc_samples, out_x, out_y)
                 break
     return normalize_ring(out_x, out_y)
+
+
+def clip_many(
+    rings: Sequence[Tuple[List[float], List[float]]],
+    edges: Sequence[Hyperbola],
+    edge_samples: int,
+    arc_samples: int,
+) -> List[Optional[ClippedRing]]:
+    """Clip every ring by its own UV-edge, keeping the side where its ``O_i`` can win.
+
+    Args:
+        rings: ``(xs, ys)`` vertex lists, one per region.
+        edges: ``edges[r]`` is the UV-edge ``E_i(j)`` clipping ``rings[r]``;
+            points with a positive edge value (the outside region ``X_i(j)``)
+            are removed.
+        edge_samples: sub-samples per ring edge used to detect crossings, so
+            an edge that leaves and re-enters between its endpoints is seen.
+        arc_samples: points of the UV-edge inserted per removed boundary run;
+            0 joins the two crossings by a straight chord, which slightly
+            over-approximates the kept region (safe for a *possible* region).
+
+    Returns:
+        Per ring: ``None`` when no vertex violates its constraint (the ring is
+        untouched); otherwise the normalised clipped ring and its area --
+        empty when every vertex violates it (the boundary is all outside;
+        for convex-ish possible regions so is the interior).  Each entry is
+        what clipping that ring alone gives.
+    """
+    counts = [len(xs) for xs, _ in rings]
+    ends = list(accumulate(counts))
+    total = ends[-1] if ends else 0
+    results: List[Optional[ClippedRing]] = [None] * len(rings)
+    if total == 0:
+        return results
+    # Every ring's vertices in one flat array, each with its ring's edge.
+    vertices = np.fromiter(
+        chain(
+            chain.from_iterable(xs for xs, _ in rings),
+            chain.from_iterable(ys for _, ys in rings),
+        ),
+        float,
+        2 * total,
+    ).reshape(2, total)
+    if len(edges) == 1:  # NumPy's scalar operands beat a broadcast column
+        params: Sequence = _parameters(edges[0])
+    else:
+        params = np.repeat(
+            np.array([_parameters(edge) for edge in edges]).T, counts, axis=1
+        )[:, :, None]
+    # Row ``v`` of the grid samples the ring edge from vertex ``v`` to its
+    # successor in the same ring; column 0 is ``v`` itself.
+    successor = np.arange(1, total + 1)
+    for first, end in zip([0, *ends], ends):
+        if end > first:
+            successor[end - 1] = first
+    t = np.arange(edge_samples + 1) / edge_samples
+    grid = vertices[:, :, None] + (vertices[:, successor] - vertices)[:, :, None] * t
+    inside = _inside(grid, params, edges, ends)
+
+    # The vertices alone decide whether a ring is untouched or emptied.
+    vertex_inside = inside[:, 0].tolist()
+    clipped = []  # (ring, its first row) of rings that keep some vertices
+    start = 0
+    for r, end in enumerate(ends):
+        if not all(vertex_inside[start:end]):
+            if any(vertex_inside[start:end]):
+                clipped.append((r, start))
+            else:
+                results[r] = [], [], 0.0
+        start = end
+    if not clipped:
+        return results
+    rows, cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
+    flips = list(zip(rows.tolist(), cols.tolist()))
+    gx, gy = grid
+    for r, start in clipped:
+        first = bisect_left(flips, (start, -1))
+        last = bisect_left(flips, (ends[r], -1), first)
+        xs, ys = rings[r]
+        results[r] = _emit(
+            xs, ys, vertex_inside[start:ends[r]], edges[r], flips[first:last], start,
+            gx, gy, inside, arc_samples,
+        )
+    return results

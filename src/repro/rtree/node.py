@@ -29,9 +29,11 @@ class RTreeNode:
     Leaf nodes live on simulated disk pages (``page_id``); internal nodes are
     memory resident, matching the experimental setup of the paper.
 
-    ``block`` caches the entries in array form for PNN branch-and-prune (see
-    :meth:`RTree.leaf_block` / :meth:`RTree.child_boxes`); every change to
-    ``entries`` must reset it to ``None``.
+    ``arrays`` caches the entries' MBRs as an ``(n, 4)`` array with their oids
+    or children (the walks and :meth:`RTree.child_boxes`), ``block`` a leaf's
+    entries as a candidate block for PNN branch-and-prune
+    (:meth:`RTree.leaf_block`); every change to ``entries`` must reset both
+    to ``None``.
     """
 
     is_leaf: bool
@@ -39,6 +41,7 @@ class RTreeNode:
     page_id: Optional[int] = None
     level: int = 0
     block: Any = field(default=None, repr=False, compare=False)
+    arrays: Any = field(default=None, repr=False, compare=False)
 
     def mbr(self) -> Rect:
         """Bounding rectangle of all entries.

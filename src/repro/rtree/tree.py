@@ -10,9 +10,9 @@ descends into a leaf, one page read is counted against the associated
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class RTree:
     def _insert_entry(
         self, node: RTreeNode, entry: RTreeEntry
     ) -> Optional[Tuple[RTreeNode, RTreeNode]]:
-        node.block = None  # an entry is added here or a child's MBR grows
+        node.block = node.arrays = None  # an entry is added or a child's MBR grows
         if node.is_leaf:
             node.entries.append(entry)
             self._sync_leaf_page(node)
@@ -218,21 +218,16 @@ class RTree:
         """A leaf's entries as a candidate block of the objects' MBCs.
 
         The page is read (and counted) on every call, as by
-        :meth:`_read_leaf`; the block is built from its entries the first
-        time and cached on the node until an insert changes the leaf.
+        :meth:`_read_leaf`; the block is cached like :meth:`_entry_arrays`.
         """
-        entries = self._read_leaf(node)
+        boxes, oids = self._entry_arrays(node)
         if node.block is None:
-            node.block = CandidateBlock.from_boxes(
-                [entry.oid for entry in entries], _boxes(entries)
-            )
+            node.block = CandidateBlock.from_boxes(oids, boxes)
         return node.block
 
     def child_boxes(self, node: RTreeNode) -> np.ndarray:
         """An internal node's child MBRs as an ``(n, 4)`` array (cached)."""
-        if node.block is None:
-            node.block = _boxes(node.entries)
-        return node.block
+        return self._entry_arrays(node)[0]
 
     def range_query(self, rect: Rect) -> List[int]:
         """Object ids whose MBRs intersect ``rect``."""
@@ -250,31 +245,48 @@ class RTree:
                         stack.append(entry.child)
         return results
 
+    def _entry_arrays(self, node: RTreeNode) -> Tuple[np.ndarray, list]:
+        """A node's entry MBRs as an ``(n, 4)`` array, with its oids or children.
+
+        A leaf's page is read (and counted) on every call, as by
+        :meth:`_read_leaf`; the arrays are built from the entries the first
+        time and cached on the node until an insert changes it.
+        """
+        entries = self._read_leaf(node) if node.is_leaf else node.entries
+        if node.arrays is None:
+            payload = [e.oid if node.is_leaf else e.child for e in entries]
+            node.arrays = (_boxes(entries), payload)
+        return node.arrays
+
     def circular_range_query(
-        self,
-        center: Point,
-        radius: float,
-        center_filter: Optional[Callable[[int, Rect], bool]] = None,
+        self, center: Point, radius: float, center_radius: Optional[float] = None
     ) -> List[int]:
         """Object ids whose MBRs intersect the disk ``Cir(center, radius)``.
 
-        ``center_filter`` can post-filter individual leaf entries (I-pruning
-        additionally requires the *centre* of the object to lie inside the
-        circle, see Lemma 2).
+        With ``center_radius``, an object must also have its MBR's centre
+        within that distance of ``center`` (I-pruning requires the *centre* of
+        the object to lie inside its circle, see Lemma 2).  Each node's
+        entries are tested as one array; every decision is the one
+        :meth:`Rect.min_distance_to_point` (and ``Point.distance_to``) makes.
         """
+        x, y = center.x, center.y
         results: List[int] = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
-                for entry in self._read_leaf(node):
-                    if entry.mbr.min_distance_to_point(center) <= radius:
-                        if center_filter is None or center_filter(entry.oid, entry.mbr):
-                            results.append(entry.oid)
-            else:
-                for entry in node.entries:
-                    if entry.mbr.min_distance_to_point(center) <= radius:
-                        stack.append(entry.child)
+            boxes, payload = self._entry_arrays(node)
+            hits = _within(*_gaps(boxes, x, y), radius)
+            if not node.is_leaf:
+                stack.extend(compress(payload, hits))
+                continue
+            if center_radius is not None:
+                centred = _within(
+                    x - (boxes[:, 0] + boxes[:, 2]) / 2.0,
+                    y - (boxes[:, 1] + boxes[:, 3]) / 2.0,
+                    center_radius,
+                )
+                hits = [hit and inner for hit, inner in zip(hits, centred)]
+            results.extend(compress(payload, hits))
         return results
 
     def knn(self, query: Point, k: int) -> List[Tuple[int, float]]:
@@ -283,41 +295,42 @@ class RTree:
         Returns ``(oid, min_distance)`` pairs ordered by distance.  The
         UV-diagram's seed selection (Section IV-B) issues this query with the
         object's centre as the query point.
+
+        Every entry of an expanded node gets the key ``(distance, counter)``
+        a heap of single entries would give it (counters in expansion and
+        entry order), so keys are unique and the pop order is fixed.  The
+        node's entries are sorted stably by distance into a *run*, and only
+        each run's next entry sits on the heap: the same pops, the same
+        leaves read, without pushing entries that are never popped.
         """
         if k <= 0:
             return []
-        heap: List[Tuple[float, int, bool, object]] = []
-        counter = itertools.count()
-        heapq.heappush(heap, (0.0, next(counter), False, self.root))
+        x, y = query.x, query.y
+        # A run is (distances ascending, entry order, first counter, payload,
+        # payload are objects); a heap item is (distance, counter, run, rank).
+        heap: List[Tuple[float, int, tuple, int]] = [(0.0, 0, ([0.0], [0], 0, [self.root], False), 0)]
+        counter = 1
         results: List[Tuple[int, float]] = []
         while heap and len(results) < k:
-            dist, _, is_object, item = heapq.heappop(heap)
-            if is_object:
+            dist, _, run, rank = heap[0]
+            distances, order, first, payload, are_objects = run
+            if rank + 1 < len(order):
+                nxt = rank + 1
+                heapq.heapreplace(heap, (distances[nxt], first + order[nxt], run, nxt))
+            else:
+                heapq.heappop(heap)
+            item = payload[order[rank]]
+            if are_objects:
                 results.append((item, dist))
                 continue
-            node: RTreeNode = item
-            if node.is_leaf:
-                for entry in self._read_leaf(node):
-                    heapq.heappush(
-                        heap,
-                        (
-                            entry.mbr.min_distance_to_point(query),
-                            next(counter),
-                            True,
-                            entry.oid,
-                        ),
-                    )
-            else:
-                for entry in node.entries:
-                    heapq.heappush(
-                        heap,
-                        (
-                            entry.mbr.min_distance_to_point(query),
-                            next(counter),
-                            False,
-                            entry.child,
-                        ),
-                    )
+            boxes, entries = self._entry_arrays(item)
+            if not entries:
+                continue
+            values = np.array(_distances(*_gaps(boxes, x, y)))
+            ranked = np.argsort(values, kind="stable")
+            child_run = (values[ranked].tolist(), ranked.tolist(), counter, entries, item.is_leaf)
+            heapq.heappush(heap, (child_run[0][0], counter + child_run[1][0], child_run, 0))
+            counter += len(entries)
         return results
 
     # ------------------------------------------------------------------ #
@@ -386,7 +399,27 @@ def _boxes(entries: Sequence[RTreeEntry]) -> np.ndarray:
     """The entries' MBRs as an ``(n, 4)`` array of ``(xmin, ymin, xmax, ymax)``."""
     return np.array(
         [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in entries], dtype=float
-    )
+    ).reshape(-1, 4)
+
+
+def _gaps(boxes: np.ndarray, x: float, y: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per box, the ``max(lo - p, 0, p - hi)`` terms of ``Rect.min_distance_to_point``.
+
+    NumPy's subtractions and maxima are exact, so these are the scalar terms.
+    """
+    dx = np.maximum(np.maximum(boxes[:, 0] - x, 0.0), x - boxes[:, 2])
+    dy = np.maximum(np.maximum(boxes[:, 1] - y, 0.0), y - boxes[:, 3])
+    return dx, dy
+
+
+def _distances(dx: np.ndarray, dy: np.ndarray) -> List[float]:
+    """``math.hypot`` per pair: ``np.hypot`` can differ from it in the last bit."""
+    return list(map(math.hypot, dx.tolist(), dy.tolist()))
+
+
+def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> List[bool]:
+    """``math.hypot(dx, dy) <= radius`` per pair."""
+    return [distance <= radius for distance in _distances(dx, dy)]
 
 
 def _enlargements(group: np.ndarray, boxes: np.ndarray) -> np.ndarray:

@@ -3,16 +3,20 @@
 ``ScalarPossibleRegion`` is ``repro.core.possible_region.PossibleRegion`` as
 it was before the array kernel: a :class:`Polygon` clipped through
 :mod:`reference.clipping`, a hull built from ``Point`` differences, r-objects
-found in a vertices x candidates loop.  ``ScalarCRObjectFinder`` drives the
-production seed selection and R-tree queries over it, with the C-pruning loop
-it used to have, so a property test can demand the same seeds, survivors and
-cr-objects from the production finder.
+found in a vertices x candidates loop.  ``ScalarCRObjectFinder`` runs
+Algorithm 2 over it one owner at a time: seeds from the per-entry k-NN walk of
+:mod:`reference.rtree_walks`, I-pruning through its per-entry range walk, the
+C-pruning loop it used to have.  A property test can so demand the same seeds,
+survivors and cr-objects from the production finder, which batches owners and
+walks node arrays.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+import math
+from typing import Dict, List, Sequence, Set
 
+from reference import rtree_walks
 from reference.clipping import clip_polygon_by_uv_edge
 from repro.core.cr_objects import CRObjectFinder
 from repro.core.uv_edge import UVEdge
@@ -111,12 +115,35 @@ class ScalarPossibleRegion:
 class ScalarCRObjectFinder(CRObjectFinder):
     """Algorithm 2 with every geometric step done on ``Point`` objects."""
 
+    def select_seeds(self, owner):
+        k = min(self.seed_knn, len(self.objects))
+        chosen: Dict[int, int] = {}
+        for oid, _dist in rtree_walks.knn(self.rtree, owner.center, k):
+            if oid == owner.oid:
+                continue
+            angle = owner.center.angle_to(self.by_id[oid].center)
+            sector = int(((angle + math.pi) / (2.0 * math.pi)) * self.seed_sectors)
+            chosen.setdefault(min(sector, self.seed_sectors - 1), oid)
+            if len(chosen) == self.seed_sectors:
+                break
+        return list(chosen.values())
+
+    def initial_possible_regions(self, owners, seeds):
+        return [self.initial_possible_region(owner, chosen) for owner, chosen in zip(owners, seeds)]
+
     def initial_possible_region(self, owner, seeds):
         region = ScalarPossibleRegion(
             owner, self.domain, arc_samples=self.arc_samples, edge_samples=self.edge_samples
         )
         region.refine_all([self.by_id[oid] for oid in seeds])
         return region
+
+    def index_prune(self, owner, region):
+        radius = max(0.0, 2.0 * region.max_distance_from_center() - owner.radius)
+        survivors = rtree_walks.circular_range_query(
+            self.rtree, owner.center, radius, center_radius=radius
+        )
+        return [oid for oid in survivors if oid != owner.oid]
 
     def computational_prune(self, owner, region, candidates):
         hull = region.convex_hull_vertices()

@@ -34,7 +34,7 @@ from repro.queries.probability_kernel import (
 )
 from repro.uncertain.distance_distribution import DistanceDistribution
 from repro.uncertain.objects import UncertainObject
-from repro.uncertain.sampling import estimate_nn_probabilities
+from reference.sampling import estimate_nn_probabilities
 
 
 def _reference_raw_integral(
@@ -239,7 +239,7 @@ def qualification_probabilities_sampling(
 ) -> Dict[int, float]:
     """Monte-Carlo estimate of the qualification probabilities.
 
-    A thin wrapper over :func:`repro.uncertain.sampling.estimate_nn_probabilities`
+    A thin wrapper over :func:`reference.sampling.estimate_nn_probabilities`
     so that tests can switch estimator without changing imports.
     """
     return estimate_nn_probabilities(list(objects), query, worlds=worlds, rng=rng)

@@ -3,7 +3,8 @@
 Kriegel et al. (DASFAA'07) estimate PNN qualification probabilities by
 sampling possible worlds; this module provides that estimator and its
 possible-world sampler, which the test-suite uses as an independent
-cross-check of the numerical integration.
+cross-check of the numerical integration.  It was
+``repro.uncertain.sampling`` while the library still had a caller.
 """
 
 from __future__ import annotations

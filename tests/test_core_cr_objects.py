@@ -129,6 +129,15 @@ class TestFullAlgorithm:
         assert result.c_pruning_ratio >= result.i_pruning_ratio - 0.2
         assert set(result.timing.buckets) == {"seed", "i_prune", "c_prune"}
 
+    def test_a_batch_splits_its_seed_time_evenly(self, dataset):
+        objects, finder = dataset
+        results = finder.find_many(objects[:5])
+        assert [r.oid for r in results] == [o.oid for o in objects[:5]]
+        seed_seconds = {r.timing.buckets["seed"] for r in results}
+        assert len(seed_seconds) == 1 and seed_seconds.pop() > 0.0
+        for result in results:
+            assert set(result.timing.buckets) == {"seed", "i_prune", "c_prune"}
+
     def test_cr_objects_contain_all_r_objects(self, dataset):
         """The defining guarantee: F_i is a subset of C_i."""
         objects, finder = dataset
@@ -192,12 +201,17 @@ class TestSameAsTheScalarFinder:
     def test_find_matches_the_reference_finder(self, population):
         objects, domain = POPULATIONS[population]()
         objects = on_the_border(objects, domain)
-        rtree = RTree.bulk_load(objects)
+        rtree = RTree.bulk_load(objects, fanout=16)
         finder = CRObjectFinder(objects, domain, rtree=rtree, seed_knn=60)
         reference = ScalarCRObjectFinder(objects, domain, rtree=rtree, seed_knn=60)
-        for owner in objects:
-            got = finder.find(owner)
-            expected = reference.find(owner)
+        stats = rtree.disk.stats
+        before = stats.page_reads
+        batch = finder.find_many(objects)  # every owner's seed region in lock-step
+        batch_reads, before = stats.page_reads - before, stats.page_reads
+        one_by_one = [reference.find(owner) for owner in objects]
+        assert batch_reads == stats.page_reads - before
+        for owner, got, expected in zip(objects, batch, one_by_one):
+            assert got.oid == expected.oid == owner.oid
             assert got.seeds == expected.seeds
             assert got.candidates_after_i_pruning == expected.candidates_after_i_pruning
             assert got.cr_objects == expected.cr_objects

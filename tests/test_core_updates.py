@@ -214,13 +214,13 @@ class TestNoBootstrap:
     @pytest.fixture()
     def find_calls(self, monkeypatch):
         calls = []
-        find = CRObjectFinder.find
+        find_many = CRObjectFinder.find_many
 
-        def counting_find(self, owner):
-            calls.append(owner.oid)
-            return find(self, owner)
+        def counting_find_many(self, owners):
+            calls.extend(owner.oid for owner in owners)
+            return find_many(self, owners)
 
-        monkeypatch.setattr(CRObjectFinder, "find", counting_find)
+        monkeypatch.setattr(CRObjectFinder, "find_many", counting_find_many)
         return calls
 
     def test_building_an_updater_runs_no_search(self, updatable_diagram, find_calls,

@@ -151,8 +151,13 @@ def ring_of(polygon: Polygon):
     return [v.x for v in vertices], [v.y for v in vertices]
 
 
+def clip_one(xs, ys, edge, edge_samples, arc_samples):
+    """One ring through the kernel: a batch of one."""
+    return region_kernel.clip_many([(xs, ys)], [edge], edge_samples, arc_samples)[0]
+
+
 class TestRegionKernel:
-    """``region_kernel.clip`` returns exactly the oracle's vertices."""
+    """``region_kernel.clip_many`` returns exactly the oracle's vertices."""
 
     GRID = 8  # centres and radii snap to 1000 / GRID: degenerate pairs are common
 
@@ -195,7 +200,7 @@ class TestRegionKernel:
             if not edge.exists():  # tangent, overlapping, nested, coincident
                 continue
             expected = clip_polygon_by_uv_edge(polygon, edge, arc_samples, edge_samples)
-            got = region_kernel.clip(xs, ys, edge.hyperbola, edge_samples, arc_samples)
+            got = clip_one(xs, ys, edge.hyperbola, edge_samples, arc_samples)
             if got is None:
                 event("untouched")
                 assert expected is polygon
@@ -212,11 +217,16 @@ class TestRegionKernel:
     def test_untouched_and_emptied_outcomes(self):
         xs, ys = ring_of(Polygon.from_rect(Rect(0.0, 0.0, 100.0, 100.0)))
         far = Hyperbola.uv_edge(Point(50.0, 50.0), 5.0, Point(5000.0, 50.0), 5.0)
-        assert region_kernel.clip(xs, ys, far, 6, 12) is None
+        assert clip_one(xs, ys, far, 6, 12) is None
         # The owner sits far outside the square, the competitor inside it.
         hostile = Hyperbola.uv_edge(Point(5000.0, 50.0), 5.0, Point(50.0, 50.0), 5.0)
-        assert region_kernel.clip(xs, ys, hostile, 6, 12) == ([], [], 0.0)
-        assert region_kernel.clip([], [], far, 6, 12) is None
+        assert clip_one(xs, ys, hostile, 6, 12) == ([], [], 0.0)
+        assert clip_one([], [], far, 6, 12) is None
+        assert region_kernel.clip_many([], [], 6, 12) == []
+        batch = [(xs, ys), ([], []), (xs, ys), (xs, ys)]
+        assert region_kernel.clip_many(batch, [far, far, hostile, far], 6, 12) == [
+            None, None, ([], [], 0.0), None
+        ]
 
     def test_values_inside_the_band_come_from_the_scalar_formula(self, monkeypatch):
         edge = Hyperbola.uv_edge(Point(200.0, 500.0), 50.0, Point(800.0, 500.0), 50.0)
@@ -238,3 +248,96 @@ class TestRegionKernel:
         assert 7.0 not in around_zero[k:]
         around_last = region_kernel.edge_values(edge, gx, gy, around=abs(scalar[-1]))
         assert (around_last == 7.0).tolist() == [False] * (len(points) - 1) + [True]
+
+
+class TestClipMany:
+    """A batch of rings, each clipped by its own UV-edge in one pass, gives
+    every ring the oracle's vertices and what clipping it alone gives."""
+
+    GRID = TestRegionKernel.GRID
+    DOMAIN = Rect(0.0, 0.0, 1000.0, 1000.0)
+
+    case = st.tuples(
+        TestRegionKernel.circles,  # owner
+        TestRegionKernel.circles,  # the competitor whose edge clips the ring
+        st.integers(min_value=0, max_value=3),  # corner the ring starts from
+        st.lists(TestRegionKernel.circles, max_size=2),  # earlier clips: ring size
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=3),  # on-edge vertices
+    )
+
+    @classmethod
+    def subject(cls, owner, other, first_corner, earlier, on_edge):
+        """``(polygon, edge)`` of one case, or ``None`` when its edge is void."""
+        owner_obj = TestRegionKernel.make_object(0, owner)
+        edge = UVEdge.between(owner_obj, TestRegionKernel.make_object(1, other))
+        if not edge.exists():
+            return None
+        corners = cls.DOMAIN.corners()
+        polygon = Polygon(corners[first_corner:] + corners[:first_corner])
+        for oid, circle in enumerate(earlier, start=2):
+            earlier_edge = UVEdge.between(owner_obj, TestRegionKernel.make_object(oid, circle))
+            if earlier_edge.exists() and not polygon.is_empty():
+                polygon = clip_polygon_by_uv_edge(polygon, earlier_edge, 10, 6)
+        if polygon.is_empty():
+            polygon = Polygon(corners)
+        # Vertices on the UV-edge itself: their edge values lie inside the
+        # recheck band, so the batch must recompute them with this ring's edge.
+        vertices = list(polygon.vertices)
+        for k, t in enumerate(on_edge):
+            vertices.insert((3 * k + 1) % len(vertices), edge.hyperbola.point_at(t))
+        return Polygon(vertices), edge
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cases=st.lists(case, min_size=1, max_size=64),
+        edge_samples=st.integers(min_value=1, max_value=12),
+        arc_samples=st.integers(min_value=0, max_value=12),
+    )
+    def test_every_ring_is_the_oracles_and_its_own(self, cases, edge_samples, arc_samples):
+        subjects = [s for s in (self.subject(*case) for case in cases) if s is not None]
+        rings = [ring_of(polygon) for polygon, _ in subjects]
+        edges = [edge.hyperbola for _, edge in subjects]
+        batch = region_kernel.clip_many(rings, edges, edge_samples, arc_samples)
+        assert len(batch) == len(subjects)
+        event(f"batch of {'1' if len(subjects) == 1 else '2-64'}")
+        for (polygon, edge), (xs, ys), got in zip(subjects, rings, batch):
+            assert got == clip_one(xs, ys, edge.hyperbola, edge_samples, arc_samples)
+            expected = clip_polygon_by_uv_edge(polygon, edge, arc_samples, edge_samples)
+            if got is None:
+                event("untouched")
+                assert expected is polygon
+                continue
+            event("clipped" if got[0] else "emptied")
+            assert (got[0], got[1]) == ring_of(expected)
+            assert got[2] == expected.area()
+
+    def test_each_ring_rechecks_its_band_with_its_own_edge(self, monkeypatch):
+        square = ring_of(Polygon.from_rect(self.DOMAIN))
+        left = Hyperbola.uv_edge(Point(800.0, 500.0), 30.0, Point(200.0, 500.0), 30.0)
+        right = Hyperbola.uv_edge(Point(200.0, 500.0), 30.0, Point(800.0, 500.0), 30.0)
+        rings, edges = [], []
+        for edge in (left, right, left):
+            on_edge = [edge.point_at(t) for t in (-0.5, 0.0, 0.5)]
+            polygon = Polygon(self.DOMAIN.corners()[:2] + on_edge + self.DOMAIN.corners()[2:])
+            rings.append(ring_of(polygon))
+            edges.append(edge)
+        rings.append(square)
+        edges.append(right)
+        recomputed = []
+        edge_value = Hyperbola.edge_value
+
+        def recording(edge, p):
+            recomputed.append((edge, p))
+            return edge_value(edge, p)
+
+        monkeypatch.setattr(Hyperbola, "edge_value", recording)
+        batch = region_kernel.clip_many(rings, edges, 6, 0)
+        monkeypatch.undo()
+        # Every recomputed sample lies on the edge it was recomputed with.
+        assert {id(edge) for edge, _ in recomputed} == {id(left), id(right)}
+        assert all(abs(edge.edge_value(p)) < region_kernel.RECHECK_BAND for edge, p in recomputed)
+        for (xs, ys), edge, got in zip(rings, edges, batch):
+            expected = clip_polygon_by_constraint(
+                Polygon([Point(x, y) for x, y in zip(xs, ys)]), edge.edge_value, edge_samples=6
+            )
+            assert got is not None and (got[0], got[1]) == ring_of(expected)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import rtree_walks
 from reference.rtree_split import quadratic_split as reference_split
 
 from repro.geometry.point import Point
@@ -146,11 +147,7 @@ class TestRangeQueries:
         tree = RTree.bulk_load(objects, fanout=12)
         center = Point(500.0, 500.0)
         radius = 300.0
-
-        def only_centers_inside(oid, mbr):
-            return center.distance_to(mbr.center) <= radius
-
-        result = tree.circular_range_query(center, radius, center_filter=only_centers_inside)
+        result = tree.circular_range_query(center, radius, center_radius=radius)
         expected = sorted(
             o.oid for o in objects if center.distance_to(o.center) <= radius
         )
@@ -205,3 +202,70 @@ class TestIOAccounting:
         tree.range_query(Rect(500, 500, 501, 501))
         _, leaves = tree.node_count()
         assert disk.stats.page_reads < leaves
+
+
+class TestArrayWalksMatchTheScalarWalks:
+    """``knn`` and ``circular_range_query`` test node arrays, yet return the
+    per-entry walks' ids and distances in their order (``tests/reference``)
+    and read the same leaves."""
+
+    # Centres on a coarse lattice and few radii: duplicate MBRs and equal
+    # distances from lattice query points are the common case, not the rare.
+    lattice = st.tuples(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=8),
+        st.sampled_from([0.0, 5.0, 50.0]),
+    )
+
+    @staticmethod
+    def tree_of(cells, fanout, packed):
+        objects = [
+            UncertainObject.uniform(oid, Point(100.0 * ix, 100.0 * iy), r)
+            for oid, (ix, iy, r) in enumerate(cells)
+        ]
+        if packed:
+            return RTree.bulk_load(objects, fanout=fanout)
+        tree = RTree(fanout=fanout)
+        for obj in objects:
+            tree.insert(obj)
+        return tree
+
+    @staticmethod
+    def counted(tree, walk, *args):
+        before = tree.disk.stats.page_reads
+        result = walk(*args)
+        return result, tree.disk.stats.page_reads - before
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.lists(lattice, max_size=90),
+        fanout=st.sampled_from([4, 5, 12, 100]),
+        packed=st.booleans(),
+        query=st.tuples(st.integers(-1, 9), st.integers(-1, 9), st.sampled_from([0.0, 50.0, 37.5])),
+        k=st.integers(min_value=0, max_value=95),
+        radius=st.sampled_from([0.0, 50.0, 100.0, 141.4213562373095, 250.0, 2000.0]),
+        center_radius=st.sampled_from([None, 0.0, 100.0, 300.0]),
+    )
+    def test_same_answers_in_the_same_order_with_the_same_reads(
+        self, cells, fanout, packed, query, k, radius, center_radius
+    ):
+        tree = self.tree_of(cells, fanout, packed)
+        point = Point(100.0 * query[0] + query[2], 100.0 * query[1])
+        for _ in range(2):  # cold, then with the node arrays cached
+            assert self.counted(tree, tree.knn, point, k) == self.counted(
+                tree, rtree_walks.knn, tree, point, k
+            )
+            assert self.counted(
+                tree, tree.circular_range_query, point, radius, center_radius
+            ) == self.counted(
+                tree, rtree_walks.circular_range_query, tree, point, radius, center_radius
+            )
+
+    def test_an_insert_refreshes_the_cached_arrays(self):
+        tree = self.tree_of([(i % 5, i // 5, 5.0) for i in range(30)], 6, packed=False)
+        point = Point(250.0, 250.0)
+        assert tree.knn(point, 40) == rtree_walks.knn(tree, point, 40)
+        tree.insert(UncertainObject.uniform(99, Point(250.0, 250.0), 5.0))
+        assert tree.knn(point, 40) == rtree_walks.knn(tree, point, 40)
+        assert tree.knn(point, 1) == [(99, 0.0)]
+        assert sorted(tree.circular_range_query(point, 0.0)) == [99]

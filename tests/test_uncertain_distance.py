@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 from reference.coverage import coverage_array as reference_coverage_array
+from reference.sampling import (
+    empirical_distance_quantiles,
+    estimate_nn_probabilities,
+    sample_possible_world,
+)
 from repro.geometry.point import Point
 from repro.uncertain.distance_distribution import (
     DistanceDistribution,
@@ -12,11 +17,6 @@ from repro.uncertain.distance_distribution import (
     ring_profile,
 )
 from repro.uncertain.objects import UncertainObject
-from repro.uncertain.sampling import (
-    empirical_distance_quantiles,
-    estimate_nn_probabilities,
-    sample_possible_world,
-)
 
 
 class TestRingCoverage:
