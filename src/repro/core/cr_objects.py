@@ -37,10 +37,9 @@ from repro.rtree.tree import RTree
 from repro.storage.stats import TimingBreakdown
 from repro.uncertain.objects import UncertainObject
 
-#: owners whose seed regions a build clips in lock-step (one
-#: :meth:`CRObjectFinder.find_many` call); bounds the kernel's arrays and the
-#: regions held at once.
-LOCKSTEP_OWNERS = 256
+#: owners per :meth:`CRObjectFinder.find_many` call of a build: bounds the
+#: lock-step kernel's arrays and the regions held at once.
+LOCKSTEP_OWNERS = 64
 
 
 @dataclass
@@ -216,52 +215,40 @@ class CRObjectFinder:
     def find_many(self, owners: Sequence[UncertainObject]) -> List[CRObjectResult]:
         """Derive the cr-objects of a batch of objects.
 
-        The seed regions of the whole batch are clipped in lock-step; every
-        other step runs per owner.  Each result equals :meth:`find` of its
-        owner alone, except that the batch's ``seed`` time is split evenly
-        across its owners.  The caller bounds the batch
-        (:data:`LOCKSTEP_OWNERS` owners at a time during a build).
+        The batch's seed regions are clipped in lock-step, the rest runs per
+        owner.  Each result equals :meth:`find` of its owner alone, except
+        that the batch's ``seed`` time is split evenly across its owners.
         """
         start = time.perf_counter()
         seeds = [self.select_seeds(owner) for owner in owners]
         regions = self.initial_possible_regions(owners, seeds)
         seed_seconds = (time.perf_counter() - start) / max(1, len(owners))
-        return [
-            self._prune(owner, chosen, region, seed_seconds)
-            for owner, chosen, region in zip(owners, seeds, regions)
-        ]
+        results = []
+        for owner, chosen, region in zip(owners, seeds, regions):
+            timing = TimingBreakdown()
+            timing.add("seed", seed_seconds)
 
-    def _prune(
-        self,
-        owner: UncertainObject,
-        seeds: List[int],
-        region: PossibleRegion,
-        seed_seconds: float,
-    ) -> CRObjectResult:
-        """I- and C-pruning of one owner around its seed region."""
-        timing = TimingBreakdown()
-        timing.add("seed", seed_seconds)
+            start = time.perf_counter()
+            after_i = self.index_prune(owner, region)
+            timing.add("i_prune", time.perf_counter() - start)
 
-        start = time.perf_counter()
-        after_i = self.index_prune(owner, region)
-        timing.add("i_prune", time.perf_counter() - start)
+            start = time.perf_counter()
+            # Seeds already shaped the possible region; they are natural
+            # cr-object candidates even if the range query misses them.
+            candidate_pool = sorted(set(after_i) | set(chosen))
+            cr_objects = self.computational_prune(owner, region, candidate_pool)
+            timing.add("c_prune", time.perf_counter() - start)
 
-        start = time.perf_counter()
-        # Seeds already shaped the possible region; they are natural
-        # cr-object candidates even if the range query misses them.
-        candidate_pool = sorted(set(after_i) | set(seeds))
-        cr_objects = self.computational_prune(owner, region, candidate_pool)
-        timing.add("c_prune", time.perf_counter() - start)
-
-        return CRObjectResult(
-            oid=owner.oid,
-            cr_objects=sorted(cr_objects),
-            seeds=list(seeds),
-            possible_region=region,
-            candidates_after_i_pruning=len(after_i),
-            examined=len(self.objects) - 1,
-            timing=timing,
-        )
+            results.append(CRObjectResult(
+                oid=owner.oid,
+                cr_objects=sorted(cr_objects),
+                seeds=list(chosen),
+                possible_region=region,
+                candidates_after_i_pruning=len(after_i),
+                examined=len(self.objects) - 1,
+                timing=timing,
+            ))
+        return results
 
     def find_all(self) -> Dict[int, CRObjectResult]:
         """Run Algorithm 2 for every object of the dataset."""

@@ -187,14 +187,11 @@ def refine_many(
     object's UV-edge in one :func:`~repro.geometry.region_kernel.clip_many`
     pass.  A region's clips run in its own order and each equals clipping
     that ring alone, so every region ends exactly as
-    :meth:`PossibleRegion.refine_all` over its own objects leaves it.  The
-    regions must share their sampling (one finder builds them all).
+    :meth:`PossibleRegion.refine_all` over its own objects leaves it.
 
     Returns:
         Per region, the ids whose refinement had an effect.
     """
-    if len({(region.edge_samples, region.arc_samples) for region in regions}) > 1:
-        raise ValueError("regions refined in lock-step must share their sampling")
     effective: List[List[int]] = [[] for _ in regions]
     for step in range(max(map(len, others), default=0)):
         batch = []
@@ -207,7 +204,7 @@ def refine_many(
                 batch.append((r, edge))
         if not batch:
             continue
-        sampling = regions[batch[0][0]]
+        sampling = regions[batch[0][0]]  # one finder built them all
         clipped = region_kernel.clip_many(
             [(regions[r]._xs, regions[r]._ys) for r, _ in batch],
             [edge.hyperbola for _, edge in batch],

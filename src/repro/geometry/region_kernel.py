@@ -18,8 +18,6 @@ ring is a batch of one):
    sampled points of the UV-edge itself, and
 4. normalises each result (consecutive duplicates dropped, counter-clockwise).
 
-Steps 2-4 run per ring on plain floats.
-
 What is an array and what is not is deliberate.  The grid only *decides*
 (inside or outside), and ``np.hypot`` may differ from ``math.hypot`` in the
 last bit, so any sample whose value lies within :data:`RECHECK_BAND` of the
@@ -63,23 +61,10 @@ ClippedRing = Tuple[List[float], List[float], float]
 # ---------------------------------------------------------------------- #
 # the edge function
 # ---------------------------------------------------------------------- #
-def _parameters(edge: Hyperbola) -> Tuple[float, float, float, float, float, float]:
+def _parameters(edge: Hyperbola) -> Tuple[float, ...]:
     """``(x_i, y_i, r_i, x_j, y_j, r_j)`` of a UV-edge."""
-    return (
-        edge.focus_i.x, edge.focus_i.y, edge.radius_i,
-        edge.focus_j.x, edge.focus_j.y, edge.radius_j,
-    )
-
-
-def _edge_function(gx, gy, fix, fiy, ri, fjx, fjy, rj) -> np.ndarray:
-    """``distmin(O_i, p) - distmax(O_j, p)`` over arrays, parameters broadcast."""
-    values = np.hypot(gx - fix, gy - fiy)
-    values -= ri
-    np.maximum(values, 0.0, out=values)
-    dist_max_j = np.hypot(gx - fjx, gy - fjy)
-    dist_max_j += rj
-    values -= dist_max_j
-    return values
+    fi, fj = edge.focus_i, edge.focus_j
+    return fi.x, fi.y, edge.radius_i, fj.x, fj.y, edge.radius_j
 
 
 def edge_values(
@@ -91,33 +76,29 @@ def edge_values(
     overwritten with :meth:`Hyperbola.edge_value`, so comparing the result
     against ``+-around`` gives the scalar formula's answer for every entry.
     """
-    values = _edge_function(gx, gy, *_parameters(edge))
-    near = np.abs(np.abs(values) - around) < RECHECK_BAND
-    if near.any():
-        for index in zip(*np.nonzero(near)):
-            values[index] = edge.edge_value(Point(float(gx[index]), float(gy[index])))
-    return values
+    return _values(gx, gy, _parameters(edge), [edge], [len(gx)], around)
 
 
-def _inside(
-    points: np.ndarray, params: np.ndarray, edges: Sequence[Hyperbola], ring_ends: Sequence[int]
-) -> np.ndarray:
-    """``edge value <= 0`` per point, each row against its own ring's edge.
+def _values(gx, gy, params, edges, ring_ends, around=0.0) -> np.ndarray:
+    """:func:`edge_values` with each row against its own ring's edge.
 
-    ``points`` stacks the ``x`` and ``y`` arrays; ``params`` are the
-    ``x_i, y_i, r_i, x_j, y_j, r_j`` of each row's edge, as scalars or as
-    arrays broadcastable against either.  Row ``v`` belongs to the first ring whose end offset in
-    ``ring_ends`` exceeds it.  Values within :data:`RECHECK_BAND` of zero
-    come from :meth:`Hyperbola.edge_value`, as in :func:`edge_values`.
+    ``params`` are the rows' ``_parameters``: one edge's scalars, or arrays
+    broadcastable against ``gx``.  Row ``v`` belongs to the first ring whose
+    end offset in ``ring_ends`` exceeds it.
     """
-    gx, gy = points
-    values = _edge_function(gx, gy, *params)
-    near = np.abs(values) < RECHECK_BAND
+    fix, fiy, ri, fjx, fjy, rj = params
+    values = np.hypot(gx - fix, gy - fiy)
+    values -= ri
+    np.maximum(values, 0.0, out=values)
+    dist_max_j = np.hypot(gx - fjx, gy - fjy)
+    dist_max_j += rj
+    values -= dist_max_j
+    near = np.abs(np.abs(values) - around) < RECHECK_BAND
     if near.any():
         for index in zip(*np.nonzero(near)):
             edge = edges[bisect_right(ring_ends, index[0])]
             values[index] = edge.edge_value(Point(float(gx[index]), float(gy[index])))
-    return values <= 0.0
+    return values
 
 
 # ---------------------------------------------------------------------- #
@@ -216,68 +197,16 @@ def _append_arc(
         out_y.append(cy + local_x * sin_t + local_y * cos_t)
 
 
-
-
-def _emit(
-    xs: List[float],
-    ys: List[float],
-    keep: List[bool],
-    edge: Hyperbola,
-    flips: Sequence[Tuple[int, int]],
-    base: int,
-    gx: np.ndarray,
-    gy: np.ndarray,
-    inside: np.ndarray,
-    arc_samples: int,
-) -> ClippedRing:
-    """One ring's clipped vertices, given the grid rows ``base ..`` it owns."""
-    out_x: List[float] = []
-    out_y: List[float] = []
-    pending_exit: Optional[Tuple[float, float]] = None
-    copied = 0  # vertices before this index are already decided
-    for row, k in flips:
-        i = row - base
-        if i >= copied:
-            out_x.extend(compress(xs[copied:i + 1], keep[copied:i + 1]))
-            out_y.extend(compress(ys[copied:i + 1], keep[copied:i + 1]))
-            copied = i + 1
-        leaving = inside.item(row, k)
-        crossing = _bisect(
-            edge, gx.item(row, k), gy.item(row, k), gx.item(row, k + 1), gy.item(row, k + 1),
-            leaving,
-        )
-        if leaving:
-            pending_exit = crossing
-        elif pending_exit is not None:
-            if arc_samples > 0:
-                _append_arc(edge, pending_exit, crossing, arc_samples, out_x, out_y)
-            pending_exit = None
-        out_x.append(crossing[0])
-        out_y.append(crossing[1])
-    out_x.extend(compress(xs[copied:], keep[copied:]))
-    out_y.extend(compress(ys[copied:], keep[copied:]))
-
-    # A clip can wrap around the vertex list: the final exit pairs with the
-    # first kept point, which was emitted before any exit was recorded.  The
-    # ring is cyclic, so the arc goes at the end.
-    if pending_exit is not None and arc_samples > 0:
-        for px, py in zip(out_x, out_y):
-            if edge.edge_value(Point(px, py)) <= ON_EDGE_TOL:
-                _append_arc(edge, pending_exit, (px, py), arc_samples, out_x, out_y)
-                break
-    return normalize_ring(out_x, out_y)
-
-
 def clip_many(
     rings: Sequence[Tuple[List[float], List[float]]],
     edges: Sequence[Hyperbola],
     edge_samples: int,
     arc_samples: int,
 ) -> List[Optional[ClippedRing]]:
-    """Clip every ring by its own UV-edge, keeping the side where its ``O_i`` can win.
+    """Clip each ring by its own UV-edge, keeping the side where its ``O_i`` can win.
 
     Args:
-        rings: ``(xs, ys)`` vertex lists, one per region.
+        rings: ``(xs, ys)`` vertex lists.
         edges: ``edges[r]`` is the UV-edge ``E_i(j)`` clipping ``rings[r]``;
             points with a positive edge value (the outside region ``X_i(j)``)
             are removed.
@@ -288,11 +217,11 @@ def clip_many(
             over-approximates the kept region (safe for a *possible* region).
 
     Returns:
-        Per ring: ``None`` when no vertex violates its constraint (the ring is
-        untouched); otherwise the normalised clipped ring and its area --
-        empty when every vertex violates it (the boundary is all outside;
-        for convex-ish possible regions so is the interior).  Each entry is
-        what clipping that ring alone gives.
+        Per ring, what clipping it alone gives: ``None`` when no vertex
+        violates the constraint (the ring is untouched); otherwise the
+        normalised clipped ring and its area -- empty when every vertex
+        violates it (the boundary is all outside; for convex-ish possible
+        regions so is the interior).
     """
     counts = [len(xs) for xs, _ in rings]
     ends = list(accumulate(counts))
@@ -300,53 +229,72 @@ def clip_many(
     results: List[Optional[ClippedRing]] = [None] * len(rings)
     if total == 0:
         return results
-    # Every ring's vertices in one flat array, each with its ring's edge.
+    # All rings' vertices in one flat array.  Row ``v`` of the grid samples
+    # the ring edge from vertex ``v`` to its successor in the same ring;
+    # column 0 is ``v`` itself.
     vertices = np.fromiter(
-        chain(
-            chain.from_iterable(xs for xs, _ in rings),
-            chain.from_iterable(ys for _, ys in rings),
-        ),
-        float,
-        2 * total,
+        chain(*(xs for xs, _ in rings), *(ys for _, ys in rings)), float, 2 * total
     ).reshape(2, total)
-    if len(edges) == 1:  # NumPy's scalar operands beat a broadcast column
-        params: Sequence = _parameters(edges[0])
-    else:
-        params = np.repeat(
-            np.array([_parameters(edge) for edge in edges]).T, counts, axis=1
-        )[:, :, None]
-    # Row ``v`` of the grid samples the ring edge from vertex ``v`` to its
-    # successor in the same ring; column 0 is ``v`` itself.
     successor = np.arange(1, total + 1)
     for first, end in zip([0, *ends], ends):
         if end > first:
             successor[end - 1] = first
     t = np.arange(edge_samples + 1) / edge_samples
-    grid = vertices[:, :, None] + (vertices[:, successor] - vertices)[:, :, None] * t
-    inside = _inside(grid, params, edges, ends)
-
-    # The vertices alone decide whether a ring is untouched or emptied.
+    gx, gy = vertices[:, :, None] + (vertices[:, successor] - vertices)[:, :, None] * t
+    if len(edges) == 1:  # NumPy's scalar operands beat a broadcast column
+        params: Sequence = _parameters(edges[0])
+    else:
+        params = np.repeat(np.array([_parameters(e) for e in edges]).T, counts, axis=1)
+        params = params[:, :, None]
+    inside = _values(gx, gy, params, edges, ends) <= 0.0
     vertex_inside = inside[:, 0].tolist()
-    clipped = []  # (ring, its first row) of rings that keep some vertices
-    start = 0
-    for r, end in enumerate(ends):
-        if not all(vertex_inside[start:end]):
-            if any(vertex_inside[start:end]):
-                clipped.append((r, start))
-            else:
-                results[r] = [], [], 0.0
-        start = end
-    if not clipped:
-        return results
-    rows, cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
-    flips = list(zip(rows.tolist(), cols.tolist()))
-    gx, gy = grid
-    for r, start in clipped:
-        first = bisect_left(flips, (start, -1))
-        last = bisect_left(flips, (ends[r], -1), first)
+    flips: List[Tuple[int, int]] = []  # (row, column) of every sign flip, once needed
+
+    for r, (start, end) in enumerate(zip([0, *ends], ends)):
+        keep = vertex_inside[start:end]
+        if all(keep):
+            continue
+        if not any(keep):
+            results[r] = [], [], 0.0
+            continue
+        if not flips:
+            rows, cols = np.nonzero(inside[:, 1:] != inside[:, :-1])
+            flips = list(zip(rows.tolist(), cols.tolist()))
         xs, ys = rings[r]
-        results[r] = _emit(
-            xs, ys, vertex_inside[start:ends[r]], edges[r], flips[first:last], start,
-            gx, gy, inside, arc_samples,
-        )
+        edge = edges[r]
+        out_x: List[float] = []
+        out_y: List[float] = []
+        pending_exit: Optional[Tuple[float, float]] = None
+        copied = 0  # vertices before this index are already decided
+        for row, k in flips[bisect_left(flips, (start, -1)):bisect_left(flips, (end, -1))]:
+            i = row - start
+            if i >= copied:
+                out_x.extend(compress(xs[copied:i + 1], keep[copied:i + 1]))
+                out_y.extend(compress(ys[copied:i + 1], keep[copied:i + 1]))
+                copied = i + 1
+            leaving = inside.item(row, k)
+            crossing = _bisect(
+                edge, gx.item(row, k), gy.item(row, k), gx.item(row, k + 1),
+                gy.item(row, k + 1), leaving,
+            )
+            if leaving:
+                pending_exit = crossing
+            elif pending_exit is not None:
+                if arc_samples > 0:
+                    _append_arc(edge, pending_exit, crossing, arc_samples, out_x, out_y)
+                pending_exit = None
+            out_x.append(crossing[0])
+            out_y.append(crossing[1])
+        out_x.extend(compress(xs[copied:], keep[copied:]))
+        out_y.extend(compress(ys[copied:], keep[copied:]))
+
+        # A clip can wrap around the vertex list: the final exit pairs with
+        # the first kept point, which was emitted before any exit was
+        # recorded.  The ring is cyclic, so the arc goes at the end.
+        if pending_exit is not None and arc_samples > 0:
+            for px, py in zip(out_x, out_y):
+                if edge.edge_value(Point(px, py)) <= ON_EDGE_TOL:
+                    _append_arc(edge, pending_exit, (px, py), arc_samples, out_x, out_y)
+                    break
+        results[r] = normalize_ring(out_x, out_y)
     return results

@@ -275,17 +275,15 @@ class RTree:
         while stack:
             node = stack.pop()
             boxes, payload = self._entry_arrays(node)
-            hits = _within(*_gaps(boxes, x, y), radius)
+            hits = [distance <= radius for distance in _min_distances(boxes, x, y)]
             if not node.is_leaf:
                 stack.extend(compress(payload, hits))
                 continue
             if center_radius is not None:
-                centred = _within(
-                    x - (boxes[:, 0] + boxes[:, 2]) / 2.0,
-                    y - (boxes[:, 1] + boxes[:, 3]) / 2.0,
-                    center_radius,
+                centres = _hypots(
+                    x - (boxes[:, 0] + boxes[:, 2]) / 2.0, y - (boxes[:, 1] + boxes[:, 3]) / 2.0
                 )
-                hits = [hit and inner for hit, inner in zip(hits, centred)]
+                hits = [hit and d <= center_radius for hit, d in zip(hits, centres)]
             results.extend(compress(payload, hits))
         return results
 
@@ -306,16 +304,17 @@ class RTree:
         if k <= 0:
             return []
         x, y = query.x, query.y
-        # A run is (distances ascending, entry order, first counter, payload,
-        # payload are objects); a heap item is (distance, counter, run, rank).
-        heap: List[Tuple[float, int, tuple, int]] = [(0.0, 0, ([0.0], [0], 0, [self.root], False), 0)]
+        # A run is (distances ascending, their entry indexes, the counter of
+        # entry 0, the entries' payload, whether that payload is objects); a
+        # heap item is (distance, counter, run, rank in the run).
+        heap = [(0.0, 0, ([0.0], [0], 0, [self.root], False), 0)]
         counter = 1
         results: List[Tuple[int, float]] = []
         while heap and len(results) < k:
             dist, _, run, rank = heap[0]
             distances, order, first, payload, are_objects = run
-            if rank + 1 < len(order):
-                nxt = rank + 1
+            nxt = rank + 1
+            if nxt < len(order):
                 heapq.heapreplace(heap, (distances[nxt], first + order[nxt], run, nxt))
             else:
                 heapq.heappop(heap)
@@ -324,13 +323,12 @@ class RTree:
                 results.append((item, dist))
                 continue
             boxes, entries = self._entry_arrays(item)
-            if not entries:
-                continue
-            values = np.array(_distances(*_gaps(boxes, x, y)))
-            ranked = np.argsort(values, kind="stable")
-            child_run = (values[ranked].tolist(), ranked.tolist(), counter, entries, item.is_leaf)
-            heapq.heappush(heap, (child_run[0][0], counter + child_run[1][0], child_run, 0))
-            counter += len(entries)
+            if entries:
+                values = np.array(_min_distances(boxes, x, y))
+                ranked = np.argsort(values, kind="stable")
+                run = (values[ranked].tolist(), ranked.tolist(), counter, entries, item.is_leaf)
+                heapq.heappush(heap, (run[0][0], counter + run[1][0], run, 0))
+                counter += len(entries)
         return results
 
     # ------------------------------------------------------------------ #
@@ -402,24 +400,20 @@ def _boxes(entries: Sequence[RTreeEntry]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def _gaps(boxes: np.ndarray, x: float, y: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Per box, the ``max(lo - p, 0, p - hi)`` terms of ``Rect.min_distance_to_point``.
+def _min_distances(boxes: np.ndarray, x: float, y: float) -> List[float]:
+    """``Rect.min_distance_to_point`` of every box, bit for bit.
 
-    NumPy's subtractions and maxima are exact, so these are the scalar terms.
+    NumPy's ``max(lo - p, 0, p - hi)`` terms are exact; the distances are
+    ``math.hypot`` of them (``np.hypot`` can differ in the last bit).
     """
     dx = np.maximum(np.maximum(boxes[:, 0] - x, 0.0), x - boxes[:, 2])
     dy = np.maximum(np.maximum(boxes[:, 1] - y, 0.0), y - boxes[:, 3])
-    return dx, dy
+    return _hypots(dx, dy)
 
 
-def _distances(dx: np.ndarray, dy: np.ndarray) -> List[float]:
-    """``math.hypot`` per pair: ``np.hypot`` can differ from it in the last bit."""
+def _hypots(dx: np.ndarray, dy: np.ndarray) -> List[float]:
+    """``math.hypot`` per pair."""
     return list(map(math.hypot, dx.tolist(), dy.tolist()))
-
-
-def _within(dx: np.ndarray, dy: np.ndarray, radius: float) -> List[bool]:
-    """``math.hypot(dx, dy) <= radius`` per pair."""
-    return [distance <= radius for distance in _distances(dx, dy)]
 
 
 def _enlargements(group: np.ndarray, boxes: np.ndarray) -> np.ndarray:
