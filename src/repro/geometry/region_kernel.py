@@ -93,10 +93,7 @@ def _values(gx, gy, params, edges, ring_ends, around=0.0) -> np.ndarray:
     dist_max_j = np.hypot(gx - fjx, gy - fjy)
     dist_max_j += rj
     values -= dist_max_j
-    near = np.abs(values)
-    if around:
-        near = np.abs(near - around)
-    near = near < RECHECK_BAND
+    near = np.abs(np.abs(values) - around) < RECHECK_BAND
     if near.any():
         for index in zip(*np.nonzero(near)):
             edge = edges[bisect_right(ring_ends, index[0])]

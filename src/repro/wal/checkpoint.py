@@ -59,12 +59,10 @@ logger = logging.getLogger("repro.wal.checkpoint")
 CHECKPOINT_STATUS_NAME = "checkpoint-status.json"
 
 #: Thread switch interval while a checkpoint runs (default 5 ms): a read beside
-#: the mostly-Python rebuild waits for a forced switch to get the lock.  The
-#: rebuild clips its seed regions a batch of owners at a time, so it holds the
-#: lock for milliseconds between the NumPy calls that release it; at 3 ms the
-#: median such read (2-core VM, Python 3.11, e2e ``churn``) took 2.3-3.4 ms,
-#: at 0.1 ms 0.59-0.61 ms, with the 95th percentile and the rebuild's own time
-#: unchanged.
+#: the mostly-Python rebuild waits for a forced switch, as the lock-step seed
+#: phase releases the lock only in its NumPy calls, milliseconds apart.  The
+#: median such read (2-core VM, Python 3.11, e2e ``churn``) took 2.3-3.4 ms at
+#: 3 ms, 0.59-0.61 ms at 0.1 ms; the 95th percentile and the rebuild held.
 CHECKPOINT_SWITCH_INTERVAL_S = 0.0001
 _switch_lock = threading.Lock()
 _switch_saved: List[float] = []  # one per running checkpoint; [0] is restored
