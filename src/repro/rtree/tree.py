@@ -294,41 +294,40 @@ class RTree:
         UV-diagram's seed selection (Section IV-B) issues this query with the
         object's centre as the query point.
 
-        Every entry of an expanded node gets the key ``(distance, counter)``
-        a heap of single entries would give it (counters in expansion and
-        entry order), so keys are unique and the pop order is fixed.  The
-        node's entries are sorted stably by distance into a *run*, and only
-        each run's next entry sits on the heap: the same pops, the same
-        leaves read, without pushing entries that are never popped.
+        A heap of single entries keyed ``(distance, counter)``, the counter
+        numbering entries in expansion and entry order, pops ties by node
+        expansion first and entry order second.  Here each expanded node's
+        entries are sorted stably by distance into a *run* keyed
+        ``(distance, expansion, rank)``, which orders ties the same way, and
+        only each run's next entry sits on the heap: the same pops and the
+        same leaves read, without pushing entries that are never popped.
         """
         if k <= 0:
             return []
         x, y = query.x, query.y
-        # A run is (distances ascending, their entry indexes, the counter of
-        # entry 0, the entries' payload, whether that payload is objects); a
-        # heap item is (distance, counter, run, rank in the run).
-        heap = [(0.0, 0, ([0.0], [0], 0, [self.root], False), 0)]
-        counter = 1
+        # A run is (distances ascending, payload in that order, whether the
+        # payload is objects); a heap item is (distance, expansion, rank, run).
+        heap = [(0.0, 0, 0, ([0.0], [self.root], False))]
+        expansions = 0
         results: List[Tuple[int, float]] = []
         while heap and len(results) < k:
-            dist, _, run, rank = heap[0]
-            distances, order, first, payload, are_objects = run
-            nxt = rank + 1
-            if nxt < len(order):
-                heapq.heapreplace(heap, (distances[nxt], first + order[nxt], run, nxt))
+            dist, expansion, rank, run = heap[0]
+            distances, payload, are_objects = run
+            if rank + 1 < len(payload):
+                heapq.heapreplace(heap, (distances[rank + 1], expansion, rank + 1, run))
             else:
                 heapq.heappop(heap)
-            item = payload[order[rank]]
+            item = payload[rank]
             if are_objects:
                 results.append((item, dist))
                 continue
             boxes, entries = self._entry_arrays(item)
             if entries:
                 values = np.array(_min_distances(boxes, x, y))
-                ranked = np.argsort(values, kind="stable")
-                run = (values[ranked].tolist(), ranked.tolist(), counter, entries, item.is_leaf)
-                heapq.heappush(heap, (run[0][0], counter + run[1][0], run, 0))
-                counter += len(entries)
+                ranked = np.argsort(values, kind="stable").tolist()
+                expansions += 1
+                run = (values[ranked].tolist(), [entries[i] for i in ranked], item.is_leaf)
+                heapq.heappush(heap, (run[0][0], expansions, 0, run))
         return results
 
     # ------------------------------------------------------------------ #

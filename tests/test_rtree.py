@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference import rtree_walks
 from reference.rtree_split import quadratic_split as reference_split
 
@@ -237,6 +237,12 @@ class TestArrayWalksMatchTheScalarWalks:
         return result, tree.disk.stats.page_reads - before
 
     @settings(max_examples=150, deadline=None)
+    # A centre exactly ``center_radius`` away, and equal distances from
+    # duplicate MBRs spread over several leaves.
+    @example(cells=[(0, 0, 0.0), (1, 0, 0.0), (0, 1, 0.0), (2, 2, 0.0)], fanout=4,
+             packed=True, query=(0, 0, 0.0), k=4, radius=100.0, center_radius=100.0)
+    @example(cells=[(1, 1, 5.0)] * 12 + [(3, 3, 5.0)] * 12, fanout=4, packed=False,
+             query=(2, 2, 0.0), k=20, radius=250.0, center_radius=300.0)
     @given(
         cells=st.lists(lattice, max_size=90),
         fanout=st.sampled_from([4, 5, 12, 100]),
