@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cr_objects import LOCKSTEP_OWNERS, CRObjectFinder, CRObjectResult
+from repro.core.cr_objects import CRObjectFinder, CRObjectResult
 from repro.core.uv_cell import build_exact_uv_cell
 from repro.core.uv_index import UVIndex
 from repro.geometry.rectangle import Rect
@@ -245,20 +245,14 @@ class ConstructionContext:
     def compute_many(self, oids: Sequence[int]) -> List[ObjectCellResult]:
         """Compute a shard of objects, in the given order.
 
-        IC and ICR run Algorithm 2 for :data:`LOCKSTEP_OWNERS` objects at a
-        time (:meth:`CRObjectFinder.find_many`), each object charged an even
-        share of its batch's ``pruning`` seconds.
+        IC and ICR run Algorithm 2 batch by batch
+        (:meth:`CRObjectFinder.iter_many`); each object is charged its own
+        pruning seconds and an even share of its batch's seed phase.
         """
         if self.spec.method == "basic":
             return [self._basic(oid) for oid in oids]
-        results: List[ObjectCellResult] = []
-        for first in range(0, len(oids), LOCKSTEP_OWNERS):
-            batch = oids[first:first + LOCKSTEP_OWNERS]
-            start = time.perf_counter()
-            found = self.finder.find_many([self.by_id[oid] for oid in batch])
-            pruning = (time.perf_counter() - start) / len(batch)
-            results.extend(self._refine(cr, pruning) for cr in found)
-        return results
+        found = self.finder.iter_many([self.by_id[oid] for oid in oids])
+        return [self._refine(cr, cr.timing.total()) for cr in found]
 
     def _basic(self, oid: int) -> ObjectCellResult:
         """Algorithm 1 against every other object (the Basic method)."""

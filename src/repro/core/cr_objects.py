@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.possible_region import PossibleRegion, refine_many
 from repro.geometry.rectangle import Rect
@@ -37,8 +37,8 @@ from repro.rtree.tree import RTree
 from repro.storage.stats import TimingBreakdown
 from repro.uncertain.objects import UncertainObject
 
-#: owners per :meth:`CRObjectFinder.find_many` call of a build: bounds the
-#: lock-step kernel's arrays and the regions held at once.
+#: owners whose seed regions :meth:`CRObjectFinder.iter_many` clips in one
+#: lock-step batch: bounds the kernel's arrays and the regions held at once.
 LOCKSTEP_OWNERS = 64
 
 
@@ -213,16 +213,25 @@ class CRObjectFinder:
         return self.find_many([owner])[0]
 
     def find_many(self, owners: Sequence[UncertainObject]) -> List[CRObjectResult]:
-        """Derive the cr-objects of a batch of objects.
+        """Derive the cr-objects of several objects (see :meth:`iter_many`)."""
+        return list(self.iter_many(owners))
 
-        The batch's seed regions are clipped in lock-step, the rest runs per
-        owner.  Each result equals :meth:`find` of its owner alone, except
-        that the batch's ``seed`` time is split evenly across its owners.
+    def iter_many(self, owners: Sequence[UncertainObject]) -> Iterator[CRObjectResult]:
+        """Derive the cr-objects of several objects, in order, batch by batch.
+
+        Each batch of :data:`LOCKSTEP_OWNERS` owners has its seed regions
+        clipped in lock-step, the rest runs per owner.  Each result equals
+        :meth:`find` of its owner alone, except that a batch's ``seed`` time is
+        split evenly across its owners.
         """
+        for first in range(0, len(owners), LOCKSTEP_OWNERS):
+            yield from self._find_batch(owners[first:first + LOCKSTEP_OWNERS])
+
+    def _find_batch(self, owners: Sequence[UncertainObject]) -> List[CRObjectResult]:
         start = time.perf_counter()
         seeds = [self.select_seeds(owner) for owner in owners]
         regions = self.initial_possible_regions(owners, seeds)
-        seed_seconds = (time.perf_counter() - start) / max(1, len(owners))
+        seed_seconds = (time.perf_counter() - start) / len(owners)
         results = []
         for owner, chosen, region in zip(owners, seeds, regions):
             timing = TimingBreakdown()
@@ -252,4 +261,4 @@ class CRObjectFinder:
 
     def find_all(self) -> Dict[int, CRObjectResult]:
         """Run Algorithm 2 for every object of the dataset."""
-        return {result.oid: result for result in self.find_many(self.objects)}
+        return {result.oid: result for result in self.iter_many(self.objects)}

@@ -194,6 +194,29 @@ def test_build_is_the_one_the_scalar_walks_built(population):
     assert built == PINNED_BUILDS[population]
 
 
+#: ``(population, buffer_pages)`` -> ``(page_reads, cache_hits)`` right after
+#: a build under ``E2E_CONFIG`` with an LRU buffer pool.  A pool that holds
+#: every R-tree leaf reads each once, as at b326264.  A smaller pool sees the
+#: order of the walks: a build runs the k-NN walks of a lock-step batch
+#: before its range walks, where b326264 ran each owner's two walks back to
+#: back, so its 4-page pool misses more (b326264: 797 reads, 2013 hits).
+PINNED_BUFFERED_BUILDS = {
+    ("uniform-640-d40", 4): (1367, 1443),
+    ("uniform-640-d40", 8): (7, 2803),
+}
+
+
+@pytest.mark.parametrize("population, buffer_pages", sorted(PINNED_BUFFERED_BUILDS))
+def test_buffered_build_reads_are_pinned(population, buffer_pages):
+    objects, domain = BUILD_POPULATIONS[population]()
+    engine = QueryEngine.build(objects, domain, E2E_CONFIG.replace(buffer_pages=buffer_pages))
+    stats = engine.io_stats()
+    assert index_digest(engine) == PINNED_BUILDS[population][0]
+    assert (stats.page_reads, stats.cache_hits) == PINNED_BUFFERED_BUILDS[
+        (population, buffer_pages)
+    ]
+
+
 def test_two_worker_build_equals_the_pinned_serial_build():
     objects, domain = BUILD_POPULATIONS["uniform-640-d40"]()
     engine = QueryEngine.build(objects, domain, E2E_CONFIG.replace(workers=2))

@@ -193,12 +193,22 @@ def assert_no_stale_blocks(engine):
         node = stack.pop()
         if not node.is_leaf:
             stack.extend(entry.child for entry in node.entries)
-            if node.block is not None:
-                assert node.block.tolist() == [
-                    [e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax] for e in node.entries
-                ]
-        elif node.block is not None and node.page_id is not None:
+            assert node.block is None  # only leaves cache a candidate block
+            entries = node.entries
+        elif node.page_id is not None:
             entries = disk.peek_page(node.page_id).entries
+        else:
+            entries = node.entries
+        if node.arrays is not None:
+            boxes, payload = node.arrays
+            assert boxes.tolist() == [
+                [e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax] for e in entries
+            ]
+            if node.is_leaf:
+                assert payload == [e.oid for e in entries]
+            else:
+                assert [id(child) for child in payload] == [id(e.child) for e in entries]
+        if node.block is not None:
             assert block_rows(node.block) == pair_rows(
                 (e.oid, oracle.mbr_to_mbc(e.mbr)) for e in entries
             )

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import construction
+from repro.core import construction, cr_objects
 from repro.core.construction import (
     build_uv_index_basic,
     build_uv_index_ic,
@@ -95,12 +95,14 @@ class TestStatsStructure:
 
 
 @pytest.fixture(scope="module")
-def cpu_stats(shared_dataset):
-    """Each method's build stats on process CPU time, summed over three builds.
+def cpu_builds(shared_dataset):
+    """Each method's build stats on process CPU time, over five builds.
 
-    The builder's clock is swapped for ``time.process_time``, so every phase
-    bucket and total counts this process's CPU seconds: a loaded host slows
-    the wall clock of one phase more than another's, not their CPU time.
+    The builder's clocks are swapped for ``time.process_time``, so every
+    phase bucket and total counts this process's CPU seconds: a loaded host
+    slows the wall clock of one phase more than another's, not their CPU
+    time.  The tests compare each quantity's minimum over the builds, which
+    a burst of contention during one build does not move.
     """
     objects, rtree = shared_dataset
     builds = {
@@ -112,26 +114,32 @@ def cpu_stats(shared_dataset):
         ),
         "basic": lambda: build_uv_index_basic(objects, DOMAIN, page_capacity=4),
     }
+    clock = SimpleNamespace(perf_counter=time.process_time)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(construction, "time", SimpleNamespace(perf_counter=time.process_time))
-        return {name: sum(build()[1] for _ in range(3)) for name, build in builds.items()}
+        patch.setattr(construction, "time", clock)
+        patch.setattr(cr_objects, "time", clock)
+        return {name: [build()[1] for _ in range(5)] for name, build in builds.items()}
 
 
 class TestRelativeCost:
-    def test_ic_not_slower_than_icr_and_basic(self, cpu_stats):
-        ic_seconds = cpu_stats["ic"].total_seconds
-        icr_seconds = cpu_stats["icr"].total_seconds
-        basic_seconds = cpu_stats["basic"].total_seconds
+    def test_ic_not_slower_than_icr_and_basic(self, cpu_builds):
+        ic_seconds, icr_seconds, basic_seconds = (
+            min(stats.total_seconds for stats in cpu_builds[name])
+            for name in ("ic", "icr", "basic")
+        )
         # The paper's headline ordering: Basic >> ICR > IC.  At this tiny
         # scale we only require IC to be the cheapest and Basic the priciest.
         assert ic_seconds <= icr_seconds * 1.5
         assert ic_seconds < basic_seconds
 
-    def test_icr_r_object_phase_dominates(self, cpu_stats):
-        fractions = cpu_stats["icr"].phase_fractions()
+    def test_icr_r_object_phase_dominates(self, cpu_builds):
+        r_objects, indexing = (
+            min(stats.timing.get(phase) for stats in cpu_builds["icr"])
+            for phase in ("r_objects", "indexing")
+        )
         # The paper observes that generating exact r-objects is the dominant
         # cost of ICR (Figure 7(d)).
-        assert fractions["r_objects"] >= fractions["indexing"]
+        assert r_objects >= indexing
 
 
 class TestQueryEquivalence:
