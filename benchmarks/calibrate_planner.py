@@ -7,22 +7,21 @@ Usage::
 Each PNN strategy is pinned (``QueryEngine.explain(query, force_strategy=...)``)
 over the same seeded query points on four uniform populations -- 160 objects
 of diameter 40 and 350, 640 and 2,560 objects of diameter 40 -- under the
-e2e benchmark's configuration (``ic``, ``seed_knn=60``; the grid strategy on a
-``grid`` engine over the same objects).  Per population and strategy it prints
-the median query and index-stage times, the mean counted page reads (index
-and total), and what the candidate step scanned: R-tree entries visited,
-grid cells read.  From those it derives, in microseconds and then in counted
-page reads:
+e2e benchmark's configuration (``ic``, ``seed_knn=60``).  Per population and
+strategy it prints the median query and index-stage times, the mean counted
+page reads (index and total), and the R-tree entries the candidate step
+visited.  From those it derives, in microseconds and then in counted page
+reads:
 
 * the cost of one counted page read (timed loops over the index pages),
 * the cost of one candidate-block scan (UV leaf: index time minus its reads),
 * the cost of one R-tree entry visited (index time minus reads, per entry).
 
 The planner's ``_BLOCK_SCAN_COST`` / ``_RTREE_ENTRY_COST`` are these numbers,
-committed with the measurement beside them; they are never re-derived at run
-time, so plan choice stays deterministic.  The last table prices every
-strategy pair a backend weighs with the planner's committed estimates and sets
-the planner's pick beside the measured fastest and fewest-reads strategy.
+committed with the measurement beside them and never re-derived at run time;
+they price EXPLAIN's estimates.  The last table sets the UV and R-tree
+estimates (committed constants) and the planner's pick beside the measured
+fastest and fewest-reads strategy.
 """
 
 from __future__ import annotations
@@ -39,13 +38,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from repro import DiagramConfig, PNNQuery, QueryEngine  # noqa: E402
 from repro.datasets import generate_query_points, generate_uniform_objects  # noqa: E402
 from repro.engine import planner  # noqa: E402
-from repro.grid.uniform_grid import UniformGridIndex  # noqa: E402
 from repro.rtree.tree import RTree  # noqa: E402
 from repro.storage.object_store import ObjectStore  # noqa: E402
 
 POPULATIONS = ((160, 40.0), (160, 350.0), (640, 40.0), (2560, 40.0))
 CONFIG = DiagramConfig(backend="ic", seed_knn=60)
-UV, RTREE, GRID = planner.STRATEGY_UV_POINT, planner.STRATEGY_RTREE, planner.STRATEGY_GRID
+UV, RTREE = planner.STRATEGY_UV_POINT, planner.STRATEGY_RTREE
 
 
 class Counters:
@@ -54,7 +52,6 @@ class Counters:
 
     def __init__(self) -> None:
         self.entries = 0
-        self.cells = 0
         self.fetch_reads = 0
         self._saved: List[Tuple[type, str, Callable]] = []
 
@@ -70,12 +67,6 @@ class Counters:
                 return original(tree, node)
             return wrapper
 
-        def cell(original: Callable) -> Callable:
-            def wrapper(grid, key):
-                self.cells += 1
-                return original(grid, key)
-            return wrapper
-
         def fetch(original: Callable) -> Callable:
             def wrapper(store, oids):
                 before = store.disk.stats.page_reads
@@ -86,7 +77,6 @@ class Counters:
 
         self._wrap(RTree, "leaf_block", visits)
         self._wrap(RTree, "child_boxes", visits)
-        self._wrap(UniformGridIndex, "cell_block", cell)
         self._wrap(ObjectStore, "fetch_many", fetch)
         return self
 
@@ -115,7 +105,6 @@ def measure(engine: QueryEngine, queries: List[PNNQuery], force: str,
         "reads": reads / count,
         "index_reads": (reads - counters.fetch_reads) / count,
         "entries": counters.entries / count,
-        "cells": counters.cells / count,
         "estimate": engine.planner.plan(queries[0], force_strategy=force).estimated_cost,
     }
 
@@ -144,9 +133,9 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
 
     measured = [f"{'population':<10} {'strategy':<24} {'p50 us':>8} {'index us':>9} "
-                f"{'reads':>6} {'idx reads':>9} {'entries':>8} {'cells':>6}"]
+                f"{'reads':>6} {'idx reads':>9} {'entries':>8}"]
     constants = [f"{'population':<10} {'page us':>8} {'scan us':>8} {'entry us':>9} "
-                 f"{'grid scan us':>13} {'scan':>6} {'entry':>6} {'grid scan':>10}"]
+                 f"{'scan':>6} {'entry':>6}"]
     picks = [f"{'population':<10} {'backend':<7} {'primary':>8} {'r-tree':>8}  "
              f"{'picks':<24} {'fastest':<24} fewest reads"]
     scan_costs: List[float] = []
@@ -154,41 +143,31 @@ def main(argv: List[str] = None) -> int:
     for count, diameter in POPULATIONS:
         objects, domain = generate_uniform_objects(count, diameter=diameter, seed=11)
         queries = [PNNQuery(p) for p in generate_query_points(args.queries, domain, seed=3)]
-        engines = {
-            "ic": QueryEngine.build(objects, domain, CONFIG),
-            "grid": QueryEngine.build(objects, domain, CONFIG.replace(backend="grid")),
-        }
+        engine = QueryEngine.build(objects, domain, CONFIG)
         label = f"{count}/d{diameter:g}"
         runs = {
-            UV: measure(engines["ic"], queries, UV, args.repeats),
-            RTREE: measure(engines["ic"], queries, RTREE, args.repeats),
-            GRID: measure(engines["grid"], queries, GRID, args.repeats),
+            UV: measure(engine, queries, UV, args.repeats),
+            RTREE: measure(engine, queries, RTREE, args.repeats),
         }
         for name, run in runs.items():
             measured.append(f"{label:<10} {name:<24} {run['p50_us']:8.1f} "
                             f"{run['index_us']:9.1f} {run['reads']:6.2f} "
-                            f"{run['index_reads']:9.2f} {run['entries']:8.1f} "
-                            f"{run['cells']:6.2f}")
+                            f"{run['index_reads']:9.2f} {run['entries']:8.1f}")
 
-        page = page_us(engines["ic"], queries)
-        uv, rtree, grid = runs[UV], runs[RTREE], runs[GRID]
+        page = page_us(engine, queries)
+        uv, rtree = runs[UV], runs[RTREE]
         scan = uv["index_us"] - page * uv["index_reads"]
         entry = (rtree["index_us"] - page * rtree["index_reads"]) / rtree["entries"]
-        grid_scan = (grid["index_us"] - page * grid["index_reads"]) / grid["cells"]
         scan_costs.append(scan / page)
         entry_costs.append(entry / page)
         constants.append(f"{label:<10} {page:8.3f} {scan:8.2f} {entry:9.3f} "
-                         f"{grid_scan:13.2f} {scan / page:6.1f} {entry / page:6.2f} "
-                         f"{grid_scan / page:10.1f}")
+                         f"{scan / page:6.1f} {entry / page:6.2f}")
 
-        for backend, primary in (("ic", UV), ("grid", GRID)):
-            pair = (primary, RTREE)
-            pick = engines[backend].planner.plan(queries[0]).strategy
-            fastest = min(pair, key=lambda name: runs[name]["p50_us"])
-            fewest = min(pair, key=lambda name: runs[name]["reads"])
-            picks.append(f"{label:<10} {backend:<7} {runs[primary]['estimate']:8.1f} "
-                         f"{runs[RTREE]['estimate']:8.1f}  {pick:<24} {fastest:<24} "
-                         f"{fewest}")
+        pick = engine.planner.plan(queries[0]).strategy
+        fastest = min(runs, key=lambda name: runs[name]["p50_us"])
+        fewest = min(runs, key=lambda name: runs[name]["reads"])
+        picks.append(f"{label:<10} {'ic':<7} {uv['estimate']:8.1f} "
+                     f"{rtree['estimate']:8.1f}  {pick:<24} {fastest:<24} {fewest}")
 
     print("\n".join(measured))
     print("\nconstants (us, then counted page reads)")

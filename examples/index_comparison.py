@@ -1,12 +1,11 @@
 #!/usr/bin/env python
-"""Scenario: choosing an index for a PNN workload (UV-index vs R-tree vs grid).
+"""Scenario: choosing an index for a PNN workload (UV-index vs R-tree).
 
 The paper's evaluation compares the UV-index against the R-tree with
-branch-and-prune search; the related work also mentions uniform grids.  With
-the pluggable backend registry this comparison is a loop over backend names:
-each :class:`QueryEngine` runs the same workload behind the same query plane,
-reports per-query time, page I/O, and candidate counts, and the answer sets
-are verified to be identical.
+branch-and-prune search.  With the pluggable backend registry this comparison
+is a loop over backend names: each :class:`QueryEngine` runs the same workload
+behind the same query plane, reports per-query time, page I/O, and candidate
+counts, and the answer sets are verified to be identical.
 
 Run with::
 
@@ -17,7 +16,7 @@ from repro import BatchQuery, DiagramConfig, PNNQuery, QueryEngine, load_dataset
 from repro.analysis.report import format_table
 from repro.core.uv_cell import answer_objects_brute_force
 
-BACKENDS = ["ic", "rtree", "grid"]
+BACKENDS = ["ic", "icr", "rtree"]
 
 
 def main() -> None:
@@ -25,8 +24,7 @@ def main() -> None:
     print(f"dataset: {bundle.size} rail-corridor objects, "
           f"{len(bundle.queries)} query points")
 
-    config = DiagramConfig(page_capacity=16, rtree_fanout=16, seed_knn=80,
-                           grid_resolution=16)
+    config = DiagramConfig(page_capacity=16, rtree_fanout=16, seed_knn=80)
     engines = {
         name: QueryEngine.build(bundle.objects, bundle.domain,
                                 config.replace(backend=name))

@@ -43,7 +43,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 2. Build the query engine (IC construction: I-pruning + C-pruning, then
     #    index the cr-objects directly).  The backend is a registry name, so
-    #    swapping "ic" for "grid" or "rtree" changes the index, not the code.
+    #    swapping "ic" for "icr" or "rtree" changes the index, not the code.
     # ------------------------------------------------------------------ #
     config = DiagramConfig(backend="ic", page_capacity=16, rtree_fanout=16,
                            seed_knn=60)

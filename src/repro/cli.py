@@ -61,8 +61,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
                         help="leaf-page capacity of the UV-index")
     parser.add_argument("--seed-knn", type=int, default=60,
                         help="k of the seed-selection k-NN query")
-    parser.add_argument("--grid-resolution", type=int, default=16,
-                        help="cells per axis of the grid backend")
     parser.add_argument("--store", default="memory", choices=["memory", "file"],
                         help="page store backing the build (default: memory)")
     parser.add_argument("--store-path", default=None,
@@ -122,7 +120,6 @@ def _config_from_args(args: argparse.Namespace, backend: Optional[str] = None) -
         page_capacity=args.page_capacity,
         seed_knn=args.seed_knn,
         rtree_fanout=16,
-        grid_resolution=args.grid_resolution,
         store=args.store,
         store_path=args.store_path,
         buffer_pages=args.buffer_pages if args.buffer_pages is not None else 0,
@@ -180,7 +177,7 @@ def _single_snapshot(engine, command: str) -> bool:
 def _command_info(_: argparse.Namespace) -> int:
     print(f"repro {__version__} -- UV-diagram: a Voronoi diagram for uncertain data")
     print("components: geometry kernel, uncertain-object model, simulated disk,")
-    print("            R-tree baseline, uniform grid, UV-index (IC/ICR/Basic),")
+    print("            R-tree baseline, UV-index (IC/ICR/Basic),")
     print("            PNN / k-PNN / pattern / batch queries, live updates,")
     print("            dataset generators, SVG viz")
     print(f"backends: {', '.join(available_backends())}")

@@ -35,9 +35,9 @@ class UnsupportedQueryError(RuntimeError):
 class BatchReadCache:
     """Memo for page-list reads shared across the queries of one batch.
 
-    Keys identify an index granule (a UV-index leaf, an R-tree leaf node, a
-    grid cell); the first query to touch a granule pays its counted page
-    reads, subsequent queries reuse its candidate block.  ``pages_saved`` is
+    Keys identify an index granule (a UV-index leaf or an R-tree leaf node);
+    the first query to touch a granule pays its counted page reads,
+    subsequent queries reuse its candidate block.  ``pages_saved`` is
     estimated from the hit count by the caller that knows the granule size.
     """
 
@@ -69,7 +69,7 @@ class IndexBackend(abc.ABC):
     backend re-owning that state.
     """
 
-    #: registry key this instance was created under (e.g. ``"ic"``, ``"grid"``)
+    #: registry key this instance was created under (e.g. ``"ic"``, ``"rtree"``)
     name: str = ""
 
     #: when ``True`` the backend's insert/delete maintain the engine-level

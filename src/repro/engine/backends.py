@@ -1,18 +1,17 @@
-"""Built-in index backends: UV-index (IC / ICR / Basic), R-tree, uniform grid.
+"""Built-in index backends: UV-index (IC / ICR / Basic) and R-tree.
 
 Each adapter wraps one of the library's index structures behind the
 :class:`~repro.engine.backend.IndexBackend` protocol so that
-``QueryEngine.build(..., backend="grid")`` works everywhere ``"ic"`` /
+``QueryEngine.build(..., backend="rtree")`` works everywhere ``"ic"`` /
 ``"icr"`` / ``"basic"`` do.  The adapters do not re-implement candidate
 retrieval: they call the structures' own candidate functions
-(``uv_index_candidates``, ``branch_and_prune_candidates``,
-``grid_candidates``) -- the engine's R-tree plan calls the same one -- so
-answers are identical whichever plan runs.
+(``uv_index_candidates``, ``branch_and_prune_candidates``) -- the engine's
+R-tree plan calls the same one -- so answers are identical whichever plan
+runs.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.construction import (
@@ -21,7 +20,7 @@ from repro.core.construction import (
     build_uv_index_ic,
     build_uv_index_icr,
 )
-from repro.core.pattern import PartitionInfo, PartitionQueryResult, PatternAnalyzer
+from repro.core.pattern import PartitionQueryResult, PatternAnalyzer
 from repro.core.pnn import uv_index_candidates
 from repro.core.updates import UVDiagramUpdater
 from repro.core.uv_index import UVIndex
@@ -35,7 +34,6 @@ from repro.engine.config import DiagramConfig
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.grid.uniform_grid import UniformGridIndex, grid_candidates
 from repro.queries.candidates import CandidateBlock
 from repro.rtree.pnn import branch_and_prune_candidates
 from repro.rtree.tree import RTree
@@ -165,77 +163,6 @@ class RTreeBackend(IndexBackend):
         return {}
 
 
-class UniformGridBackend(IndexBackend):
-    """The fixed-resolution uniform grid as a backend."""
-
-    handles_engine_state = False
-
-    def __init__(self, grid: UniformGridIndex, construction_stats: ConstructionStats) -> None:
-        super().__init__()
-        self.grid = grid
-        self.construction_stats = construction_stats
-
-    def candidates(
-        self, query: Point, cache: Optional[BatchReadCache] = None
-    ) -> CandidateBlock:
-        return grid_candidates(self.grid, query, cache=cache)
-
-    def range_candidates(self, rect: Rect) -> List[Tuple[int, Circle]]:
-        seen: Dict[int, Circle] = {}
-        for cell in self._cells_in(rect):
-            for oid, mbc in self.grid.read_cell(cell):
-                seen.setdefault(oid, mbc)
-        return list(seen.items())
-
-    def _cells_in(self, rect: Rect) -> List[Tuple[int, int]]:
-        lo = self.grid.cell_of(Point(rect.xmin, rect.ymin))
-        hi = self.grid.cell_of(Point(rect.xmax, rect.ymax))
-        return [
-            (cx, cy)
-            for cx in range(lo[0], hi[0] + 1)
-            for cy in range(lo[1], hi[1] + 1)
-            if self.grid.cell_rect((cx, cy)).intersects(rect)
-        ]
-
-    def insert(self, obj: UncertainObject) -> None:
-        self.grid.insert(obj)
-
-    def delete(self, oid: int) -> None:
-        self.grid.remove(oid)
-
-    def statistics(self) -> Dict[str, float]:
-        cells = self.grid._cell_pages
-        page_counts = [len(page_ids) for page_ids in cells.values()]
-        return {
-            "objects": float(self.grid.size),
-            "resolution": float(self.grid.resolution),
-            "populated_cells": float(len(cells)),
-            "total_pages": float(sum(page_counts)),
-            "max_pages_per_cell": float(max(page_counts, default=0)),
-        }
-
-    def partitions_in(self, region: Rect) -> PartitionQueryResult:
-        """Grid cells are natural partitions: one entry per intersecting cell."""
-        start = time.perf_counter()
-        before = self.engine.disk.stats.snapshot()
-        partitions = [
-            PartitionInfo.of(
-                self.grid.cell_rect(cell),
-                len({oid for oid, _ in self.grid.read_cell(cell)}),
-            )
-            for cell in self._cells_in(region)
-        ]
-        return PartitionQueryResult(
-            partitions=partitions,
-            io=self.engine.disk.stats.delta(before),
-            seconds=time.perf_counter() - start,
-        )
-
-    # persistence -------------------------------------------------------- #
-    def snapshot_state(self) -> Dict:
-        return {"grid": self.grid.snapshot_state()}
-
-
 # ---------------------------------------------------------------------- #
 # factories
 # ---------------------------------------------------------------------- #
@@ -296,29 +223,6 @@ def _rtree_factory(
     return RTreeBackend(stats)
 
 
-def _grid_factory(
-    objects: Sequence[UncertainObject],
-    domain: Rect,
-    config: DiagramConfig,
-    disk: DiskManager,
-    rtree: RTree,
-    scheduler: Any = None,
-) -> UniformGridBackend:
-    start = time.perf_counter()
-    grid = UniformGridIndex(domain, resolution=config.grid_resolution, disk=disk)
-    grid.build(objects)
-    elapsed = time.perf_counter() - start
-    timing = TimingBreakdown()
-    timing.add("indexing", elapsed)
-    stats = ConstructionStats(
-        method="grid",
-        objects=len(objects),
-        total_seconds=elapsed,
-        timing=timing,
-    )
-    return UniformGridBackend(grid, stats)
-
-
 # ---------------------------------------------------------------------- #
 # snapshot restorers
 # ---------------------------------------------------------------------- #
@@ -347,20 +251,6 @@ def _rtree_restorer(
     return RTreeBackend(stats)
 
 
-def _grid_restorer(
-    state: Dict,
-    objects: Sequence[UncertainObject],
-    domain: Rect,
-    config: DiagramConfig,
-    disk: DiskManager,
-    rtree: RTree,
-    stats: ConstructionStats,
-) -> UniformGridBackend:
-    grid = UniformGridIndex.from_snapshot(state["grid"], domain, disk)
-    return UniformGridBackend(grid, stats)
-
-
 for _method in ("ic", "icr", "basic"):
     register_backend(_method, _uv_factory(_method), restorer=_uv_restorer)
 register_backend("rtree", _rtree_factory, restorer=_rtree_restorer)
-register_backend("grid", _grid_factory, restorer=_grid_restorer)

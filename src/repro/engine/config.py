@@ -19,15 +19,14 @@ class DiagramConfig:
 
     Attributes:
         backend: registry key of the index backend -- ``"ic"`` / ``"icr"`` /
-            ``"basic"`` (UV-index construction variants), ``"rtree"``
-            (branch-and-prune baseline) or ``"grid"`` (uniform grid).
+            ``"basic"`` (UV-index construction variants) or ``"rtree"``
+            (branch-and-prune baseline).
         max_nonleaf: ``M``, the in-memory non-leaf budget of the UV-index.
         split_threshold: ``T_theta`` of the split rule, in ``[0, 1]``.
         page_capacity: leaf-page capacity override (``None`` = what fits in a
             4 KB page).
         seed_knn / seed_sectors: Algorithm 2 seed-selection parameters.
         rtree_fanout: fanout of the R-tree (construction helper and baseline).
-        grid_resolution: cells per axis of the uniform-grid backend.
         store: page-store kind backing the disk manager -- ``"memory"`` (the
             historical simulator), ``"file"`` (durable fixed-slot page file)
             or ``"mmap"`` (read-mostly serving of an existing snapshot; only
@@ -55,7 +54,6 @@ class DiagramConfig:
     seed_knn: int = 300
     seed_sectors: int = 8
     rtree_fanout: int = 100
-    grid_resolution: int = 16
     store: str = "memory"
     store_path: Optional[str] = None
     buffer_pages: int = 0
@@ -77,8 +75,6 @@ class DiagramConfig:
             raise ValueError("seed_sectors must be positive")
         if self.rtree_fanout < 4:
             raise ValueError("rtree_fanout must be at least 4")
-        if self.grid_resolution < 1:
-            raise ValueError("grid_resolution must be positive")
         if self.store not in ("memory", "file", "mmap"):
             raise ValueError(
                 f"unknown store kind: {self.store!r} (known: memory, file, mmap)"

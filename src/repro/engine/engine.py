@@ -99,15 +99,15 @@ class BatchStream:
     """Streaming execution of a :class:`~repro.queries.spec.BatchQuery`.
 
     An iterator of ``(query, result, plan)`` triples in input order.  All
-    queries of the batch share one :class:`BatchReadCache` (leaf / cell page
-    lists are read and counted once) and the engine's cross-query
+    queries of the batch share one :class:`BatchReadCache` (leaf page lists
+    are read and counted once) and the engine's cross-query
     :class:`RingCache`, so the batch pays each index granule once while
     results become available one by one.
 
     The stream needs only the engine's ``structure_version``, a plan
     callback and ``_execute_pnn(query, plan, cache)``, so the sharded router
-    streams through it too: cache keys name index granules by identity (or,
-    for grid cells, scoped to their grid), so shards never collide.
+    streams through it too: cache keys name index granules by identity, so
+    shards never collide.
 
     Attributes:
         query: the batch descriptor being streamed.
@@ -280,7 +280,7 @@ class QueryEngine:
                 (``workers=1`` builds serially with no scheduler overhead).
                 Parallel-built diagrams are bit-identical to serial ones.
             **overrides: per-field config overrides, e.g.
-                ``QueryEngine.build(objs, dom, backend="grid", workers=4)``.
+                ``QueryEngine.build(objs, dom, backend="icr", workers=4)``.
         """
         config = config if config is not None else DiagramConfig()
         if overrides:
@@ -482,8 +482,7 @@ class QueryEngine:
         cache: Optional[BatchReadCache],
     ) -> PNNResult:
         if plan.strategy == STRATEGY_RTREE and self.backend.name != "rtree":
-            # The plan routes the query to the shared R-tree baseline (a grid
-            # backend's cheaper route, or a pinned plan).
+            # A plan pinned to the shared R-tree baseline on a UV backend.
             def retrieve(point: Point) -> CandidateBlock:
                 return branch_and_prune_candidates(self.rtree, point, cache=cache)
         else:

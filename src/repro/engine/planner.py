@@ -7,8 +7,8 @@ early-termination parameters, annotated with cost estimates derived from
 three inputs:
 
 * **index statistics** of the active backend (leaf page counts, entries per
-  leaf, grid cell occupancy ...), cached per structure version so live
-  updates invalidate them,
+  leaf, R-tree nodes ...), cached per structure version so live updates
+  invalidate them,
 * **buffer-pool state** of the shared disk (capacity and the observed hit
   ratio discount expected page reads),
 * the engine's :class:`~repro.engine.config.DiagramConfig` -- which also
@@ -27,12 +27,15 @@ has a ``to_dict``/``from_dict`` pair registered with the decoder
 I/O, so the planner's numbers mean the same thing on every backend and
 store (*counted-io*).
 
-The cost model is deliberately simple -- closed-form estimates -- but each
-PNN strategy is priced in what it pays: counted page reads plus the CPU of
-its candidate step, with constants from ``benchmarks/calibrate_planner.py``
-(fixed here, never measured on open, so plan choice is deterministic).  A UV
-backend always answers PNN itself; only a grid backend weighs its ring
-expansion against the shared R-tree.
+Each backend has exactly one PNN strategy: a UV backend looks the query
+point up in its UV-index, the ``rtree`` backend runs branch-and-prune over
+the shared R-tree.  A plan never weighs two structures; ``force_strategy``
+only lets a caller pin a UV backend to the shared R-tree.  The cost model is
+deliberately simple -- closed-form estimates -- but each PNN strategy is
+priced in what it pays: counted page reads plus the CPU of its candidate
+step, with constants from ``benchmarks/calibrate_planner.py`` (fixed here,
+never measured on open).  The constants price EXPLAIN's estimates only; no
+plan choice depends on them.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Strategy names a plan can carry.
 STRATEGY_UV_POINT = "uv-point-lookup"
 STRATEGY_RTREE = "rtree-branch-and-prune"
-STRATEGY_GRID = "grid-ring-expansion"
 STRATEGY_KNN = "knn-monte-carlo"
 STRATEGY_RANGE_NATIVE = "native-partitions"
 STRATEGY_RANGE_SCAN = "range-candidate-scan"
@@ -66,15 +68,14 @@ _PRIMARY_STRATEGY = {
     "icr": STRATEGY_UV_POINT,
     "basic": STRATEGY_UV_POINT,
     "rtree": STRATEGY_RTREE,
-    "grid": STRATEGY_GRID,
 }
 
 #: Cost units charged per candidate of a range query, relative to one
 #: counted page read.
 _CPU_WEIGHT_PER_CANDIDATE = 0.05
 
-#: CPU of one candidate-block scan (a UV-index leaf or a grid cell: distances,
-#: ``d_minmax`` and survivors in one NumPy pass), in counted page reads.
+#: CPU of one candidate-block scan (a UV-index leaf: distances, ``d_minmax``
+#: and survivors in one NumPy pass), in counted page reads.
 #: ``benchmarks/calibrate_planner.py`` (ic, seed_knn=60; 160/d40, 160/d350,
 #: 640 and 2,560 objects; 2-core Xeon, Python 3.11, NumPy 2.4; two runs)
 #: measured a counted read at 0.12-0.28 us and a UV leaf scan at 18-28 us:
@@ -342,28 +343,15 @@ class QueryPlanner:
         name = engine.backend.name
         strategy = _PRIMARY_STRATEGY.get(name, STRATEGY_UV_POINT)
         stats = self.backend_statistics()
-        if strategy == STRATEGY_UV_POINT:
-            # A point query reads exactly one leaf's page list and scans its
-            # entries as one block.
-            index_reads = max(1.0, stats.get("avg_pages_per_leaf", 1.0))
-            candidates = max(1.0, stats.get("avg_entries_per_leaf", 1.0))
-            scan_cost = _BLOCK_SCAN_COST
-        elif strategy == STRATEGY_GRID:
-            pages_per_cell = stats.get("total_pages", 1.0) / max(
-                1.0, stats.get("populated_cells", 1.0)
-            )
-            cells = max(1.0, stats.get("populated_cells", 1.0))
-            # The ring expansion reads the home cell plus (usually) its first
-            # ring before the d_minmax bound stops it, scanning each cell.
-            cells_read = min(cells, 5.0)
-            index_reads = cells_read * max(1.0, pages_per_cell)
-            # The expansion pre-filters entries by the running bound, so
-            # what reaches verification is essentially the answer set.
-            candidates = self._expected_answers()
-            scan_cost = cells_read * _BLOCK_SCAN_COST
-        else:  # the backend IS the R-tree baseline
+        if strategy == STRATEGY_RTREE:  # the backend IS the R-tree baseline
             return strategy, self._estimate_rtree()
-        return strategy, self._finish_pnn_estimate(index_reads, candidates, scan_cost)
+        # A point query reads exactly one leaf's page list and scans its
+        # entries as one block.
+        index_reads = max(1.0, stats.get("avg_pages_per_leaf", 1.0))
+        candidates = max(1.0, stats.get("avg_entries_per_leaf", 1.0))
+        return strategy, self._finish_pnn_estimate(
+            index_reads, candidates, _BLOCK_SCAN_COST
+        )
 
     def _estimate_rtree(self) -> CostEstimate:
         engine = self._engine
@@ -427,20 +415,6 @@ class QueryPlanner:
             )
         if force_strategy is not None:
             notes.append(f"strategy pinned to {strategy}")
-        elif primary_strategy == STRATEGY_GRID:
-            # The one primary structure the shared R-tree can undercut.
-            rtree = self._estimate_rtree()
-            if rtree.cost < primary.cost:
-                strategy, chosen = STRATEGY_RTREE, rtree
-                notes.append(
-                    f"r-tree branch-and-prune estimate ({rtree.cost:.2f}) "
-                    f"undercuts the primary {primary_strategy} ({primary.cost:.2f})"
-                )
-            else:
-                notes.append(
-                    f"primary {primary_strategy} estimate ({primary.cost:.2f}) "
-                    f"kept over r-tree branch-and-prune ({rtree.cost:.2f})"
-                )
 
         kernel = "vectorized" if query.compute_probabilities else "none"
         if query.threshold > 0.0 or query.top_k is not None:
@@ -507,18 +481,6 @@ class QueryPlanner:
             leaves = max(1.0, stats.get("leaf_nodes", 1.0) * fraction)
             page_reads = leaves * max(1.0, stats.get("avg_pages_per_leaf", 1.0))
             candidates = leaves * max(1.0, stats.get("avg_entries_per_leaf", 1.0))
-        elif backend == "grid":
-            strategy = STRATEGY_RANGE_NATIVE
-            cells = max(1.0, stats.get("populated_cells", 1.0) * fraction)
-            pages_per_cell = stats.get("total_pages", 1.0) / max(
-                1.0, stats.get("populated_cells", 1.0)
-            )
-            page_reads = cells * max(1.0, pages_per_cell)
-            candidates = min(
-                stats.get("objects", 1.0),
-                cells * stats.get("objects", 1.0)
-                / max(1.0, stats.get("populated_cells", 1.0)),
-            )
         else:
             strategy = STRATEGY_RANGE_SCAN
             leaves = max(1.0, stats.get("leaf_nodes", 1.0) * fraction)
@@ -558,10 +520,7 @@ class QueryPlanner:
         stats = self.backend_statistics()
         # The shared read cache pays each index granule once; with more
         # queries than granules the expected distinct-granule count saturates.
-        granules = max(
-            1.0,
-            stats.get("leaf_nodes", stats.get("populated_cells", float(count))),
-        )
+        granules = max(1.0, stats.get("leaf_nodes", float(count)))
         distinct = granules * (1.0 - (1.0 - 1.0 / granules) ** count)
         sharing = distinct / count
         page_reads = sample.estimated_page_reads * count * (

@@ -1,11 +1,11 @@
 """Diagram snapshots: persist a built engine, reopen it without rebuilding.
 
 A snapshot is one file in the :mod:`repro.storage.pagestore` page-file
-format: every disk page (UV-index leaf lists, R-tree leaves, grid cells,
-object-store pages) lives in a fixed-size slot, and a JSON metadata tail
-records everything the page ids alone cannot express -- the build
-configuration, the engine's object order, the in-memory non-leaf structures,
-and the backend's own state.
+format: every disk page (UV-index leaf lists, R-tree leaves, object-store
+pages) lives in a fixed-size slot, and a JSON metadata tail records
+everything the page ids alone cannot express -- the build configuration, the
+engine's object order, the in-memory non-leaf structures, and the backend's
+own state.
 
 :func:`save_engine` writes that file; :func:`open_engine` restores a fully
 functional :class:`~repro.engine.engine.QueryEngine` from it, over any of the
@@ -33,10 +33,10 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.construction import ConstructionStats
-from repro.engine.backend import restore_backend
+from repro.engine.backend import available_backends, restore_backend
 from repro.engine.config import DiagramConfig
 from repro.storage.codec import rect_from_state, rect_state
 from repro.storage.disk import DiskManager
@@ -59,10 +59,24 @@ logger = logging.getLogger("repro.engine.snapshot")
 #: format 1 stored the circles by value (``cr_circles``) and stays readable.
 SNAPSHOT_FORMAT = 2
 
-#: Config keys earlier releases saved and this one no longer has, with the
-#: values they could hold.  :func:`open_engine` drops them before
-#: ``DiagramConfig.from_dict``, which still rejects every other unknown key.
-RETIRED_CONFIG_KEYS = {"prob_kernel": ("vectorized", "scalar")}
+#: Config keys earlier releases saved and this one no longer has, each with a
+#: test of the values it could hold.  :func:`open_engine` drops a key whose
+#: value passes its test before ``DiagramConfig.from_dict``, which still
+#: rejects every other unknown key (and a retired key with any other value).
+RETIRED_CONFIG_KEYS: Dict[str, Callable[[Any], bool]] = {
+    "prob_kernel": lambda value: value in ("vectorized", "scalar"),
+    "grid_resolution": lambda value: type(value) is int and value >= 1,
+}
+
+#: Backends earlier releases could save and this one no longer has, with why
+#: they went.  :func:`open_engine` refuses their snapshots before reading any
+#: page.
+RETIRED_BACKENDS = {
+    "grid": (
+        "the uniform grid was retired because the planner routed every one of "
+        "its PNN queries to the shared R-tree"
+    ),
+}
 
 
 def build_meta(engine: "QueryEngine") -> Dict[str, Any]:
@@ -161,11 +175,19 @@ def open_engine(
         raise ValueError(
             f"snapshot format {meta.get('snapshot_format')} is newer than this library"
         )
+    retired = RETIRED_BACKENDS.get(meta["backend"])
+    if retired is not None:
+        page_store.close()
+        raise ValueError(
+            f"{path} was saved with backend {meta['backend']!r}, which this "
+            f"library no longer has: {retired}; rebuild the deployment with "
+            f"one of {', '.join(available_backends())}"
+        )
 
     saved = {
         key: value
         for key, value in meta["config"].items()
-        if value not in RETIRED_CONFIG_KEYS.get(key, ())
+        if not (key in RETIRED_CONFIG_KEYS and RETIRED_CONFIG_KEYS[key](value))
     }
     config = DiagramConfig.from_dict(saved).replace(
         store=store,

@@ -9,7 +9,7 @@ results back to the builder, which indexes them in canonical object order.
 Because the computation is pure and the indexing order fixed, the resulting
 diagram is **bit-identical** to a serial build for every shard strategy and
 executor -- the parity tests in ``tests/test_parallel_construction.py``
-enforce this for all five backends.
+enforce this for all four backends.
 
 Two shard strategies:
 

@@ -1,9 +1,9 @@
 """Array-native PNN candidates: index granules as blocks, one NumPy pass each.
 
 Every PNN evaluator retrieves *candidates* -- the ``<ID, MBC>`` entries of
-the index granules it opens (an R-tree leaf, a UV-index leaf, a grid cell)
--- and verifies them with the ``d_minmax`` rule of Cheng et al. (TKDE'04):
-an object whose minimum distance from ``q`` exceeds the smallest maximum
+the index granules it opens (an R-tree leaf or a UV-index leaf) -- and
+verifies them with the ``d_minmax`` rule of Cheng et al. (TKDE'04): an
+object whose minimum distance from ``q`` exceeds the smallest maximum
 distance of any candidate can never be the nearest neighbour (Section V-A).
 
 Here a granule's entries are a :class:`CandidateBlock`: four parallel arrays

@@ -1,8 +1,7 @@
 """The shared PNN evaluation pipeline.
 
 Every PNN the library answers -- through a UV-index point query, R-tree
-branch-and-prune, uniform-grid ring expansion, or a sharded scatter-gather
--- is evaluated the same way:
+branch-and-prune, or a sharded scatter-gather -- is evaluated the same way:
 
 1. retrieve a block of candidate ``<ID, MBC>`` entries from an index
    structure,

@@ -22,9 +22,9 @@ shard map's possible-region bounds:
   estimate runs over the identical sorted candidate list with the identical
   generator, so probabilities match exactly.
 * **Range** -- UV backends answer from the deployment's global leaf
-  skeleton; other backends sum the shards' own partition listings (the
-  grid's shared cells, or the region itself); each path reproduces the
-  single-snapshot partition listing value-for-value.
+  skeleton; the R-tree backend sums the shards' own listings of the region
+  itself; each path reproduces the single-snapshot partition listing
+  value-for-value.
 
 Batches stream through the single engine's
 :class:`~repro.engine.engine.BatchStream` and EXPLAIN is its
@@ -415,20 +415,14 @@ class ShardedQueryEngine:
     ) -> List[PartitionInfo]:
         """Every probed shard's own partition listing, counts summed.
 
-        Shards list the same partitions (the grid's shared cells, or the
-        region itself) over disjoint objects, so the summed counts are the
-        single-snapshot ones.  Shard 0 lists them when no bound meets them.
+        Shards list the same partitions (the region itself) over disjoint
+        objects, so the summed counts are the single-snapshot ones.  Shard 0
+        lists them when no bound meets them.
         """
-        covered = region
-        if self.backend_name == "grid":
-            grid = getattr(self.engines[0].backend, "grid")
-            low = grid.cell_rect(grid.cell_of(Point(region.xmin, region.ymin)))
-            high = grid.cell_rect(grid.cell_of(Point(region.xmax, region.ymax)))
-            covered = Rect(low.xmin, low.ymin, high.xmax, high.ymax)
         probed = [
             index
             for index in range(len(self.engines))
-            if scatter_all or self._bounds[index].intersects(covered)
+            if scatter_all or self._bounds[index].intersects(region)
         ] or [0]
         listings = [
             self.engines[index].backend.partitions_in(region).partitions

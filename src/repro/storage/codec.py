@@ -2,11 +2,11 @@
 
 The persistent page stores (:mod:`repro.storage.pagestore`) keep page
 contents as bytes; this module translates between the entry objects the
-indexes put on pages and a compact binary form.  Four entry families get a
-typed fast path -- UV-index leaf entries, R-tree leaf entries, grid-cell
-``(oid, MBC)`` tuples, and full uncertain objects with their pdfs -- and
-anything else falls back to a pickled blob, so third-party page contents
-survive a save/open round trip as well.
+indexes put on pages and a compact binary form.  Three entry families get a
+typed fast path -- UV-index leaf entries, R-tree leaf entries, and full
+uncertain objects with their pdfs -- and anything else falls back to a
+pickled blob, so third-party page contents survive a save/open round trip as
+well.
 
 All floats travel as IEEE-754 doubles (``struct`` format ``d``), which makes
 decoding bit-exact: an engine reopened from a snapshot answers queries with
@@ -35,7 +35,8 @@ from repro.uncertain.pdf import (
 _TAG_PICKLE = 0
 _TAG_UV_ENTRY = 1        # <oid, cx, cy, r>
 _TAG_RTREE_LEAF = 2      # <oid, xmin, ymin, xmax, ymax>
-_TAG_GRID_TUPLE = 3      # <oid, cx, cy, r>
+# Tag 3 held the retired uniform grid's <oid, cx, cy, r> cell tuples; never
+# reuse it for a different layout.
 _TAG_OBJECT = 4          # <oid, cx, cy, r, pdf>
 
 # Pdf tags (payload of _TAG_OBJECT) --------------------------------------- #
@@ -64,13 +65,6 @@ def encode_entry(entry: Any) -> bytes:
             + _U64.pack(entry.oid)
             + _RECT.pack(entry.mbr.xmin, entry.mbr.ymin, entry.mbr.xmax, entry.mbr.ymax)
         )
-    if (
-        isinstance(entry, tuple)
-        and len(entry) == 2
-        and isinstance(entry[0], int)
-        and isinstance(entry[1], Circle)
-    ):
-        return bytes([_TAG_GRID_TUPLE]) + _U64.pack(entry[0]) + _pack_circle(entry[1])
     if isinstance(entry, UncertainObject):
         pdf_blob = _encode_pdf(entry.pdf)
         if pdf_blob is not None:
@@ -99,9 +93,6 @@ def decode_entry(blob: bytes) -> Any:
         (oid,) = _U64.unpack_from(body, 0)
         xmin, ymin, xmax, ymax = _RECT.unpack_from(body, _U64.size)
         return RTreeEntry(mbr=Rect(xmin, ymin, xmax, ymax), oid=oid)
-    if tag == _TAG_GRID_TUPLE:
-        (oid,) = _U64.unpack_from(body, 0)
-        return (oid, _unpack_circle(body, _U64.size))
     if tag == _TAG_OBJECT:
         (oid,) = _U64.unpack_from(body, 0)
         region = _unpack_circle(body, _U64.size)

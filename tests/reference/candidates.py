@@ -2,7 +2,6 @@
 
 This was ``repro.rtree.pnn.branch_and_prune_candidates`` (with
 ``_mbr_to_mbc``), ``repro.core.pnn.uv_index_candidates``,
-``repro.grid.uniform_grid.grid_candidates``,
 ``ShardedQueryEngine._scatter_candidates`` and ``repro.queries.verifier``
 until the candidate-block kernel (:mod:`repro.queries.candidates`) replaced
 them.  The kernel must return exactly these candidates, in this order, and
@@ -18,13 +17,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from typing import Dict, List, Set, Tuple
+from typing import List, Tuple
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.grid.uniform_grid import _ring_cells
 from repro.queries.probability_kernel import compute_qualification_probabilities
 from repro.queries.spec import PNNQuery
 
@@ -93,45 +90,12 @@ def uv_index_candidates(index, query: Point, cache=None) -> Candidates:
     return [(entry.oid, entry.mbc) for entry in entries]
 
 
-def grid_candidates(grid, query: Point, cache=None) -> Candidates:
-    """Ring expansion over grid cells until no unread cell can hold an answer."""
-    seen_cells: Set[Tuple[int, int]] = set()
-    seen_objects: Dict[int, Circle] = {}
-    home = grid.cell_of(query)
-    frontier = [home]
-    best_minmax = math.inf
-    ring = 0
-    while frontier:
-        for cell in frontier:
-            if cell in seen_cells:
-                continue
-            seen_cells.add(cell)
-            for oid, mbc in _get(cache, ("grid-cell", cell), lambda c=cell: grid.read_cell(c)):
-                if oid not in seen_objects:
-                    seen_objects[oid] = mbc
-                    best_minmax = min(best_minmax, mbc.max_distance(query))
-        ring += 1
-        frontier = [
-            cell
-            for cell in _ring_cells(grid, home, ring)
-            if cell not in seen_cells
-            and grid.cell_rect(cell).min_distance_to_point(query) <= best_minmax
-        ]
-    return [
-        (oid, mbc)
-        for oid, mbc in seen_objects.items()
-        if mbc.min_distance(query) <= best_minmax + 1e-12
-    ]
-
-
 def backend_candidates(engine, query: Point, cache=None) -> Candidates:
     """What ``engine.backend.candidates`` returns, per backend family."""
     name = engine.backend.name
     if name in ("ic", "icr", "basic"):
         return uv_index_candidates(engine.index, query, cache)
-    if name == "rtree":
-        return branch_and_prune_candidates(engine.rtree, query, cache)
-    return grid_candidates(engine.backend.grid, query, cache)
+    return branch_and_prune_candidates(engine.rtree, query, cache)
 
 
 def scatter_candidates(sharded, point: Point, scatter_all: bool = False) -> Candidates:

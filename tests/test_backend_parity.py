@@ -1,6 +1,6 @@
 """Acceptance parity check: the engine answers PNN identically -- same answer
-sets and same qualification probabilities -- through all three backend
-families, on 200-object uniform datasets over seeds 0-2."""
+sets and same qualification probabilities -- through the UV-index (IC and
+ICR) and the R-tree, on 200-object uniform datasets over seeds 0-2."""
 
 import hashlib
 import json
@@ -16,9 +16,8 @@ from repro.queries.spec import PNNQuery
 from repro.shard import ShardedQueryEngine, build_sharded_deployment
 
 
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16,
-                       grid_resolution=16)
-BACKENDS = ("ic", "rtree", "grid")
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16)
+BACKENDS = ("ic", "rtree", "icr")
 
 
 def primary_pnn(engine, point, **options):

@@ -5,7 +5,7 @@ index granule, re-checking with ``math.hypot`` every value near a decision.
 These tests demand from it exactly what ``tests/reference/candidates.py``
 (the code it replaced) gives: the same ``(oid, cx, cy, r)`` candidate lists
 in the same order, the same ``candidates_examined``, answer ids, probability
-bits and counted page reads -- on all five backends, through the R-tree
+bits and counted page reads -- on all four backends, through the R-tree
 route and the primary structure, through ``BatchQuery``, on a 4-shard
 deployment routed and scattered, and after every kind of mutation.
 """
@@ -31,11 +31,10 @@ from repro.queries.spec import BatchQuery, PNNQuery
 from repro.rtree.pnn import branch_and_prune_candidates
 from repro.shard import ShardedQueryEngine, build_sharded_deployment
 
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+BACKENDS = ("ic", "icr", "basic", "rtree")
 DOMAIN = Rect(0.0, 0.0, 100.0, 100.0)
-#: small pages, fanout and grid so the R-tree has internal nodes, UV leaves
-#: split and grid queries expand over several rings
-CONFIG = DiagramConfig(seed_knn=8, page_capacity=3, rtree_fanout=4, grid_resolution=4)
+#: small pages and fanout so the R-tree has internal nodes and UV leaves split
+CONFIG = DiagramConfig(seed_knn=8, page_capacity=3, rtree_fanout=4)
 
 #: Centres on a 10-unit lattice and radii in steps of 5, queried on a
 #: 5-unit lattice over the whole domain: exact ties, coincident centres,
@@ -222,21 +221,14 @@ def assert_no_stale_blocks(engine):
             elif node.block is not None:
                 entries = [e for pid in node.page_ids for e in disk.peek_page(pid).entries]
                 assert block_rows(node.block) == pair_rows((e.oid, e.mbc) for e in entries)
-    grid = getattr(engine.backend, "grid", None)
-    if grid is not None:
-        for cell, block in grid._cell_blocks.items():
-            pages = grid._cell_pages.get(cell, [])
-            assert block_rows(block) == pair_rows(
-                entry for pid in pages for entry in disk.peek_page(pid).entries
-            )
 
 
 @pytest.mark.parametrize("reopen", [False, True], ids=["built", "mmap"])
-@pytest.mark.parametrize("backend", ["ic", "rtree", "grid"])
+@pytest.mark.parametrize("backend", ["ic", "rtree", "icr"])
 def test_blocks_follow_insert_delete_and_split(backend, reopen, tmp_path):
     objects, domain = generate_uniform_objects(24, seed=3, diameter=400.0)
     engine = QueryEngine.build(objects, domain, DiagramConfig(
-        backend=backend, seed_knn=12, page_capacity=4, rtree_fanout=4, grid_resolution=4))
+        backend=backend, seed_knn=12, page_capacity=4, rtree_fanout=4))
     if reopen:
         path = str(tmp_path / "engine.snap")
         engine.save(path)

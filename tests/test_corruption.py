@@ -26,9 +26,8 @@ from repro.storage.pagestore import CorruptSnapshotError, PageStoreError, verify
 from repro.wal import CorruptRecordError, WriteAheadLog, scan_wal
 from repro.wal.drill import synthesize_object
 
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16,
-                       grid_resolution=8)
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16)
+BACKENDS = ("ic", "icr", "basic", "rtree")
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=40)
 

@@ -28,7 +28,7 @@ from repro.engine.snapshot import initialize_generation, read_manifest, wal_path
 from repro.queries.spec import PNNQuery
 from repro.wal import read_records, replay, scan_wal
 
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+BACKENDS = ("ic", "icr", "basic", "rtree")
 
 #: Updates the child is asked for vs. acknowledgements we wait for before
 #: killing it -- the kill always lands mid-stream.

@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.engine.backend import BatchReadCache, create_backend, unregister_backend
-from repro.engine.backends import UniformGridBackend, UVIndexBackend
+from repro.engine.backends import UVIndexBackend
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 
 
@@ -36,8 +36,7 @@ def make_objects(count, seed=0, radius=30.0):
     ]
 
 
-SMALL_CONFIG = DiagramConfig(page_capacity=8, seed_knn=20, rtree_fanout=8,
-                             grid_resolution=8)
+SMALL_CONFIG = DiagramConfig(page_capacity=8, seed_knn=20, rtree_fanout=8)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ def engines(dataset):
     """One engine per built-in backend family over the same dataset."""
     return {
         name: QueryEngine.build(dataset, DOMAIN, SMALL_CONFIG.replace(backend=name))
-        for name in ("ic", "rtree", "grid")
+        for name in ("ic", "rtree", "icr")
     }
 
 
@@ -85,7 +84,8 @@ class TestDiagramConfig:
             ("seed_knn", 0),
             ("seed_sectors", 0),
             ("rtree_fanout", 2),
-            ("grid_resolution", 0),
+            ("workers", 0),
+            ("shard_strategy", "diagonal"),
         ],
     )
     def test_validation_rejects_bad_values(self, field, value):
@@ -93,9 +93,9 @@ class TestDiagramConfig:
             DiagramConfig(**{field: value})
 
     def test_dict_round_trip(self):
-        config = DiagramConfig(backend="grid", page_capacity=8, grid_resolution=4)
+        config = DiagramConfig(backend="rtree", page_capacity=8)
         data = config.to_dict()
-        assert data["backend"] == "grid"
+        assert data["backend"] == "rtree"
         assert DiagramConfig.from_dict(data) == config
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -104,7 +104,7 @@ class TestDiagramConfig:
 
     def test_replace_revalidates(self):
         config = DiagramConfig()
-        assert config.replace(backend="grid").backend == "grid"
+        assert config.replace(backend="rtree").backend == "rtree"
         with pytest.raises(ValueError):
             config.replace(split_threshold=7.0)
 
@@ -112,11 +112,23 @@ class TestDiagramConfig:
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        for expected in ("ic", "icr", "basic", "rtree", "grid"):
+        for expected in ("ic", "icr", "basic", "rtree"):
             assert expected in names
+        assert "grid" not in names
+
+    def test_available_backends_are_the_four_builtins(self):
+        assert available_backends() == ["basic", "ic", "icr", "rtree"]
+
+    def test_retired_grid_backend_is_an_unknown_backend(self, dataset):
+        config = SMALL_CONFIG.replace(backend="grid")  # a config does not check
+        with pytest.raises(
+            ValueError,
+            match=r"unknown backend: 'grid' \(available: basic, ic, icr, rtree\)",
+        ):
+            QueryEngine.build(dataset, DOMAIN, config)
 
     def test_unknown_backend_raises_with_available_names(self, dataset):
-        with pytest.raises(ValueError, match="unknown backend.*grid"):
+        with pytest.raises(ValueError, match="unknown backend.*rtree"):
             QueryEngine.build(dataset, DOMAIN, SMALL_CONFIG.replace(backend="btree"))
 
     def test_custom_backend_registration_round_trip(self, dataset):
@@ -135,15 +147,8 @@ class TestRegistry:
             unregister_backend("custom-test")
         assert "custom-test" not in available_backends()
 
-    def test_grid_adapter_round_trips_through_registry(self, engines, dataset):
-        engine = engines["grid"]
-        assert isinstance(engine.backend, UniformGridBackend)
-        for q in queries(seed=5, count=6):
-            got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
-            assert got == answer_objects_brute_force(dataset, q)
-
-    def test_grid_backend_has_no_uv_index(self, engines, dataset):
-        engine = engines["grid"]
+    def test_rtree_backend_has_no_uv_index(self, engines, dataset):
+        engine = engines["rtree"]
         assert engine.index is None
         q = Point(250.0, 250.0)
         assert sorted(pnn(engine, q, compute_probabilities=False).answer_ids) == (
@@ -176,7 +181,7 @@ class TestQueryPlane:
         oid = engines["ic"].objects[0].oid
         assert engines["ic"].uv_cell_area(oid) > 0.0
         with pytest.raises(UnsupportedQueryError):
-            engines["grid"].uv_cell_area(oid)
+            engines["rtree"].uv_cell_area(oid)
         with pytest.raises(UnsupportedQueryError):
             engines["rtree"].uv_cell_extent(oid)
 
@@ -229,7 +234,7 @@ class TestBatch:
 
 
 class TestLiveUpdates:
-    @pytest.mark.parametrize("backend", ["ic", "rtree", "grid"])
+    @pytest.mark.parametrize("backend", ["ic", "rtree", "icr"])
     def test_insert_then_query(self, backend):
         objects = make_objects(30, seed=41)
         engine = QueryEngine.build(objects, DOMAIN, SMALL_CONFIG.replace(backend=backend))
@@ -241,7 +246,7 @@ class TestLiveUpdates:
             got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
 
-    @pytest.mark.parametrize("backend", ["ic", "rtree", "grid"])
+    @pytest.mark.parametrize("backend", ["ic", "rtree", "icr"])
     def test_delete_then_query(self, backend):
         objects = make_objects(30, seed=42)
         engine = QueryEngine.build(objects, DOMAIN, SMALL_CONFIG.replace(backend=backend))
@@ -253,19 +258,18 @@ class TestLiveUpdates:
             got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
 
-    def test_grid_churn_does_not_grow_pages(self):
-        """Insert/delete churn must not leak grid pages (cells are repacked)."""
+    def test_rtree_churn_does_not_grow_pages(self):
+        """Insert/delete churn on the R-tree backend leaks no pages."""
         objects = make_objects(30, seed=43)
-        engine = QueryEngine.build(objects, DOMAIN, SMALL_CONFIG.replace(backend="grid"))
-        grid = engine.backend.grid
-        baseline_pages = sum(len(pages) for pages in grid._cell_pages.values())
+        engine = QueryEngine.build(objects, DOMAIN, SMALL_CONFIG.replace(backend="rtree"))
+        baseline_pages = engine.disk.page_count
         for round_number in range(20):
             obj = UncertainObject.uniform(
                 1000 + round_number, Point(500.0, 500.0), 30.0
             )
             engine.insert(obj)
             engine.delete(obj.oid)
-        assert sum(len(pages) for pages in grid._cell_pages.values()) == baseline_pages
+        assert engine.disk.page_count == baseline_pages
         for q in queries(seed=6, count=6):
             got = sorted(pnn(engine, q, compute_probabilities=False).answer_ids)
             assert got == answer_objects_brute_force(engine.objects, q)
@@ -292,14 +296,13 @@ class TestOneQuerySurface:
 
         import repro
         import repro.core.pnn
-        import repro.grid.uniform_grid
         import repro.rtree.pnn
 
         for name in ("UVDiagram", "BatchResult", "UVIndexPNN", "RTreePNN", "GridPNN"):
             assert not hasattr(repro, name), name
         assert not hasattr(repro.core.pnn, "UVIndexPNN")
         assert not hasattr(repro.rtree.pnn, "RTreePNN")
-        assert not hasattr(repro.grid.uniform_grid, "GridPNN")
+        assert importlib.util.find_spec("repro.grid") is None
         assert importlib.util.find_spec("repro.core.diagram") is None
         assert importlib.util.find_spec("repro.queries.probability") is None
 

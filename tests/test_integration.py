@@ -1,7 +1,7 @@
 """End-to-end integration tests across indexes, datasets, and query paths.
 
 These tests exercise the full pipeline on randomised datasets: build every
-index (UV-index with IC and ICR, R-tree, uniform grid), run the same PNN
+index (UV-index with IC and ICR, R-tree), run the same PNN
 workload on each, and require every processor to return exactly the
 brute-force answer set and mutually consistent probabilities.
 """
@@ -47,17 +47,17 @@ def clustered_diagram(clustered_bundle):
 class TestCrossIndexConsistency:
     def test_uniform_data_all_indexes_agree(self):
         bundle = load_dataset("uniform", 60, diameter=350.0, query_count=10, seed=29)
-        config = DiagramConfig(page_capacity=8, seed_knn=30, grid_resolution=8)
+        config = DiagramConfig(page_capacity=8, seed_knn=30)
         diagram = QueryEngine.build(bundle.objects, bundle.domain, config)
-        grid = QueryEngine.build(
-            bundle.objects, bundle.domain, config.replace(backend="grid")
+        rtree = QueryEngine.build(
+            bundle.objects, bundle.domain, config.replace(backend="rtree")
         )
 
         for q in bundle.queries:
             expected = answer_objects_brute_force(bundle.objects, q)
             assert answer_ids(diagram, q) == expected
             assert answer_ids(diagram, q, STRATEGY_RTREE) == expected
-            assert answer_ids(grid, q) == expected
+            assert answer_ids(rtree, q) == expected
 
     def test_clustered_data_uv_index_correct(self, clustered_bundle, clustered_diagram):
         for q in clustered_bundle.queries:

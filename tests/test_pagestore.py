@@ -42,9 +42,17 @@ class TestCodec:
         assert back.mbr == entry.mbr
         assert back.child is None
 
-    def test_grid_tuple(self):
+    def test_oid_circle_tuple_round_trips_through_pickle(self):
+        """Tag 3 (the retired grid-cell tuple) is gone: such a tuple is a
+        generic entry now."""
         entry = (13, Circle(Point(4.0, 5.0), 6.0))
+        assert encode_entry(entry)[0] == 0
         assert self.roundtrip(entry) == entry
+
+    def test_retired_tag_3_is_refused(self):
+        blob = bytes([3]) + bytes(8 + 24)
+        with pytest.raises(ValueError, match="unknown page-entry tag: 3"):
+            decode_entry(blob)
 
     def test_uncertain_object_pdf_families(self):
         for obj in [

@@ -27,7 +27,7 @@ from repro.parallel import (
 from repro.queries.spec import KNNQuery, PNNQuery
 from repro.storage.stats import TimingBreakdown
 
-ALL_BACKENDS = ["ic", "icr", "basic", "rtree", "grid"]
+ALL_BACKENDS = ["ic", "icr", "basic", "rtree"]
 
 
 def leaf_fingerprint(index):
@@ -202,7 +202,6 @@ class TestEngineParity:
             page_capacity=16,
             seed_knn=20,
             rtree_fanout=16,
-            grid_resolution=8,
         )
         queries = generate_query_points(8, domain, seed=71)
         serial = QueryEngine.build(subset, domain, config)

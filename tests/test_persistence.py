@@ -23,9 +23,8 @@ from repro.geometry.rectangle import Rect
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 from repro.storage.pagestore import FilePageStore, MemoryPageStore, MmapPageStore
 
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16,
-                       grid_resolution=8)
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16)
+BACKENDS = ("ic", "icr", "basic", "rtree")
 
 
 def _build(backend, count=70, seed=4):
@@ -125,15 +124,22 @@ def test_format_1_snapshot_still_opens_and_updates(tmp_path):
         assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
 
 
-def test_snapshot_with_retired_prob_kernel_key_still_opens(tmp_path, monkeypatch):
-    """Snapshots saved while ``prob_kernel`` was a config field reopen."""
+@pytest.mark.parametrize("key,value,other", [
+    ("prob_kernel", "scalar", "magic"),
+    ("grid_resolution", 16, 0),
+    ("grid_resolution", 1, -4),
+    ("grid_resolution", 64, "16"),
+])
+def test_snapshot_with_retired_config_key_still_opens(key, value, other, tmp_path,
+                                                      monkeypatch):
+    """Snapshots saved while ``key`` was a config field reopen."""
     engine, domain = _build("ic")
     queries = generate_query_points(6, domain, seed=37)
     path = str(tmp_path / "retired.uv")
     saved_config = DiagramConfig.to_dict
 
-    def with_retired_key(config, value="scalar"):
-        return {**saved_config(config), "prob_kernel": value}
+    def with_retired_key(config, value=value):
+        return {**saved_config(config), key: value}
 
     monkeypatch.setattr(DiagramConfig, "to_dict", with_retired_key)
     engine.save(path)
@@ -148,7 +154,7 @@ def test_snapshot_with_retired_prob_kernel_key_still_opens(tmp_path, monkeypatch
             assert got.probabilities == ref.probabilities  # bit-identical
 
     monkeypatch.setattr(
-        DiagramConfig, "to_dict", lambda config: with_retired_key(config, "magic")
+        DiagramConfig, "to_dict", lambda config: with_retired_key(config, other)
     )
     engine.save(path)
     monkeypatch.undo()
@@ -156,7 +162,36 @@ def test_snapshot_with_retired_prob_kernel_key_still_opens(tmp_path, monkeypatch
         QueryEngine.open(path)
 
 
-@pytest.mark.parametrize("backend", ("ic", "rtree", "grid"))
+@pytest.mark.parametrize("layout", ("snapshot", "live", "sharded"))
+def test_deployment_with_retired_grid_resolution_reopens(layout, tmp_path, monkeypatch):
+    """Every layout saved while ``grid_resolution`` was a config field (all
+    of them carry it) reopens and answers exactly like the engine it saved."""
+    from repro.shard import build_sharded_deployment, open_deployment
+
+    objects, domain = generate_uniform_objects(40, seed=4, diameter=300.0)
+    engine = QueryEngine.build(objects, domain, CONFIG)
+    queries = generate_query_points(6, domain, seed=37)
+    saved_config = DiagramConfig.to_dict
+    monkeypatch.setattr(DiagramConfig, "to_dict",
+                        lambda config: {**saved_config(config), "grid_resolution": 16})
+    target = str(tmp_path / layout)
+    if layout == "snapshot":
+        engine.save(target)
+    elif layout == "live":
+        engine.save_generation(target)
+    else:
+        build_sharded_deployment(objects, domain, target, config=CONFIG, shards=2)
+    monkeypatch.undo()
+
+    reopened = open_deployment(target, verify=True)
+    for q in queries:
+        got = reopened.execute(PNNQuery(q))
+        ref = engine.execute(PNNQuery(q))
+        assert got.answer_ids == ref.answer_ids
+        assert got.probabilities == ref.probabilities  # bit-identical
+
+
+@pytest.mark.parametrize("backend", ("ic", "rtree", "icr"))
 def test_knn_and_partition_parity(backend, tmp_path):
     engine, domain = _build(backend)
     path = str(tmp_path / "snap.uv")
@@ -191,7 +226,7 @@ def test_batch_parity_after_reopen(tmp_path):
     assert [r.answer_ids for r in batch] == [r.answer_ids for r in sequential]
 
 
-@pytest.mark.parametrize("backend", ("ic", "grid"))
+@pytest.mark.parametrize("backend", ("ic", "rtree"))
 def test_live_updates_after_reopen(backend, tmp_path):
     engine, domain = _build(backend)
     path = str(tmp_path / "snap.uv")
@@ -314,6 +349,46 @@ def test_config_validates_store_fields():
         DiagramConfig(store="file")  # missing path
     with pytest.raises(ValueError):
         DiagramConfig(buffer_pages=-1)
+
+
+@pytest.mark.parametrize("layout", ("snapshot", "live", "sharded"))
+def test_snapshot_of_the_retired_grid_backend_is_refused(layout, tmp_path, monkeypatch):
+    """Every layout saved with ``backend: "grid"`` fails with one error that
+    names the retirement and the remaining backends, before any page is read."""
+    from repro.engine import snapshot
+    from repro.shard import build_sharded_deployment, open_deployment
+    from repro.storage.object_store import ObjectStore
+
+    objects, domain = generate_uniform_objects(40, seed=4, diameter=300.0)
+    engine = QueryEngine.build(objects, domain, CONFIG)
+    saved_meta = snapshot.build_meta
+
+    def grid_meta(engine):
+        meta = saved_meta(engine)
+        meta["config"] = {**meta["config"], "backend": "grid", "grid_resolution": 16}
+        return {**meta, "backend": "grid", "backend_state": {"grid": {}}}
+
+    monkeypatch.setattr(snapshot, "build_meta", grid_meta)
+    target = str(tmp_path / layout)
+    if layout == "snapshot":
+        engine.save(target)
+    elif layout == "live":
+        engine.save_generation(target)
+    else:
+        build_sharded_deployment(objects, domain, target, config=CONFIG, shards=2)
+    monkeypatch.undo()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the object store was read")
+
+    monkeypatch.setattr(ObjectStore, "from_snapshot", unread)
+    openers = [open_deployment]
+    if layout == "live":
+        openers.append(QueryEngine.open_live)
+    for opener in openers:
+        with pytest.raises(ValueError, match=r"backend 'grid'.*retired.*"
+                           r"rebuild the deployment with one of basic, ic, icr, rtree"):
+            opener(target)
 
 
 def test_snapshot_unsupported_for_unregistered_backend():

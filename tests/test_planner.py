@@ -16,14 +16,19 @@ from repro import (
 )
 from repro.core.pattern import PartitionQueryResult
 from repro.engine.engine import BatchStream
-from repro.engine.planner import STRATEGY_BATCH, STRATEGY_RTREE, STRATEGY_UV_POINT
+from repro.engine.planner import (
+    STRATEGY_BATCH,
+    STRATEGY_RANGE_NATIVE,
+    STRATEGY_RANGE_SCAN,
+    STRATEGY_RTREE,
+    STRATEGY_UV_POINT,
+)
 from repro.queries.knn import KNNResult
 from repro.queries.result import PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16,
-                       grid_resolution=16)
+BACKENDS = ("ic", "icr", "basic", "rtree")
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16)
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +136,45 @@ class TestPlans:
         plan = engines["rtree"].planner.plan(PNNQuery(queries[0]))
         assert plan.strategy == STRATEGY_RTREE
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_backend_plans_one_pnn_strategy(self, engines, dataset, backend):
+        """No plan weighs a second structure: every PNN shape takes the
+        backend's own strategy, and no note compares it with another."""
+        _, _, queries = dataset
+        expected = STRATEGY_RTREE if backend == "rtree" else STRATEGY_UV_POINT
+        for q in queries:
+            for query in (PNNQuery(q), PNNQuery(q, threshold=0.1), PNNQuery(q, top_k=2)):
+                plan = engines[backend].planner.plan(query)
+                assert plan.strategy == expected
+                assert not any("undercuts" in note or "kept over" in note
+                               for note in plan.notes)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_range_plan_strategy(self, engines, backend):
+        """A UV backend reads its own partitions; the R-tree backend scans
+        range candidates."""
+        engine = engines[backend]
+        report = engine.explain(RangeQuery(Rect(1000.0, 1000.0, 4000.0, 4000.0)))
+        expected = STRATEGY_RANGE_SCAN if backend == "rtree" else STRATEGY_RANGE_NATIVE
+        assert report.plan.strategy == expected
+        assert isinstance(report.result, PartitionQueryResult)
+        assert 0 < report.plan.estimated_candidates <= len(engine.objects)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_plan_shares_the_backends_leaves(self, engines, dataset, backend):
+        """Every backend reports its leaf count, which prices the granules a
+        batch's shared read cache pays once."""
+        _, _, queries = dataset
+        engine = engines[backend]
+        leaves = engine.backend.statistics()["leaf_nodes"]
+        assert leaves >= 1.0
+        plan = engine.planner.plan(BatchQuery.of(queries))
+        distinct = leaves * (1.0 - (1.0 - 1.0 / leaves) ** len(queries))
+        assert plan.notes[-1] == (
+            f"{len(queries)} queries stream through one shared read cache "
+            f"(expected {distinct:.1f} distinct index granules)"
+        )
+
     def test_compute_probabilities_false_plans_no_kernel(self, engines, dataset):
         _, _, queries = dataset
         plan = engines["ic"].planner.plan(
@@ -147,7 +191,7 @@ class TestPlans:
 
     def test_statistics_are_cached_until_structure_changes(self, dataset):
         objects, domain, _ = dataset
-        engine = QueryEngine.build(objects, domain, CONFIG.replace(backend="grid"))
+        engine = QueryEngine.build(objects, domain, CONFIG.replace(backend="rtree"))
         calls = {"n": 0}
         original = engine.backend.statistics
 
@@ -226,7 +270,7 @@ class TestExplain:
             assert plan.kind == "pnn"
 
     def test_explain_range_query(self, engines):
-        report = engines["grid"].explain(
+        report = engines["rtree"].explain(
             RangeQuery(Rect(1000.0, 1000.0, 4000.0, 4000.0))
         )
         assert isinstance(report.result, PartitionQueryResult)
@@ -260,7 +304,7 @@ class TestBatchStreaming:
 
     def test_stream_answers_match_sequential_execution(self, engines, dataset):
         _, _, queries = dataset
-        engine = engines["grid"]
+        engine = engines["rtree"]
         sequential = [engine.execute(PNNQuery(q)) for q in queries]
         streamed = [r for _, r, _ in engine.execute(BatchQuery.of(queries))]
         for a, b in zip(sequential, streamed):
@@ -403,19 +447,19 @@ def planned_queries(domain):
 #: (backend, buffer_pages) -> digest of the plan signatures of
 #: ``planned_queries`` on 2,560 uniform objects (d=40, seed 11), a PNN
 #: executed after every plan so a buffer pool's observed hit ratio moves.
-#: The ``rtree`` and ``grid`` pins changed when the R-tree estimate started
-#: charging the entries branch-and-prune visits: every grid plan here is an
-#: R-tree plan, before and after, so it carries that estimate and its note.
-#: ``("ic", 0)`` locks the UV-index answering PNN itself.
+#: The ``rtree`` pins changed when the R-tree estimate started charging the
+#: entries branch-and-prune visits.  The ``ic`` and ``icr`` pins lock the
+#: UV-index answering PNN itself.
 PINNED_PLANS = {
-    ("grid", 0): "a50d44636600b7184a808f8c6468c81efdb6c4a565dc317cb2957ec830add12f",
-    ("grid", 64): "00e7ccc38df8526298eada353a80485cd77b34d47e10a2798acc5d5d949a2b64",
     ("ic", 0): "8f813cfadb9fe9abbe0eb30b34f266e1a1a80ff3990c336c73b765d0fcc1f3ba",
+    ("ic", 64): "65bf76bea208041ad86957733449f6a7d88edca80eb845fb59360e5ae671a1f8",
+    ("icr", 0): "92cde57e1dfab2478224f9b7d9e34bdced9ba257c555954f52f06f2be26676be",
     ("rtree", 0): "b72bb51d6f7af50999dd9729ce102ca4d563eb1d248a84bd63816de100b19e59",
     ("rtree", 64): "2638668461bda3f4481b521d46e6dc3bf97c29e2f46c707b06b21ee10a548714",
 }
 #: The strategy every PNN plan of each backend takes on that population.
-PINNED_STRATEGY = {"grid": STRATEGY_RTREE, "ic": STRATEGY_UV_POINT, "rtree": STRATEGY_RTREE}
+PINNED_STRATEGY = {"ic": STRATEGY_UV_POINT, "icr": STRATEGY_UV_POINT,
+                   "rtree": STRATEGY_RTREE}
 
 
 @pytest.mark.parametrize("backend,buffer_pages", sorted(PINNED_PLANS))

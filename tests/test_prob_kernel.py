@@ -1,7 +1,7 @@
 """The qualification-probability kernel: parity, stability, caching.
 
 The kernel's contract: agree with the scalar oracle
-(``tests/reference/probability.py``) to <= 1e-9 relative error on all five
+(``tests/reference/probability.py``) to <= 1e-9 relative error on all four
 backends, be bit-stable under permutation of the candidates, pre-prune
 dominated candidates, and share per-object ring profiles across queries
 through a ``RingCache``.
@@ -257,7 +257,7 @@ def test_dense_probabilities_are_the_where_chain_bits():
     assert digest == PINNED_DENSE_PROBABILITIES
 
 
-ENGINE_BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+ENGINE_BACKENDS = ("ic", "icr", "basic", "rtree")
 
 
 class TestEngineIntegration:
@@ -276,7 +276,6 @@ class TestEngineIntegration:
             domain,
             DiagramConfig(
                 backend=backend, page_capacity=16, seed_knn=60, rtree_fanout=16,
-                grid_resolution=16,
             ),
         )
         for query in queries:
@@ -306,7 +305,9 @@ class TestEngineIntegration:
         engine.delete(victim)
         assert victim not in engine._ring_cache._profiles
 
-    def test_config_rejects_the_retired_kernel_key(self):
-        """Only snapshot open drops ``prob_kernel``; a config dict may not."""
+    @pytest.mark.parametrize("key,value", [("prob_kernel", "vectorized"),
+                                           ("grid_resolution", 16)])
+    def test_config_rejects_a_retired_key(self, key, value):
+        """Only snapshot open drops a retired key; a config dict may not."""
         with pytest.raises(ValueError, match="unknown DiagramConfig keys"):
-            DiagramConfig.from_dict({"backend": "ic", "prob_kernel": "vectorized"})
+            DiagramConfig.from_dict({"backend": "ic", key: value})

@@ -99,7 +99,7 @@ class TestBatchQuery:
 class TestDiagramConfigReplace:
     def test_replace_changes_field(self):
         config = DiagramConfig()
-        assert config.replace(backend="grid").backend == "grid"
+        assert config.replace(backend="rtree").backend == "rtree"
         # the original is untouched (frozen semantics)
         assert config.backend == "ic"
 

@@ -183,7 +183,7 @@ def deployments(tmp_path_factory, medium_dataset):
     from repro.shard import build_sharded_deployment
 
     objects, domain = medium_dataset
-    config = DiagramConfig(backend="grid")
+    config = DiagramConfig(backend="rtree")
     root = tmp_path_factory.mktemp("surface")
     engine = QueryEngine.build(objects, domain, config)
     engine.save(str(root / "engine.snap"))
@@ -206,7 +206,7 @@ class TestDeploymentSurface:
         runtime = WorkerRuntime(0, ServeConfig(snapshot_path=deployments[kind]))
         stats = runtime.stats()
         assert (stats["backend"], stats["objects"], stats["readonly"]) == (
-            "grid", 80, True)
+            "rtree", 80, True)
         assert stats["generation"] == generation
         assert stats.get("shard_generations") == shard_generations
         assert stats.get("epoch") == (1 if kind == "fleet" else None)

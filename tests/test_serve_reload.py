@@ -31,7 +31,7 @@ from repro.wal.checkpoint import Checkpointer
 def deployment(tmp_path, medium_dataset):
     objects, domain = medium_dataset
     engine = QueryEngine.build(
-        objects, domain, DiagramConfig(backend="grid", buffer_pages=16)
+        objects, domain, DiagramConfig(backend="rtree", buffer_pages=16)
     )
     directory = str(tmp_path / "live")
     engine.save_generation(directory)
@@ -169,7 +169,7 @@ class TestPartialReloadFailure:
         objects, domain = medium_dataset
         fleet = str(tmp_path / "fleet")
         build_sharded_deployment(objects, domain, fleet, shards=2,
-                                 config=DiagramConfig(backend="grid"))
+                                 config=DiagramConfig(backend="rtree"))
         service = QueryService(ServeConfig(snapshot_path=fleet, port=0,
                                            reload_poll=0.05))
         service.router = self._StubRouter([

@@ -35,10 +35,9 @@ from repro.shard.deployment import open_deployment
 from repro.shard.map import ShardInfo, ShardMap
 from repro.uncertain.objects import UncertainObject
 
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+BACKENDS = ("ic", "icr", "basic", "rtree")
 
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=20, rtree_fanout=16,
-                       grid_resolution=16)
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=20, rtree_fanout=16)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +182,33 @@ class TestParity:
             assert mine.object_count == theirs.object_count
             assert mine.density == theirs.density
 
+    @pytest.mark.parametrize("fractions", [
+        (0.0, 0.0, 0.1, 0.1),
+        (0.4, 0.4, 0.6, 0.6),
+        (0.0, 0.45, 1.0, 0.55),
+        (0.0, 0.0, 1.0, 1.0),
+    ], ids=["corner", "centre", "strip", "domain"])
+    def test_rtree_range_probes_shards_the_region_meets(self, fractions, dataset,
+                                                        deployments):
+        """The R-tree backend's range sums the shards whose bounds meet the
+        region itself; scattering to every shard lists the same partitions."""
+        _, domain = dataset
+        directory, reference = deployments["rtree"]
+        sharded = ShardedQueryEngine.open(directory)
+        span_x = domain.xmax - domain.xmin
+        span_y = domain.ymax - domain.ymin
+        from repro import Rect
+
+        x0, y0, x1, y1 = fractions
+        query = RangeQuery(region=Rect(domain.xmin + x0 * span_x, domain.ymin + y0 * span_y,
+                                       domain.xmin + x1 * span_x, domain.ymin + y1 * span_y))
+        expected = [(p.region, p.object_count, p.density)
+                    for p in reference.execute(query).partitions]
+        for scatter_all in (False, True):
+            got = sharded.execute(query, scatter_all=scatter_all)
+            assert [(p.region, p.object_count, p.density)
+                    for p in got.partitions] == expected
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_scatter_all_matches_routed(self, backend, dataset, deployments):
         _, domain = dataset
@@ -198,8 +224,7 @@ class TestParity:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_stream_matches_sequential(self, backend, dataset, deployments):
-        """One read cache serves every shard: granule keys must not collide
-        (grid cells are keyed per grid, not by cell coordinates alone)."""
+        """One read cache serves every shard: granule keys must not collide."""
         _, domain = dataset
         directory, reference = deployments[backend]
         sharded = ShardedQueryEngine.open(directory)
@@ -508,7 +533,7 @@ class TestSingleShard:
         assert [line.replace(shard, "<dir>") for line in fleet_report] == \
             [line.replace(single, "<dir>") for line in single_report]
 
-    @pytest.mark.parametrize("backend", ("ic", "grid"))
+    @pytest.mark.parametrize("backend", ("ic", "rtree"))
     def test_knn_walks_no_population(self, backend, dataset, deployments):
         _, domain = dataset
         directory, reference = deployments[backend]

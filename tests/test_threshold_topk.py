@@ -25,13 +25,12 @@ from repro.queries.probability_kernel import (
 from repro.queries.result import PNNAnswer
 from repro.queries.spec import PNNQuery
 
-BACKENDS = ("ic", "icr", "basic", "rtree", "grid")
+BACKENDS = ("ic", "icr", "basic", "rtree")
 #: ``vectorized`` is the production kernel behind ``execute``; ``scalar`` is
 #: the oracle, refining the same answer objects.
 KERNELS = ("vectorized", "scalar")
 # A dense dataset so answer sets carry several low-probability candidates.
-CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16,
-                       grid_resolution=16)
+CONFIG = DiagramConfig(page_capacity=16, seed_knn=60, rtree_fanout=16)
 
 
 @pytest.fixture(scope="module")

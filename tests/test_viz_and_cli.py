@@ -89,6 +89,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "UV-diagram" in out
 
+    def test_info_lists_the_four_backends(self, capsys):
+        assert main(["info"]) == 0
+        assert "backends: basic, ic, icr, rtree\n" in capsys.readouterr().out
+
     def test_build_command(self, capsys):
         code = main([
             "build", "--objects", "30", "--diameter", "300", "--seed", "2",
@@ -124,14 +128,31 @@ class TestCli:
         assert output.exists()
 
     @pytest.mark.parametrize(
-        "flag", [["--prob-kernel", "scalar"], ["--method", "ic"]],
-        ids=["prob-kernel", "method"],
+        "flag",
+        [["--prob-kernel", "scalar"], ["--method", "ic"], ["--grid-resolution", "16"]],
+        ids=["prob-kernel", "method", "grid-resolution"],
     )
     def test_retired_flags_are_rejected(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(["query", "--objects", "10", *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retired_grid_backend_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "--objects", "10", "--backend", "grid"])
+        assert exit_info.value.code == 2
+        assert "argument --backend: invalid choice: 'grid'" in capsys.readouterr().err
+        assert main(["compare", "--objects", "10", "--backends", "ic,grid"]) != 0
+        assert ("unknown backend(s): grid (available: basic, ic, icr, rtree)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["build", "explain", "shard-build", "render"])
+    def test_every_backend_option_refuses_the_retired_grid(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--backend", "grid"])
+        assert exit_info.value.code == 2
+        assert "argument --backend: invalid choice: 'grid'" in capsys.readouterr().err
 
 
 class TestServeCli:

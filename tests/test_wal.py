@@ -231,7 +231,7 @@ class TestManifest:
         )
 
 
-def _deployment(tmp_path, small_objects, small_domain, backend="grid"):
+def _deployment(tmp_path, small_objects, small_domain, backend="rtree"):
     engine = QueryEngine.build(
         small_objects, small_domain, DiagramConfig(backend=backend)
     )
@@ -259,7 +259,7 @@ class TestLiveEngine:
                                       small_domain):
         directory = _deployment(tmp_path, small_objects, small_domain)
         engine = QueryEngine.build(
-            small_objects, small_domain, DiagramConfig(backend="grid")
+            small_objects, small_domain, DiagramConfig(backend="rtree")
         )
         with pytest.raises(ValueError, match="already holds"):
             initialize_generation(engine, directory)
