@@ -18,6 +18,7 @@ copies of the same list.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -25,6 +26,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import CandidateBlock
+from repro.storage.codec import RestoredOnFirstRead
 from repro.storage.disk import DiskManager
 from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
@@ -82,6 +84,10 @@ class UVIndex:
         page_capacity: entries per leaf page; defaults to what fits in a 4 KB
             page.
     """
+
+    _owner_circle = RestoredOnFirstRead("_restore_maps")
+    ref_ids = RestoredOnFirstRead("_restore_maps")
+    _oid_leaves = RestoredOnFirstRead("_restore_maps")
 
     def __init__(
         self,
@@ -407,7 +413,9 @@ class UVIndex:
 
         No pages are read or allocated: the restored nodes reference the page
         ids recorded in ``state``, so query I/O counts match the original
-        index exactly.
+        index exactly.  PNN needs only the nodes; the per-object maps
+        (``_owner_circle``, ``ref_ids``, ``_oid_leaves``) are restored on
+        their first read -- a mutation, a pattern query or a save.
         """
         index = cls(
             domain,
@@ -418,21 +426,42 @@ class UVIndex:
         )
         index.size = state["size"]
         index.nonleaf_count = state["nonleaf_count"]
-        index._owner_circle = {
-            int(oid): _circle_from_state(c) for oid, c in state["owner_circles"].items()
-        }
-        if "ref_ids" in state:
-            index.ref_ids = {
-                int(oid): [int(ref) for ref in refs]
-                for oid, refs in state["ref_ids"].items()
-            }
-        else:
-            index.ref_ids = _ref_ids_from_circles(state)
         index.root = _node_from_state(state["root"])
-        for leaf in index.leaves():
-            for oid in leaf.entry_oids:
-                index._register_leaf(oid, leaf)
+        for name in ("_owner_circle", "ref_ids", "_oid_leaves"):
+            del index.__dict__[name]  # unset until _restore_maps
+        index._map_state = state
+        index._restore_lock = threading.Lock()
         return index
+
+    def _restore_maps(self) -> None:
+        """Rebuild the per-object maps of a snapshot-opened index, once."""
+        with self._restore_lock:
+            if "_owner_circle" in self.__dict__:  # assigned last, below
+                return
+            state = self._map_state
+            if "ref_ids" in state:
+                self.ref_ids = {
+                    int(oid): [int(ref) for ref in refs]
+                    for oid, refs in state["ref_ids"].items()
+                }
+            else:
+                self.ref_ids = _ref_ids_from_circles(state)
+            oid_leaves: Dict[int, Dict[int, UVIndexNode]] = {}
+            for leaf in self.leaves():
+                for oid in leaf.entry_oids:
+                    oid_leaves.setdefault(oid, {})[id(leaf)] = leaf
+            self._oid_leaves = oid_leaves
+            self._owner_circle = {
+                int(oid): _circle_from_state(c)
+                for oid, c in state["owner_circles"].items()
+            }
+
+    def owner_radius(self, oid: int) -> float:
+        """Radius of an object's circle, read without restoring the maps."""
+        circles = self.__dict__.get("_owner_circle")
+        if circles is not None:
+            return circles[oid].radius
+        return float(self._map_state["owner_circles"][str(oid)][2])
 
     def statistics(self) -> Dict[str, float]:
         """Summary statistics used by reports and the sensitivity benchmark."""

@@ -174,9 +174,9 @@ class IndexBackend(abc.ABC):
 #: five-arg factories remain callable (see :func:`_scheduler_call_style`).
 BackendFactory = Callable[..., IndexBackend]
 
-#: called as ``restorer(state, objects, domain, config, disk, rtree, stats)``
-#: with the :meth:`IndexBackend.snapshot_state` payload; must return an
-#: unbound backend wired to the already-persisted pages.
+#: called as ``restorer(state, domain, config, disk, rtree, stats)`` with the
+#: :meth:`IndexBackend.snapshot_state` payload; must return an unbound
+#: backend wired to the already-persisted pages.
 BackendRestorer = Callable[..., IndexBackend]
 
 _REGISTRY: Dict[str, BackendFactory] = {}
@@ -192,9 +192,11 @@ def register_backend(
 
     The factory is called as ``factory(objects, domain, config, disk, rtree,
     scheduler)`` and must return an unbound :class:`IndexBackend`.  ``restorer``, when
-    given, enables ``QueryEngine.open()`` for this backend: it receives the
-    backend's :meth:`~IndexBackend.snapshot_state` payload and rebuilds the
-    backend over the snapshot's pages without reconstruction.
+    given, enables ``QueryEngine.open()`` for this backend (see
+    :data:`BackendRestorer`): it rebuilds the backend over the snapshot's
+    pages without reconstruction.  It is not handed the objects -- they stay
+    on their pages until first touched; a restored backend reaches them
+    through its bound engine.
     """
     if not name:
         raise ValueError("backend name must be non-empty")
@@ -274,7 +276,6 @@ def _scheduler_call_style(factory: BackendFactory) -> str:
 def restore_backend(
     name: str,
     state: Dict[str, Any],
-    objects: Sequence[UncertainObject],
     domain: Rect,
     config: "DiagramConfig",
     disk: Any,
@@ -288,6 +289,6 @@ def restore_backend(
             f"backend {name!r} has no snapshot restorer; register one via "
             "register_backend(name, factory, restorer)"
         )
-    backend = restorer(state, objects, domain, config, disk, rtree, stats)
+    backend = restorer(state, domain, config, disk, rtree, stats)
     backend.name = name.lower()
     return backend

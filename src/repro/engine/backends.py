@@ -149,7 +149,7 @@ class RTreeBackend(IndexBackend):
             else:
                 stack.extend((entry.child, level + 1) for entry in node.entries)
         return {
-            "objects": float(len(self.engine.objects)),
+            "objects": float(len(self.engine)),
             "fanout": float(tree.fanout),
             "nodes": float(node_count),
             "leaf_nodes": float(leaf_count),
@@ -228,7 +228,6 @@ def _rtree_factory(
 # ---------------------------------------------------------------------- #
 def _uv_restorer(
     state: Dict,
-    objects: Sequence[UncertainObject],
     domain: Rect,
     config: DiagramConfig,
     disk: DiskManager,
@@ -241,7 +240,6 @@ def _uv_restorer(
 
 def _rtree_restorer(
     state: Dict,
-    objects: Sequence[UncertainObject],
     domain: Rect,
     config: DiagramConfig,
     disk: DiskManager,

@@ -72,7 +72,7 @@ from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, Query, RangeQuery
 from repro.rtree.pnn import branch_and_prune_candidates
 from repro.rtree.tree import RTree
 from repro.storage.disk import DiskManager
-from repro.storage.object_store import ObjectStore
+from repro.storage.object_store import ObjectMap, ObjectStore
 from repro.storage.pagestore import create_page_store
 from repro.storage.stats import IOStats, TimingBreakdown
 from repro.uncertain.objects import UncertainObject
@@ -201,7 +201,7 @@ class QueryEngine:
 
     def __init__(
         self,
-        objects: Sequence[UncertainObject],
+        objects: Optional[Sequence[UncertainObject]],
         domain: Rect,
         backend: IndexBackend,
         rtree: RTree,
@@ -209,8 +209,8 @@ class QueryEngine:
         disk: DiskManager,
         config: Optional[DiagramConfig] = None,
         construction_stats: Any = None,
+        object_order: Sequence[int] = (),
     ) -> None:
-        self.objects = list(objects)
         self.domain = domain
         self.backend = backend
         self.rtree = rtree
@@ -218,7 +218,18 @@ class QueryEngine:
         self.disk = disk
         self.config = config if config is not None else DiagramConfig()
         self.construction_stats = construction_stats
-        self.by_id: Dict[int, UncertainObject] = {obj.oid: obj for obj in self.objects}
+        # ``objects=None`` (a snapshot open) leaves the objects on their
+        # store pages: ``by_id`` decodes a page on its first lookup, and the
+        # list in ``object_order`` is built on first need (see ``objects``).
+        self._objects: Optional[List[UncertainObject]] = None
+        self._object_order = list(object_order)
+        self._objects_lock = threading.Lock()
+        self.by_id: Dict[int, UncertainObject]
+        if objects is None:
+            self.by_id = ObjectMap(object_store)
+        else:
+            self._objects = list(objects)
+            self.by_id = {obj.oid: obj for obj in self._objects}
         # Ring profiles are query-independent, so one cache serves every
         # query (single, batch, and the R-tree plan) until a live update
         # touches the object.
@@ -365,6 +376,44 @@ class QueryEngine:
             readonly=readonly,
             verify=verify,
         )
+
+    @property
+    def objects(self) -> List[UncertainObject]:
+        """The objects in engine order (build order, then live updates).
+
+        A snapshot-opened engine builds this list on first need -- a
+        mutation, WAL replay, :meth:`checkpoint_capture`, a save or any
+        iteration -- from ``by_id``; queries never need it.
+        """
+        objects = self._objects
+        if objects is None:
+            with self._objects_lock:
+                if self._objects is None:
+                    by_id = self.by_id
+                    self._objects = [by_id[oid] for oid in self._object_order]
+                objects = self._objects
+        return objects
+
+    @objects.setter
+    def objects(self, objects: List[UncertainObject]) -> None:
+        self._objects = objects
+
+    def sample_radii(self, count: int) -> List[float]:
+        """MBC radii of the first ``count`` objects in engine order.
+
+        Until the object list is built the radii come from the UV-index's
+        own record of every object's circle, so planning on a fresh open
+        decodes no object page; the R-tree backend keeps no circles and
+        decodes the sample's pages.
+        """
+        objects = self._objects
+        if objects is not None:
+            return [obj.mbc().radius for obj in objects[:count]]
+        oids = self._object_order[:count]
+        index = self.index
+        if index is None:
+            return [self.by_id[oid].mbc().radius for oid in oids]
+        return [index.owner_radius(oid) for oid in oids]
 
     @property
     def dirty(self) -> bool:
@@ -794,4 +843,4 @@ class QueryEngine:
         return self.disk.stats.snapshot()
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.object_store)

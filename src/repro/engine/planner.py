@@ -304,13 +304,10 @@ class QueryPlanner:
         engine = self._engine
         version = engine.structure_version
         if self._answer_cache is None or self._answer_version != version:
-            objects = engine.objects
-            count = max(1, len(objects))
+            count = max(1, len(engine))
             area = max(1e-12, engine.domain.area())
-            sample = objects[:256]
-            mean_radius = sum(obj.mbc().radius for obj in sample) / max(
-                1, len(sample)
-            )
+            sample = engine.sample_radii(256)
+            mean_radius = sum(sample) / max(1, len(sample))
             nn_distance = 0.5 * math.sqrt(area / count)
             reach = nn_distance + 2.0 * mean_radius
             expected = count * math.pi * reach * reach / area
@@ -356,7 +353,7 @@ class QueryPlanner:
     def _estimate_rtree(self) -> CostEstimate:
         engine = self._engine
         tree = engine.rtree
-        objects = max(1.0, float(len(engine.objects)))
+        objects = max(1.0, float(len(engine)))
         leaf_capacity = max(1.0, tree.fanout / 2.0)
         leaf_count = max(1.0, math.ceil(objects / leaf_capacity))
         # Branch-and-prune touches the leaves whose MBR min-distance falls
@@ -444,7 +441,7 @@ class QueryPlanner:
 
     def _plan_knn(self, query: KNNQuery) -> QueryPlan:
         engine = self._engine
-        objects = max(1.0, float(len(engine.objects)))
+        objects = max(1.0, float(len(engine)))
         leaf_capacity = max(1.0, engine.rtree.fanout / 2.0)
         leaf_count = max(1.0, math.ceil(objects / leaf_capacity))
         # The bound traversal reads roughly the leaves holding the k nearest

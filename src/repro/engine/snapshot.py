@@ -146,6 +146,14 @@ def open_engine(
 ) -> "QueryEngine":
     """Restore a :class:`QueryEngine` from a snapshot, without reconstruction.
 
+    The open reads the header and the metadata and nothing else: the objects
+    stay on their store pages and are decoded a page at a time on first
+    touch (``engine.by_id``), the R-tree restores its nodes on its first
+    walk, and a UV-index restores its per-object maps on its first mutation
+    or pattern query.  On an unverified open a corrupt page therefore raises
+    :class:`~repro.storage.pagestore.CorruptSnapshotError` when it is first
+    touched, not here.
+
     Args:
         path: snapshot file written by :func:`save_engine`, or a live
             deployment directory -- opened at its current generation (read
@@ -200,7 +208,6 @@ def open_engine(
     disk = DiskManager(store=page_store, buffer_pages=config.buffer_pages)
     domain = rect_from_state(meta["domain"])
     object_store = ObjectStore.from_snapshot(meta["object_store"], disk)
-    objects = object_store.load_all(meta["object_order"])
     rtree = RTree.from_snapshot(meta["rtree"], disk)
     construction = meta["construction"]
     stats = ConstructionStats(
@@ -212,7 +219,6 @@ def open_engine(
     backend = restore_backend(
         meta["backend"],
         meta["backend_state"],
-        objects,
         domain,
         config,
         disk,
@@ -220,7 +226,7 @@ def open_engine(
         stats,
     )
     engine = QueryEngine(
-        objects=objects,
+        objects=None,
         domain=domain,
         backend=backend,
         rtree=rtree,
@@ -228,6 +234,7 @@ def open_engine(
         disk=disk,
         config=config,
         construction_stats=stats,
+        object_order=meta["object_order"],
     )
     engine._dirty = False
     engine._readonly = readonly
@@ -530,11 +537,12 @@ def open_live_engine(
     record was never acknowledged, so dropping it loses nothing promised.
 
     Degradation: if the current generation's snapshot fails to open as
-    corrupt (always detected with ``verify=True``; detected lazily on decode
-    otherwise), the file is quarantined and the manifest's recorded
-    *previous* generation is promoted and opened instead -- a corrupt
-    checkpoint degrades to the last good state rather than taking the
-    deployment down.  When no predecessor exists, the
+    corrupt (always detected with ``verify=True``; otherwise only a corrupt
+    header or metadata fails the open, and a corrupt page raises when it is
+    first touched -- by the replay or a query), the file is quarantined and
+    the manifest's recorded *previous* generation is promoted and opened
+    instead -- a corrupt checkpoint degrades to the last good state rather
+    than taking the deployment down.  When no predecessor exists, the
     :class:`~repro.storage.pagestore.CorruptSnapshotError` propagates.
     """
     from repro.wal.log import WriteAheadLog

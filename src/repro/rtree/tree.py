@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
@@ -20,6 +21,7 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import CandidateBlock
 from repro.rtree.node import RTreeEntry, RTreeNode
+from repro.storage.codec import RestoredOnFirstRead
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
 
@@ -33,6 +35,8 @@ class RTree:
         fanout: maximum entries per node (the paper uses 100).
         fill_factor: target fill of leaves during bulk loading.
     """
+
+    root = RestoredOnFirstRead("_restore_nodes")
 
     def __init__(
         self,
@@ -351,7 +355,11 @@ class RTree:
 
     @classmethod
     def from_snapshot(cls, state: dict, disk: DiskManager) -> "RTree":
-        """Rebuild a tree over already-persisted leaf pages (no allocation)."""
+        """Rebind a tree to already-persisted leaf pages (no allocation).
+
+        The nodes are restored on the tree's first walk, when ``root`` is
+        first read.
+        """
         tree = cls.__new__(cls)
         tree.disk = disk
         tree.fanout = state["fanout"]
@@ -359,8 +367,15 @@ class RTree:
         tree.size = state["size"]
         tree.leaf_count = state["leaf_count"]
         tree.height = state["height"]
-        tree.root = _rtree_node_from_state(state["root"])
+        tree._root_state = state["root"]
+        tree._restore_lock = threading.Lock()
         return tree
+
+    def _restore_nodes(self) -> None:
+        """Build the nodes of a snapshot-opened tree (first read of ``root``)."""
+        with self._restore_lock:
+            if "root" not in self.__dict__:
+                self.root = _rtree_node_from_state(self._root_state)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -376,6 +391,23 @@ class RTree:
             else:
                 stack.extend(entry.child for entry in node.entries)
         return ids
+
+    def bounds(self) -> Optional[Rect]:
+        """MBR of every indexed object (``None`` for an empty tree).
+
+        The union of the root's entry MBRs, which are exact unions of the
+        objects' own MBRs; a snapshot-opened tree answers from its saved
+        state without restoring a node.
+        """
+        root = self.__dict__.get("root")
+        if root is None:
+            boxes = [entry["mbr"] for entry in self._root_state["entries"]]
+        else:
+            boxes = [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in root.entries]
+        if not boxes:
+            return None
+        xmin, ymin, xmax, ymax = zip(*boxes)
+        return Rect(min(xmin), min(ymin), max(xmax), max(ymax))
 
     def node_count(self) -> Tuple[int, int]:
         """Return ``(internal_nodes, leaf_nodes)``."""

@@ -129,20 +129,17 @@ class ShardedQueryEngine:
         # with the MBR of what the shard actually holds (the manifest dates
         # from the build; WAL replay and checkpoints add objects without
         # rewriting it), widened on insert, never shrunk on delete
-        # (stale-wide bounds cost page reads, never answers).
+        # (stale-wide bounds cost page reads, never answers).  The held MBR
+        # is the shard R-tree's (the union of its leaf MBRs, which are the
+        # objects' bounding boxes) and the owners come from the object-store
+        # directory, so opening decodes no object.
         self._bounds: List[Rect] = []
         self._owner: Dict[int, int] = {}
         for index, engine in enumerate(self.engines):
             bound = self.shard_map.shards[index].bound
-            xmin, ymin, xmax, ymax = bound.xmin, bound.ymin, bound.xmax, bound.ymax
-            for obj in engine.objects:
-                self._owner[obj.oid] = index
-                box = obj.region.bounding_box()
-                xmin = min(xmin, box[0])
-                ymin = min(ymin, box[1])
-                xmax = max(xmax, box[2])
-                ymax = max(ymax, box[3])
-            self._bounds.append(Rect(xmin, ymin, xmax, ymax))
+            held = engine.rtree.bounds()
+            self._bounds.append(bound if held is None else bound.union(held))
+            self._owner.update(dict.fromkeys(engine.object_store, index))
         self._ring_cache = RingCache()
         self.fleet_io = FleetIO(self.engines)
         self.config: DiagramConfig = self.engines[0].config

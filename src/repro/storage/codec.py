@@ -137,6 +137,32 @@ def rect_from_state(state) -> Rect:
     return Rect(state[0], state[1], state[2], state[3])
 
 
+class RestoredOnFirstRead:
+    """An attribute a snapshot-opened structure restores when it is first read.
+
+    A non-data descriptor: a structure built in memory, or one that has
+    restored it, holds the value in its instance ``__dict__``, which shadows
+    the descriptor, so a read costs what any attribute read costs (no
+    ``__getattr__`` hook slowing every other attribute).  A structure opened
+    from a snapshot leaves the attribute unset, and the first read calls the
+    owner's method named ``restore``, which must set it -- once, under the
+    owner's lock, since readers may race.
+    """
+
+    def __init__(self, restore: str) -> None:
+        self.restore = restore
+        self.name = ""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Any = None) -> Any:
+        if instance is None:
+            return self
+        getattr(instance, self.restore)()
+        return instance.__dict__[self.name]
+
+
 # ---------------------------------------------------------------------- #
 # helpers
 # ---------------------------------------------------------------------- #

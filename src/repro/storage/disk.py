@@ -20,6 +20,7 @@ pool frame, so splits and live updates can never leave a stale page behind.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro.storage.page import DEFAULT_ENTRY_SIZE_BYTES, PAGE_SIZE_BYTES, Page, entries_per_page
@@ -57,6 +58,9 @@ class DiskManager:
         self.stats = IOStats()
         self.store: PageStore = store if store is not None else MemoryPageStore()
         self._cache: Dict[int, Page] = {}
+        # Serialises store loads: every page is decoded once, and a store
+        # reading through one file cursor is never entered by two threads.
+        self._load_lock = threading.Lock()
         self._next_page_id = self.store.next_page_id()
         self.buffer_pool = None
         if buffer_pages > 0:
@@ -130,8 +134,11 @@ class DiskManager:
         """The live working-set object for a page, loading from the store once."""
         page = self._cache.get(page_id)
         if page is None:
-            page = self.store.load_page(page_id)
-            self._cache[page_id] = page
+            with self._load_lock:
+                page = self._cache.get(page_id)
+                if page is None:
+                    page = self.store.load_page(page_id)
+                    self._cache[page_id] = page
         return page
 
     @property

@@ -10,7 +10,8 @@ objects onto pages and serves lookups through the counting
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+import threading
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
@@ -101,6 +102,10 @@ class ObjectStore:
     def __len__(self) -> int:
         return len(self._page_of_object)
 
+    def __iter__(self) -> Iterator[int]:
+        """The stored object ids (the page directory; no page is read)."""
+        return iter(self._page_of_object)
+
     @property
     def page_count(self) -> int:
         """Distinct pages currently holding objects (cost-model input)."""
@@ -125,16 +130,91 @@ class ObjectStore:
         }
         return store
 
-    def load_all(self, order: Sequence[int]) -> List[UncertainObject]:
-        """Materialise objects in the given id order without counting I/O.
 
-        Used when reopening a snapshot: the engine's in-memory object list is
-        rebuilt from the persisted pages (an offline, uncounted pass), so the
-        first queries of a reopened engine pay exactly the same counted I/O
-        as they would on the freshly built engine.
-        """
-        loaded: Dict[int, UncertainObject] = {}
-        for page_id in sorted(set(self._page_of_object.values())):
-            for obj in self.disk.peek_page(page_id).entries:
-                loaded[obj.oid] = obj
-        return [loaded[oid] for oid in order]
+class ObjectMap(Dict[int, UncertainObject]):
+    """``oid -> object`` over an object store, one page decoded at a time.
+
+    A reopened engine's ``by_id``: it starts empty, knowing only which page
+    holds each object, and the first lookup of an object decodes its whole
+    page through the uncounted :meth:`DiskManager.peek_page` path (the page
+    joins the disk's working set, so a later counted read of it decodes
+    nothing).  A decoded object is a plain ``dict`` lookup.  Membership and
+    ``len`` read the page directory, ``get`` decodes the object's page, and
+    iteration, ``keys`` / ``values`` / ``items`` and comparison decode every
+    remaining page first.
+    Updates go through ``map[oid] = obj`` and ``del map[oid]``.  Decoding
+    and updates are serialised by one lock, so concurrent first touches
+    decode each page once.
+    """
+
+    def __init__(self, store: ObjectStore) -> None:
+        super().__init__()
+        self._disk = store.disk
+        # Objects not decoded yet -> their page.  Decoding stores an object
+        # before unlisting it, and __contains__ reads this map first, so a
+        # concurrent reader never misses an object in flight.
+        self._pending: Dict[int, int] = dict(store._page_of_object)
+        self._lock = threading.Lock()
+
+    def __missing__(self, oid: int) -> UncertainObject:
+        with self._lock:
+            page_id = self._pending.get(oid)
+            if page_id is not None:
+                self._decode(page_id)
+        return dict.__getitem__(self, oid)
+
+    def _decode(self, page_id: int) -> None:
+        pending = self._pending
+        for obj in self._disk.peek_page(page_id).entries:
+            if obj.oid in pending:
+                dict.__setitem__(self, obj.oid, obj)
+                del pending[obj.oid]
+
+    def decode_all(self) -> None:
+        """Decode every page still holding an undecoded object."""
+        with self._lock:
+            for page_id in sorted(set(self._pending.values())):
+                self._decode(page_id)
+
+    def __contains__(self, oid: object) -> bool:
+        return oid in self._pending or dict.__contains__(self, oid)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return dict.__len__(self) + len(self._pending)
+
+    def __setitem__(self, oid: int, obj: UncertainObject) -> None:
+        with self._lock:
+            dict.__setitem__(self, oid, obj)
+            self._pending.pop(oid, None)
+
+    def __delitem__(self, oid: int) -> None:
+        with self._lock:
+            if self._pending.pop(oid, None) is None:
+                dict.__delitem__(self, oid)
+
+    def __iter__(self) -> Iterator[int]:
+        self.decode_all()
+        return dict.__iter__(self)
+
+    def __eq__(self, other: object) -> bool:
+        self.decode_all()
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def keys(self) -> Any:
+        self.decode_all()
+        return dict.keys(self)
+
+    def values(self) -> Any:
+        self.decode_all()
+        return dict.values(self)
+
+    def items(self) -> Any:
+        self.decode_all()
+        return dict.items(self)
+
+    def get(self, oid: int, default: Optional[UncertainObject] = None) -> Any:
+        return self[oid] if oid in self else default

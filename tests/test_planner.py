@@ -462,8 +462,18 @@ PINNED_STRATEGY = {"ic": STRATEGY_UV_POINT, "icr": STRATEGY_UV_POINT,
                    "rtree": STRATEGY_RTREE}
 
 
-@pytest.mark.parametrize("backend,buffer_pages", sorted(PINNED_PLANS))
-def test_plan_walks_no_population_sized_collection(backend, buffer_pages):
+@pytest.mark.parametrize("backend,buffer_pages,reopened", [
+    pytest.param(backend, buffer_pages, False, id=f"{backend}-{buffer_pages}")
+    for backend, buffer_pages in sorted(PINNED_PLANS)
+] + [
+    # A snapshot open decodes no object; planning must not make it either.
+    # (A buffer pool's hit ratio would differ: the reopened engine never
+    # counted the build's reads.)
+    pytest.param(backend, 0, True, id=f"{backend}-0-reopened")
+    for backend, buffer_pages in sorted(PINNED_PLANS) if buffer_pages == 0
+])
+def test_plan_walks_no_population_sized_collection(backend, buffer_pages, reopened,
+                                                   tmp_path):
     import hashlib
     import json
 
@@ -471,8 +481,12 @@ def test_plan_walks_no_population_sized_collection(backend, buffer_pages):
     engine = QueryEngine.build(
         objects, domain, DiagramConfig(backend=backend, buffer_pages=buffer_pages)
     )
-    engine.objects = _CountingList(engine.objects)
-    engine.by_id = _CountingDict(engine.by_id)
+    if reopened:
+        engine.save(str(tmp_path / "snap"))
+        engine = QueryEngine.open(str(tmp_path / "snap"), store="mmap", readonly=True)
+    else:
+        engine.objects = _CountingList(engine.objects)
+        engine.by_id = _CountingDict(engine.by_id)
     store = engine.object_store
     store._page_of_object = _CountingDict(store._page_of_object)
     signatures = []
@@ -487,6 +501,13 @@ def test_plan_walks_no_population_sized_collection(backend, buffer_pages):
         engine.execute(PNNQuery(point))
     digest = hashlib.sha256(json.dumps(signatures).encode("utf-8")).hexdigest()
     assert digest == PINNED_PLANS[(backend, buffer_pages)]
+    if reopened:
+        assert engine._objects is None
+        decoded = dict.__len__(engine.by_id)
+        if engine.index is not None:
+            assert decoded == 0
+        else:  # the R-tree keeps no circles: it decodes its radius sample's pages
+            assert decoded <= 256 + store.objects_per_page
 
 
 # ---------------------------------------------------------------------- #
