@@ -172,6 +172,67 @@ class BlockScan:
         return self.block.take(self.within(bound))
 
 
+class ProbedBlocks:
+    """The candidate blocks of a routed PNN, each scanned once, and the
+    ``d_minmax`` bound over all of them.
+
+    A shard router probes one block per shard and lowers :attr:`bound` with
+    each block's own :meth:`BlockScan.d_minmax` as it goes (the bound also
+    decides which shards it may skip).  :meth:`verify` then keeps each
+    block's entries :meth:`BlockScan.within` the shared bound, in probe
+    order.  That is :func:`min_max_prune` over the concatenated block, bit
+    for bit: the row with the smallest maximum distance lies inside its own
+    block's recheck band as it does inside the concatenation's, so the
+    smallest per-block ``d_minmax`` is the concatenation's; and ``within``
+    decides row by row.
+    """
+
+    __slots__ = ("scans", "bound", "size")
+
+    def __init__(self) -> None:
+        self.scans: List[BlockScan] = []
+        self.bound = math.inf
+        self.size = 0
+
+    def add(self, scan: BlockScan) -> None:
+        """Take one non-empty block's scan and lower the bound with it."""
+        self.scans.append(scan)
+        self.size += len(scan.dist)
+        self.bound = min(self.bound, scan.d_minmax())
+
+    def verify(self) -> List[int]:
+        """Ids of the entries within the bound, block by block in probe order."""
+        ids: List[int] = []
+        for scan in self.scans:
+            ids.extend(scan.block.oids[scan.within(self.bound)].tolist())
+        return ids
+
+    @property
+    def block(self) -> CandidateBlock:
+        """The probed entries as one block, in probe order."""
+        return CandidateBlock.concat([scan.block for scan in self.scans])
+
+    # The arrays of :attr:`block`, so the probed set reads like a block.
+    @property
+    def oids(self) -> np.ndarray:
+        return self.block.oids
+
+    @property
+    def cx(self) -> np.ndarray:
+        return self.block.cx
+
+    @property
+    def cy(self) -> np.ndarray:
+        return self.block.cy
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.block.r
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def d_minmax(query: Point, block: CandidateBlock) -> float:
     """The minimum over a non-empty block of its maximum distances from ``query``."""
     if not len(block):

@@ -4,8 +4,9 @@ Every PNN the library answers -- through a UV-index point query, R-tree
 branch-and-prune, or a sharded scatter-gather -- is evaluated the same way:
 
 1. retrieve a block of candidate ``<ID, MBC>`` entries from an index
-   structure,
-2. verify them with the ``d_minmax`` rule (one array pass over the block),
+   structure (a shard router hands over one already-scanned block per
+   probed shard, :class:`~repro.queries.candidates.ProbedBlocks`),
+2. verify them with the ``d_minmax`` rule (one array pass over each block),
 3. fetch the surviving objects (pdf retrieval, counted I/O),
 4. compute qualification probabilities by numerical integration
    (:func:`compute_qualification_probabilities`, the one refinement kernel),
@@ -19,10 +20,10 @@ between index backends.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from repro.geometry.point import Point
-from repro.queries.candidates import CandidateBlock, min_max_prune
+from repro.queries.candidates import CandidateBlock, ProbedBlocks, min_max_prune
 from repro.queries.probability_kernel import (
     RefinementStats,
     RingCache,
@@ -32,7 +33,7 @@ from repro.queries.result import PNNAnswer, PNNResult
 from repro.storage.stats import IOStats, TimingBreakdown
 from repro.uncertain.objects import UncertainObject
 
-CandidateSource = Callable[[Point], CandidateBlock]
+CandidateSource = Callable[[Point], Union[CandidateBlock, ProbedBlocks]]
 ObjectFetcher = Callable[[List[int]], List[UncertainObject]]
 
 
@@ -51,10 +52,13 @@ def evaluate_pnn(
     Args:
         query: the query point.
         retrieve_candidates: index-specific candidate retrieval; every page it
-            touches must be counted by ``io_counter``'s disk.
+            touches must be counted by ``io_counter``'s disk.  A router's
+            :class:`ProbedBlocks` is verified block by block against the
+            bound it carries, with no second scan.
         fetch_objects: resolves answer-object ids to full objects (pdf
             retrieval); counted through the same disk when store-backed.
-        io_counter: the live :class:`IOStats` of the disk under the index.
+        io_counter: the live :class:`IOStats` of the disk under the index
+            (or the fleet-wide counter every shard disk also counts into).
         compute_probabilities: when ``False``, skip the numerical integration
             (answer sets only, as in the pruning experiments).
         ring_cache: optional cross-query cache of per-object ring profiles.
@@ -77,7 +81,10 @@ def evaluate_pnn(
 
     start = time.perf_counter()
     candidates = retrieve_candidates(query)
-    answer_ids = min_max_prune(query, candidates)
+    if isinstance(candidates, ProbedBlocks):
+        answer_ids = candidates.verify()
+    else:
+        answer_ids = min_max_prune(query, candidates)
     timing.add("index", time.perf_counter() - start)
     index_io = io_counter.delta(io_before)
 

@@ -14,7 +14,9 @@ shard map's possible-region bounds:
   ``min_distance <= d_minmax``, so one shared
   :func:`~repro.queries.pipeline.evaluate_pnn` refinement over the union
   reproduces the global answers -- ids, probabilities, and ordering --
-  bit-identically.
+  bit-identically.  Each probed block is scanned once: the scan that lowers
+  the routing bound is the one the pipeline verifies against it
+  (:class:`~repro.queries.candidates.ProbedBlocks`).
 * **KNN** -- the single engine's own routine,
   :func:`~repro.queries.knn.evaluate_knn`, over one part per shard in
   bound-distance order: the global ``d_kminmax`` bound is the k-th smallest
@@ -31,7 +33,9 @@ Batches stream through the single engine's
 :func:`~repro.engine.engine.explain_analyze`.  Routing decisions never
 change answers -- only which shards pay page reads; the e2e ``sharded``
 workload reports the routed candidate page reads per query
-(``shard.index_page_reads_per_query``).
+(``shard.index_page_reads_per_query``).  Every shard disk also counts into
+one fleet-wide :class:`~repro.storage.stats.IOStats` (``fleet_io``), so a
+result's fleet I/O is one counter snapshot.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.engine.planner import (
 )
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
-from repro.queries.candidates import CandidateBlock, d_minmax
+from repro.queries.candidates import BlockScan, ProbedBlocks
 from repro.queries.knn import evaluate_knn
 from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
@@ -65,34 +69,6 @@ from repro.storage.codec import rect_state
 from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
 from repro.wal.checkpoint import CheckpointResult, Checkpointer
-
-
-class FleetIO:
-    """An aggregate :class:`IOStats` view over every shard's disk.
-
-    Duck-types the ``snapshot()`` / ``delta()`` surface the shared PNN
-    pipeline uses for its I/O accounting, summing the counted I/O of all
-    shard disks so sharded results report fleet-wide page reads.
-    """
-
-    def __init__(self, engines: Sequence[QueryEngine]) -> None:
-        self._engines = engines
-
-    def snapshot(self) -> IOStats:
-        """Summed counters across every shard disk (pipeline protocol)."""
-        total = IOStats()
-        for engine in self._engines:
-            stats = engine.disk.stats
-            total.page_reads += stats.page_reads
-            total.page_writes += stats.page_writes
-            total.pages_allocated += stats.pages_allocated
-            total.cache_hits += stats.cache_hits
-            total.cache_misses += stats.cache_misses
-        return total
-
-    def delta(self, before: IOStats) -> IOStats:
-        """Summed counters accumulated since ``before`` (pipeline protocol)."""
-        return self.snapshot().delta(before)
 
 
 class ShardedQueryEngine:
@@ -135,13 +111,19 @@ class ShardedQueryEngine:
         # directory, so opening decodes no object.
         self._bounds: List[Rect] = []
         self._owner: Dict[int, int] = {}
+        # The fleet-wide counter: it starts at the shards' sum and every
+        # shard disk counts into it from here on.
+        self.fleet_io = IOStats()
         for index, engine in enumerate(self.engines):
             bound = self.shard_map.shards[index].bound
             held = engine.rtree.bounds()
             self._bounds.append(bound if held is None else bound.union(held))
             self._owner.update(dict.fromkeys(engine.object_store, index))
+            self.fleet_io.add(engine.disk.stats)
+            engine.disk.fleet_stats = self.fleet_io
+        # ``_bounds`` as plain tuples, the form ``_shard_order`` reads.
+        self._boxes = [(b.xmin, b.ymin, b.xmax, b.ymax) for b in self._bounds]
         self._ring_cache = RingCache()
-        self.fleet_io = FleetIO(self.engines)
         self.config: DiagramConfig = self.engines[0].config
 
     # ------------------------------------------------------------------ #
@@ -234,7 +216,7 @@ class ShardedQueryEngine:
         return sum(engine.structure_version for engine in self.engines)
 
     def io_stats(self) -> IOStats:
-        """Summed counted I/O across every shard disk."""
+        """Counted I/O summed over every shard disk (the fleet counter)."""
         return self.fleet_io.snapshot()
 
     def statistics(self) -> Dict[str, Any]:
@@ -295,18 +277,26 @@ class ShardedQueryEngine:
     # routing
     # ------------------------------------------------------------------ #
     def _shard_order(self, point: Point) -> List[Tuple[float, int]]:
-        """Shards in ascending bound-distance order (id breaks ties)."""
-        return sorted(
-            (self._bounds[index].min_distance_to_point(point), index)
-            for index in range(len(self.engines))
-        )
+        """Shards in ascending bound-distance order (id breaks ties).
+
+        Each distance is :meth:`Rect.min_distance_to_point` of the shard's
+        bound, computed from the cached tuple with the same gaps.
+        """
+        x, y = point.x, point.y
+        order: List[Tuple[float, int]] = []
+        for index, (xmin, ymin, xmax, ymax) in enumerate(self._boxes):
+            gap_x = xmin - x if x < xmin else (x - xmax if x > xmax else 0.0)
+            gap_y = ymin - y if y < ymin else (y - ymax if y > ymax else 0.0)
+            order.append((math.hypot(gap_x, gap_y), index))
+        order.sort()
+        return order
 
     def _scatter_candidates(
         self,
         point: Point,
         cache: Optional[BatchReadCache] = None,
         scatter_all: bool = False,
-    ) -> CandidateBlock:
+    ) -> ProbedBlocks:
         """The routed candidate union for a PNN query at ``point``.
 
         Probes shards in ascending ``min_distance(q, bound)`` order and
@@ -316,26 +306,33 @@ class ShardedQueryEngine:
         ``min_distance <= d_minmax + tolerance`` lives in a probed shard,
         so verification over the union equals single-snapshot verification.
         The routing margin exceeds the verification's ``PRUNE_TOLERANCE``,
-        so routed-away shards provably cannot contribute.
+        so routed-away shards provably cannot contribute.  Each non-empty
+        block is scanned once; the pipeline verifies those scans against
+        the final bound.
         """
-        merged: List[CandidateBlock] = []
-        bound = float("inf")
+        probed = ProbedBlocks()
         for distance, index in self._shard_order(point):
-            if not scatter_all and merged and distance > bound + self._margin:
+            if probed.scans and not scatter_all and distance > probed.bound + self._margin:
                 break
             block = self.engines[index].backend.candidates(point, cache=cache)
             if len(block):
-                bound = min(bound, d_minmax(point, block))
-                merged.append(block)
-        return CandidateBlock.concat(merged)
+                probed.add(BlockScan(block, point))
+        return probed
 
     def _fetch_objects(self, oids: List[int]) -> List[UncertainObject]:
-        """Fetch answer objects from their owning shards (counted I/O)."""
+        """Fetch answer objects from their owning shards (counted I/O).
+
+        When one shard owns every answer (always so at N = 1) that shard's
+        store is asked directly.
+        """
+        homes = [self._owner.get(oid) for oid in oids]
+        if None in homes:
+            raise KeyError(f"object {oids[homes.index(None)]} is not in any shard")
+        if homes and homes.count(homes[0]) == len(homes):
+            return self.engines[homes[0]].object_store.fetch_many(oids)
         by_shard: Dict[int, List[int]] = {}
-        for oid in oids:
-            if oid not in self._owner:
-                raise KeyError(f"object {oid} is not in any shard")
-            by_shard.setdefault(self._owner[oid], []).append(oid)
+        for oid, home in zip(oids, homes):
+            by_shard.setdefault(home, []).append(oid)
         fetched: Dict[int, UncertainObject] = {}
         for shard_id in sorted(by_shard):
             for obj in self.engines[shard_id].object_store.fetch_many(
@@ -356,7 +353,7 @@ class ShardedQueryEngine:
     ) -> PNNResult:
         """Route, verify and refine one PNN query (``plan`` only informs)."""
 
-        def retrieve(point: Point) -> CandidateBlock:
+        def retrieve(point: Point) -> ProbedBlocks:
             return self._scatter_candidates(
                 point, cache=cache, scatter_all=scatter_all
             )
@@ -529,12 +526,18 @@ class ShardedQueryEngine:
 
         The owning shard's engine validates, WAL-appends, and applies the
         update (individually durable under ``fsync="always"``); the routing
-        bound is widened so the new object is always reachable.
+        bound is widened so the new object is always reachable.  An id that
+        any shard already holds is refused before any WAL append, as the
+        single engine refuses it.
         """
+        if obj.oid in self._owner:
+            raise ValueError(f"object id {obj.oid} already exists in the engine")
         shard_id = self.shard_map.shard_of_point(obj.center)
         outcome = self.engines[shard_id].insert(obj)
         self._owner[obj.oid] = shard_id
-        self._bounds[shard_id] = self._bounds[shard_id].union(obj.mbr())
+        bound = self._bounds[shard_id].union(obj.mbr())
+        self._bounds[shard_id] = bound
+        self._boxes[shard_id] = (bound.xmin, bound.ymin, bound.xmax, bound.ymax)
         self._ring_cache.invalidate(obj.oid)
         return outcome
 

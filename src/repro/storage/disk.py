@@ -16,6 +16,10 @@ An optional integrated :class:`~repro.storage.buffer.BufferPool` sits on the
 counted read path: hits are served without an I/O, misses count one read and
 admit the page.  ``write_page`` and ``free_page`` invalidate the matching
 pool frame, so splits and live updates can never leave a stale page behind.
+
+A shard disk also counts into its deployment's fleet-wide counter
+(:attr:`DiskManager.fleet_stats`), so a router reads fleet I/O from one
+:class:`IOStats` rather than summing every shard's.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ class DiskManager:
         self.page_size_bytes = page_size_bytes
         self.entry_size_bytes = entry_size_bytes
         self.stats = IOStats()
+        #: a deployment-wide counter this disk also counts into (set by a
+        #: shard router over every shard disk); ``None`` elsewhere
+        self.fleet_stats: Optional[IOStats] = None
         self.store: PageStore = store if store is not None else MemoryPageStore()
         self._cache: Dict[int, Page] = {}
         # Serialises store loads: every page is decoded once, and a store
@@ -78,6 +85,8 @@ class DiskManager:
         self.store.store_page(page)
         self._next_page_id += 1
         self.stats.pages_allocated += 1
+        if self.fleet_stats is not None:
+            self.fleet_stats.pages_allocated += 1
         return page
 
     def free_page(self, page_id: int) -> None:
@@ -104,17 +113,25 @@ class DiskManager:
             cached = self.buffer_pool.lookup(page_id)
             if cached is not None:
                 self.stats.cache_hits += 1
+                if self.fleet_stats is not None:
+                    self.fleet_stats.cache_hits += 1
                 return cached
         page = self._materialise(page_id)
         self.stats.page_reads += 1
+        if self.fleet_stats is not None:
+            self.fleet_stats.page_reads += 1
         if self.buffer_pool is not None:
             self.stats.cache_misses += 1
+            if self.fleet_stats is not None:
+                self.fleet_stats.cache_misses += 1
             self.buffer_pool.admit(page_id, page)
         return page
 
     def write_page(self, page: Page) -> None:
         """Write a page back, counting one I/O and refreshing the pool frame."""
         self.stats.page_writes += 1
+        if self.fleet_stats is not None:
+            self.fleet_stats.page_writes += 1
         self._cache[page.page_id] = page
         self.store.store_page(page)
         self._next_page_id = max(self._next_page_id, page.page_id + 1)

@@ -44,6 +44,14 @@ class IOStats:
             self.cache_misses,
         )
 
+    def add(self, other: "IOStats") -> None:
+        """Accumulate ``other``'s counters into these."""
+        self.page_reads += other.page_reads
+        self.page_writes += other.page_writes
+        self.pages_allocated += other.pages_allocated
+        self.cache_hits += other.cache_hits
+        self.cache_misses += other.cache_misses
+
     def delta(self, before: "IOStats") -> "IOStats":
         """Counters accumulated since ``before`` was snapshotted."""
         return IOStats(

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DiagramConfig, Point, QueryEngine, Rect, generate_uniform_objects
+from repro.datasets import generate_skewed_objects
+from repro.queries.candidates import BlockScan
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 from repro.shard import (
     SHARDMAP_NAME,
@@ -33,6 +35,7 @@ from repro.shard import (
 )
 from repro.shard.deployment import open_deployment
 from repro.shard.map import ShardInfo, ShardMap
+from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
 
 BACKENDS = ("ic", "icr", "basic", "rtree")
@@ -272,6 +275,79 @@ class TestRouting:
 
         assert 2 * index_reads(False) <= index_reads(True)
 
+    @pytest.mark.parametrize("shards", (1, 4))
+    @pytest.mark.parametrize("backend", ("ic", "rtree"))
+    def test_routed_pnn_scans_each_probed_block_once(self, backend, shards, dataset,
+                                                     tmp_path, monkeypatch):
+        """Per routed PNN, one ``BlockScan`` per non-empty probed shard block:
+        the scan that lowers the routing bound is the one verification uses.
+        Scans inside a shard's own candidate retrieval (the R-tree's
+        branch-and-prune) are not the router's and are not counted."""
+        objects, domain = dataset
+        directory = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, directory,
+                                 config=CONFIG.replace(backend=backend), shards=shards)
+        sharded = ShardedQueryEngine.open(directory)
+        counts = {"scans": 0, "probed": 0, "inside": 0}
+        original = BlockScan.__init__
+
+        def counting_init(scan, block, query):
+            counts["scans"] += not counts["inside"]
+            original(scan, block, query)
+
+        monkeypatch.setattr(BlockScan, "__init__", counting_init)
+        for engine in sharded.engines:
+            def probe(point, cache=None, retrieve=engine.backend.candidates):
+                counts["inside"] += 1
+                try:
+                    block = retrieve(point, cache=cache)
+                finally:
+                    counts["inside"] -= 1
+                counts["probed"] += len(block) > 0
+                return block
+
+            monkeypatch.setattr(engine.backend, "candidates", probe)
+        probed = 0
+        for point in _query_points(domain):
+            for query in (PNNQuery(point), PNNQuery(point, threshold=0.05),
+                          PNNQuery(point, top_k=2)):
+                counts.update(scans=0, probed=0)
+                sharded.execute(query)
+                assert counts["scans"] == counts["probed"]
+                probed += counts["probed"]
+        assert probed >= 9  # every query probed at least one non-empty block
+
+    def test_fleet_counter_is_the_sum_of_the_shards(self, dataset, tmp_path):
+        """``fleet_io`` equals the per-shard counters summed, whatever ran."""
+        objects, domain = dataset
+        directory = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, directory, config=CONFIG, shards=4)
+        points = _query_points(domain)
+
+        def shard_sum(engine):
+            total = IOStats()
+            for shard in engine.engines:
+                total.add(shard.io_stats())
+            return total
+
+        with ShardedQueryEngine.open_live(directory, buffer_pages=4) as live:
+            assert live.io_stats() == shard_sum(live)  # replay and open included
+            for point in points:
+                live.execute(PNNQuery(point))
+                live.execute(PNNQuery(point, top_k=1))
+                live.execute(KNNQuery(point, k=2, worlds=100, seed=3))
+            live.execute(RangeQuery(region=domain))
+            list(live.execute(BatchQuery([PNNQuery(point) for point in points])))
+            live.insert(UncertainObject.uniform(999, points[1], 30.0))
+            live.delete(objects[0].oid)
+            live.execute(PNNQuery(points[1]))
+            live.checkpoint()
+            live.execute(PNNQuery(points[0]))
+            fleet = live.io_stats()
+            assert fleet == shard_sum(live)
+            assert fleet.page_reads > 0 and fleet.pages_allocated > 0
+            assert fleet.cache_hits > 0 and fleet.cache_misses > 0
+
     def test_explain_reports_scatter_gather_plan(self, dataset, deployments):
         _, domain = dataset
         directory, _ = deployments["ic"]
@@ -418,6 +494,45 @@ class TestLiveCycle:
         recovered.close()
         check(ShardedQueryEngine.open(directory))  # from the new generation
 
+    def test_insert_refuses_an_id_another_shard_holds(self, tmp_path):
+        """An insert reusing a held id is refused before any WAL append,
+        even when its centre routes it to a shard that does not hold it."""
+        # The e2e ``sharded`` workload's population and configuration.
+        objects, domain = generate_skewed_objects(160, sigma=2000.0, diameter=40.0,
+                                                  seed=11)
+        directory = str(tmp_path / "fleet")
+        build_sharded_deployment(objects, domain, directory,
+                                 config=DiagramConfig(backend="ic", seed_knn=60),
+                                 shards=4)
+        held = objects[0]
+
+        engine = ShardedQueryEngine.open_live(directory)
+        owner = engine._owner[held.oid]
+        tile = next(shard.tile for shard in engine.shard_map.shards
+                    if shard.shard_id != owner)
+        twin = UncertainObject.uniform(
+            held.oid, Point((tile.xmin + tile.xmax) / 2, (tile.ymin + tile.ymax) / 2),
+            20.0,
+        )
+        assert engine.shard_map.shard_of_point(twin.center) != owner
+        logs = [shard._wal.path for shard in engine.engines]
+        sizes = [os.path.getsize(path) for path in logs]
+        with pytest.raises(ValueError, match="already exists"):
+            engine.insert(twin)
+        assert [os.path.getsize(path) for path in logs] == sizes
+        assert engine.pending_wal_records == 0
+        assert len(engine) == len(objects)
+        engine.close()
+
+        reopened = ShardedQueryEngine.open_live(directory)
+        try:
+            assert len(reopened) == len(objects)
+            holders = [index for index, shard in enumerate(reopened.engines)
+                       if held.oid in shard.object_store]
+            assert holders == [owner]
+        finally:
+            reopened.close()
+
     def test_readonly_open_refuses_mutation(self, dataset, deployments):
         objects, _ = dataset
         directory, _ = deployments["ic"]
@@ -511,8 +626,11 @@ class TestSingleShard:
                 PNNQuery(point, top_k=2),
                 KNNQuery(point, k=3, worlds=300, seed=11),
             ):
-                assert sharded.execute(query).to_dict()["answers"] == \
-                    plain.execute(query).to_dict()["answers"]
+                routed, direct = sharded.execute(query), plain.execute(query)
+                assert routed.to_dict()["answers"] == direct.to_dict()["answers"]
+                if isinstance(query, PNNQuery):
+                    assert routed.io.page_reads == direct.io.page_reads
+                    assert routed.candidates_examined == direct.candidates_examined
 
     def test_checkpoint_status_reports_the_same_shard(self, dataset, tmp_path,
                                                       capsys):
