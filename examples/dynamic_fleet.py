@@ -38,7 +38,7 @@ def main() -> None:
     # Probabilistic k-NN dispatch: the three most plausible closest vehicles.
     # ------------------------------------------------------------------ #
     incident = Point(6_100.0, 3_800.0)
-    k_result = engine.execute(KNNQuery(incident, k=3, worlds=3000))
+    k_result = engine.execute(KNNQuery(incident, k=3))
     print(f"\ntop candidates to be among the 3 closest vehicles to "
           f"({incident.x:.0f}, {incident.y:.0f}):")
     for answer in k_result.top(5):

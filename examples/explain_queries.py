@@ -72,10 +72,10 @@ def main() -> None:
               f"{tau.refinement.candidates} candidates\n")
 
     # ------------------------------------------------------------------ #
-    # 4. Other shapes ride the same entry point: k-NN over sampled worlds
-    #    and UV-partition retrieval in a rectangle.
+    # 4. Other shapes ride the same entry point: k-NN (exact top-3
+    #    probabilities) and UV-partition retrieval in a rectangle.
     # ------------------------------------------------------------------ #
-    knn = engine.execute(KNNQuery(point, k=3, worlds=1000, seed=7))
+    knn = engine.execute(KNNQuery(point, k=3))
     print(f"k-NN (k=3)    : {[(a.oid, round(a.probability, 3)) for a in knn.top(3)]}")
     partitions = engine.execute(RangeQuery(Rect(4000.0, 4000.0, 6000.0, 6000.0)))
     print(f"partitions    : {len(partitions.partitions)} in the query rectangle\n")

@@ -44,8 +44,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.core import updates
 from repro.core.pattern import PartitionQueryResult, PatternAnalyzer
 from repro.engine.backend import (
@@ -447,10 +445,7 @@ class QueryEngine:
     # the typed query surface: execute / explain
     # ------------------------------------------------------------------ #
     def execute(
-        self,
-        query: Query,
-        *,
-        rng: Optional[np.random.Generator] = None,
+        self, query: Query
     ) -> Union[PNNResult, KNNResult, PartitionQueryResult, BatchStream]:
         """Plan and run a query descriptor.
 
@@ -461,19 +456,13 @@ class QueryEngine:
         :class:`~repro.queries.spec.RangeQuery`, and a lazily-evaluated
         :class:`BatchStream` of ``(query, result, plan)`` triples for a
         :class:`~repro.queries.spec.BatchQuery`.
-
-        Args:
-            query: the descriptor.
-            rng: Monte-Carlo generator override, meaningful only for
-                ``KNNQuery`` (takes precedence over the descriptor's seed).
         """
-        return self._run(query, self.planner.plan(query), rng=rng)
+        return self._run(query, self.planner.plan(query))
 
     def explain(
         self,
         query: Query,
         *,
-        rng: Optional[np.random.Generator] = None,
         force_strategy: Optional[str] = None,
     ) -> ExplainReport:
         """Plan, run, and report estimates against what actually happened.
@@ -490,7 +479,7 @@ class QueryEngine:
             self,
             query,
             plan,
-            lambda: self._run(query, plan, rng=rng, force_strategy=force_strategy),
+            lambda: self._run(query, plan, force_strategy=force_strategy),
         )
 
     @property
@@ -502,7 +491,6 @@ class QueryEngine:
         self,
         query: Query,
         plan: QueryPlan,
-        rng: Optional[np.random.Generator] = None,
         force_strategy: Optional[str] = None,
     ) -> Any:
         if isinstance(query, PNNQuery):
@@ -519,7 +507,9 @@ class QueryEngine:
 
             return BatchStream(self, query, plan, plan_for)
         if isinstance(query, KNNQuery):
-            return evaluate_knn([(0.0, self.rtree, self.by_id)], query, rng=rng)
+            return evaluate_knn(
+                [(0.0, self.rtree, self.by_id)], query, ring_cache=self._ring_cache
+            )
         if isinstance(query, RangeQuery):
             return self.backend.partitions_in(query.region)
         raise TypeError(f"unknown query descriptor: {query!r}")

@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Strategy names a plan can carry.
 STRATEGY_UV_POINT = "uv-point-lookup"
 STRATEGY_RTREE = "rtree-branch-and-prune"
-STRATEGY_KNN = "knn-monte-carlo"
+STRATEGY_KNN = "knn-exact"
 STRATEGY_RANGE_NATIVE = "native-partitions"
 STRATEGY_RANGE_SCAN = "range-candidate-scan"
 STRATEGY_BATCH = "streaming-shared-cache"
@@ -111,7 +111,8 @@ class QueryPlan:
         strategy: chosen candidate-retrieval strategy (one of the
             ``STRATEGY_*`` names above).
         prob_kernel: refinement the run will use -- ``"vectorized"`` (the
-            numerical-integration kernel), ``"monte-carlo"`` (k-NN) or
+            numerical-integration kernel), ``"top-k-integral"`` (its
+            top-k form, for k-NN) or
             ``"none"`` when no probabilities are computed.
         threshold / top_k: early-termination parameters pushed into the
             refinement step.
@@ -444,27 +445,23 @@ class QueryPlanner:
         objects = max(1.0, float(len(engine)))
         leaf_capacity = max(1.0, engine.rtree.fanout / 2.0)
         leaf_count = max(1.0, math.ceil(objects / leaf_capacity))
-        # The bound traversal reads roughly the leaves holding the k nearest
-        # objects; the circular range query then re-reads a similar set.
-        leaves = min(leaf_count, 2.0 * max(1.0, query.k / leaf_capacity) + 2.0)
+        # One walk reads the leaves holding the k nearest objects, then the
+        # few others within d_kminmax.
+        leaves = min(leaf_count, max(1.0, query.k / leaf_capacity) + 1.0)
         candidates = min(objects, max(float(query.k) * 3.0, leaf_capacity))
         _, miss_ratio = self._buffer_pool_state()
         page_reads = leaves * miss_ratio
-        cost = page_reads + query.worlds * candidates * 1e-4
         buffer_pool, _ = self._buffer_pool_state()
         return QueryPlan(
             kind="knn",
             backend=engine.backend.name,
             strategy=STRATEGY_KNN,
-            prob_kernel="monte-carlo",
+            prob_kernel="top-k-integral",
             estimated_page_reads=page_reads,
             estimated_candidates=candidates,
-            estimated_cost=cost,
+            estimated_cost=page_reads,
             buffer_pool=buffer_pool,
-            notes=(
-                f"{query.worlds} sampled worlds over the shared r-tree "
-                f"(k={query.k})",
-            ),
+            notes=(f"exact top-k integral over the shared r-tree (k={query.k})",),
         )
 
     def _plan_range(self, query: RangeQuery) -> QueryPlan:

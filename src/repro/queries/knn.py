@@ -8,26 +8,33 @@ queries).  This module provides that extension on top of the same substrates:
 * **answer-object retrieval**: an object has non-zero probability of being
   among the k nearest iff its minimum distance from the query does not exceed
   ``d_kminmax`` -- the k-th smallest *maximum* distance over all objects.
-  The bound is obtained from the R-tree with a best-first traversal over
-  maximum distances, then candidates are collected with a circular range
-  query, exactly mirroring the 1-NN branch-and-prune strategy.
-* **probability estimation**: the probability that an object is among the k
-  nearest is estimated over sampled possible worlds (the numerical
-  integration of the 1-NN case does not generalise cheaply to k > 1).
+  The bound comes from a best-first walk of the R-tree over maximum
+  distances, on its node arrays (no object is looked up); the same walk
+  then opens the nodes left within the bound and keeps the objects whose
+  minimum distance is within it, mirroring the 1-NN branch-and-prune
+  strategy.
+* **probabilities**: the top-k form of the TKDE'04 integral the PNN
+  refinement evaluates, ``P_i = integral of f_i(r) * P(fewer than k others
+  within r) dr``, on the PNN kernel's CDF matrix
+  (:func:`~repro.queries.probability_kernel.compute_knn_probabilities`).
+  The answers are exact up to the discretisation, with no sampling.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.queries.candidates import PRUNE_TOLERANCE
+from repro.queries.candidates import BlockScan, boxes_within
+from repro.queries.probability_kernel import RingCache, compute_knn_probabilities
 from repro.queries.spec import KNNQuery
+from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
 from repro.uncertain.objects import UncertainObject
 
@@ -67,7 +74,7 @@ class KNNResult:
         return sorted(self.answers, key=lambda a: (-a.probability, a.oid))[:count]
 
     def expected_in_top_k(self) -> float:
-        """Sum of probabilities (should be close to ``k`` for exact answers)."""
+        """Sum of probabilities: ``min(k, candidates)`` up to rounding."""
         return sum(a.probability for a in self.answers)
 
     def to_dict(self) -> dict:
@@ -118,46 +125,65 @@ def knn_answer_objects_brute_force(
 KNNPart = Tuple[float, RTree, Mapping[int, UncertainObject]]
 
 
-def kth_max_distance_values(
-    tree: RTree, by_id: Mapping[int, UncertainObject], query: Point, k: int
-) -> List[float]:
-    """The (up to) ``k`` smallest object maximum distances, ascending.
+class _MaxDistanceWalk:
+    """A best-first walk of one R-tree by *maximum* distance, on its node arrays.
 
-    A best-first traversal of ``tree`` by *maximum* distance: the multiset it
-    pops before stopping.  Merged across disjoint trees, the k-th smallest of
-    these lists is the single-tree ``d_kminmax`` exactly.
+    An internal node's children are keyed by their MBRs' minimum distances
+    (a lower bound of every maximum distance below them), a leaf's objects
+    by ``|c - q| + r`` over :meth:`RTree.leaf_block` -- the MBC each leaf
+    entry indexes.  No object is looked up.  :meth:`smallest` pops the
+    ``k`` smallest maximum distances (merged across disjoint trees, their
+    k-th smallest is the single-tree ``d_kminmax``); :meth:`within` then
+    opens the nodes left within the bound, so each leaf is read and scanned
+    once for both steps.
     """
-    heap: List[tuple] = []
-    counter = itertools.count()
-    heapq.heappush(heap, (0.0, next(counter), False, tree.root))
-    found: List[float] = []
-    while heap and len(found) < k:
-        key, _, is_object, item = heapq.heappop(heap)
-        if is_object:
-            found.append(key)
-            continue
-        node = item
+
+    def __init__(self, tree: RTree, query: Point) -> None:
+        self.tree = tree
+        self.query = query
+        self.heap: List[Tuple[float, int, Optional[RTreeNode]]] = [(0.0, 0, tree.root)]
+        self.counter = itertools.count(1)
+        self.scans: List[BlockScan] = []
+
+    def _open(self, node: RTreeNode, k: int, bound: float) -> None:
+        """Scan a leaf and push its ``k`` smallest maximum distances (only
+        those can be among the walk's), or push a node's children within
+        ``bound``."""
         if node.is_leaf:
-            for entry in tree._read_leaf(node):
-                # Use the object's true maximum distance (the MBC inscribed
-                # in the MBR), not the MBR corner distance, so the bound
-                # matches the answer-object semantics exactly.
-                max_dist = by_id[entry.oid].max_distance(query)
-                heapq.heappush(heap, (max_dist, next(counter), True, entry.oid))
+            scan = BlockScan(self.tree.leaf_block(node), self.query)
+            self.scans.append(scan)
+            for value in np.sort(scan.dist + scan.block.r)[:k].tolist():
+                heapq.heappush(self.heap, (value, next(self.counter), None))
         else:
-            for entry in node.entries:
-                # A child's smallest possible "max distance" is its min
-                # distance; use it as an optimistic key.
-                heapq.heappush(
-                    heap,
-                    (
-                        entry.mbr.min_distance_to_point(query),
-                        next(counter),
-                        False,
-                        entry.child,
-                    ),
-                )
-    return found
+            for row, distance in boxes_within(self.tree.child_boxes(node), self.query, bound):
+                heapq.heappush(self.heap, (distance, next(self.counter), node.entries[row].child))
+
+    def smallest(self, k: int) -> List[float]:
+        """The (up to) ``k`` smallest object maximum distances, ascending."""
+        found: List[float] = []
+        while self.heap and len(found) < k:
+            key, _, node = heapq.heappop(self.heap)
+            if node is None:  # an object
+                found.append(key)
+            else:
+                self._open(node, k, math.inf)
+        return found
+
+    def within(
+        self, bound: float, by_id: Mapping[int, UncertainObject]
+    ) -> List[UncertainObject]:
+        """The objects whose minimum distance is within ``bound`` of the query.
+
+        Opens the nodes whose minimum distance is within ``bound`` (the
+        leaves :meth:`RTree.circular_range_query` reads); only the entries
+        :meth:`BlockScan.within` keeps are looked up in ``by_id``.
+        """
+        while self.heap and self.heap[0][0] <= bound:
+            node = heapq.heappop(self.heap)[2]
+            if node is not None:
+                self._open(node, 0, bound)
+        return [by_id[oid] for scan in self.scans
+                for oid in scan.block.oids[scan.within(bound)].tolist()]
 
 
 def knn_candidates(
@@ -170,31 +196,31 @@ def knn_candidates(
     whose bound distance exceeds the running bound by more than ``margin``
     cannot hold a candidate and is skipped (``margin=inf`` probes every
     part).  Candidates are the objects within ``d_kminmax`` of the query,
-    sorted by id -- the order the Monte-Carlo estimate consumes its
-    generator in.
+    sorted by id.
     """
     if k < 1:
         raise ValueError("k must be positive")
     values: List[float] = []
+    walks: List[Tuple[float, _MaxDistanceWalk, Mapping[int, UncertainObject]]] = []
     for distance, tree, by_id in parts:
         if len(values) >= k and distance > values[k - 1] + margin:
             break
         if by_id:
-            values.extend(kth_max_distance_values(tree, by_id, query, k))
+            walk = _MaxDistanceWalk(tree, query)
+            values.extend(walk.smallest(k))
             values.sort()
+            walks.append((distance, walk, by_id))
     if not values:
         return []
     bound = values[min(k, len(values)) - 1]
-    # MBR-disk intersection is an object-local predicate, so per-part
-    # circular range queries union to exactly the single-tree result.
+    # Minimum distance is an object-local predicate, so per-part walks
+    # union to exactly the single-tree result.  The bound only falls as
+    # parts are added, so every part within it was walked above.
     candidates: List[UncertainObject] = []
-    for distance, tree, by_id in parts:
+    for distance, walk, by_id in walks:
         if distance > bound + margin:
             break
-        for oid in tree.circular_range_query(query, bound):
-            obj = by_id[oid]
-            if obj.min_distance(query) <= bound + PRUNE_TOLERANCE:
-                candidates.append(obj)
+        candidates.extend(walk.within(bound, by_id))
     candidates.sort(key=lambda obj: obj.oid)
     return candidates
 
@@ -202,58 +228,26 @@ def knn_candidates(
 def evaluate_knn(
     parts: Sequence[KNNPart],
     query: KNNQuery,
-    rng: Optional[np.random.Generator] = None,
     margin: float = 0.0,
+    ring_cache: Optional[RingCache] = None,
 ) -> KNNResult:
-    """Evaluate a k-PNN query with Monte-Carlo probability estimation.
+    """Evaluate a k-PNN query: candidates, then their exact top-k probabilities.
 
     ``parts`` and ``margin`` are as in :func:`knn_candidates`: one engine
     passes its single ``(0.0, rtree, by_id)`` part, the sharded router one
-    part per shard in routing order.  ``rng`` overrides the descriptor's
-    seed; with neither, the estimate uses seed 0.
+    part per shard in routing order.  Both see the same candidate list, so
+    their answers are identical.  ``ring_cache`` is the engine's cache of
+    ring profiles, shared with PNN refinement.  Answers with probability
+    zero are left out.
     """
     candidates = knn_candidates(parts, query.point, query.k, margin)
-    if not candidates:
-        return KNNResult(query=query.point, k=query.k)
-    if rng is None:
-        rng = np.random.default_rng(0 if query.seed is None else query.seed)
-    answers = estimate_knn_probabilities(
-        candidates, query.point, query.k, worlds=query.worlds, rng=rng
+    probabilities = compute_knn_probabilities(
+        candidates, query.point, query.k, ring_cache=ring_cache
     )
-    return KNNResult(query=query.point, k=query.k, answers=answers)
-
-
-def estimate_knn_probabilities(
-    candidates: Sequence[UncertainObject],
-    query: Point,
-    k: int,
-    worlds: int,
-    rng: np.random.Generator,
-) -> List[KNNAnswer]:
-    """Monte-Carlo top-k membership probabilities over ``candidates``.
-
-    Samples one position per candidate per world (consuming ``rng`` in
-    candidate-list order, so a fixed candidate list and seed reproduce the
-    same probabilities everywhere -- the property the sharded engine's
-    parity guarantee relies on) and counts how often each candidate ranks
-    among the ``k`` nearest.
-    """
-    effective_k = min(k, len(candidates))
-    query_xy = np.array([query.x, query.y])
-    samples = np.stack(
-        [obj.sample_positions(worlds, rng) for obj in candidates], axis=1
-    )  # (worlds, candidates, 2)
-    distances = np.linalg.norm(samples - query_xy, axis=2)
-    ranks = np.argsort(distances, axis=1)[:, :effective_k]
-    counts = np.zeros(len(candidates), dtype=float)
-    for column in range(effective_k):
-        counts += np.bincount(ranks[:, column], minlength=len(candidates))
-    probabilities = counts / worlds
-
     answers = [
-        KNNAnswer(oid=obj.oid, probability=float(p))
-        for obj, p in zip(candidates, probabilities)
-        if p > 0.0
+        KNNAnswer(oid=obj.oid, probability=probabilities[obj.oid])
+        for obj in candidates
+        if probabilities[obj.oid] > 0.0
     ]
     answers.sort(key=lambda a: (-a.probability, a.oid))
-    return answers
+    return KNNResult(query=query.point, k=query.k, answers=answers)

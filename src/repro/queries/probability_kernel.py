@@ -38,6 +38,11 @@ Ring masses and midpoints depend only on each object's pdf -- not on the
 query -- so a :class:`RingCache` shares them across every query that touches
 the same object (the engine keeps one cache per dataset and invalidates it
 on live updates).
+
+The same CDF matrix (:func:`cdf_matrix`) serves k-PNN:
+:func:`compute_knn_probabilities` evaluates the top-k form
+``P_i = integral of f_i(r) * P(fewer than k others within r) dr`` with a
+leave-one-out Poisson-binomial over the candidates.
 """
 
 from __future__ import annotations
@@ -51,6 +56,14 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.uncertain.distance_distribution import coverage_array, ring_profile
 from repro.uncertain.objects import UncertainObject
+
+#: Integration steps and radial rings of the CDF matrices both kernels build.
+STEPS = 120
+RINGS = 48
+
+#: Floats one ``(rows, K, S)`` array of the k-PNN leave-one-out recurrence
+#: may hold (8 MB) before its rows are split in halves.
+_RECURRENCE_FLOATS = 1 << 20
 
 @dataclass
 class RefinementStats:
@@ -196,6 +209,39 @@ class RingCache:
         return sum(len(by_rings) for by_rings in self._profiles.values())
 
 
+def cdf_matrix(
+    objects: Sequence[UncertainObject],
+    query: Point,
+    lowers: np.ndarray,
+    uppers: np.ndarray,
+    grid: np.ndarray,
+    rings: int,
+    ring_cache: Optional[RingCache] = None,
+) -> np.ndarray:
+    """The ``(m, S+1)`` matrix ``F_j(r_k)`` of ``objects`` over ``grid``.
+
+    One broadcasted ring-coverage evaluation over ``(m, rings, S+1)``
+    contracted against each object's ring masses, clipped to ``[0, 1]``;
+    ``F_j`` is exactly ``0`` below the object's minimum distance
+    (``lowers``) and exactly ``1`` from its maximum distance (``uppers``) on.
+    """
+    profiles = [
+        ring_cache.get(obj, rings) if ring_cache is not None else ring_profile(obj, rings)
+        for obj in objects
+    ]
+    masses = np.vstack([profile[0] for profile in profiles])       # (m, rings)
+    mids = np.vstack([profile[1] for profile in profiles])         # (m, rings)
+    dists = np.array([query.distance_to(obj.center) for obj in objects])
+    coverage = coverage_array(
+        mids[:, :, None], dists[:, None, None], grid[None, None, :]
+    )                                                              # (m, rings, S+1)
+    cdfs = np.einsum("mk,mkg->mg", masses, coverage)               # (m, S+1)
+    np.minimum(1.0, np.maximum(0.0, cdfs, out=cdfs), out=cdfs)
+    np.putmask(cdfs, grid[None, :] < lowers[:, None], 0.0)
+    np.putmask(cdfs, grid[None, :] >= uppers[:, None], 1.0)
+    return cdfs
+
+
 def _uniform_fallback(
     objects: Sequence[UncertainObject], lowers_all: np.ndarray, upper: float
 ) -> Dict[int, float]:
@@ -222,8 +268,8 @@ def _uniform_fallback(
 def compute_qualification_probabilities(
     objects: Sequence[UncertainObject],
     query: Point,
-    steps: int = 120,
-    rings: int = 48,
+    steps: int = STEPS,
+    rings: int = RINGS,
     ring_cache: Optional[RingCache] = None,
     threshold: float = 0.0,
     top_k: Optional[int] = None,
@@ -288,26 +334,16 @@ def compute_qualification_probabilities(
     if stats is not None:
         stats.trivial = len(objects) - len(kept)
 
-    profiles = [
-        ring_cache.get(objects[i], rings)
-        if ring_cache is not None
-        else ring_profile(objects[i], rings)
-        for i in kept
-    ]
-    masses = np.vstack([profile[0] for profile in profiles])       # (m, rings)
-    mids = np.vstack([profile[1] for profile in profiles])         # (m, rings)
-    dists = np.array([query.distance_to(objects[i].center) for i in kept])
-    lowers = lowers_all[kept]
-    uppers = uppers_all[kept]
-
     grid = np.linspace(lower, upper, steps + 1)                    # (S+1,)
-    coverage = coverage_array(
-        mids[:, :, None], dists[:, None, None], grid[None, None, :]
-    )                                                              # (m, rings, S+1)
-    cdfs = np.einsum("mk,mkg->mg", masses, coverage)               # (m, S+1)
-    np.minimum(1.0, np.maximum(0.0, cdfs, out=cdfs), out=cdfs)
-    np.putmask(cdfs, grid[None, :] < lowers[:, None], 0.0)
-    np.putmask(cdfs, grid[None, :] >= uppers[:, None], 1.0)
+    cdfs = cdf_matrix(
+        [objects[i] for i in kept],
+        query,
+        lowers_all[kept],
+        uppers_all[kept],
+        grid,
+        rings,
+        ring_cache,
+    )                                                              # (m, S+1)
 
     survivals = 1.0 - cdfs
     mid_survivals = np.add(survivals[:, :-1], survivals[:, 1:])    # (m, S)
@@ -423,3 +459,184 @@ def _raw_with_early_termination(
         bar.observe(value)
     return raw
 
+
+def compute_knn_probabilities(
+    objects: Sequence[UncertainObject],
+    query: Point,
+    k: int,
+    ring_cache: Optional[RingCache] = None,
+) -> Dict[int, float]:
+    """Every candidate's probability of being among the ``k`` nearest.
+
+    The top-k form of the TKDE'04 integral,
+    ``P_i = integral of f_i(r) * P(fewer than k others within r) dr``, on
+    this kernel's CDF matrix (:func:`cdf_matrix`, survival at mid-cell,
+    ``STEPS`` and ``RINGS`` as for PNN) with a leave-one-out
+    Poisson-binomial (:func:`_fewer_than_k_others`).
+
+    ``objects`` are the k-PNN candidates (minimum distance at most
+    ``d_kminmax``, the k-th smallest maximum distance).  With ``m <= k`` of
+    them, and for any candidate that fewer than ``k`` others can precede
+    (``distmin_j <= distmax_i``), the answer is exactly ``1.0`` and no array
+    is built.  The other, *contested* candidates are integrated over a grid
+    spanning the union of their supports inside ``[distmin, d_kminmax]``
+    and normalised to the share of ``k`` the certain ones leave -- at
+    ``k = 1`` the PNN kernel's ``raw / total``.  The result does not depend
+    on the order of ``objects``.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    count = len(objects)
+    if count <= k:
+        return {obj.oid: 1.0 for obj in objects}
+    # Canonical (distmin, oid) order fixes every reduction's order.
+    keyed = sorted((obj.min_distance(query), obj.oid, i) for i, obj in enumerate(objects))
+    objects = [objects[i] for _, _, i in keyed]
+    lowers = np.array([lower for lower, _, _ in keyed])
+    uppers = np.array([obj.max_distance(query) for obj in objects])
+    # The others that can precede (or, with zero-width supports, tie) each
+    # one: those whose minimum distance is within its maximum.
+    precede = np.searchsorted(lowers, uppers, side="right") - 1
+    contested = (precede >= k).nonzero()[0]
+    result = {obj.oid: 1.0 for obj in objects}
+    for row in contested.tolist():
+        result[objects[row].oid] = 0.0
+    share = float(k - (count - len(contested)))
+    if share <= 0.0:
+        return result
+
+    raw = np.zeros(count)
+    bound = float(np.partition(uppers, k - 1)[k - 1])             # d_kminmax
+    starts = lowers[contested]
+    ends = np.minimum(uppers[contested], bound)
+    live = starts < ends
+    if live.any():
+        grid = _union_grid(starts[live].tolist(), ends[live].tolist())
+        # A row certainly within the whole grid takes one of the k places
+        # and stays out of the recurrence, as does one certainly beyond it:
+        # at k near m the recurrence keeps the few rows near d_kminmax.
+        # Fewer than k rows end before d_kminmax, so a place is left.
+        places = k - int(np.count_nonzero(uppers <= grid[0]))
+        rows = ((lowers <= grid[-1]) & (uppers > grid[0])).nonzero()[0]
+        cdfs = cdf_matrix(
+            [objects[row] for row in rows.tolist()],
+            query, lowers[rows], uppers[rows], grid, RINGS, ring_cache,
+        )                                                          # (n, S+1)
+        survivals = 1.0 - cdfs
+        mid_survivals = np.add(survivals[:, :-1], survivals[:, 1:])
+        mid_survivals *= 0.5                                       # (n, S)
+        cell_masses = np.maximum(cdfs[:, 1:] - cdfs[:, :-1], 0.0)
+        fewer = _fewer_than_k_others(mid_survivals, places)        # (n, S)
+        raw[rows] = np.einsum("ns,ns->n", cell_masses, fewer)
+    values = raw[contested]
+
+    # Normalise to the contested share.  A row the scaling would lift above
+    # 1 (a near-certain one, when the others' discretised mass falls short)
+    # is held at 1 and the rest rescaled to what is left.
+    free = np.ones(len(contested), dtype=bool)
+    while True:
+        total = float(values[free].sum())
+        if total <= 0.0:  # a degenerate discretisation: split what is left evenly
+            scaled = np.full(len(contested), share / np.count_nonzero(free))
+            break
+        scaled = values / total * share
+        over = free & (scaled > 1.0)
+        if not over.any():
+            break
+        for row in contested[over].tolist():
+            result[objects[row].oid] = 1.0
+        free &= ~over
+        share -= float(np.count_nonzero(over))
+    for row, value in zip(contested[free].tolist(), scaled[free].tolist()):
+        result[objects[row].oid] = value
+    return result
+
+
+def _union_grid(starts: List[float], ends: List[float]) -> np.ndarray:
+    """Grid points over the union of the intervals ``[starts_i, ends_i]``.
+
+    Overlapping intervals merge; each merged segment gets a share of the
+    ``STEPS`` cells proportional to its length (at least one).  A gap
+    between two segments becomes a single cell, which holds none of the
+    intervals' mass.  The first point sits one ulp below the first start,
+    so a zero-width support there keeps its mass in the first cell.
+    """
+    segments: List[List[float]] = []
+    for start, end in sorted(zip(starts, ends)):
+        if segments and start <= segments[-1][1]:
+            segments[-1][1] = max(segments[-1][1], end)
+        else:
+            segments.append([start, end])
+    length = sum(end - start for start, end in segments)
+    return np.concatenate([[np.nextafter(segments[0][0], -np.inf)]] + [
+        np.linspace(start, end, max(1, round(STEPS * (end - start) / length)) + 1)
+        for start, end in segments
+    ])
+
+
+def _fewer_than_k_others(survivals: np.ndarray, k: int) -> np.ndarray:
+    """``P(fewer than k of the other rows are within r)``, per row and cell.
+
+    ``survivals[j, c]`` is the probability that row ``j`` lies beyond the
+    radius of cell ``c``.  The count of rows within it is Poisson-binomial,
+    truncated to the counts ``0 .. K-1``; for ``k > n / 2`` the rows beyond
+    are counted instead, so ``K <= n / 2``.
+    """
+    n = len(survivals)
+    if k >= n:
+        return np.ones_like(survivals)
+    if 2 * k > n:  # fewer than k of the others within is n - k or more beyond
+        return 1.0 - _fewer_than_k_others(1.0 - survivals, n - k)
+    base = np.zeros((k, survivals.shape[1]))
+    base[0] = 1.0
+    return _leave_one_out(survivals, 1.0 - survivals, base)
+
+
+def _leave_one_out(
+    survivals: np.ndarray, within: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """Each row's ``P(count < K)`` over ``base`` and the *other* rows.
+
+    The count distributions of the rows before row ``i`` (prefix, on top
+    of ``base``) and after it (suffix) come from one recurrence each, and
+    row ``i``'s value is ``sum_{a+b<K} prefix_i(a) * suffix_i(b)``.  Rows
+    whose ``(n, K, S)`` arrays would exceed ``_RECURRENCE_FLOATS`` are
+    split in halves, each half run on ``base`` with the other half added,
+    so the memory is bounded by ``K * S`` per halving, whatever ``k``.
+    """
+    n = len(survivals)
+    if n > 1 and n * base.size > _RECURRENCE_FLOATS:
+        half = n // 2
+        return np.concatenate([
+            _leave_one_out(survivals[:half], within[:half],
+                           _add_rows(base, survivals[half:], within[half:])),
+            _leave_one_out(survivals[half:], within[half:],
+                           _add_rows(base, survivals[:half], within[:half])),
+        ])
+    prefix = np.empty((n + 1,) + base.shape)
+    prefix[0] = base
+    for j in range(n):
+        _add_row(prefix[j], survivals[j], within[j], prefix[j + 1])
+    suffix = np.zeros((n + 1,) + base.shape)
+    suffix[n, 0] = 1.0
+    for j in range(n - 1, -1, -1):
+        _add_row(suffix[j + 1], survivals[j], within[j], suffix[j])
+    at_most = np.cumsum(suffix[1:], axis=1)                        # P(suffix <= b)
+    return np.einsum("nas,nas->ns", prefix[:n], at_most[:, ::-1, :])
+
+
+def _add_row(
+    counts: np.ndarray, survival: np.ndarray, within: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``counts`` (a truncated count distribution) with one more row added."""
+    np.multiply(counts, survival, out=out)
+    out[1:] += counts[:-1] * within
+    return out
+
+
+def _add_rows(base: np.ndarray, survivals: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """``base`` with every row of ``survivals`` / ``within`` added."""
+    counts, spare = base.copy(), np.empty_like(base)
+    for survival, row_within in zip(survivals, within):
+        counts, spare = _add_row(counts, survival, row_within, spare), counts
+    return counts

@@ -13,7 +13,7 @@ The four shapes mirror the paper's query taxonomy:
 * :class:`PNNQuery` -- probabilistic nearest neighbour, optionally with a
   qualification-probability threshold ``tau`` (probability-threshold PNN)
   and/or a ``top_k`` cut (top-k PNN),
-* :class:`KNNQuery` -- probabilistic k-NN over sampled possible worlds,
+* :class:`KNNQuery` -- probabilistic k-NN (exact top-k probabilities),
 * :class:`RangeQuery` -- UV-partition retrieval inside a rectangle
   (Section V-C, query 2),
 * :class:`BatchQuery` -- many PNN queries streamed through one shared read
@@ -29,7 +29,7 @@ plans that served it or replaying a recorded workload file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.geometry.point import Point
@@ -108,47 +108,40 @@ class PNNQuery:
 
 @dataclass(frozen=True)
 class KNNQuery:
-    """A probabilistic k-nearest-neighbour query (Monte-Carlo estimation).
+    """A probabilistic k-nearest-neighbour query.
+
+    The answers are the objects with non-zero probability of being among
+    the ``k`` nearest, each with that probability, evaluated exactly by the
+    top-k form of the refinement integral (no sampling).
 
     Attributes:
         point: the query point.
         k: how many nearest neighbours the answers may rank among.
-        worlds: number of sampled possible worlds for the estimator.
-        seed: seed of the sampling generator; ``None`` uses the engine's
-            deterministic default (seed 0).
+
+    ``worlds`` and ``seed`` are accepted, as keywords and as wire keys, and
+    ignored: clients written for a sampling estimator still send them.
     """
 
     point: Point
     k: int
-    worlds: int = 2000
-    seed: Optional[int] = None
+    worlds: InitVar[Optional[int]] = None
+    seed: InitVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, worlds: Optional[int], seed: Optional[int]) -> None:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.worlds < 1:
-            raise ValueError(f"worlds must be positive, got {self.worlds}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible state (inverse of :meth:`from_dict`)."""
-        return {
-            "type": "knn",
-            "point": _point_state(self.point),
-            "k": self.k,
-            "worlds": self.worlds,
-            "seed": self.seed,
-        }
+        return {"type": "knn", "point": _point_state(self.point), "k": self.k}
 
     @classmethod
     def from_dict(cls, state: Dict[str, Any]) -> "KNNQuery":
-        """Rebuild a descriptor from :meth:`to_dict` output (re-validated)."""
-        seed = state.get("seed")
-        return cls(
-            point=_point_from_state(state["point"]),
-            k=int(state["k"]),
-            worlds=int(state.get("worlds", 2000)),
-            seed=int(seed) if seed is not None else None,
-        )
+        """Rebuild a descriptor from :meth:`to_dict` output (re-validated).
+
+        A ``worlds`` or ``seed`` key of an older client is ignored.
+        """
+        return cls(point=_point_from_state(state["point"]), k=int(state["k"]))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ shard map's possible-region bounds:
 * **KNN** -- the single engine's own routine,
   :func:`~repro.queries.knn.evaluate_knn`, over one part per shard in
   bound-distance order: the global ``d_kminmax`` bound is the k-th smallest
-  of the merged per-shard k-smallest maximum distances, and the Monte-Carlo
-  estimate runs over the identical sorted candidate list with the identical
-  generator, so probabilities match exactly.
+  of the merged per-shard k-smallest maximum distances, and the exact top-k
+  integral runs over the identical sorted candidate list, so probabilities
+  match exactly.
 * **Range** -- UV backends answer from the deployment's global leaf
   skeleton; the R-tree backend sums the shards' own listings of the region
   itself; each path reproduces the single-snapshot partition listing
@@ -43,8 +43,6 @@ from __future__ import annotations
 import math
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.pattern import PartitionInfo, PartitionQueryResult
 from repro.engine.backend import BatchReadCache
@@ -244,7 +242,6 @@ class ShardedQueryEngine:
         self,
         query: Query,
         *,
-        rng: Optional[np.random.Generator] = None,
         scatter_all: bool = False,
     ) -> Any:
         """Evaluate a query descriptor (same surface as ``QueryEngine``).
@@ -263,7 +260,7 @@ class ShardedQueryEngine:
                 (distance, self.engines[index].rtree, self.engines[index].by_id)
                 for distance, index in self._shard_order(query.point)
             ]
-            return evaluate_knn(parts, query, rng=rng, margin=margin)
+            return evaluate_knn(parts, query, margin=margin, ring_cache=self._ring_cache)
         if isinstance(query, RangeQuery):
             return self._execute_range(query, scatter_all=scatter_all)
         raise TypeError(f"unknown query descriptor: {query!r}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
@@ -135,11 +133,6 @@ class UncertainObject:
         from repro.uncertain.distance_distribution import DistanceDistribution
 
         return DistanceDistribution(self, q).cdf(r)
-
-    def sample_positions(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` possible positions of the object, as an ``(count, 2)`` array."""
-        offsets = self.pdf.sample_offsets(count, rng)
-        return offsets + np.array([self.center.x, self.center.y])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

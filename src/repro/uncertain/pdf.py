@@ -11,9 +11,9 @@ to one over the disk.  Three families are provided:
 * :class:`HistogramPdf` -- a ring histogram ("20 histogram bars" in the
   paper) that can approximate any radially symmetric density.
 
-All pdfs expose the two operations query processing needs: radial mass
-(probability that the object lies within radius ``r`` of its centre) and
-Monte-Carlo sampling of positions.
+All pdfs expose what query processing needs: radial mass (probability that
+the object lies within radius ``r`` of its centre) and the density.
+Sampling positions is a test concern (``tests/reference/sampling.py``).
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class UncertaintyPdf(ABC):
     @abstractmethod
     def density(self, offset: Point) -> float:
         """Density at ``offset`` from the centre (zero outside the disk)."""
-
-    @abstractmethod
-    def sample_offsets(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` position offsets, returned as an ``(count, 2)`` array."""
 
     # ------------------------------------------------------------------ #
     # shared helpers
@@ -118,11 +114,6 @@ class UniformPdf(UncertaintyPdf):
             return 0.0
         return 1.0 / (math.pi * self.radius * self.radius)
 
-    def sample_offsets(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        radii = self.radius * np.sqrt(rng.random(count))
-        angles = rng.random(count) * 2.0 * math.pi
-        return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-
 
 class TruncatedGaussianPdf(UncertaintyPdf):
     """Isotropic Gaussian truncated to the disk and renormalised.
@@ -176,15 +167,6 @@ class TruncatedGaussianPdf(UncertaintyPdf):
             2.0 * math.pi * self.sigma ** 2
         )
         return raw / self._inside_mass
-
-    def sample_offsets(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        # Rejection-free sampling via the inverse radial CDF, then a uniform angle.
-        u = rng.random(count)
-        radii = np.sqrt(-2.0 * self.sigma ** 2 * np.log(1.0 - u * self._inside_mass))
-        if self.radius > 0:
-            radii = np.minimum(radii, self.radius)
-        angles = rng.random(count) * 2.0 * math.pi
-        return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
 
 
 class HistogramPdf(UncertaintyPdf):
@@ -262,15 +244,3 @@ class HistogramPdf(UncertaintyPdf):
             return 0.0
         return self.masses[index] / ring_area
 
-    def sample_offsets(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if self.radius == 0:
-            return np.zeros((count, 2))
-        bar_indices = rng.choice(self.bars, size=count, p=self.masses)
-        width = self.radius / self.bars
-        inner = bar_indices * width
-        outer = inner + width
-        # Sample radius uniformly by area within the chosen ring.
-        u = rng.random(count)
-        radii = np.sqrt(inner ** 2 + u * (outer ** 2 - inner ** 2))
-        angles = rng.random(count) * 2.0 * math.pi
-        return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))

@@ -6,9 +6,10 @@ walk and a UV-index restores its per-object maps on its first mutation or
 pattern query.  These tests pin what that may and may not change: answers,
 probability bits and counted page reads equal a fully materialised
 engine's on every backend; a first PNN decodes only the object pages its
-answers read; concurrent first touches decode each page once; a corrupt
-object page surfaces when touched; the sharded router opens without
-decoding; and a lazily opened engine saves the bytes a materialised one saves.
+answers read and a first KNN only its candidates' pages; concurrent first
+touches decode each page once; a corrupt object page surfaces when
+touched; the sharded router opens without decoding; and a lazily opened
+engine saves the bytes a materialised one saves.
 """
 
 import random
@@ -25,6 +26,7 @@ from repro import (
 )
 from repro.faults import flip_byte
 from repro.geometry.rectangle import Rect
+from repro.queries.knn import knn_answer_objects_brute_force
 from repro.queries.spec import KNNQuery, PNNQuery, RangeQuery
 from repro.shard import ShardedQueryEngine, build_sharded_deployment
 from repro.storage.pagestore import HEADER_SIZE, CorruptSnapshotError, FilePageStore
@@ -137,6 +139,20 @@ def test_first_pnn_decodes_only_the_pages_its_answers_read(snapshots, backend):
         assert len(loaded) == len(set(loaded))  # no page decoded twice
         assert engine._objects is None
         assert "_owner_circle" not in engine.index.__dict__
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_first_knn_decodes_only_its_candidates_pages(snapshots, backend):
+    path, domain, built = snapshots[backend]
+    for point in generate_query_points(10, domain, seed=13):
+        engine = QueryEngine.open(path, store="mmap", readonly=True, verify=True)
+        loaded = _record_loads(engine)
+        engine.execute(KNNQuery(point, 3))
+        page_of = engine.object_store._page_of_object
+        candidates = knn_answer_objects_brute_force(built.objects, point, 3)
+        assert set(loaded) & _object_pages(engine) == {page_of[oid] for oid in candidates}
+        assert len(loaded) == len(set(loaded))  # no page decoded twice
+        assert engine._objects is None
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -209,16 +209,14 @@ class TestEngineParity:
         assert answer_profile(parallel, queries) == answer_profile(serial, queries)
 
     def test_knn_parity_on_parallel_build(self, medium_dataset):
-        import numpy as np
-
         objects, domain = medium_dataset
         config = DiagramConfig(backend="ic", page_capacity=16, seed_knn=20)
         serial = QueryEngine.build(objects[:40], domain, config)
         parallel = QueryEngine.build(objects[:40], domain, config.replace(workers=2))
         query = generate_query_points(1, domain, seed=5)[0]
         knn = KNNQuery(query, 3, worlds=300)
-        got_serial = serial.execute(knn, rng=np.random.default_rng(9))
-        got_parallel = parallel.execute(knn, rng=np.random.default_rng(9))
+        got_serial = serial.execute(knn)
+        got_parallel = parallel.execute(knn)
         assert [(a.oid, a.probability) for a in got_serial.answers] == \
                [(a.oid, a.probability) for a in got_parallel.answers]
 

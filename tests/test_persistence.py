@@ -7,7 +7,6 @@ same counted page reads as the engine that was saved -- the acceptance
 criterion of the storage redesign.
 """
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -200,8 +199,8 @@ def test_knn_and_partition_parity(backend, tmp_path):
 
     q = Point(domain.xmin + domain.width / 3, domain.ymin + domain.height / 3)
     knn = KNNQuery(q, 3, worlds=300)
-    ka = engine.execute(knn, rng=np.random.default_rng(5))
-    kb = reopened.execute(knn, rng=np.random.default_rng(5))
+    ka = engine.execute(knn)
+    kb = reopened.execute(knn)
     assert [a.oid for a in ka.answers] == [a.oid for a in kb.answers]
 
     region = Rect(domain.xmin, domain.ymin,

@@ -18,6 +18,7 @@ from repro.core.pattern import PartitionQueryResult
 from repro.engine.engine import BatchStream
 from repro.engine.planner import (
     STRATEGY_BATCH,
+    STRATEGY_KNN,
     STRATEGY_RANGE_NATIVE,
     STRATEGY_RANGE_SCAN,
     STRATEGY_RTREE,
@@ -69,30 +70,30 @@ class TestExecuteMatchesPinnedPlans:
         assert isinstance(result, PNNResult)
         assert all(a.probability == 0.0 for a in result.answers)
 
-    def test_knn_default_seed_is_zero(self, engines, dataset):
+    def test_knn_ignores_the_retired_worlds_and_seed(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]
-        seeded = engine.execute(KNNQuery(queries[0], 3, worlds=500, seed=0))
-        new = engine.execute(KNNQuery(queries[0], 3, worlds=500))
+        retired = engine.execute(KNNQuery(queries[0], 3, worlds=500, seed=0))
+        new = engine.execute(KNNQuery(queries[0], 3))
         assert isinstance(new, KNNResult)
-        assert new.answer_ids == seeded.answer_ids
+        assert new.to_dict() == retired.to_dict()
 
-    def test_knn_seed_is_deterministic(self, engines, dataset):
+    def test_knn_is_deterministic(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]
         a = engine.execute(KNNQuery(queries[0], 2, worlds=400, seed=42))
-        b = engine.execute(KNNQuery(queries[0], 2, worlds=400, seed=42))
+        b = engine.execute(KNNQuery(queries[0], 2, worlds=7, seed=3))
         assert [(x.oid, x.probability) for x in a.answers] == (
             [(x.oid, x.probability) for x in b.answers]
         )
 
-    def test_knn_rng_override(self, engines, dataset):
+    def test_knn_takes_no_generator(self, engines, dataset):
         _, _, queries = dataset
         engine = engines["ic"]
-        result = engine.execute(
-            KNNQuery(queries[0], 2, worlds=400), rng=np.random.default_rng(7)
-        )
-        assert isinstance(result, KNNResult)
+        with pytest.raises(TypeError):
+            engine.execute(KNNQuery(queries[0], 2), rng=np.random.default_rng(7))
+        plan = engine.explain(KNNQuery(queries[0], 2)).plan
+        assert plan.strategy == STRATEGY_KNN == "knn-exact"
 
     def test_range_query_matches_backend_partitions(self, engines):
         engine = engines["ic"]

@@ -103,14 +103,13 @@ class TestProbabilities:
     def test_k1_probabilities_match_integration(self):
         objects = make_objects(25, seed=9, radius=60.0)
         q = Point(450.0, 550.0)
-        result = evaluate_knn(one_part(objects), KNNQuery(q, 1, worlds=20000),
-                              rng=np.random.default_rng(4))
+        result = evaluate_knn(one_part(objects), KNNQuery(q, 1))
         from repro.queries.probability_kernel import compute_qualification_probabilities
 
         answers = [o for o in objects if o.oid in result.answer_ids]
         integrated = compute_qualification_probabilities(answers, q)
         for answer in result.answers:
-            assert answer.probability == pytest.approx(integrated[answer.oid], abs=0.05)
+            assert answer.probability == pytest.approx(integrated[answer.oid], abs=1e-12)
 
     def test_empty_dataset(self):
         result = evaluate_knn(one_part([]), KNNQuery(Point(0, 0), 3))

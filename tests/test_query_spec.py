@@ -49,13 +49,13 @@ class TestKNNQuery:
     def test_validation(self):
         with pytest.raises(ValueError, match="k must be positive"):
             KNNQuery(Point(0.0, 0.0), k=0)
-        with pytest.raises(ValueError, match="worlds"):
-            KNNQuery(Point(0.0, 0.0), k=2, worlds=0)
+        # The retired sampler's knobs are accepted and ignored.
+        assert KNNQuery(Point(0.0, 0.0), k=2, worlds=0, seed=-1) == KNNQuery(
+            Point(0.0, 0.0), k=2)
 
     def test_defaults(self):
         q = KNNQuery(Point(0.0, 0.0), k=3)
-        assert q.worlds == 2000
-        assert q.seed is None
+        assert q.to_dict() == {"type": "knn", "point": [0.0, 0.0], "k": 3}
 
 
 class TestRangeQuery:

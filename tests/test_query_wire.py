@@ -85,9 +85,7 @@ class TestDescriptorRoundTrip:
         assert set(PNNQuery(Point(1, 2)).to_dict()) == {
             "type", "point", "threshold", "top_k", "compute_probabilities",
         }
-        assert set(KNNQuery(Point(1, 2), k=3).to_dict()) == {
-            "type", "point", "k", "worlds", "seed",
-        }
+        assert set(KNNQuery(Point(1, 2), k=3).to_dict()) == {"type", "point", "k"}
         assert set(RangeQuery(Rect(0, 0, 1, 1)).to_dict()) == {"type", "region"}
         assert set(BatchQuery.of([Point(1, 2)]).to_dict()) == {"type", "queries"}
 

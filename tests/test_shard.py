@@ -542,17 +542,18 @@ class TestLiveCycle:
         with pytest.raises(RuntimeError):
             engine.checkpoint()
 
-    def test_knn_seed_mirrors_explicit_rng(self, dataset, deployments):
+    def test_knn_answers_ignore_worlds_and_seed(self, dataset, deployments):
         _, domain = dataset
         directory, _ = deployments["rtree"]
         sharded = ShardedQueryEngine.open(directory)
         point = _query_points(domain)[0]
-        seeded = sharded.execute(KNNQuery(point, k=2, worlds=200, seed=5))
-        explicit = sharded.execute(KNNQuery(point, k=2, worlds=200),
-                                   rng=np.random.default_rng(5))
-        assert [a.to_dict() for a in seeded.answers] == [
-            a.to_dict() for a in explicit.answers
+        retired = sharded.execute(KNNQuery(point, k=2, worlds=200, seed=5))
+        plain = sharded.execute(KNNQuery(point, k=2))
+        assert [a.to_dict() for a in retired.answers] == [
+            a.to_dict() for a in plain.answers
         ]
+        with pytest.raises(TypeError):
+            sharded.execute(KNNQuery(point, k=2), rng=np.random.default_rng(5))
 
 
 # --------------------------------------------------------------------- #

