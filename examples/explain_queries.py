@@ -5,13 +5,13 @@ The tour of the planning layer:
 
 1. build an engine and express queries as immutable descriptors
    (``PNNQuery`` / ``KNNQuery`` / ``RangeQuery`` / ``BatchQuery``),
-2. EXPLAIN a query: the chosen strategy, the cost model's page-read
-   estimate, and -- because explain also runs the query -- the actual
-   counted reads and per-stage timings,
+2. EXPLAIN a query: the chosen strategy and -- because explain also runs
+   the query -- the actual counted reads and per-stage timings, beside the
+   same query pinned to the shared R-tree baseline,
 3. run probability-threshold (tau) and top-k PNN, whose refinement step
    skips full integration for candidates that provably miss the filter,
 4. stream a batch of queries through one shared read cache,
-5. reopen a saved snapshot and show the planner honouring its saved config.
+5. reopen a saved snapshot and plan on it (planning decodes no object).
 
 Run with::
 
@@ -33,6 +33,7 @@ from repro import (
     generate_query_points,
     generate_uniform_objects,
 )
+from repro.engine.planner import STRATEGY_RTREE
 
 
 def main() -> None:
@@ -48,13 +49,14 @@ def main() -> None:
     print(f"engine: {engine.backend.name!r} backend over {len(engine)} objects\n")
 
     # ------------------------------------------------------------------ #
-    # 2. EXPLAIN ANALYZE: the plan, its estimates, and what actually
-    #    happened.  The planner prices the primary structure against the
-    #    shared R-tree and notes why it chose what it chose.
+    # 2. EXPLAIN ANALYZE: the plan and what actually happened.  The
+    #    backend's own structure against the shared R-tree, pinned.
     # ------------------------------------------------------------------ #
     report = engine.explain(PNNQuery(point))
     print(report.describe())
-    print()
+    baseline = engine.explain(PNNQuery(point), force_strategy=STRATEGY_RTREE)
+    print(f"\n{report.plan.strategy}: {report.actual_page_reads} page reads; "
+          f"pinned {baseline.plan.strategy}: {baseline.actual_page_reads} page reads\n")
 
     # ------------------------------------------------------------------ #
     # 3. Threshold and top-k PNN.  Answers equal post-filtering the full
@@ -95,7 +97,7 @@ def main() -> None:
           f"({stream.cache.hits} cached granule reads)")
 
     # ------------------------------------------------------------------ #
-    # 6. Snapshots: a reopened engine plans with its *saved* configuration.
+    # 6. Snapshots: a reopened engine plans without decoding an object.
     # ------------------------------------------------------------------ #
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "uv.snap")

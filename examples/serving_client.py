@@ -90,14 +90,15 @@ def main() -> None:
             print(f"  object {answer['oid']}: p={answer['probability']:.3f}")
         print(f"  ({result['io']['page_reads']} page reads)")
 
-        # The same point, EXPLAIN ANALYZE: plan + estimates vs. actuals.
+        # The same point, EXPLAIN ANALYZE: the plan and what the run read.
         status, report = client.explain(
             {"type": "pnn", "point": [500.0, 500.0], "threshold": 0.1}
         )
         plan = report["plan"]
         print(f"\nexplain -> strategy {plan['strategy']!r}, "
-              f"{report['estimated_page_reads']:.1f} estimated vs "
-              f"{report['actual_page_reads']} actual page reads")
+              f"{report['actual_page_reads']} actual page reads, "
+              f"{report['io']['cache_hits']} buffer-pool hits, "
+              f"{report['seconds'] * 1000.0:.2f} ms")
 
         # A batch: many PNN queries through one shared read cache.
         status, batch = client.query({"type": "batch", "queries": [

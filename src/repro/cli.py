@@ -9,8 +9,8 @@ Six sub-commands cover the everyday interactions with the library:
 * ``query``       -- answer PNN queries over a built engine (``--load`` serves
   a snapshot or deployment directory instead of rebuilding; ``--threshold`` /
   ``--top-k`` run the probability-threshold and top-k variants),
-* ``explain``     -- plan a query, run it, and print estimated vs. actual page
-  reads plus per-stage timings (EXPLAIN ANALYZE),
+* ``explain``     -- plan a query, run it, and print its counted page reads,
+  buffer-pool hits and per-stage timings (EXPLAIN ANALYZE),
 * ``compare``     -- run the same query workload across several backends,
 * ``render``      -- build (or ``--load``) a diagram and write an SVG picture,
 * ``serve``       -- run the multi-worker HTTP query service over a snapshot
@@ -717,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = subparsers.add_parser(
         "explain",
-        help="plan a PNN query, run it, and report estimates vs. actuals")
+        help="plan a PNN query, run it, and report its page reads and timings")
     _add_dataset_arguments(explain)
     _add_load_arguments(explain)
     _add_query_point_arguments(explain)

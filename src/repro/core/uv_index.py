@@ -456,13 +456,6 @@ class UVIndex:
                 for oid, c in state["owner_circles"].items()
             }
 
-    def owner_radius(self, oid: int) -> float:
-        """Radius of an object's circle, read without restoring the maps."""
-        circles = self.__dict__.get("_owner_circle")
-        if circles is not None:
-            return circles[oid].radius
-        return float(self._map_state["owner_circles"][str(oid)][2])
-
     def statistics(self) -> Dict[str, float]:
         """Summary statistics used by reports and the sensitivity benchmark."""
         leaves = list(self.leaves())

@@ -8,7 +8,8 @@ Public surface:
   :meth:`~QueryEngine.execute` / :meth:`~QueryEngine.explain`, plus live
   insert/delete over whichever backend the config selects,
 * :class:`QueryPlanner` / :class:`QueryPlan` / :class:`ExplainReport` -- the
-  cost-based planning layer behind both entry points.
+  planning layer behind both entry points (a strategy per backend and query
+  kind) and EXPLAIN's report of what a run actually read.
 """
 
 from repro.engine.backend import (

@@ -7,8 +7,8 @@ descriptors (:mod:`repro.queries.spec`) handed to two entry points:
 
 * :meth:`execute` -- plan and run any descriptor (``PNNQuery`` /
   ``KNNQuery`` / ``RangeQuery`` / ``BatchQuery``),
-* :meth:`explain` -- plan, run, and report estimated vs. actual page reads
-  plus per-stage timings (EXPLAIN ANALYZE).
+* :meth:`explain` -- plan, run, and report the counted page reads,
+  buffer-pool hits and per-stage timings (EXPLAIN ANALYZE).
 
 plus :meth:`insert` / :meth:`delete` for live updates after construction.
 These are the only way to run a query; ``explain(query,
@@ -238,8 +238,8 @@ class QueryEngine:
         # Set by open(readonly=True): structural mutations raise instead of
         # diverging into the store's volatile overlay.
         self._readonly = False
-        # Bumped by every structural change (insert/delete); the planner
-        # caches backend statistics against it.
+        # Bumped by every structural change (insert/delete); a batch stream
+        # checks it so its shared read cache never serves stale leaves.
         self._structure_version = 0
         # Durability state (attached by open_live / save_generation): the
         # write-ahead log, the live deployment directory, and the LSN
@@ -396,23 +396,6 @@ class QueryEngine:
     def objects(self, objects: List[UncertainObject]) -> None:
         self._objects = objects
 
-    def sample_radii(self, count: int) -> List[float]:
-        """MBC radii of the first ``count`` objects in engine order.
-
-        Until the object list is built the radii come from the UV-index's
-        own record of every object's circle, so planning on a fresh open
-        decodes no object page; the R-tree backend keeps no circles and
-        decodes the sample's pages.
-        """
-        objects = self._objects
-        if objects is not None:
-            return [obj.mbc().radius for obj in objects[:count]]
-        oids = self._object_order[:count]
-        index = self.index
-        if index is None:
-            return [self.by_id[oid].mbc().radius for oid in oids]
-        return [index.owner_radius(oid) for oid in oids]
-
     @property
     def dirty(self) -> bool:
         """``True`` when in-memory state diverges from the last snapshot.
@@ -465,13 +448,13 @@ class QueryEngine:
         *,
         force_strategy: Optional[str] = None,
     ) -> ExplainReport:
-        """Plan, run, and report estimates against what actually happened.
+        """Plan, run, and report what actually happened.
 
         Like ``EXPLAIN ANALYZE``: the query *is* executed, and the report
-        carries the plan, its estimated page reads, the actual counted page
-        reads, and the per-stage wall-clock breakdown.  A ``BatchQuery``'s
-        stream is materialised into a list of triples so the whole batch is
-        measured.  ``force_strategy`` pins the PNN candidate strategy as in
+        carries the plan, the counted I/O of the run (page reads and
+        buffer-pool hits), and the per-stage wall-clock breakdown.  A
+        ``BatchQuery``'s stream is materialised into a list of triples so
+        the whole batch is measured.  ``force_strategy`` pins the PNN candidate strategy as in
         :meth:`QueryPlanner.plan`, e.g. to measure the R-tree baseline.
         """
         plan = self.planner.plan(query, force_strategy=force_strategy)
@@ -484,7 +467,7 @@ class QueryEngine:
 
     @property
     def structure_version(self) -> int:
-        """Monotonic counter of structural changes (planner cache key)."""
+        """Monotonic counter of structural changes (a batch stream's stale check)."""
         return self._structure_version
 
     def _run(

@@ -5,14 +5,14 @@ Endpoints (all JSON):
 * ``POST /query``   -- body is a serialized query descriptor
   (``{"type": "pnn", "point": [x, y], ...}``); the response is the result's
   ``to_dict`` form.
-* ``POST /explain`` -- same body; the response carries the plan, estimated
-  vs. actual page reads, per-stage timings, and the result (EXPLAIN ANALYZE
-  over the wire).
+* ``POST /explain`` -- same body; the response carries the plan, the actual
+  page reads and I/O counters, per-stage timings, and the result (EXPLAIN
+  ANALYZE over the wire).
 * ``GET /health``   -- liveness/readiness: worker fleet state, 200 while
   serving, 503 while draining or with no live workers.
 * ``GET /stats``    -- router counters, per-query-type latency histograms
   (p50/p99), admission/rate-limit rejections, and one worker's engine-side
-  view (planner statistics, buffer-pool hit ratio).
+  view (index statistics, buffer-pool hit ratio).
 
 Admission failures use the conventional codes: 429 with a ``Retry-After``
 header for queue-full and rate-limited requests, 504 for per-request

@@ -63,10 +63,6 @@ def _encode_plan(plan) -> Dict[str, Any]:
         "prob_kernel": plan.prob_kernel,
         "threshold": plan.threshold,
         "top_k": plan.top_k,
-        "estimated_page_reads": plan.estimated_page_reads,
-        "estimated_candidates": plan.estimated_candidates,
-        "estimated_cost": plan.estimated_cost,
-        "buffer_pool": plan.buffer_pool,
         "notes": list(plan.notes),
         "describe": plan.describe(),
     }
@@ -84,7 +80,6 @@ def _encode_explain(report) -> Dict[str, Any]:
     return {
         "type": "explain",
         "plan": _encode_plan(report.plan),
-        "estimated_page_reads": report.estimated_page_reads,
         "actual_page_reads": report.actual_page_reads,
         "io": report.io.as_dict(),
         "seconds": report.seconds,
@@ -229,9 +224,6 @@ class WorkerRuntime:
         """Engine-side statistics surfaced by the ``/stats`` endpoint."""
         engine = self.engine
         io = engine.io_stats()
-        # A sharded deployment has one planner per shard; report the home
-        # (first) shard's model plus the shard layout.
-        shards = getattr(engine, "engines", [engine])
         payload = {
             "worker_id": self.worker_id,
             "pid": os.getpid(),
@@ -244,7 +236,6 @@ class WorkerRuntime:
             "io": io.as_dict(),
             "buffer_pool_hit_ratio": io.cache_hit_ratio,
             "index_statistics": dict(engine.statistics()),
-            "planner_statistics": dict(shards[0].planner.backend_statistics()),
         }
         epoch, generations = self._token
         if epoch:

@@ -436,25 +436,26 @@ class ShardedQueryEngine:
     # planning / EXPLAIN
     # ------------------------------------------------------------------ #
     def _plan(self, query: Query) -> QueryPlan:
-        """A scatter-gather plan annotated with per-shard estimates.
+        """A scatter-gather plan annotated with the routing.
 
-        Point queries (and a batch, by its first point) take the plan of the
-        home shard -- the one with the nearest bound -- and its estimates; a
-        range sums the plans of the shards its region touches, or costs no
-        page reads when the epoch skeleton answers it.
+        Point queries (and a batch, by its first point) take the kind,
+        kernel and refinement filter of the home shard's plan -- the shard
+        with the nearest bound -- and list every shard's bound distance; a
+        range notes the shard bounds its region meets, and whether the epoch
+        skeleton answers it without a page read.
         """
         count = len(self.engines)
         notes = [f"scatter-gather over {count} shards (epoch {self.epoch})"]
         if isinstance(query, RangeQuery):
-            plan = self._plan_range(query, notes)
+            plan = self.engines[0].planner.plan(query)
+            self._note_range(query.region, notes)
         else:
             points = (
                 [item.point for item in query.queries[:1]]
                 if isinstance(query, BatchQuery) else [query.point]
             )
             order = self._shard_order(points[0]) if points else [(0.0, 0)]
-            home = order[0][1]
-            plan = self.engines[home].planner.plan(query)
+            plan = self.engines[order[0][1]].planner.plan(query)
             if points:
                 for distance, index in order:
                     notes.append(
@@ -462,10 +463,6 @@ class ShardedQueryEngine:
                         f"{len(self.engines[index])} objects, max radius "
                         f"{self.shard_map.shards[index].max_radius:.3f}"
                     )
-                notes.append(
-                    f"home shard {home} estimates "
-                    f"{plan.estimated_page_reads:.1f} page reads"
-                )
             if isinstance(query, BatchQuery):
                 notes.append(f"{len(query)} queries stream through one shared read cache")
         return QueryPlan(
@@ -475,45 +472,24 @@ class ShardedQueryEngine:
             prob_kernel=plan.prob_kernel,
             threshold=plan.threshold,
             top_k=plan.top_k,
-            estimated_page_reads=plan.estimated_page_reads,
-            estimated_candidates=plan.estimated_candidates,
-            estimated_cost=plan.estimated_cost,
-            buffer_pool="per-shard",
             notes=tuple(notes),
         )
 
-    def _plan_range(self, query: RangeQuery, notes: List[str]) -> QueryPlan:
-        """The summed plans of the shards a region touches -- or none at all
-        when the epoch skeleton answers the query."""
-        touched = [
-            index for index in range(len(self.engines))
-            if self._bounds[index].intersects(query.region)
-        ]
+    def _note_range(self, region: Rect, notes: List[str]) -> None:
+        """The shard bounds a region meets, and whether the epoch skeleton
+        answers it."""
+        touched = sum(1 for bound in self._bounds if bound.intersects(region))
         notes.append(
-            f"region intersects {len(touched)} of {len(self.engines)} shard bounds"
+            f"region intersects {touched} of {len(self.engines)} shard bounds"
         )
-        plans: List[QueryPlan] = []
         skeleton = self.deployment.uv_skeleton
         if self.backend_name in UV_BACKENDS and skeleton:
             matching = sum(
-                1 for leaf_region, _ in skeleton if leaf_region.intersects(query.region)
+                1 for leaf_region, _ in skeleton if leaf_region.intersects(region)
             )
-            candidates = float(matching)
             notes.append(
                 f"answered from the epoch skeleton: {matching} leaves, 0 page reads"
             )
-        else:
-            plans = [self.engines[index].planner.plan(query) for index in touched]
-            candidates = sum(plan.estimated_candidates for plan in plans)
-        return QueryPlan(
-            kind="range",
-            backend=self.backend_name,
-            strategy=STRATEGY_SCATTER_GATHER,
-            prob_kernel="none",
-            estimated_page_reads=sum(plan.estimated_page_reads for plan in plans),
-            estimated_candidates=candidates,
-            estimated_cost=sum(plan.estimated_cost for plan in plans),
-        )
 
     # ------------------------------------------------------------------ #
     # live updates and durability

@@ -106,11 +106,6 @@ class ObjectStore:
         """The stored object ids (the page directory; no page is read)."""
         return iter(self._page_of_object)
 
-    @property
-    def page_count(self) -> int:
-        """Distinct pages currently holding objects (cost-model input)."""
-        return len(set(self._page_of_object.values()))
-
     # ------------------------------------------------------------------ #
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #

@@ -210,7 +210,8 @@ class TestDeploymentSurface:
         assert stats["generation"] == generation
         assert stats.get("shard_generations") == shard_generations
         assert stats.get("epoch") == (1 if kind == "fleet" else None)
-        assert "planner_statistics" in stats
+        assert "index_statistics" in stats
+        assert "planner_statistics" not in stats
         reload = runtime.handle(Request(1, OP_RELOAD, None))
         assert reload.payload == {"reloaded": False, "generation": generation,
                                   "objects": 80}
@@ -300,7 +301,8 @@ class TestWorkerRuntime:
         assert response.payload["readonly"] is True
         assert response.payload["backend"] == "ic"
         assert "buffer_pool_hit_ratio" in response.payload
-        assert "planner_statistics" in response.payload
+        assert "index_statistics" in response.payload
+        assert "planner_statistics" not in response.payload
 
 
 @pytest.fixture(scope="module")
@@ -343,7 +345,9 @@ class TestHTTPEndpoints:
         assert status == 200
         assert body["type"] == "explain"
         assert body["plan"]["backend"] == "ic"
-        assert body["estimated_page_reads"] >= 0.0
+        assert body["actual_page_reads"] == body["io"]["page_reads"] >= 0
+        assert not [key for key in {**body, **body["plan"]} if key.startswith("estimated")]
+        assert "buffer_pool" not in body["plan"]
 
     def test_knn_range_batch(self, service, medium_queries):
         point = medium_queries[2]
@@ -402,7 +406,7 @@ class TestHTTPEndpoints:
         engine_view = body["engine"]
         assert engine_view["readonly"] is True
         assert "buffer_pool_hit_ratio" in engine_view
-        assert "planner_statistics" in engine_view
+        assert "planner_statistics" not in engine_view
 
 
 class TestAdmissionControl:

@@ -354,9 +354,13 @@ class TestRouting:
         sharded = ShardedQueryEngine.open(directory)
         report = sharded.explain(PNNQuery(_query_points(domain)[0]))
         assert report.plan.strategy == "shard-scatter-gather"
-        assert report.plan.buffer_pool == "per-shard"
+        assert report.plan.backend == "ic"
         assert any("scatter-gather over 4 shards" in note
                    for note in report.plan.notes)
+        assert sum("bound mindist" in note for note in report.plan.notes) == 4
+        assert not any("estimate" in note for note in report.plan.notes)
+        assert report.actual_page_reads > 0
+        assert f"actual page reads    : {report.actual_page_reads}" in report.describe()
 
 
 # --------------------------------------------------------------------- #
