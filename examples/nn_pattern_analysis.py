@@ -33,7 +33,6 @@ from repro import (
     generate_skewed_objects,
     generate_uniform_objects,
 )
-from repro.voronoi.point_voronoi import PointVoronoiDiagram
 
 
 def describe_cell_areas(diagram: QueryEngine, label: str) -> None:
@@ -90,9 +89,9 @@ def main() -> None:
     #    each point has exactly one nearest neighbour, so every "partition"
     #    has density 1 object -- the probabilistic ambiguity is invisible.
     # ------------------------------------------------------------------ #
-    voronoi = PointVoronoiDiagram([o.center for o in skewed_objects], domain=domain)
+    #    The classic cell containing a point is its nearest centre's.
     probe = domain.center
-    crisp_owner = voronoi.nearest_site(probe)
+    crisp_owner = min(skewed_objects, key=lambda o: o.center.distance_to(probe)).oid
     fuzzy = skewed.execute(PNNQuery(probe))
     print("\nuncertainty matters:")
     print(f"  classic Voronoi at the domain centre: exactly one NN, object {crisp_owner}")

@@ -22,12 +22,15 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import CandidateBlock
-from repro.storage.codec import RestoredOnFirstRead
+from repro.storage.codec import RestoredOnFirstRead, float_column, int_column, page_records
 from repro.storage.disk import DiskManager
+from repro.storage.page import Page
 from repro.storage.stats import IOStats
 from repro.uncertain.objects import UncertainObject
 
@@ -85,6 +88,7 @@ class UVIndex:
             page.
     """
 
+    root = RestoredOnFirstRead("_restore_nodes")
     _owner_circle = RestoredOnFirstRead("_restore_maps")
     ref_ids = RestoredOnFirstRead("_restore_maps")
     _oid_leaves = RestoredOnFirstRead("_restore_maps")
@@ -284,14 +288,13 @@ class UVIndex:
 
         The page list is read (and counted) on every call, as by
         :meth:`read_leaf_entries`; the block is built from the pages the
-        first time and cached on the node until an insertion, a split or a
+        first time -- from their records when a page was decoded as an
+        array -- and cached on the node until an insertion, a split or a
         removal changes the leaf.
         """
-        entries = self.read_leaf_entries(node)
+        pages = [self.disk.read_page(page_id) for page_id in node.page_ids]
         if node.block is None:
-            node.block = CandidateBlock.from_circles(
-                (entry.oid, entry.mbc) for entry in entries
-            )
+            node.block = _leaf_block(pages)
         return node.block
 
     def point_query(self, q: Point) -> Tuple[UVIndexNode, List[UVIndexEntry], IOStats]:
@@ -386,36 +389,43 @@ class UVIndex:
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """JSON-ready state of the in-memory structure.
+        """The index's scalars and its in-memory structure as columns.
 
         Leaf page *contents* stay on the disk manager's pages (the snapshot
-        file stores them in place); this captures everything else: the
-        non-leaf tree, per-leaf page-id lists, and what the 4-point test
-        needs for future insertions -- every object's circle once, and each
-        object's reference set as ids.
+        file stores them in place); the columns hold everything else: the
+        node tree with each leaf's page ids and object ids
+        (:func:`uv_node_columns`), and what the 4-point test needs for
+        future insertions -- every object's circle once, and each object's
+        reference set (:func:`uv_map_columns`).  Parts not restored since
+        the open are saved as they were read.
         """
-        return {
+        state: Dict = {
             "max_nonleaf": self.max_nonleaf,
             "split_threshold": self.split_threshold,
             "page_capacity": self.page_capacity,
             "size": self.size,
             "nonleaf_count": self.nonleaf_count,
-            "owner_circles": {
-                str(oid): _circle_state(c) for oid, c in self._owner_circle.items()
-            },
-            "ref_ids": {str(oid): list(refs) for oid, refs in self.ref_ids.items()},
-            "root": _node_state(self.root),
         }
+        if "root" in self.__dict__:
+            state.update(uv_node_columns(self.root))
+        else:
+            state.update({name: self._columns[name] for name in _NODE_COLUMNS})
+        if "_owner_circle" in self.__dict__:
+            state.update(uv_map_columns(self._owner_circle, self.ref_ids))
+        else:
+            state.update({name: self._columns[name] for name in _MAP_COLUMNS})
+        return state
 
     @classmethod
     def from_snapshot(cls, state: Dict, domain: Rect, disk: DiskManager) -> "UVIndex":
-        """Rebuild an index over already-persisted leaf pages.
+        """Rebind an index to already-persisted leaf pages.
 
-        No pages are read or allocated: the restored nodes reference the page
-        ids recorded in ``state``, so query I/O counts match the original
-        index exactly.  PNN needs only the nodes; the per-object maps
-        (``_owner_circle``, ``ref_ids``, ``_oid_leaves``) are restored on
-        their first read -- a mutation, a pattern query or a save.
+        No pages are read or allocated: the restored leaves reference the
+        page ids recorded in ``state``, so query I/O counts match the
+        original index exactly.  The node tree is restored from its columns
+        on the first read of ``root`` (a query's descent), the per-object
+        maps (``_owner_circle``, ``ref_ids``, ``_oid_leaves``) on their first
+        read -- a mutation or a pattern query.
         """
         index = cls(
             domain,
@@ -426,34 +436,38 @@ class UVIndex:
         )
         index.size = state["size"]
         index.nonleaf_count = state["nonleaf_count"]
-        index.root = _node_from_state(state["root"])
-        for name in ("_owner_circle", "ref_ids", "_oid_leaves"):
-            del index.__dict__[name]  # unset until _restore_maps
-        index._map_state = state
-        index._restore_lock = threading.Lock()
+        for name in ("root", "_owner_circle", "ref_ids", "_oid_leaves"):
+            del index.__dict__[name]  # unset until restored
+        index._columns = {name: state[name] for name in _NODE_COLUMNS + _MAP_COLUMNS}
+        index._restore_lock = threading.RLock()
         return index
+
+    def _restore_nodes(self) -> None:
+        """Rebuild the node tree of a snapshot-opened index, once."""
+        with self._restore_lock:
+            if "root" not in self.__dict__:
+                self.root = _nodes_from_columns(self._columns)
 
     def _restore_maps(self) -> None:
         """Rebuild the per-object maps of a snapshot-opened index, once."""
         with self._restore_lock:
             if "_owner_circle" in self.__dict__:  # assigned last, below
                 return
-            state = self._map_state
-            if "ref_ids" in state:
-                self.ref_ids = {
-                    int(oid): [int(ref) for ref in refs]
-                    for oid, refs in state["ref_ids"].items()
-                }
-            else:
-                self.ref_ids = _ref_ids_from_circles(state)
+            owners, circles, ref_owner, ptr, ref_idx = (
+                self._columns[name].array.tolist() for name in _MAP_COLUMNS)
+            refs = [owners[position] for position in ref_idx]
+            self.ref_ids = {
+                owners[position]: refs[first:end]
+                for position, first, end in zip(ref_owner, ptr, ptr[1:])
+            }
             oid_leaves: Dict[int, Dict[int, UVIndexNode]] = {}
             for leaf in self.leaves():
                 for oid in leaf.entry_oids:
                     oid_leaves.setdefault(oid, {})[id(leaf)] = leaf
             self._oid_leaves = oid_leaves
             self._owner_circle = {
-                int(oid): _circle_from_state(c)
-                for oid, c in state["owner_circles"].items()
+                oid: Circle(Point(cx, cy), r)
+                for oid, (cx, cy, r) in zip(owners, circles)
             }
 
     def statistics(self) -> Dict[str, float]:
@@ -481,58 +495,109 @@ class UVIndex:
 # ---------------------------------------------------------------------- #
 # snapshot plumbing
 # ---------------------------------------------------------------------- #
-def _circle_state(circle: Circle) -> List[float]:
-    return [circle.center.x, circle.center.y, circle.radius]
+_NODE_COLUMNS = ("node_region", "node_level", "node_children",
+                 "page_ptr", "page_ids", "oid_ptr", "oids")
+_MAP_COLUMNS = ("owner_oids", "owner_circles", "ref_owner", "ref_ptr", "ref_idx")
 
 
-def _circle_from_state(state: Sequence[float]) -> Circle:
-    return Circle(Point(state[0], state[1]), state[2])
+def _leaf_block(pages: Sequence[Page]) -> CandidateBlock:
+    """A leaf's pages as one candidate block, read from the records of the
+    pages decoded as arrays and from the entries of the others."""
+    oids, cx, cy, r = [], [], [], []
+    for page in pages:
+        records = page_records(page)
+        if records is None:
+            entries = page.entries
+            records = {
+                "oid": np.array([entry.oid for entry in entries], dtype=np.int64),
+                "cx": np.array([entry.mbc.center.x for entry in entries], dtype=float),
+                "cy": np.array([entry.mbc.center.y for entry in entries], dtype=float),
+                "r": np.array([entry.mbc.radius for entry in entries], dtype=float),
+            }
+        oids.append(records["oid"])
+        cx.append(records["cx"])
+        cy.append(records["cy"])
+        r.append(records["r"])
+    if not pages:
+        return CandidateBlock.from_columns([], [], [], [])
+    return CandidateBlock.from_columns(
+        np.concatenate(oids), np.concatenate(cx), np.concatenate(cy), np.concatenate(r))
 
 
-def _ref_ids_from_circles(state: Dict) -> Dict[int, List[int]]:
-    """Reference ids of a format-1 snapshot, which stored the circles by value.
+def uv_node_columns(root: UVIndexNode) -> Dict:
+    """The node tree as columns, nodes numbered breadth-first from ``root``.
 
-    Each circle is resolved to an object that owns an equal one.  A circle no
-    current object owns (its object was deleted after the list was computed)
-    is dropped: a shorter reference list only makes the 4-point test more
-    conservative, and the stored leaf entries do not depend on it.
+    Per node: ``node_region``, ``node_level`` and ``node_children`` (zero
+    for a leaf; a node's children are numbered consecutively), and the CSR
+    pairs ``page_ptr`` / ``page_ids`` and ``oid_ptr`` / ``oids``, whose
+    ``[i, i + 1)`` slices are node ``i``'s page list and object list.
     """
-    owner_of = {tuple(c): int(oid) for oid, c in state["owner_circles"].items()}
-    ref_ids: Dict[int, List[int]] = {}
-    for key, circles in state["cr_circles"].items():
-        oid = int(key)
-        refs = (owner_of.get(tuple(c)) for c in circles)
-        ref_ids[oid] = [ref for ref in refs if ref is not None and ref != oid]
-    return ref_ids
-
-
-def _node_state(node: UVIndexNode) -> Dict:
-    from repro.storage.codec import rect_state
-
-    state: Dict = {
-        "region": rect_state(node.region),
-        "leaf": node.is_leaf,
-        "level": node.level,
+    nodes = [root]
+    regions: List[Tuple[float, float, float, float]] = []
+    levels: List[int] = []
+    children: List[int] = []
+    page_ptr, page_ids, oid_ptr, oids = [0], [], [0], []
+    for node in nodes:  # grows while it is walked: breadth-first
+        region = node.region
+        regions.append((region.xmin, region.ymin, region.xmax, region.ymax))
+        levels.append(node.level)
+        kids = [] if node.is_leaf else node.children or []
+        children.append(len(kids))
+        nodes.extend(kids)
+        if node.is_leaf:
+            page_ids.extend(node.page_ids)
+            oids.extend(node.entry_oids)
+        page_ptr.append(len(page_ids))
+        oid_ptr.append(len(oids))
+    return {
+        "node_region": float_column(regions, 4),
+        "node_level": int_column(levels),
+        "node_children": int_column(children),
+        "page_ptr": int_column(page_ptr),
+        "page_ids": int_column(page_ids),
+        "oid_ptr": int_column(oid_ptr),
+        "oids": int_column(oids),
     }
-    if node.is_leaf:
-        state["pages"] = list(node.page_ids)
-        state["oids"] = list(node.entry_oids)
-    else:
-        state["children"] = [_node_state(child) for child in node.children or []]
-    return state
 
 
-def _node_from_state(state: Dict) -> UVIndexNode:
-    from repro.storage.codec import rect_from_state
+def uv_map_columns(owner_circle: Dict[int, Circle], ref_ids: Dict[int, List[int]]) -> Dict:
+    """The 4-point test's per-object maps as columns.
 
-    node = UVIndexNode(
-        region=rect_from_state(state["region"]),
-        is_leaf=state["leaf"],
-        level=state["level"],
-    )
-    if node.is_leaf:
-        node.page_ids = list(state["pages"])
-        node.entry_oids = list(state["oids"])
-    else:
-        node.children = [_node_from_state(child) for child in state["children"]]
-    return node
+    ``owner_oids`` / ``owner_circles`` hold every registered circle, in map
+    order; ``ref_owner`` numbers (by position in ``owner_oids``) the objects
+    with a reference set, and ``ref_ptr`` / ``ref_idx`` hold their sets in
+    CSR form, again as positions.
+    """
+    position = {oid: number for number, oid in enumerate(owner_circle)}
+    ref_ptr = [0]
+    ref_idx: List[int] = []
+    for refs in ref_ids.values():
+        ref_idx.extend(position[ref] for ref in refs)
+        ref_ptr.append(len(ref_idx))
+    return {
+        "owner_oids": int_column(list(owner_circle)),
+        "owner_circles": float_column(
+            [(c.center.x, c.center.y, c.radius) for c in owner_circle.values()], 3),
+        "ref_owner": int_column([position[oid] for oid in ref_ids]),
+        "ref_ptr": int_column(ref_ptr),
+        "ref_idx": int_column(ref_idx),
+    }
+
+
+def _nodes_from_columns(columns: Dict) -> UVIndexNode:
+    """Inverse of :func:`uv_node_columns`: the root of the rebuilt tree."""
+    regions, levels, counts, page_ptr, page_ids, oid_ptr, oids = (
+        columns[name].array.tolist() for name in _NODE_COLUMNS)
+    nodes: List[UVIndexNode] = []
+    for number, (region, level, count) in enumerate(zip(regions, levels, counts)):
+        node = UVIndexNode(region=Rect(*region), is_leaf=not count, level=level)
+        if not count:
+            node.page_ids = page_ids[page_ptr[number]:page_ptr[number + 1]]
+            node.entry_oids = oids[oid_ptr[number]:oid_ptr[number + 1]]
+        nodes.append(node)
+    first = 1
+    for node, count in zip(nodes, counts):
+        if count:
+            node.children = nodes[first:first + count]
+            first += count
+    return nodes[0]

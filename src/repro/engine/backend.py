@@ -136,7 +136,10 @@ class IndexBackend(abc.ABC):
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict[str, Any]:
-        """JSON-ready state needed to rebuild the backend over saved pages.
+        """State needed to rebuild the backend over saved pages.
+
+        JSON values, plus :class:`~repro.storage.codec.Column` values for
+        per-object arrays (a snapshot stores them as typed columns).
 
         Backends that support snapshots override this (all built-ins do) and
         register a restorer with :func:`register_backend`; the default makes

@@ -220,7 +220,7 @@ class QueryEngine:
         # store pages: ``by_id`` decodes a page on its first lookup, and the
         # list in ``object_order`` is built on first need (see ``objects``).
         self._objects: Optional[List[UncertainObject]] = None
-        self._object_order = list(object_order)
+        self._object_order = object_order
         self._objects_lock = threading.Lock()
         self.by_id: Dict[int, UncertainObject]
         if objects is None:
@@ -327,10 +327,11 @@ class QueryEngine:
     def save(self, path: str) -> str:
         """Serialize the engine (config, objects, index, pages) to ``path``.
 
-        The snapshot is a single page file with a JSON metadata tail; a later
-        process reopens it with :meth:`open` and answers queries identically
-        to this engine -- same answer sets, probabilities, and page-read
-        counts -- without rebuilding the diagram.
+        The snapshot is a single page file with a metadata tail (a JSON
+        header and typed columns); a later process reopens it with
+        :meth:`open` and answers queries identically to this engine -- same
+        answer sets, probabilities, and page-read counts -- without
+        rebuilding the diagram.
         """
         from repro.engine.snapshot import save_engine
 
@@ -388,7 +389,10 @@ class QueryEngine:
             with self._objects_lock:
                 if self._objects is None:
                     by_id = self.by_id
-                    self._objects = [by_id[oid] for oid in self._object_order]
+                    order: Any = self._object_order
+                    if hasattr(order, "tolist"):  # a snapshot column
+                        order = order.tolist()
+                    self._objects = [by_id[oid] for oid in order]
                 objects = self._objects
         return objects
 

@@ -2,10 +2,23 @@
 
 A snapshot is one file in the :mod:`repro.storage.pagestore` page-file
 format: every disk page (UV-index leaf lists, R-tree leaves, object-store
-pages) lives in a fixed-size slot, and a JSON metadata tail records
-everything the page ids alone cannot express -- the build configuration, the
-engine's object order, the in-memory non-leaf structures, and the backend's
-own state.
+pages) lives in a fixed-size slot, and a metadata tail records everything
+the page ids alone cannot express.  Format 3 splits that tail in two:
+
+* a short JSON header with the O(1) fields -- format, build configuration,
+  backend, domain, construction summary, shard info, each structure's
+  scalars -- and a directory of columns;
+* a binary section of little-endian int32/int64/float64 columns holding all
+  per-object and per-node state: the engine's object order, the object ->
+  page directory, the R-tree's nodes and leaf entries, and the UV-index's
+  node tree, per-leaf page and object lists, owner circles and reference
+  sets (CSR ``ref_ptr`` / ``ref_idx``).
+
+An open parses the header only; each column is a NumPy view of the tail's
+bytes, and each structure rebuilds its Python objects from its columns on
+first use.  Formats 1 and 2 kept all of that state as JSON; they still open,
+through one converter (:mod:`repro.engine.legacy_snapshot`) into the same
+in-memory form.
 
 :func:`save_engine` writes that file; :func:`open_engine` restores a fully
 functional :class:`~repro.engine.engine.QueryEngine` from it, over any of the
@@ -38,7 +51,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.construction import ConstructionStats
 from repro.engine.backend import available_backends, restore_backend
 from repro.engine.config import DiagramConfig
-from repro.storage.codec import rect_from_state, rect_state
+from repro.engine.legacy_snapshot import upgrade_meta
+from repro.storage.codec import int_column, rect_from_state, rect_state
 from repro.storage.disk import DiskManager
 from repro.storage.object_store import ObjectStore
 from repro.storage.pagestore import (
@@ -55,9 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 logger = logging.getLogger("repro.engine.snapshot")
 
-#: Format 2 stores each UV-index reference set as object ids (``ref_ids``);
-#: format 1 stored the circles by value (``cr_circles``) and stays readable.
-SNAPSHOT_FORMAT = 2
+#: Format 3 keeps per-object and per-node state in typed columns; formats 1
+#: and 2 (all state as JSON) stay readable through
+#: :func:`repro.engine.legacy_snapshot.upgrade_meta`.
+SNAPSHOT_FORMAT = 3
 
 #: Config keys earlier releases saved and this one no longer has, each with a
 #: test of the values it could hold.  :func:`open_engine` drops a key whose
@@ -80,20 +95,30 @@ RETIRED_BACKENDS = {
 
 
 def build_meta(engine: "QueryEngine") -> Dict[str, Any]:
-    """The JSON metadata blob describing ``engine``'s non-page state."""
+    """The metadata describing ``engine``'s non-page state.
+
+    JSON values plus :class:`~repro.storage.codec.Column` values, which the
+    page store writes as the tail's columns
+    (:func:`repro.storage.pagestore.encode_meta`).
+    """
     stats = engine.construction_stats
+    order: Any
+    if engine._objects is None:  # a lazily opened engine: its saved order
+        order = engine._object_order
+    else:
+        order = [obj.oid for obj in engine.objects]
     return {
         "snapshot_format": SNAPSHOT_FORMAT,
         "config": engine.config.to_dict(),
         "backend": engine.backend.name,
         "domain": rect_state(engine.domain),
-        "object_order": [obj.oid for obj in engine.objects],
+        "object_order": int_column(order),
         "object_store": engine.object_store.snapshot_state(),
         "rtree": engine.rtree.snapshot_state(),
         "backend_state": engine.backend.snapshot_state(),
         "construction": {
             "method": getattr(stats, "method", engine.backend.name),
-            "objects": getattr(stats, "objects", len(engine.objects)),
+            "objects": stats.objects if hasattr(stats, "objects") else len(engine),
             "total_seconds": getattr(stats, "total_seconds", 0.0),
         },
         # Present only for shards of a sharded deployment: the shard id,
@@ -146,11 +171,14 @@ def open_engine(
 ) -> "QueryEngine":
     """Restore a :class:`QueryEngine` from a snapshot, without reconstruction.
 
-    The open reads the header and the metadata and nothing else: the objects
-    stay on their store pages and are decoded a page at a time on first
-    touch (``engine.by_id``), the R-tree restores its nodes on its first
-    walk, and a UV-index restores its per-object maps on its first mutation
-    or pattern query.  On an unverified open a corrupt page therefore raises
+    The open reads the header and the metadata tail and nothing else: the
+    JSON header is parsed and each column becomes a NumPy view of the tail.
+    The objects stay on their store pages and are decoded a page at a time
+    on first touch (``engine.by_id``), the R-tree restores its nodes on its
+    first walk, and a UV-index restores its node tree on its first descent
+    and its per-object maps on its first mutation or pattern query.  The
+    tail's CRC is checked here, so a corrupt header or column fails the
+    open; on an unverified open a corrupt page raises
     :class:`~repro.storage.pagestore.CorruptSnapshotError` when it is first
     touched, not here.
 
@@ -191,6 +219,9 @@ def open_engine(
             f"library no longer has: {retired}; rebuild the deployment with "
             f"one of {', '.join(available_backends())}"
         )
+
+    if meta.get("snapshot_format", 0) < SNAPSHOT_FORMAT:
+        meta = upgrade_meta(meta)
 
     saved = {
         key: value
@@ -234,7 +265,7 @@ def open_engine(
         disk=disk,
         config=config,
         construction_stats=stats,
-        object_order=meta["object_order"],
+        object_order=meta["object_order"].array,
     )
     engine._dirty = False
     engine._readonly = readonly

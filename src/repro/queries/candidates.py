@@ -80,6 +80,17 @@ class CandidateBlock:
         )
 
     @classmethod
+    def from_columns(cls, oids: np.ndarray, cx: np.ndarray, cy: np.ndarray,
+                     r: np.ndarray) -> "CandidateBlock":
+        """A block copied from parallel columns (e.g. a page's records)."""
+        return cls(
+            _frozen(np.array(oids, dtype=np.int64)),
+            _frozen(np.array(cx, dtype=float)),
+            _frozen(np.array(cy, dtype=float)),
+            _frozen(np.array(r, dtype=float)),
+        )
+
+    @classmethod
     def from_boxes(cls, oids: Sequence[int], boxes: np.ndarray) -> "CandidateBlock":
         """A block of objects indexed by the ``(n, 4)`` MBRs of their regions.
 

@@ -21,7 +21,7 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rect
 from repro.queries.candidates import CandidateBlock
 from repro.rtree.node import RTreeEntry, RTreeNode
-from repro.storage.codec import RestoredOnFirstRead
+from repro.storage.codec import RestoredOnFirstRead, float_column, int_column, page_records
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
 
@@ -253,13 +253,23 @@ class RTree:
         """A node's entry MBRs as an ``(n, 4)`` array, with its oids or children.
 
         A leaf's page is read (and counted) on every call, as by
-        :meth:`_read_leaf`; the arrays are built from the entries the first
-        time and cached on the node until an insert changes it.
+        :meth:`_read_leaf`; the arrays are built the first time -- from the
+        page's records when it was decoded as an array -- and cached on the
+        node until an insert changes it.
         """
-        entries = self._read_leaf(node) if node.is_leaf else node.entries
+        if not node.is_leaf:
+            if node.arrays is None:
+                node.arrays = (_boxes(node.entries), [e.child for e in node.entries])
+            return node.arrays
+        page = None if node.page_id is None else self.disk.read_page(node.page_id)
         if node.arrays is None:
-            payload = [e.oid if node.is_leaf else e.child for e in entries]
-            node.arrays = (_boxes(entries), payload)
+            records = page_records(page)
+            if records is not None:
+                boxes = np.column_stack([records[name] for name in _BOX_FIELDS])
+                node.arrays = (boxes, records["oid"].tolist())
+            else:
+                entries = node.entries if page is None else page.entries
+                node.arrays = (_boxes(entries), [e.oid for e in entries])
         return node.arrays
 
     def circular_range_query(
@@ -338,27 +348,31 @@ class RTree:
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """JSON-ready structure of the tree (node graph + leaf page ids).
+        """The tree's scalars and its nodes as columns (see :func:`rtree_columns`).
 
-        Leaf entries are recorded inline as well as living on disk pages, so
-        a restored tree keeps its in-memory mirror consistent with the pages
-        (insertion and ``_sync_leaf_page`` rely on that mirror).
+        Leaf entries are recorded in the columns as well as living on disk
+        pages, so a restored tree keeps its in-memory mirror consistent with
+        the pages (insertion and ``_sync_leaf_page`` rely on that mirror).
         """
-        return {
+        state = {
             "fanout": self.fanout,
             "fill_factor": self.fill_factor,
             "size": self.size,
             "leaf_count": self.leaf_count,
             "height": self.height,
-            "root": _rtree_node_state(self.root),
         }
+        if "root" in self.__dict__:
+            state.update(rtree_columns(self.root))
+        else:
+            state.update({name: self._columns[name] for name in _COLUMNS})
+        return state
 
     @classmethod
     def from_snapshot(cls, state: dict, disk: DiskManager) -> "RTree":
         """Rebind a tree to already-persisted leaf pages (no allocation).
 
-        The nodes are restored on the tree's first walk, when ``root`` is
-        first read.
+        The nodes are restored from the columns on the tree's first walk,
+        when ``root`` is first read.
         """
         tree = cls.__new__(cls)
         tree.disk = disk
@@ -367,7 +381,7 @@ class RTree:
         tree.size = state["size"]
         tree.leaf_count = state["leaf_count"]
         tree.height = state["height"]
-        tree._root_state = state["root"]
+        tree._columns = {name: state[name] for name in _COLUMNS}
         tree._restore_lock = threading.Lock()
         return tree
 
@@ -375,7 +389,7 @@ class RTree:
         """Build the nodes of a snapshot-opened tree (first read of ``root``)."""
         with self._restore_lock:
             if "root" not in self.__dict__:
-                self.root = _rtree_node_from_state(self._root_state)
+                self.root = _nodes_from_columns(self._columns)
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -401,7 +415,8 @@ class RTree:
         """
         root = self.__dict__.get("root")
         if root is None:
-            boxes = [entry["mbr"] for entry in self._root_state["entries"]]
+            first, end = self._columns["node_ptr"].array[:2].tolist()
+            boxes = self._columns["entry_box"].array[first:end].tolist()
         else:
             boxes = [(e.mbr.xmin, e.mbr.ymin, e.mbr.xmax, e.mbr.ymax) for e in root.entries]
         if not boxes:
@@ -508,35 +523,65 @@ def quadratic_split(boxes: np.ndarray, min_fill: int) -> Tuple[List[int], List[i
 # ---------------------------------------------------------------------- #
 # snapshot plumbing
 # ---------------------------------------------------------------------- #
-def _rtree_node_state(node: RTreeNode) -> dict:
-    from repro.storage.codec import rect_state
+_BOX_FIELDS = ("xmin", "ymin", "xmax", "ymax")
 
-    state: dict = {"leaf": node.is_leaf, "level": node.level, "page": node.page_id}
-    if node.is_leaf:
-        state["entries"] = [
-            {"mbr": rect_state(entry.mbr), "oid": entry.oid} for entry in node.entries
-        ]
-    else:
-        state["entries"] = [
-            {"mbr": rect_state(entry.mbr), "child": _rtree_node_state(entry.child)}
-            for entry in node.entries
-        ]
-    return state
+#: the columns of a saved tree; nodes are numbered breadth-first from the root
+_COLUMNS = ("node_leaf", "node_level", "node_page", "node_ptr", "entry_box", "entry_ref")
 
 
-def _rtree_node_from_state(state: dict) -> RTreeNode:
-    from repro.storage.codec import rect_from_state
+def rtree_columns(root: RTreeNode) -> dict:
+    """A tree's nodes as columns, numbered breadth-first from ``root``.
 
-    node = RTreeNode(is_leaf=state["leaf"], level=state["level"], page_id=state["page"])
-    if node.is_leaf:
-        node.entries = [
-            RTreeEntry(mbr=rect_from_state(entry["mbr"]), oid=entry["oid"])
-            for entry in state["entries"]
-        ]
-    else:
-        node.entries = [
-            RTreeEntry(mbr=rect_from_state(entry["mbr"]),
-                       child=_rtree_node_from_state(entry["child"]))
-            for entry in state["entries"]
-        ]
-    return node
+    Per node: ``node_leaf`` (0/1), ``node_level``, ``node_page`` (-1 for
+    none) and ``node_ptr``, whose ``[i, i + 1)`` slice selects node ``i``'s
+    entries.  Per entry: ``entry_box`` (its MBR) and ``entry_ref`` -- the
+    object id in a leaf, the child's node number otherwise.
+    """
+    nodes = [root]
+    leaf: List[int] = []
+    level: List[int] = []
+    page: List[int] = []
+    ptr = [0]
+    boxes: List[Tuple[float, float, float, float]] = []
+    refs: List[int] = []
+    for node in nodes:  # grows while it is walked: breadth-first
+        leaf.append(int(node.is_leaf))
+        level.append(node.level)
+        page.append(-1 if node.page_id is None else node.page_id)
+        for entry in node.entries:
+            mbr = entry.mbr
+            boxes.append((mbr.xmin, mbr.ymin, mbr.xmax, mbr.ymax))
+            if node.is_leaf:
+                refs.append(entry.oid)
+            else:
+                refs.append(len(nodes))
+                nodes.append(entry.child)
+        ptr.append(len(refs))
+    return {
+        "node_leaf": int_column(leaf),
+        "node_level": int_column(level),
+        "node_page": int_column(page),
+        "node_ptr": int_column(ptr),
+        "entry_box": float_column(boxes, 4),
+        "entry_ref": int_column(refs),
+    }
+
+
+def _nodes_from_columns(columns: dict) -> RTreeNode:
+    """Inverse of :func:`rtree_columns`: the root of the rebuilt nodes."""
+    ptr, boxes, refs, leaves, levels, pages = (
+        columns[name].array.tolist()
+        for name in ("node_ptr", "entry_box", "entry_ref", "node_leaf", "node_level",
+                     "node_page"))
+    nodes = [
+        RTreeNode(is_leaf=bool(leaf), level=level, page_id=None if page < 0 else page)
+        for leaf, level, page in zip(leaves, levels, pages)
+    ]
+    for node, first, end in zip(nodes, ptr, ptr[1:]):
+        if node.is_leaf:
+            node.entries = [RTreeEntry(mbr=Rect(*boxes[j]), oid=refs[j])
+                            for j in range(first, end)]
+        else:
+            node.entries = [RTreeEntry(mbr=Rect(*boxes[j]), child=nodes[refs[j]])
+                            for j in range(first, end)]
+    return nodes[0]

@@ -49,6 +49,7 @@ from repro.engine.backend import BatchReadCache
 from repro.engine.config import DiagramConfig
 from repro.engine.engine import BatchStream, QueryEngine, explain_analyze
 from repro.engine.planner import (
+    STRATEGY_RTREE,
     STRATEGY_SCATTER_GATHER,
     ExplainReport,
     QueryPlan,
@@ -61,6 +62,7 @@ from repro.queries.pipeline import evaluate_pnn
 from repro.queries.probability_kernel import RingCache
 from repro.queries.result import PNNResult
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, Query, RangeQuery
+from repro.rtree.pnn import branch_and_prune_candidates
 from repro.shard.builder import UV_BACKENDS
 from repro.shard.deployment import ShardDeployment, read_shard_deployment
 from repro.storage.codec import rect_state
@@ -265,10 +267,32 @@ class ShardedQueryEngine:
             return self._execute_range(query, scatter_all=scatter_all)
         raise TypeError(f"unknown query descriptor: {query!r}")
 
-    def explain(self, query: Query) -> ExplainReport:
-        """EXPLAIN ANALYZE over the fleet: routed plan plus actual I/O."""
-        plan = self._plan(query)
-        return explain_analyze(self, query, plan, lambda: self.execute(query))
+    def explain(
+        self,
+        query: Query,
+        *,
+        force_strategy: Optional[str] = None,
+    ) -> ExplainReport:
+        """EXPLAIN ANALYZE over the fleet: routed plan plus actual I/O.
+
+        ``force_strategy`` pins the shards' PNN candidate strategy as in
+        :meth:`QueryPlanner.plan`: a PNN pinned to
+        :data:`STRATEGY_RTREE` gathers each probed shard's candidates from
+        its R-tree, e.g. to measure the baseline through the router.
+        """
+        plan = self._plan(query, force_strategy)
+
+        def run() -> Any:
+            if force_strategy is None:
+                return self.execute(query)
+            if isinstance(query, PNNQuery):
+                return self._execute_pnn(query, plan, None)
+            if isinstance(query, BatchQuery):
+                return BatchStream(self, query, plan,
+                                   lambda item: self._plan(item, force_strategy))
+            return self.execute(query)  # k-NN and range accept "primary" only
+
+        return explain_analyze(self, query, plan, run)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -293,8 +317,12 @@ class ShardedQueryEngine:
         point: Point,
         cache: Optional[BatchReadCache] = None,
         scatter_all: bool = False,
+        rtree: bool = False,
     ) -> ProbedBlocks:
         """The routed candidate union for a PNN query at ``point``.
+
+        ``rtree=True`` reads each probed shard's R-tree (branch-and-prune)
+        instead of its backend's own structure.
 
         Probes shards in ascending ``min_distance(q, bound)`` order and
         stops once the next shard's bound distance exceeds the running
@@ -311,7 +339,11 @@ class ShardedQueryEngine:
         for distance, index in self._shard_order(point):
             if probed.scans and not scatter_all and distance > probed.bound + self._margin:
                 break
-            block = self.engines[index].backend.candidates(point, cache=cache)
+            shard = self.engines[index]
+            if rtree:
+                block = branch_and_prune_candidates(shard.rtree, point, cache=cache)
+            else:
+                block = shard.backend.candidates(point, cache=cache)
             if len(block):
                 probed.add(BlockScan(block, point))
         return probed
@@ -348,11 +380,16 @@ class ShardedQueryEngine:
         cache: Optional[BatchReadCache],
         scatter_all: bool = False,
     ) -> PNNResult:
-        """Route, verify and refine one PNN query (``plan`` only informs)."""
+        """Route, verify and refine one PNN query.
+
+        A plan pinned to :data:`STRATEGY_RTREE` reads the shards' R-trees;
+        any other plan (or none) their backends' structures.
+        """
+        rtree = plan is not None and plan.strategy == STRATEGY_RTREE
 
         def retrieve(point: Point) -> ProbedBlocks:
             return self._scatter_candidates(
-                point, cache=cache, scatter_all=scatter_all
+                point, cache=cache, scatter_all=scatter_all, rtree=rtree
             )
 
         return evaluate_pnn(
@@ -435,19 +472,21 @@ class ShardedQueryEngine:
     # ------------------------------------------------------------------ #
     # planning / EXPLAIN
     # ------------------------------------------------------------------ #
-    def _plan(self, query: Query) -> QueryPlan:
+    def _plan(self, query: Query, force_strategy: Optional[str] = None) -> QueryPlan:
         """A scatter-gather plan annotated with the routing.
 
         Point queries (and a batch, by its first point) take the kind,
         kernel and refinement filter of the home shard's plan -- the shard
         with the nearest bound -- and list every shard's bound distance; a
         range notes the shard bounds its region meets, and whether the epoch
-        skeleton answers it without a page read.
+        skeleton answers it without a page read.  The shards' planner
+        validates ``force_strategy``; a PNN pinned to the R-tree plans as
+        :data:`STRATEGY_RTREE`.
         """
         count = len(self.engines)
         notes = [f"scatter-gather over {count} shards (epoch {self.epoch})"]
         if isinstance(query, RangeQuery):
-            plan = self.engines[0].planner.plan(query)
+            plan = self.engines[0].planner.plan(query, force_strategy=force_strategy)
             self._note_range(query.region, notes)
         else:
             points = (
@@ -455,7 +494,8 @@ class ShardedQueryEngine:
                 if isinstance(query, BatchQuery) else [query.point]
             )
             order = self._shard_order(points[0]) if points else [(0.0, 0)]
-            plan = self.engines[order[0][1]].planner.plan(query)
+            plan = self.engines[order[0][1]].planner.plan(
+                query, force_strategy=force_strategy)
             if points:
                 for distance, index in order:
                     notes.append(
@@ -465,10 +505,13 @@ class ShardedQueryEngine:
                     )
             if isinstance(query, BatchQuery):
                 notes.append(f"{len(query)} queries stream through one shared read cache")
+        pinned = force_strategy is not None and plan.strategy == STRATEGY_RTREE
+        if force_strategy is not None:
+            notes.append(f"shards pinned to {plan.strategy}")
         return QueryPlan(
             kind=plan.kind,
             backend=self.backend_name,
-            strategy=STRATEGY_SCATTER_GATHER,
+            strategy=STRATEGY_RTREE if pinned else STRATEGY_SCATTER_GATHER,
             prob_kernel=plan.prob_kernel,
             threshold=plan.threshold,
             top_k=plan.top_k,

@@ -8,6 +8,12 @@ uncertain objects with their pdfs -- and anything else falls back to a
 pickled blob, so third-party page contents survive a save/open round trip as
 well.
 
+UV-index and R-tree leaf entries have a fixed size (33 and 41 bytes), so a
+page holding only one of them is a packed record array.  :func:`decode_page`
+reads such a page with one ``np.frombuffer`` into a :class:`RecordPage`,
+whose entry objects are built only when something asks for them; the
+indexes build their candidate arrays straight from the records.
+
 All floats travel as IEEE-754 doubles (``struct`` format ``d``), which makes
 decoding bit-exact: an engine reopened from a snapshot answers queries with
 the same probabilities as the engine that was saved.
@@ -17,7 +23,10 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, List
+import threading
+from typing import Any, Callable, List, Optional
+
+import numpy as np
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -50,6 +59,14 @@ _RECT = struct.Struct("<4d")
 _LEN = struct.Struct("<I")
 _DOUBLE = struct.Struct("<d")
 _U16 = struct.Struct("<H")
+
+#: a page of UV-index leaf entries: length prefix, tag, <oid, cx, cy, r>
+UV_RECORD = np.dtype([("length", "<u4"), ("tag", "u1"), ("oid", "<i8"),
+                      ("cx", "<f8"), ("cy", "<f8"), ("r", "<f8")])
+#: a page of R-tree leaf entries: length prefix, tag, <oid, xmin, ymin, xmax, ymax>
+RTREE_RECORD = np.dtype([("length", "<u4"), ("tag", "u1"), ("oid", "<i8"),
+                         ("xmin", "<f8"), ("ymin", "<f8"), ("xmax", "<f8"),
+                         ("ymax", "<f8")])
 
 
 def encode_entry(entry: Any) -> bytes:
@@ -103,6 +120,9 @@ def decode_entry(blob: bytes) -> Any:
 
 def encode_page(page: Page) -> bytes:
     """Serialize a whole page: entry count followed by length-prefixed entries."""
+    records = page_records(page)
+    if records is not None:  # an unchanged RecordPage: the bytes it came from
+        return _LEN.pack(len(records)) + records.tobytes()
     parts = [_LEN.pack(len(page.entries))]
     for entry in page.entries:
         blob = encode_entry(entry)
@@ -112,8 +132,19 @@ def encode_page(page: Page) -> bytes:
 
 
 def decode_page(page_id: int, capacity: int, payload: bytes) -> Page:
-    """Rebuild a :class:`Page` from :func:`encode_page` output."""
+    """Rebuild a :class:`Page` from :func:`encode_page` output.
+
+    A page whose entries all have one fixed-size typed layout decodes in one
+    array pass into a :class:`RecordPage`; any other page decodes entry by
+    entry.
+    """
     (count,) = _LEN.unpack_from(payload, 0)
+    for record, tag, build in _RECORD_LAYOUTS:
+        if count and len(payload) == _LEN.size + count * record.itemsize:
+            records = np.frombuffer(payload, record, count, _LEN.size)
+            if ((records["length"] == record.itemsize - _LEN.size).all()
+                    and (records["tag"] == tag).all()):
+                return RecordPage(page_id, capacity, records, build)
     offset = _LEN.size
     entries: List[Any] = []
     for _ in range(count):
@@ -122,6 +153,77 @@ def decode_page(page_id: int, capacity: int, payload: bytes) -> Page:
         entries.append(decode_entry(payload[offset:offset + length]))
         offset += length
     return Page(page_id=page_id, capacity=capacity, entries=entries)
+
+
+class RecordPage(Page):
+    """A page decoded as one packed record array (see :data:`UV_RECORD`).
+
+    ``records`` holds the entries' fields as long as the page is unchanged;
+    ``entries`` builds the entry objects on first read and, since a caller
+    may then change the list, drops ``records`` for good -- so a reader that
+    finds ``records`` set may use it instead of the entries.
+    """
+
+    _lock = threading.Lock()
+
+    def __init__(self, page_id: int, capacity: int, records: np.ndarray,
+                 build: Callable[[np.ndarray], List[Any]]) -> None:
+        self.page_id = page_id
+        self.capacity = capacity
+        self.records: Optional[np.ndarray] = records
+        self._build = build
+        self._entries: Optional[List[Any]] = None
+
+    @property  # type: ignore[override]
+    def entries(self) -> List[Any]:
+        if self._entries is None:
+            with self._lock:
+                if self._entries is None:
+                    self._entries = self._build(self.records)
+                    self.records = None
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries: List[Any]) -> None:
+        with self._lock:
+            self._entries = entries
+            self.records = None
+
+    def __len__(self) -> int:
+        records = self.records
+        return len(records) if records is not None else len(self.entries)
+
+
+def _uv_entries(records: np.ndarray) -> List[Any]:
+    from repro.core.uv_index import UVIndexEntry
+
+    return [
+        UVIndexEntry(oid=oid, mbc=Circle(Point(cx, cy), r))
+        for oid, cx, cy, r in zip(records["oid"].tolist(), records["cx"].tolist(),
+                                  records["cy"].tolist(), records["r"].tolist())
+    ]
+
+
+def _rtree_entries(records: np.ndarray) -> List[Any]:
+    from repro.rtree.node import RTreeEntry
+
+    return [
+        RTreeEntry(mbr=Rect(xmin, ymin, xmax, ymax), oid=oid)
+        for oid, xmin, ymin, xmax, ymax in zip(
+            records["oid"].tolist(), records["xmin"].tolist(), records["ymin"].tolist(),
+            records["xmax"].tolist(), records["ymax"].tolist())
+    ]
+
+
+_RECORD_LAYOUTS = (
+    (UV_RECORD, _TAG_UV_ENTRY, _uv_entries),
+    (RTREE_RECORD, _TAG_RTREE_LEAF, _rtree_entries),
+)
+
+
+def page_records(page: Optional[Page]) -> Optional[np.ndarray]:
+    """The record array of an unchanged :class:`RecordPage`, else ``None``."""
+    return getattr(page, "records", None)
 
 
 # ---------------------------------------------------------------------- #
@@ -135,6 +237,41 @@ def rect_state(rect: Rect) -> List[float]:
 def rect_from_state(state) -> Rect:
     """Inverse of :func:`rect_state`."""
     return Rect(state[0], state[1], state[2], state[3])
+
+
+class Column:
+    """A NumPy array a snapshot stores as a typed column, compared by value.
+
+    Structures put columns among the values of their snapshot state; the
+    page store writes them to the binary section of the metadata tail
+    (:func:`repro.storage.pagestore.encode_meta`) and reads them back as
+    read-only views.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Column) and self.array.dtype == other.array.dtype
+                and np.array_equal(self.array, other.array))
+
+    def __repr__(self) -> str:
+        return f"Column({self.array!r})"
+
+
+def int_column(values: Any) -> Column:
+    """Integers as a snapshot column: int32, or int64 when one does not fit."""
+    array = np.asarray(values, dtype=np.int64)
+    if array.size and (array.min() < -2**31 or array.max() >= 2**31):
+        return Column(array)
+    return Column(array.astype(np.int32))
+
+
+def float_column(values: Any, width: int) -> Column:
+    """Rows of ``width`` floats as an ``(n, width)`` float64 snapshot column."""
+    return Column(np.asarray(values, dtype=np.float64).reshape(-1, width))
 
 
 class RestoredOnFirstRead:

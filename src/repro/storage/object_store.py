@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.storage.codec import RestoredOnFirstRead, int_column
 from repro.storage.disk import DiskManager
 from repro.uncertain.objects import UncertainObject
 
@@ -26,6 +27,8 @@ class ObjectStore:
             The default assumes ~200 bytes per object (region + 20-bar
             histogram pdf) on a 4 KB page.
     """
+
+    _page_of_object = RestoredOnFirstRead("_restore_directory")
 
     def __init__(self, disk: DiskManager, objects_per_page: int = 20):
         if objects_per_page < 1:
@@ -110,20 +113,33 @@ class ObjectStore:
     # persistence (diagram snapshots)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict[str, object]:
-        """JSON-ready state: the id -> page directory (objects stay on pages)."""
+        """The id -> page directory as two columns (objects stay on pages)."""
+        if "_page_of_object" not in self.__dict__:
+            return dict(self._directory_state)
         return {
             "objects_per_page": self.objects_per_page,
-            "page_of_object": {str(oid): pid for oid, pid in self._page_of_object.items()},
+            "oids": int_column(list(self._page_of_object)),
+            "pages": int_column(list(self._page_of_object.values())),
         }
 
     @classmethod
     def from_snapshot(cls, state: Dict, disk: DiskManager) -> "ObjectStore":
-        """Rebind a store to already-persisted object pages."""
+        """Rebind a store to already-persisted object pages.
+
+        The directory is rebuilt from its columns on first use.
+        """
         store = cls(disk, objects_per_page=state["objects_per_page"])
-        store._page_of_object = {
-            int(oid): pid for oid, pid in state["page_of_object"].items()
-        }
+        del store.__dict__["_page_of_object"]  # unset until _restore_directory
+        store._directory_state = state
+        store._restore_lock = threading.Lock()
         return store
+
+    def _restore_directory(self) -> None:
+        with self._restore_lock:
+            if "_page_of_object" not in self.__dict__:
+                state = self._directory_state
+                self._page_of_object = dict(
+                    zip(state["oids"].array.tolist(), state["pages"].array.tolist()))
 
 
 class ObjectMap(Dict[int, UncertainObject]):
@@ -142,14 +158,23 @@ class ObjectMap(Dict[int, UncertainObject]):
     decode each page once.
     """
 
+    #: objects not decoded yet -> their page, copied from the store's
+    #: directory on first use.  Decoding stores an object before unlisting
+    #: it, and __contains__ reads this map first, so a concurrent reader
+    #: never misses an object in flight.
+    _pending = RestoredOnFirstRead("_restore_pending")
+
     def __init__(self, store: ObjectStore) -> None:
         super().__init__()
+        self._store = store
         self._disk = store.disk
-        # Objects not decoded yet -> their page.  Decoding stores an object
-        # before unlisting it, and __contains__ reads this map first, so a
-        # concurrent reader never misses an object in flight.
-        self._pending: Dict[int, int] = dict(store._page_of_object)
         self._lock = threading.Lock()
+        self._restore_lock = threading.Lock()
+
+    def _restore_pending(self) -> None:
+        with self._restore_lock:
+            if "_pending" not in self.__dict__:
+                self._pending: Dict[int, int] = dict(self._store._page_of_object)
 
     def __missing__(self, oid: int) -> UncertainObject:
         with self._lock:

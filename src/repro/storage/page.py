@@ -35,11 +35,11 @@ class Page:
 
     def is_full(self) -> bool:
         """Return ``True`` when no further entry fits."""
-        return len(self.entries) >= self.capacity
+        return len(self) >= self.capacity
 
     def remaining(self) -> int:
         """Number of additional entries the page can hold."""
-        return self.capacity - len(self.entries)
+        return self.capacity - len(self)
 
     def add(self, entry: Any) -> None:
         """Append ``entry``.

@@ -7,8 +7,9 @@ implementations cover the library's lifecycle:
 * :class:`MemoryPageStore` -- the historical dict-backed simulator.  Pages are
   live Python objects; nothing survives the process.
 * :class:`FilePageStore` -- one file, fixed-size page slots, a binary header,
-  and an optional JSON metadata blob at the tail.  A built diagram saved into
-  this format is a durable artifact that a later process can reopen.
+  and an optional metadata tail (a JSON header and typed columns).  A built
+  diagram saved into this format is a durable artifact that a later process
+  can reopen.
 * :class:`MmapPageStore` -- the same file format opened read-mostly through
   ``mmap`` for cold-start serving: nothing is decoded until a page is first
   read, and updates go to an in-memory overlay that leaves the snapshot file
@@ -33,13 +34,25 @@ File layout (little-endian)::
     [64, 64 + slots*slot_bytes)  page slots: status byte, capacity,
                                  payload length, payload CRC-32 (version 2),
                                  encoded entries
-    [meta_offset, +meta_len)     UTF-8 JSON metadata (diagram snapshot state)
+    [meta_offset, +meta_len)     metadata tail (diagram snapshot state):
+                                 magic ``UVCOLS01``, JSON length (u32),
+                                 4 zero bytes, the UTF-8 JSON header, zero
+                                 padding to 8 bytes, then the column section
+
+The JSON header holds the O(1) fields and a ``columns`` directory: one
+``name: [dtype, *shape]`` per column, in section order, each column padded
+to 8 bytes.  A column name is the dotted path of the key it fills in the
+decoded metadata (``rtree.entry_box``), so :meth:`PageStore.read_meta`
+returns one dict whose per-object state is read-only NumPy arrays over the
+tail's bytes -- no per-object JSON is parsed.  A tail that is one JSON object
+(snapshots saved before the column section existed) still reads.
 
 Slot index equals page id (the disk manager allocates ids densely), so a page
 read is one ``seek`` -- or one slice of the mapped buffer -- plus a decode.
 
 Corruption safety (format version 2): every slot carries a CRC-32 of its
-payload, the metadata blob carries its own CRC-32 in the header, and a
+payload, the metadata tail (JSON header and columns) carries its own CRC-32
+in the header, checked on every read of it, and a
 *sealed* snapshot (one finished by :meth:`FilePageStore.write_meta`, which
 is how every save ends) carries a whole-file CRC-32.  A checksum mismatch
 raises :class:`CorruptSnapshotError` -- a flipped bit is loud, never a
@@ -58,7 +71,9 @@ import struct
 import zlib
 from typing import Any, BinaryIO, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from repro.storage.codec import decode_page, encode_page
+import numpy as np
+
+from repro.storage.codec import Column, decode_page, encode_page
 from repro.storage.page import Page
 
 MAGIC = b"UVSNAP01"
@@ -73,6 +88,11 @@ _SLOT_HEADER_V1 = struct.Struct("<BII")   # status, capacity, payload_len
 _SLOT_HEADER_V2 = struct.Struct("<BIII")  # status, capacity, payload_len, payload_crc
 _SLOT_LIVE = 1
 _SLOT_EMPTY = 0
+
+
+_META_MAGIC = b"UVCOLS01"
+_META_PREFIX = struct.Struct("<8sI4x")  # magic, JSON header length, padding
+_COLUMN_DTYPES = ("<i4", "<i8", "<f8")
 
 
 def _slot_header(version: int) -> struct.Struct:
@@ -165,11 +185,11 @@ class PageStore(abc.ABC):
     # metadata ----------------------------------------------------------- #
     @abc.abstractmethod
     def read_meta(self) -> Optional[Dict[str, Any]]:
-        """The JSON metadata blob, or ``None`` when absent."""
+        """The metadata, or ``None`` when absent (see :func:`encode_meta`)."""
 
     @abc.abstractmethod
     def write_meta(self, meta: Dict[str, Any]) -> None:
-        """Persist the JSON metadata blob."""
+        """Persist the metadata: JSON values and NumPy columns (:func:`encode_meta`)."""
 
     # lifecycle ---------------------------------------------------------- #
     def flush(self) -> None:
@@ -409,7 +429,7 @@ class FilePageStore(PageStore):
                 "this store serves its snapshot read-only; save() the engine "
                 "to a (new) path instead"
             )
-        blob = json.dumps(meta, separators=(",", ":")).encode("utf-8")
+        blob = encode_meta(meta)
         meta_offset = self._slots_end()
         self._file.truncate(meta_offset)
         self._file.seek(meta_offset)
@@ -421,7 +441,7 @@ class FilePageStore(PageStore):
             self._file.flush()
             self._file_crc = _file_crc_of(self._file)
             self._write_header(meta_offset=meta_offset, meta_len=len(blob))
-        self._meta_cache = meta
+        self._meta_cache = decode_meta(blob)
 
     # -- lifecycle ------------------------------------------------------- #
     def flush(self) -> None:
@@ -556,7 +576,7 @@ def _checked_decode(page_id: int, capacity: int, payload: bytes,
 
 
 def _checked_meta(blob: bytes, header: _Header) -> Dict[str, Any]:
-    """Parse the metadata blob, verifying its CRC on checksummed files."""
+    """Parse the metadata tail, verifying its CRC on checksummed files."""
     if len(blob) < header.meta_len:
         raise CorruptSnapshotError("page file truncated inside the metadata blob")
     if header.version >= 2 and zlib.crc32(blob) != header.meta_crc:
@@ -565,12 +585,109 @@ def _checked_meta(blob: bytes, header: _Header) -> Dict[str, Any]:
             f"computed {zlib.crc32(blob):#010x})"
         )
     try:
-        meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return decode_meta(blob)
+    except (ValueError, KeyError, TypeError, AttributeError, struct.error) as exc:
         raise CorruptSnapshotError(f"metadata blob does not parse: {exc}") from exc
+
+
+def encode_meta(meta: Dict[str, Any]) -> bytes:
+    """The metadata tail of ``meta``: a JSON header, then its NumPy columns.
+
+    Every :class:`~repro.storage.codec.Column` among the (nested) dict
+    values goes to the binary section -- int32, int64 or float64,
+    little-endian -- named by its dotted key path in the header's
+    ``columns`` directory; everything else must be JSON.
+    """
+    columns: List[Tuple[str, np.ndarray]] = []
+    header = _lift_columns(meta, "", columns)
+    if "columns" in header:
+        raise ValueError("'columns' is reserved for the column directory")
+    directory: Dict[str, List[Any]] = {}
+    body: List[bytes] = []
+    for name, column in columns:
+        dtype = column.dtype.newbyteorder("<").str
+        if dtype not in _COLUMN_DTYPES:
+            raise ValueError(f"column {name!r} has unsupported dtype {column.dtype}")
+        directory[name] = [dtype, *column.shape]
+        data = np.ascontiguousarray(column, dtype=dtype).tobytes()
+        body.append(data + b"\x00" * (-len(data) % 8))
+    header["columns"] = directory
+    text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    prefix = _META_PREFIX.pack(_META_MAGIC, len(text))
+    padding = b"\x00" * (-(len(prefix) + len(text)) % 8)
+    return b"".join([prefix, text, padding, *body])
+
+
+def decode_meta(blob: bytes) -> Dict[str, Any]:
+    """Inverse of :func:`encode_meta`; each column views ``blob``, read-only.
+
+    A tail without the column magic is the JSON object earlier snapshots
+    wrote.
+    """
+    if not blob.startswith(_META_MAGIC):
+        meta = json.loads(blob.decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("metadata blob is not a JSON object")
+        return meta
+    _, length = _META_PREFIX.unpack_from(blob, 0)
+    start = _META_PREFIX.size
+    meta = json.loads(blob[start:start + length].decode("utf-8"))
     if not isinstance(meta, dict):
-        raise CorruptSnapshotError("metadata blob is not a JSON object")
+        raise ValueError("metadata header is not a JSON object")
+    offset = start + length
+    offset += -offset % 8
+    for name, spec in meta.pop("columns").items():
+        if spec[0] not in _COLUMN_DTYPES:
+            raise ValueError(f"column {name!r} has unsupported dtype {spec[0]!r}")
+        dtype = np.dtype(spec[0])
+        shape = tuple(int(extent) for extent in spec[1:])
+        count = int(np.prod(shape))
+        column = np.frombuffer(blob, dtype, count, offset).reshape(shape)
+        offset += count * dtype.itemsize
+        offset += -offset % 8
+        *parents, key = name.split(".")
+        target = meta
+        for parent in parents:
+            target = target[parent]
+        target[key] = Column(column)
+    if offset != len(blob):
+        raise ValueError(f"column section ends at {offset}, the tail at {len(blob)}")
     return meta
+
+
+def _lift_columns(state: Dict[str, Any], prefix: str,
+                  columns: List[Tuple[str, np.ndarray]]) -> Dict[str, Any]:
+    """``state`` without its arrays, which are appended to ``columns`` by path."""
+    plain: Dict[str, Any] = {}
+    for key, value in state.items():
+        if isinstance(value, Column):
+            if "." in str(key):
+                raise ValueError(f"column key {key!r} contains a '.'")
+            columns.append((f"{prefix}{key}", value.array))
+        elif isinstance(value, dict):
+            plain[key] = _lift_columns(value, f"{prefix}{key}.", columns)
+        else:
+            plain[key] = value
+    return plain
+
+
+def meta_sections(path: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """File offsets ``(start, end)`` of a snapshot's JSON header and columns.
+
+    For a tail that is one JSON object the column section is empty.
+    """
+    with open(path, "rb") as handle:
+        header = _read_header(handle)
+        handle.seek(header.meta_offset)
+        prefix = handle.read(_META_PREFIX.size)
+    end = header.meta_offset + header.meta_len
+    if not prefix.startswith(_META_MAGIC):
+        return (header.meta_offset, end), (end, end)
+    _, length = _META_PREFIX.unpack(prefix)
+    start = header.meta_offset + _META_PREFIX.size
+    columns = start + length
+    columns += -(columns - header.meta_offset) % 8
+    return (start, start + length), (columns, end)
 
 
 def _file_crc_of(handle: BinaryIO) -> int:

@@ -7,6 +7,9 @@ same counted page reads as the engine that was saved -- the acceptance
 criterion of the storage redesign.
 """
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro import (
@@ -17,10 +20,18 @@ from repro import (
     generate_query_points,
     generate_uniform_objects,
 )
+from repro.datasets.loader import load_dataset
 from repro.engine.backend import UnsupportedQueryError
+from repro.faults import flip_byte
 from repro.geometry.rectangle import Rect
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
-from repro.storage.pagestore import FilePageStore, MemoryPageStore, MmapPageStore
+from repro.storage.pagestore import (
+    CorruptSnapshotError,
+    FilePageStore,
+    MemoryPageStore,
+    MmapPageStore,
+    meta_sections,
+)
 
 CONFIG = DiagramConfig(page_capacity=16, seed_knn=40, rtree_fanout=16)
 BACKENDS = ("ic", "icr", "basic", "rtree")
@@ -90,15 +101,42 @@ def test_store_kinds_serve_identically(store_kind, tmp_path):
     assert reopened.index.ref_ids == engine.index.ref_ids
 
 
+FIXTURE = Path(__file__).parent / "fixtures" / "format2-ic-60.snap"
+
+
+FIXTURE_SHA256 = "df0ed9fcb64e1a955db708ba8d234b0eabfc230e438383af5a35b5bec0e05360"
+
+
+def _fixture_copy(tmp_path):
+    """A private copy of the committed format-2 snapshot, checked against
+    its sha256 (how it was made: see
+    :func:`test_format_2_snapshot_serves_like_a_fresh_build`)."""
+    with open(FIXTURE, "rb") as handle:
+        data = handle.read()
+    assert hashlib.sha256(data).hexdigest() == FIXTURE_SHA256
+    path = str(tmp_path / "old.uv")
+    with open(path, "wb") as handle:
+        handle.write(data)
+    return path
+
+
+def _fixture_population():
+    """A fresh build of the population and configuration the fixture saved."""
+    bundle = load_dataset("uniform", 60, diameter=300.0, sigma=None, query_count=50,
+                          seed=7)
+    config = DiagramConfig(backend="ic", page_capacity=8, seed_knn=60, rtree_fanout=16)
+    return QueryEngine.build(bundle.objects, bundle.domain, config), bundle.domain
+
+
 def test_format_1_snapshot_still_opens_and_updates(tmp_path):
     """Format 1 stored reference circles by value (``cr_circles``), no ids."""
-    engine, domain = _build("ic")
+    engine, domain = _fixture_population()
     queries = generate_query_points(5, domain, seed=29)
-    path = str(tmp_path / "old.uv")
-    engine.save(path)
+    path = _fixture_copy(tmp_path)
 
     store = FilePageStore.open(path, writable=True)
     meta = store.read_meta()
+    assert meta["snapshot_format"] == 2
     state = meta["backend_state"]["index"]
     circles = state["owner_circles"]
     state["cr_circles"] = {
@@ -120,6 +158,108 @@ def test_format_1_snapshot_still_opens_and_updates(tmp_path):
                         domain.ymin + domain.height / 2), 120.0))
     assert reopened.index.ref_ids == engine.index.ref_ids
     for q in queries:
+        assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
+
+
+def _observed(engine, query):
+    """Answers, probability bits and page reads of one query."""
+    report = engine.explain(query)
+    result = report.result
+    if isinstance(query, RangeQuery):
+        answer = [(p.region, p.object_count) for p in result.partitions]
+    else:
+        answer = [(a.oid, a.probability) for a in result.answers]
+    return answer, report.io.page_reads
+
+
+@pytest.mark.parametrize("store_kind", ("file", "mmap"))
+@pytest.mark.parametrize("verify", (False, True))
+def test_format_2_snapshot_serves_like_a_fresh_build(store_kind, verify, tmp_path):
+    """``tests/fixtures/format2-ic-60.snap`` (sha256
+    df0ed9fcb64e1a955db708ba8d234b0eabfc230e438383af5a35b5bec0e05360) was
+    written at commit 412c6e1, the last release whose snapshots kept all
+    per-object state as JSON, by::
+
+        PYTHONPATH=src python -m repro build --objects 60 --backend ic \\
+            --page-capacity 8 --seed 7 --save format2-ic-60.snap
+
+    It opens on both lazy stores, verified or not, and answers every query
+    kind with a fresh build's answers, probability bits and page reads.
+    """
+    fresh, domain = _fixture_population()
+    path = _fixture_copy(tmp_path)
+    old = QueryEngine.open(path, store=store_kind, readonly=True, verify=verify)
+    assert old.config == fresh.config.replace(store=store_kind, store_path=path)
+    assert sorted(old.by_id) == sorted(fresh.by_id)
+    queries = []
+    for point in generate_query_points(6, domain, seed=31):
+        queries += [PNNQuery(point), PNNQuery(point, threshold=0.1),
+                    PNNQuery(point, top_k=2), KNNQuery(point, 3)]
+    half = Rect(domain.xmin, domain.ymin, domain.xmin + domain.width / 2,
+                domain.ymin + domain.height / 2)
+    queries += [RangeQuery(half), RangeQuery(domain)]
+    for query in queries:
+        assert _observed(old, query) == _observed(fresh, query), query
+    assert old.rtree.bounds() == fresh.rtree.bounds()
+    assert old.statistics() == fresh.statistics()
+
+
+def test_format_2_snapshot_takes_updates_and_saves_format_3(tmp_path):
+    """The fixture of the test above, opened live: inserts and deletes leave
+    the reference sets a fresh build's updates leave, and a save writes
+    format 3."""
+    fresh, domain = _fixture_population()
+    old = QueryEngine.open(_fixture_copy(tmp_path))
+    draw = generate_uniform_objects(3, seed=41, diameter=300.0)[0]
+    for live in (old, fresh):
+        for victim in (live.objects[5].oid, live.objects[17].oid):
+            live.delete(victim)
+        for number, obj in enumerate(draw):
+            live.insert(UncertainObject(7000 + number, obj.region, obj.pdf))
+    assert old.index.ref_ids == fresh.index.ref_ids
+    assert old.index._owner_circle == fresh.index._owner_circle
+
+    path = str(tmp_path / "new.uv")
+    old.save(path)
+    assert FilePageStore.open(path).read_meta()["snapshot_format"] == 3
+    reopened = QueryEngine.open(path, store="mmap", verify=True)
+    assert reopened.index.ref_ids == fresh.index.ref_ids
+    for point in generate_query_points(6, domain, seed=43):
+        assert _observed(reopened, PNNQuery(point)) == _observed(fresh, PNNQuery(point))
+
+
+def _header_bytes(count, tmp_path):
+    objects, domain = generate_uniform_objects(count, seed=5, diameter=60.0)
+    engine = QueryEngine.build(objects, domain, CONFIG.replace(seed_knn=20))
+    path = str(tmp_path / f"{count}.uv")
+    engine.save(path)
+    (start, end), _ = meta_sections(path)
+    return end - start
+
+
+def test_json_header_does_not_grow_with_the_population(tmp_path):
+    small = _header_bytes(160, tmp_path)
+    assert small <= 4096
+    assert _header_bytes(640, tmp_path) - small < 64
+
+
+@pytest.mark.parametrize("backend", ("ic", "rtree"))
+def test_flipped_column_byte_is_caught_on_every_open(backend, tmp_path):
+    engine, domain = _build(backend)
+    path = str(tmp_path / "snap.uv")
+    engine.save(path)
+    (_, header_end), (start, end) = meta_sections(path)
+    assert header_end <= start < end
+    for offset in range(start, end, max(1, (end - start) // 23)):
+        flip_byte(path, offset=offset, mask=0x10)
+        try:
+            for verify in (True, False):
+                with pytest.raises(CorruptSnapshotError):
+                    QueryEngine.open(path, store="mmap", verify=verify)
+        finally:
+            flip_byte(path, offset=offset, mask=0x10)
+    reopened = QueryEngine.open(path, store="mmap", verify=True)
+    for q in generate_query_points(4, domain, seed=3):
         assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
 
 

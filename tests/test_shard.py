@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro import DiagramConfig, Point, QueryEngine, Rect, generate_uniform_objects
 from repro.datasets import generate_skewed_objects
+from repro.engine.planner import STRATEGY_RTREE
 from repro.queries.candidates import BlockScan
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
 from repro.shard import (
@@ -361,6 +362,45 @@ class TestRouting:
         assert not any("estimate" in note for note in report.plan.notes)
         assert report.actual_page_reads > 0
         assert f"actual page reads    : {report.actual_page_reads}" in report.describe()
+
+    def test_explain_pins_the_shards_strategy(self, dataset, deployments, monkeypatch):
+        from repro.shard import engine as router_module
+
+        _, domain = dataset
+        directory, _ = deployments["ic"]
+        sharded = ShardedQueryEngine.open(directory)
+        queries = [PNNQuery(point, **options) for point in _query_points(domain)
+                   for options in ({}, {"threshold": 0.1}, {"top_k": 1})]
+        for query in queries:
+            pinned = sharded.explain(query, force_strategy=STRATEGY_RTREE)
+            everywhere = sharded.execute(query, scatter_all=True)
+            assert pinned.plan.strategy == STRATEGY_RTREE
+            assert [(a.oid, a.probability) for a in pinned.result.answers] == [
+                (a.oid, a.probability) for a in everywhere.answers]
+
+        trees = []
+        gather = router_module.branch_and_prune_candidates
+
+        def recording(tree, point, cache=None):
+            trees.append(tree)
+            return gather(tree, point, cache=cache)
+
+        monkeypatch.setattr(router_module, "branch_and_prune_candidates", recording)
+        sharded.explain(queries[0], force_strategy=STRATEGY_RTREE)
+        assert trees and all(any(tree is shard.rtree for shard in sharded.engines)
+                             for tree in trees)
+        trees.clear()
+        sharded.explain(queries[0], force_strategy="primary")
+        batch = sharded.explain(BatchQuery(tuple(queries[:3])),
+                                force_strategy=STRATEGY_RTREE)
+        assert len(trees) >= 3
+        assert [[(a.oid, a.probability) for a in result.answers]
+                for _, result, _ in batch.result] == [
+            [(a.oid, a.probability) for a in sharded.execute(query).answers]
+            for query in queries[:3]]
+        for query in (queries[0], KNNQuery(queries[0].point, 3), BatchQuery(())):
+            with pytest.raises(ValueError, match="no-such-strategy"):
+                sharded.explain(query, force_strategy="no-such-strategy")
 
 
 # --------------------------------------------------------------------- #
