@@ -1,0 +1,509 @@
+"""The paper's evaluation (Figs. 6a-7h, Table II) and the size rows, from one command.
+
+``python benchmarks/paper/sweep.py`` writes ``BENCH_scale.json`` at the
+repository root and exits 1 unless every check holds.  Nothing is configurable:
+every size, seed, diameter, page capacity and count is a constant here.
+:data:`FIGURES` has one entry per figure (and three sensitivity sweeps); each
+size row runs in a fresh child process, so its peak RSS is its own.  Every
+measurement goes through ``QueryEngine.build`` / ``execute`` / ``explain``;
+:data:`NOTES` says how each compares with the paper.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import multiprocessing
+import os
+import platform
+import resource
+import statistics
+import sys
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro import (  # noqa: E402
+    DatasetBundle, DiagramConfig, KNNQuery, PNNQuery, QueryEngine, RangeQuery, Rect,
+    UncertainObject, generate_uniform_objects, load_dataset)
+from repro.engine.planner import STRATEGY_RTREE  # noqa: E402
+
+OUTPUT = ROOT / "BENCH_scale.json"
+# A UV-index leaf entry is about half an R-tree leaf entry, so an equal page
+# holds about twice as many: page capacity 32 against R-tree fanout 16.
+FIGURE_CONFIG = DiagramConfig(page_capacity=32, rtree_fanout=16, seed_knn=60)
+# The paper covers ~0.4% of its domain with regions (30K objects of diameter
+# 40); at a few hundred objects a diameter of 300 keeps that density.
+DIAMETER = 300.0
+SWEEP_SIZES = (100, 200, 400)
+BASIC_SIZES = (20, 40, 60)  # Basic explodes with |O|: that is Fig. 7a's point
+REGION_FRACTIONS = (0.05, 0.1, 0.2, 0.4)  # Fig. 7h: region side / domain side
+STAGES = ("index", "object_retrieval", "probability")  # of a PNN query
+SIZES = (1_000, 2_560, 10_240)
+SIZE_CONFIG = DiagramConfig(backend="ic", seed_knn=60)
+KNN_K, OPEN_REPEATS = 3, 7
+UPDATES = 3  # a delete at 10,240 objects can take tens of seconds
+HOUR = 3600.0
+
+# The paper's series, read off its figures (approximate).
+PAPER_SERIES_6A_MS = {  # PNN query time vs |O|
+    "uv-index": {10_000: 30, 30_000: 60, 50_000: 95, 80_000: 150},
+    "r-tree": {10_000: 55, 30_000: 110, 50_000: 190, 80_000: 290}}
+PAPER_SERIES_6B_IO = {  # index page reads per PNN query vs |O|
+    "uv-index": {10_000: 1.2, 40_000: 1.3, 70_000: 1.3},
+    "r-tree": {10_000: 4.0, 40_000: 7.0, 70_000: 9.0}}
+PAPER_SHARES_6C = {  # shares of the PNN query time at |O| = 30K
+    "uv-index": {"index": 0.18, "object_retrieval": 0.27, "probability": 0.55},
+    "r-tree": {"index": 0.45, "object_retrieval": 0.20, "probability": 0.35}}
+PAPER_SERIES_6D_MS = {  # PNN query time vs region diameter
+    "uv-index": {20: 45, 60: 75, 100: 110},
+    "r-tree": {20: 80, 60: 120, 100: 185}}
+PAPER_SERIES_7A_HOURS = {  # construction time vs |O|; Fig. 7c plots its ICR and IC
+    "basic": {10_000: 4, 30_000: 35, 50_000: 97},
+    "icr": {10_000: 2, 40_000: 18, 70_000: 42},
+    "ic": {10_000: 0.3, 40_000: 2.0, 70_000: 4.5}}
+PAPER_SERIES_7B_PERCENT = {  # pruning ratio vs |O|
+    "i-pruning": {10_000: 88.0, 40_000: 90.9, 80_000: 93.0},
+    "c-pruning": {10_000: 93.5, 40_000: 95.5, 80_000: 96.5}}
+PAPER_SHARES_7D = {"pruning": 0.15, "r_objects": 0.70, "indexing": 0.15}  # ICR phases
+PAPER_SHARES_7E = {"pruning": 0.55, "indexing": 0.45}  # IC phases
+PAPER_SERIES_7F_HOURS = {  # construction time vs region diameter
+    "icr": {20: 0.4, 60: 1.2, 100: 2.7},
+    "ic": {20: 0.2, 60: 0.3, 100: 0.4}}
+# IC construction time (hours, 30K objects) vs centre sigma: more skew, more cost
+PAPER_SERIES_7G_HOURS = {1500: 1.05, 2000: 0.75, 2500: 0.55, 3000: 0.45, 3500: 0.35}
+PAPER_SERIES_7H_MS = {100: 35, 200: 55, 300: 80, 400: 110, 500: 150}  # vs region side
+PAPER_TABLE2 = {  # dataset: (|O|, Tq(UVD) ms, Tq(R-tree) ms, Tc s, pc %)
+    "utility": (17_000, 89, 141, 784, 89),
+    "roads": (30_000, 82, 135, 2207, 88),
+    "rrlines": (36_000, 107, 159, 2723, 86)}
+
+Row = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Population:
+    """A generated dataset, and the ``FIGURE_CONFIG`` fields it is built with."""
+
+    dataset: str = "uniform"
+    count: int = 100
+    diameter: float = DIAMETER
+    sigma: Optional[float] = None
+    seed: int = 0
+    queries: int = 12
+    config: Tuple[Tuple[str, Any], ...] = ()
+
+    def load(self) -> DatasetBundle:
+        return load_dataset(self.dataset, self.count, diameter=self.diameter,
+                            sigma=self.sigma, query_count=self.queries, seed=self.seed)
+
+    def engine(self, bundle: DatasetBundle, backend: str = "ic") -> QueryEngine:
+        config = FIGURE_CONFIG.replace(backend=backend, **dict(self.config))
+        return QueryEngine.build(bundle.objects, bundle.domain, config)
+
+
+SIZE_POPULATION = Population(diameter=40.0, seed=3, queries=300)  # count: SIZES
+
+
+def _mean(values: Iterable[float]) -> float:
+    values = list(values)
+    return sum(values) / len(values)
+
+
+def run(pop: Population, backend: str, queries: bool) -> Row:
+    """A ``backend`` build of ``pop``: its construction (a UV-index's) and, with
+    ``queries``, per-query means of PNN on the backend's own plan."""
+    bundle = pop.load()
+    engine, out = pop.engine(bundle, backend), {}
+    if engine.index is not None:
+        stats, index = engine.construction_stats, engine.statistics()
+        shares = stats.phase_fractions()
+        out.update(s=stats.total_seconds, phases=sorted(shares),
+                   i_pruning_pct=100.0 * stats.i_pruning_ratio,
+                   c_pruning_pct=100.0 * stats.c_pruning_ratio, avg_cr_objects=stats.avg_cr_objects,
+                   **{f"{phase}_share": share for phase, share in shares.items()},
+                   **{key: index[key]
+                      for key in ("leaf_nodes", "nonleaf_nodes", "max_pages_per_leaf")})
+    if queries:
+        results = [engine.explain(PNNQuery(q), force_strategy="primary").result
+                   for q in bundle.queries]
+        stage = {s: sum(r.timing.get(s) for r in results) for s in STAGES}
+        out.update(ms=1000.0 * _mean(r.timing.total() for r in results),
+                   reads=_mean(r.io.page_reads for r in results),
+                   index_reads=_mean(r.index_io.page_reads for r in results),
+                   answers_per_query=[len(r.answers) for r in results],
+                   candidates_per_query=[r.candidates_examined for r in results],
+                   **{f"{s}_ms": 1000.0 * t / len(results) for s, t in stage.items()},
+                   **{f"{s}_share": t / sum(stage.values()) for s, t in stage.items()})
+    return out
+
+
+def row(pop: Population, backends: Tuple[str, ...], queries: bool = False) -> Row:
+    """``pop``'s parameters, then each backend's :func:`run` under its name."""
+    out: Row = {"objects": pop.count, "diameter": pop.diameter, "dataset": pop.dataset,
+                "sigma": pop.sigma, **dict(pop.config)}
+    for backend in backends:
+        out.update({f"{backend}_{k}": v for k, v in run(pop, backend, queries).items()})
+    return out
+
+
+Measure = Callable[[Tuple[Population, ...]], List[Row]]
+
+
+def each(backends: Tuple[str, ...] = ("ic",), queries: bool = False) -> Measure:
+    return lambda pops: [row(pop, backends, queries) for pop in pops]
+
+
+def partition_rows(pops: Tuple[Population, ...]) -> List[Row]:
+    """Fig. 7h: UV-partition retrieval over square regions about the centre."""
+    bundle = pops[0].load()
+    engine, domain, center = pops[0].engine(bundle), bundle.domain, bundle.domain.center
+    rows = []
+    for fraction in REGION_FRACTIONS:
+        half = domain.width * fraction / 2.0
+        result = engine.execute(RangeQuery(Rect(
+            max(domain.xmin, center.x - half), max(domain.ymin, center.y - half),
+            min(domain.xmax, center.x + half), min(domain.ymax, center.y + half))))
+        rows.append({"side": 2.0 * half, "partitions": len(result.partitions),
+                     "page_reads": result.io.page_reads, "retrieval_ms": 1000.0 * result.seconds})
+    return rows
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure.  ``reference`` maps a row metric to the paper's value in the
+    row's unit: one number for every row (a share), or ``{x: value}`` by the
+    row's ``axis`` value; a row with such a value gets it beside its own."""
+
+    title: str
+    axis: str
+    paper: Dict[Any, Any]
+    reference: Dict[str, Any]
+    populations: Tuple[Population, ...]
+    measure: Measure
+    checks: Dict[str, Callable[[List[Row]], bool]]
+
+
+def _le(rows: List[Row], key: str, other: str, ratio: float = 1.0) -> bool:
+    return all(r[key] <= ratio * r[other] for r in rows)
+
+
+def _sorted(rows: List[Row], key: str) -> bool:
+    return [r[key] for r in rows] == sorted(r[key] for r in rows)
+
+
+def _series(paper: Dict[str, Dict[Any, float]], scale: float = 1.0, **metrics: str) -> Dict:
+    """``{metric: {x: scale * paper[series][x]}}`` for each ``metric=series``."""
+    return {m: {x: scale * v for x, v in paper[s].items()} for m, s in metrics.items()}
+
+
+def _over(pop: Population, name: str, *values: Any) -> Tuple[Population, ...]:
+    """``pop`` once per value of its field (or ``FIGURE_CONFIG`` field) ``name``."""
+    if name in asdict(pop):
+        return tuple(replace(pop, **{name: value}) for value in values)
+    return tuple(replace(pop, config=((name, value),)) for value in values)
+
+
+SWEEP = tuple(Population(count=n, seed=n) for n in SWEEP_SIZES)
+UV_RTREE, _6A, _7A = ("ic", "rtree"), PAPER_SERIES_6A_MS, PAPER_SERIES_7A_HOURS
+FIGURES: Dict[str, Figure] = {
+    "fig6a": Figure(
+        "PNN query time vs |O|", "objects", _6A,
+        _series(_6A, ic_ms="uv-index", rtree_ms="r-tree"), SWEEP, each(UV_RTREE, True),
+        {"uv_time_within_1.25x_rtree": lambda r: _le(r, "ic_ms", "rtree_ms", 1.25),
+         "uv_answers_the_first_query": lambda r: r[-1]["ic_answers_per_query"][0] >= 1}),
+    "fig6b": Figure(  # the last population is the point query's (its query 1)
+        "index page reads per PNN query vs |O|", "objects", PAPER_SERIES_6B_IO,
+        _series(PAPER_SERIES_6B_IO, ic_index_reads="uv-index", rtree_index_reads="r-tree"),
+        SWEEP + (Population(count=400, seed=31),), each(UV_RTREE, True),
+        {"uv_index_reads_at_most_rtree":
+            lambda r: _le(r[:-1], "ic_index_reads", "rtree_index_reads"),
+         "uv_index_reads_stay_flat": lambda r: max(x["ic_index_reads"] for x in r[:-1])
+            <= min(x["ic_index_reads"] for x in r[:-1]) + 2.0,
+         "uv_point_query_finds_leaf_entries":
+            lambda r: r[-1]["ic_candidates_per_query"][1] >= 1}),
+    "fig6c": Figure(
+        "components of the PNN query time", "objects", PAPER_SHARES_6C,
+        {f"{b}_{s}_share": PAPER_SHARES_6C[series][s] for s in STAGES
+         for b, series in zip(UV_RTREE, PAPER_SHARES_6C)}, SWEEP[-1:], each(UV_RTREE, True),
+        {"rtree_traversal_at_least_uv": lambda r: _le(r, "ic_index_ms", "rtree_index_ms")}),
+    "fig6d": Figure(
+        "PNN query time vs region diameter", "diameter", PAPER_SERIES_6D_MS,
+        _series(PAPER_SERIES_6D_MS, ic_ms="uv-index", rtree_ms="r-tree"),
+        _over(Population(count=200, seed=17), "diameter", 20.0, 100.0, 200.0, 400.0),
+        each(UV_RTREE, True),
+        {"answers_grow_with_diameter": lambda r: _mean(r[-1]["ic_answers_per_query"])
+            > _mean(r[0]["ic_answers_per_query"]),
+         "uv_time_grows_with_diameter": lambda r: r[-1]["ic_ms"] > 0.8 * r[0]["ic_ms"],
+         "uv_time_within_1.25x_rtree": lambda r: _le(r, "ic_ms", "rtree_ms", 1.25)}),
+    "fig7a": Figure(  # Basic runs on the first len(BASIC_SIZES) populations only
+        "construction time vs |O|", "objects", _7A,
+        _series(_7A, HOUR, basic_s="basic", icr_s="icr", ic_s="ic"),
+        tuple(Population(count=n, seed=n) for n in BASIC_SIZES) + SWEEP,
+        lambda pops: [row(pop, ("basic", "icr", "ic") if i < len(BASIC_SIZES) else ("icr", "ic"))
+                      for i, pop in enumerate(pops)],
+        {"ic_not_slower_than_basic": lambda r: _le(r[:len(BASIC_SIZES)], "ic_s", "basic_s"),
+         "basic_more_than_doubles":
+            lambda r: r[len(BASIC_SIZES) - 1]["basic_s"] > 2.0 * r[0]["basic_s"],
+         "ic_not_slower_than_icr_at_largest": lambda r: _le(r[-1:], "ic_s", "icr_s")}),
+    "fig7b": Figure(
+        "pruning ratio of I- and C-pruning vs |O|", "objects", PAPER_SERIES_7B_PERCENT,
+        _series(PAPER_SERIES_7B_PERCENT, ic_i_pruning_pct="i-pruning",
+                ic_c_pruning_pct="c-pruning"), SWEEP, each(),
+        {"c_pruning_at_least_i_pruning": lambda r: all(
+            x["ic_c_pruning_pct"] >= x["ic_i_pruning_pct"] - 1e-7 for x in r),
+         "i_pruning_at_least_half": lambda r: all(x["ic_i_pruning_pct"] >= 50.0 for x in r),
+         "c_pruning_does_not_degrade":
+            lambda r: r[-1]["ic_c_pruning_pct"] >= r[0]["ic_c_pruning_pct"] - 5.0}),
+    "fig7c": Figure(
+        "construction time of IC vs ICR", "objects", {m: _7A[m] for m in ("icr", "ic")},
+        _series(_7A, HOUR, icr_s="icr", ic_s="ic"), SWEEP, each(("icr", "ic")),
+        {"ic_not_slower_than_icr": lambda r: _le(r, "ic_s", "icr_s"),
+         "ic_advantage_does_not_shrink":
+            lambda r: r[-1]["ic_s"] / r[-1]["icr_s"] <= 1.4 * r[0]["ic_s"] / r[0]["icr_s"]}),
+    "fig7d": Figure(
+        "ICR construction-time breakdown", "objects", PAPER_SHARES_7D,
+        {f"icr_{phase}_share": s for phase, s in PAPER_SHARES_7D.items()}, SWEEP, each(("icr",)),
+        {"r_objects_at_least_indexing":
+            lambda r: _le(r, "icr_indexing_share", "icr_r_objects_share"),
+         "phases_cover_the_build": lambda r: all(
+            sum(x[f"icr_{p}_share"] for p in x["icr_phases"]) > 0.99 for x in r)}),
+    "fig7e": Figure(
+        "IC construction-time breakdown", "objects", PAPER_SHARES_7E,
+        {f"ic_{phase}_share": s for phase, s in PAPER_SHARES_7E.items()}, SWEEP, each(),
+        {"no_r_object_phase": lambda r: all("r_objects" not in x["ic_phases"] for x in r),
+         "phases_are_pruning_and_indexing":
+            lambda r: all(x["ic_phases"] == ["indexing", "pruning"] for x in r),
+         "phases_cover_the_build": lambda r: all(
+            sum(x[f"ic_{p}_share"] for p in x["ic_phases"]) > 0.99 for x in r)}),
+    "fig7f": Figure(
+        "construction time vs region diameter", "diameter", PAPER_SERIES_7F_HOURS,
+        _series(PAPER_SERIES_7F_HOURS, HOUR, icr_s="icr", ic_s="ic"),
+        _over(Population(count=150, seed=3), "diameter", 20.0, 100.0, 200.0, 300.0),
+        each(("icr", "ic")),
+        {"icr_grows_at_least_as_fast_as_ic":
+            lambda r: r[-1]["icr_s"] / r[0]["icr_s"] >= 0.9 * r[-1]["ic_s"] / r[0]["ic_s"],
+         "ic_within_1.1x_icr": lambda r: _le(r, "ic_s", "icr_s", 1.1)}),
+    "fig7g": Figure(
+        "IC construction time vs centre sigma", "sigma", PAPER_SERIES_7G_HOURS,
+        _series({"ic": PAPER_SERIES_7G_HOURS}, HOUR, ic_s="ic"),
+        _over(Population("skewed", 200, seed=11), "sigma", 1500.0, 2000.0, 2500.0, 3000.0,
+              3500.0), each(),
+        {"skew_keeps_cr_objects":
+            lambda r: r[0]["ic_avg_cr_objects"] >= 0.9 * r[-1]["ic_avg_cr_objects"],
+         "skew_keeps_build_time": lambda r: r[0]["ic_s"] >= 0.8 * r[-1]["ic_s"]}),
+    "fig7h": Figure(
+        "UV-partition retrieval vs query-region side", "side", PAPER_SERIES_7H_MS,
+        {"retrieval_ms": PAPER_SERIES_7H_MS}, (Population(count=300, seed=23),), partition_rows,
+        {"partitions_monotone": lambda r: _sorted(r, "partitions"),
+         "page_reads_monotone": lambda r: _sorted(r, "page_reads")}),
+    "sensitivity_ttheta": Figure(
+        "split threshold T_theta (Section VI-B.1; no series)", "split_threshold", {}, {},
+        _over(Population(count=200, seed=41), "split_threshold", 0.2, 0.5, 0.8, 1.0),
+        each(queries=True),
+        {"small_threshold_has_fewer_leaves":
+            lambda r: r[0]["ic_leaf_nodes"] <= r[-1]["ic_leaf_nodes"],
+         "small_threshold_has_longer_chains":
+            lambda r: r[0]["ic_max_pages_per_leaf"] >= r[-1]["ic_max_pages_per_leaf"],
+         "small_threshold_reads_no_fewer_pages":
+            lambda r: r[0]["ic_reads"] >= 0.95 * r[-1]["ic_reads"]}),
+    "ablation_page_capacity": Figure(
+        "leaf-page capacity (the paper fixes 4 KB pages)", "page_capacity", {}, {},
+        _over(Population(count=200, seed=37), "page_capacity", 4, 8, 16, 32, 64),
+        each(queries=True),
+        {"finest_pages_have_most_leaves":
+            lambda r: r[0]["ic_leaf_nodes"] >= r[-1]["ic_leaf_nodes"],
+         "finest_pages_have_fewest_candidates": lambda r: _mean(r[0]["ic_candidates_per_query"])
+            <= _mean(r[-1]["ic_candidates_per_query"]) + 1e-9}),
+    "ablation_seed_sectors": Figure(
+        "seed sectors k_s of Algorithm 2 (the paper fixes 8)", "seed_sectors", {}, {},
+        _over(Population(count=200, seed=19), "seed_sectors", 2, 4, 8, 16), each(),
+        {"two_sectors_prune_no_better_than_eight":
+            lambda r: r[0]["ic_avg_cr_objects"] >= 0.9 * r[2]["ic_avg_cr_objects"]}),
+    "table2": Figure(
+        "real-dataset substitutes (paper: 17K-36K objects)", "dataset", PAPER_TABLE2,
+        {metric: {name: values[column] for name, values in PAPER_TABLE2.items()}
+         for metric, column in (("ic_ms", 1), ("rtree_ms", 2), ("ic_s", 3),
+                                ("ic_c_pruning_pct", 4))},
+        _over(Population(count=250, diameter=80.0, seed=5), "dataset", "utility", "roads",
+              "rrlines"), each(UV_RTREE, True),
+        {"uv_time_within_1.25x_rtree": lambda r: _le(r, "ic_ms", "rtree_ms", 1.25),
+         "c_pruning_at_least_half": lambda r: all(x["ic_c_pruning_pct"] >= 50.0 for x in r)}),
+}
+
+
+def paper_value(reference: Dict[str, Any], metric: str, x: Any) -> Optional[float]:
+    """The paper's value of ``metric`` at ``x``, or ``None`` where it has none."""
+    value = reference.get(metric)
+    return value.get(x) if isinstance(value, dict) else value
+
+
+def beside_paper(measured: Row, reference: Dict[str, Any], x: Any) -> Row:
+    """``measured`` with each value the paper reports as measured/paper/ratio."""
+    out = dict(measured)
+    for metric, value in measured.items():
+        paper = paper_value(reference, metric, x)
+        if paper is not None:
+            out[metric] = {"measured": value, "paper": paper, "ratio": value / paper}
+    return out
+
+
+def run_figures(populations: Dict[str, Tuple[Population, ...]]) -> Dict[str, Row]:
+    """Measure and check every figure on ``populations`` (by figure name)."""
+    report = {}
+    for name, figure in FIGURES.items():
+        rows = figure.measure(populations[name])
+        report[name] = {
+            "title": figure.title, "paper": figure.paper,
+            "populations": [asdict(pop) for pop in populations[name]],
+            "rows": [beside_paper(r, figure.reference, r[figure.axis]) for r in rows],
+            "checks": {check: held(rows) for check, held in figure.checks.items()}}
+    return report
+
+
+def _p50_ms(call: Callable[[Any], Any], args: Iterable[Any]) -> float:
+    """Median milliseconds of ``call(arg)`` over ``args``."""
+    samples = []
+    for arg in args:
+        start = time.perf_counter()
+        call(arg)
+        samples.append(1000.0 * (time.perf_counter() - start))
+    return statistics.median(samples)
+
+
+def _open_ms(path: str, verify: bool) -> float:
+    start = time.perf_counter()
+    engine = QueryEngine.open(path, store="mmap", readonly=True, verify=verify)
+    elapsed = 1000.0 * (time.perf_counter() - start)
+    engine.disk.close()
+    return elapsed
+
+
+def size_row(pop: Population, directory: str) -> Row:
+    """One size row: ``pop`` built with ``SIZE_CONFIG`` (``NOTES`` says how)."""
+    bundle, count = pop.load(), pop.count
+    start = time.perf_counter()
+    engine = QueryEngine.build(bundle.objects, bundle.domain, SIZE_CONFIG)
+    stats = engine.construction_stats
+    refs = np.array([len(ref_set) for ref_set in engine.index.ref_ids.values()])
+    out: Row = {
+        "objects": count, "build_s": time.perf_counter() - start,
+        "phase_ms_per_object": {p: 1000.0 * s / count for p, s in stats.timing.buckets.items()},
+        **{f"{phase}_share": share for phase, share in stats.phase_fractions().items()},
+        "cr_objects_per_owner": {"mean": float(refs.mean()), "median": float(np.median(refs)),
+                                 "p99": float(np.percentile(refs, 99)), "max": int(refs.max())},
+        "i_pruning_pct": 100.0 * stats.i_pruning_ratio,
+        "c_pruning_pct": 100.0 * stats.c_pruning_ratio, "queries": len(bundle.queries)}
+    for name, plan in (("uv", "primary"), ("rtree", STRATEGY_RTREE)):
+        for _ in range(2):  # the first pass warms the ring-profile cache
+            reports = [engine.explain(PNNQuery(q), force_strategy=plan) for q in bundle.queries]
+        index = _mean(r.result.index_io.page_reads for r in reports)
+        out.update({
+            f"{name}_pnn_p50_ms": statistics.median(1000.0 * r.seconds for r in reports),
+            f"{name}_index_pages_per_query": index,
+            f"{name}_object_pages_per_query": _mean(r.io.page_reads for r in reports) - index,
+            f"{name}_refinement_share": sum(r.result.timing.get("probability") for r in reports)
+            / sum(r.result.timing.total() for r in reports)})
+    out["knn_p50_ms"] = _p50_ms(lambda q: engine.execute(KNNQuery(q, KNN_K)), bundle.queries)
+    path = os.path.join(directory, "size.snap")
+    engine.save(path)
+    out["snapshot_bytes"] = os.path.getsize(path)
+    draw, _ = generate_uniform_objects(UPDATES, domain=bundle.domain, diameter=pop.diameter,
+                                       seed=pop.seed + 1)
+    first = max(engine.by_id) + 1
+    out["updates"] = UPDATES
+    out["insert_p50_ms"] = _p50_ms(engine.insert, [
+        UncertainObject(first + i, obj.region, obj.pdf) for i, obj in enumerate(draw)])
+    out["delete_p50_ms"] = _p50_ms(engine.delete, [
+        bundle.objects[i * count // UPDATES].oid for i in range(UPDATES)])
+    # Opens run without the built engine, whose millions of live objects
+    # would otherwise be walked by every garbage collection an open triggers.
+    del engine
+    gc.collect()
+    out["open_cold_ms"] = _open_ms(path, verify=False)
+    out["open_warm_ms"] = statistics.median(_open_ms(path, False) for _ in range(OPEN_REPEATS))
+    out["open_verified_ms"] = statistics.median(_open_ms(path, True) for _ in range(OPEN_REPEATS))
+    return out
+
+
+# The paper's values at 10,000 objects, beside the 10,240 row, in its units.
+SIZE_REFERENCE = {
+    "build_s": HOUR * _7A["ic"][10_000], "pruning_share": PAPER_SHARES_7E["pruning"],
+    "indexing_share": PAPER_SHARES_7E["indexing"],
+    "i_pruning_pct": PAPER_SERIES_7B_PERCENT["i-pruning"][10_000],
+    "c_pruning_pct": PAPER_SERIES_7B_PERCENT["c-pruning"][10_000],
+    "uv_pnn_p50_ms": _6A["uv-index"][10_000], "rtree_pnn_p50_ms": _6A["r-tree"][10_000],
+    "uv_index_pages_per_query": PAPER_SERIES_6B_IO["uv-index"][10_000],
+    "rtree_index_pages_per_query": PAPER_SERIES_6B_IO["r-tree"][10_000],
+    "uv_refinement_share": PAPER_SHARES_6C["uv-index"]["probability"],
+    "rtree_refinement_share": PAPER_SHARES_6C["r-tree"]["probability"]}
+
+
+def _size_row_in_child(count: int) -> Row:
+    with tempfile.TemporaryDirectory() as directory:
+        out = size_row(replace(SIZE_POPULATION, count=count), directory)
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return out
+
+
+NOTES = [
+    "Figures run at reduced populations (listed with each) with FIGURE_CONFIG; times are "
+    "per-query means, as the paper's; a <backend>_ prefix names the engine measured, and "
+    "<backend>_s is T_c, the pipeline's own clock (no R-tree bulk load).",
+    "A row carries {measured, paper, ratio} where the paper reports its x (a diameter, sigma, "
+    "dataset, side or share; hours become seconds). The |O|-swept series (Figs. 6a, 6b, "
+    "7a-7c) start at 10,000 objects: the 10,240 size row carries those points instead.",
+    "The paper's Fig. 6c and 7g values are at 30K objects, Table II's at 17K-36K, all from "
+    "cold disk-resident queries on a C++ stack: time ratios compare shapes only.",
+    "Size rows: SIZE_POPULATION built with SIZE_CONFIG; build_s is all of QueryEngine.build. "
+    "Query p50s are of the second of two passes on the built memory-store engine; then the "
+    "snapshot is saved and UPDATES inserts and deletes run on the built engine. Opens come "
+    "last, with the built engine released: readonly mmap opens without a query (open_cold_ms "
+    "the first, the others medians of OPEN_REPEATS). cr_objects_per_owner counts reference "
+    "sets; peak_rss_mb is the child's maxrss.",
+    "Deviations at 10,240 objects: query times are about 1/80 of the paper's (warm, in-memory "
+    "pages against its disk); the indexing share of the build exceeds the paper's because a "
+    "few owners keep thousands of cr-objects (the p99 and max of cr_objects_per_owner), "
+    "which Algorithm 3's overlap test walks; the R-tree reads fewer index pages per query "
+    "than the paper's (R-tree fanout 100).",
+]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    run(Population(count=30, seed=999), "ic", True)  # one-time costs off the clock
+    figures = run_figures({name: figure.populations for name, figure in FIGURES.items()})
+    rows, spawn = [], multiprocessing.get_context("spawn")
+    for count in SIZES:
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            out = pool.submit(_size_row_in_child, count).result()
+        print(f"{count} objects: build {out['build_s']:.1f} s, UV PNN p50 "
+              f"{out['uv_pnn_p50_ms']:.3f} ms, delete p50 {out['delete_p50_ms']:.0f} ms")
+        rows.append(beside_paper(out, SIZE_REFERENCE if count == SIZES[-1] else {}, count))
+    checks = {f"{name}.{check}": held for name, figure in figures.items()
+              for check, held in figure["checks"].items()}
+    failed = [name for name, held in checks.items() if not held]
+    OUTPUT.write_text(json.dumps({
+        "command": "python benchmarks/paper/sweep.py",
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "machine": platform.machine(), "cpus": os.cpu_count()},
+        "seconds": time.perf_counter() - start, "checks_held": len(checks) - len(failed),
+        "checks_not_held": failed, "notes": NOTES, "figures": figures,
+        "sizes": {"config": SIZE_CONFIG.to_dict(), "knn_k": KNN_K, "rows": rows},
+    }, indent=1) + "\n")
+    print(f"wrote {OUTPUT}: {len(checks) - len(failed)} of {len(checks)} checks hold")
+    for name in failed:
+        print(f"NOT HELD: {name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

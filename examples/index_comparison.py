@@ -13,7 +13,6 @@ Run with::
 """
 
 from repro import BatchQuery, DiagramConfig, PNNQuery, QueryEngine, load_dataset
-from repro.analysis.report import format_table
 from repro.core.uv_cell import answer_objects_brute_force
 
 BACKENDS = ["ic", "icr", "rtree"]
@@ -41,25 +40,14 @@ def main() -> None:
             totals[name]["candidates"] += result.candidates_examined
             assert sorted(result.answer_ids) == reference, f"{name} diverged at {query}"
 
-    rows = []
     queries = len(bundle.queries)
+    print("\nPNN workload comparison (all three backends return identical answers)")
+    print(f"{'backend':<8}  {'avg time (ms)':>13}  {'avg page reads':>14}  "
+          f"{'avg candidates':>14}")
     for name, numbers in totals.items():
-        rows.append(
-            [
-                name,
-                numbers["ms"] / queries,
-                numbers["io"] / queries,
-                numbers["candidates"] / queries,
-            ]
-        )
-    print()
-    print(
-        format_table(
-            ["backend", "avg time (ms)", "avg page reads", "avg candidates"],
-            rows,
-            title="PNN workload comparison (all three backends return identical answers)",
-        )
-    )
+        print(f"{name:<8}  {numbers['ms'] / queries:>13.3f}  "
+              f"{numbers['io'] / queries:>14.3f}  "
+              f"{numbers['candidates'] / queries:>14.3f}")
 
     # Batch streaming shares leaf reads across the whole workload.
     ic_engine = engines["ic"]

@@ -20,5 +20,5 @@ setup(
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.9",
     install_requires=["numpy", "scipy"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"dev": ["pytest", "hypothesis"]},
 )

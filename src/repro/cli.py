@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six sub-commands cover the everyday interactions with the library:
+The sub-commands cover the everyday interactions with the library:
 
 * ``info``        -- library version and a summary of the available components,
 * ``build``       -- generate a dataset, build a query engine, print index
@@ -11,7 +11,6 @@ Six sub-commands cover the everyday interactions with the library:
   ``--top-k`` run the probability-threshold and top-k variants),
 * ``explain``     -- plan a query, run it, and print its counted page reads,
   buffer-pool hits and per-stage timings (EXPLAIN ANALYZE),
-* ``compare``     -- run the same query workload across several backends,
 * ``render``      -- build (or ``--load``) a diagram and write an SVG picture,
 * ``serve``       -- run the multi-worker HTTP query service over a snapshot
   or deployment directory (``repro serve --load uv.snap --workers 4``),
@@ -304,89 +303,6 @@ def _command_explain(args: argparse.Namespace) -> int:
                   f"{refinement.pruned} pruned, {refinement.trivial} trivial "
                   f"of {refinement.candidates} candidates")
         print()
-    return 0
-
-
-def _command_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import run_backend_comparison
-    from repro.analysis.report import format_table
-
-    backends = [name.strip().lower() for name in args.backends.split(",") if name.strip()]
-    if len(backends) < 2:
-        print("error: --backends expects at least two comma-separated names",
-              file=sys.stderr)
-        return 2
-    unknown = sorted(set(backends) - set(available_backends()))
-    if unknown:
-        print(f"error: unknown backend(s): {', '.join(unknown)} "
-              f"(available: {', '.join(available_backends())})", file=sys.stderr)
-        return 2
-
-    prebuilt = None
-    if args.load:
-        from repro.datasets.synthetic import generate_query_points
-
-        loaded = _open_snapshot(args)
-        if not _single_snapshot(loaded, "compare"):
-            return 2
-        bundle = DatasetBundle(
-            name=f"snapshot:{args.load}",
-            objects=loaded.objects,
-            domain=loaded.domain,
-            diameter=args.diameter,
-            queries=generate_query_points(max(50, args.queries), loaded.domain,
-                                          seed=args.seed + 1),
-        )
-        prebuilt = {loaded.backend.name: loaded}
-        if loaded.backend.name not in backends:
-            # The point of --load is to put the served engine in the table;
-            # make it the reference row rather than silently dropping it.
-            backends.insert(0, loaded.backend.name)
-        # Fresh backends use the snapshot's own build knobs (not the CLI
-        # defaults) so the table compares identically parameterised engines;
-        # only the store goes back to memory -- they must not touch the file.
-        config = loaded.config.replace(
-            backend=backends[0], store="memory", store_path=None
-        )
-        print(f"opened snapshot {args.load} ({loaded.backend.name!r} backend); "
-              f"other backends are built fresh over the snapshot's objects "
-              f"with its config")
-    else:
-        bundle = _load_bundle(args)
-        config = _config_from_args(args, backend=backends[0])
-    queries = bundle.queries[: args.queries]
-    rows = run_backend_comparison(
-        bundle,
-        backends,
-        queries=queries,
-        config=config,
-        compute_probabilities=not args.no_probabilities,
-        prebuilt=prebuilt,
-    )
-    table = format_table(
-        ["backend", "build s", "avg ms", "avg reads", "index reads", "answers",
-         "hit%", "agree"],
-        [
-            [
-                row.backend,
-                row.build_seconds,
-                row.avg_query_ms,
-                row.avg_page_reads,
-                row.avg_index_reads,
-                row.avg_answers,
-                f"{row.cache_hit_ratio:.0%}",
-                "yes" if row.answers_agree else "NO",
-            ]
-            for row in rows
-        ],
-        title=(f"{len(queries)} PNN queries over {bundle.size} "
-               f"{bundle.name if args.load else args.dataset} objects, "
-               f"per-backend engines"),
-    )
-    print(table)
-    if not all(row.answers_agree for row in rows):
-        print("error: backends disagreed on answer sets", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -722,18 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_load_arguments(explain)
     _add_query_point_arguments(explain)
     explain.set_defaults(handler=_command_explain)
-
-    compare = subparsers.add_parser(
-        "compare", help="run the same PNN workload across several backends")
-    _add_dataset_arguments(compare)
-    _add_load_arguments(compare)
-    compare.add_argument("--backends", default="ic,rtree",
-                         help="comma-separated backend names (default: ic,rtree)")
-    compare.add_argument("--queries", type=int, default=10,
-                         help="number of workload queries")
-    compare.add_argument("--no-probabilities", action="store_true",
-                         help="skip probability computation (answer sets only)")
-    compare.set_defaults(handler=_command_compare)
 
     serve = subparsers.add_parser(
         "serve",

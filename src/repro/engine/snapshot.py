@@ -16,9 +16,8 @@ the page ids alone cannot express.  Format 3 splits that tail in two:
 
 An open parses the header only; each column is a NumPy view of the tail's
 bytes, and each structure rebuilds its Python objects from its columns on
-first use.  Formats 1 and 2 kept all of that state as JSON; they still open,
-through one converter (:mod:`repro.engine.legacy_snapshot`) into the same
-in-memory form.
+first use.  Formats 1 and 2 kept all of that state as JSON; opening one
+raises :class:`~repro.storage.pagestore.RetiredSnapshotFormatError`.
 
 :func:`save_engine` writes that file; :func:`open_engine` restores a fully
 functional :class:`~repro.engine.engine.QueryEngine` from it, over any of the
@@ -51,13 +50,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.core.construction import ConstructionStats
 from repro.engine.backend import available_backends, restore_backend
 from repro.engine.config import DiagramConfig
-from repro.engine.legacy_snapshot import upgrade_meta
 from repro.storage.codec import int_column, rect_from_state, rect_state
 from repro.storage.disk import DiskManager
 from repro.storage.object_store import ObjectStore
 from repro.storage.pagestore import (
     CorruptSnapshotError,
     FilePageStore,
+    PageStoreError,
     open_page_store,
     write_snapshot_file,
 )
@@ -70,8 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 logger = logging.getLogger("repro.engine.snapshot")
 
 #: Format 3 keeps per-object and per-node state in typed columns; formats 1
-#: and 2 (all state as JSON) stay readable through
-#: :func:`repro.engine.legacy_snapshot.upgrade_meta`.
+#: and 2 (all state as JSON) no longer open.
 SNAPSHOT_FORMAT = 3
 
 #: Config keys earlier releases saved and this one no longer has, each with a
@@ -202,7 +200,11 @@ def open_engine(
 
     path, generation = resolve_snapshot(path)
     page_store = open_page_store(store, path, verify=verify)
-    meta = page_store.read_meta()
+    try:
+        meta = page_store.read_meta()
+    except PageStoreError:
+        page_store.close()
+        raise
     if meta is None:
         page_store.close()
         raise ValueError(f"{path} is a page file but holds no diagram snapshot")
@@ -219,9 +221,6 @@ def open_engine(
             f"library no longer has: {retired}; rebuild the deployment with "
             f"one of {', '.join(available_backends())}"
         )
-
-    if meta.get("snapshot_format", 0) < SNAPSHOT_FORMAT:
-        meta = upgrade_meta(meta)
 
     saved = {
         key: value

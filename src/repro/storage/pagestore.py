@@ -45,7 +45,8 @@ to 8 bytes.  A column name is the dotted path of the key it fills in the
 decoded metadata (``rtree.entry_box``), so :meth:`PageStore.read_meta`
 returns one dict whose per-object state is read-only NumPy arrays over the
 tail's bytes -- no per-object JSON is parsed.  A tail that is one JSON object
-(snapshots saved before the column section existed) still reads.
+(snapshot formats 1 and 2, saved before the column section existed) raises
+:class:`RetiredSnapshotFormatError`.
 
 Slot index equals page id (the disk manager allocates ids densely), so a page
 read is one ``seek`` -- or one slice of the mapped buffer -- plus a decode.
@@ -67,6 +68,7 @@ import abc
 import json
 import mmap
 import os
+import re
 import struct
 import zlib
 from typing import Any, BinaryIO, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -93,6 +95,8 @@ _SLOT_EMPTY = 0
 _META_MAGIC = b"UVCOLS01"
 _META_PREFIX = struct.Struct("<8sI4x")  # magic, JSON header length, padding
 _COLUMN_DTYPES = ("<i4", "<i8", "<f8")
+_RETIRED_TAIL = re.compile(rb'\{\s*"snapshot_format"\s*:\s*(\d+)')
+_TAIL_START = 32  # bytes that identify a tail: the column magic or a format number
 
 
 def _slot_header(version: int) -> struct.Struct:
@@ -129,6 +133,15 @@ class CorruptSnapshotError(PageStoreError):
     different answer.  Live deployments quarantine the offending generation
     and fall back to the previous one (see
     :func:`repro.engine.snapshot.open_live_engine`).
+    """
+
+
+class RetiredSnapshotFormatError(PageStoreError):
+    """A snapshot in format 1 or 2, which kept all per-object state as JSON.
+
+    The file is intact -- it is not a :class:`CorruptSnapshotError` -- but
+    this library reads only format 3's typed columns: rebuild the snapshot
+    with this library.
     """
 
 
@@ -619,16 +632,8 @@ def encode_meta(meta: Dict[str, Any]) -> bytes:
 
 
 def decode_meta(blob: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`encode_meta`; each column views ``blob``, read-only.
-
-    A tail without the column magic is the JSON object earlier snapshots
-    wrote.
-    """
-    if not blob.startswith(_META_MAGIC):
-        meta = json.loads(blob.decode("utf-8"))
-        if not isinstance(meta, dict):
-            raise ValueError("metadata blob is not a JSON object")
-        return meta
+    """Inverse of :func:`encode_meta`; each column views ``blob``, read-only."""
+    _check_column_magic(blob)
     _, length = _META_PREFIX.unpack_from(blob, 0)
     start = _META_PREFIX.size
     meta = json.loads(blob[start:start + length].decode("utf-8"))
@@ -671,19 +676,34 @@ def _lift_columns(state: Dict[str, Any], prefix: str,
     return plain
 
 
-def meta_sections(path: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """File offsets ``(start, end)`` of a snapshot's JSON header and columns.
+def _check_column_magic(tail: bytes) -> None:
+    """Raise unless ``tail`` starts a format-3 metadata tail.
 
-    For a tail that is one JSON object the column section is empty.
+    Formats 1 and 2 wrote the tail as one JSON object whose first key is
+    ``snapshot_format``: that names the retired format.  Any other start is
+    not a tail this library wrote.
     """
+    if tail.startswith(_META_MAGIC):
+        return
+    retired = _RETIRED_TAIL.match(tail)
+    if retired is None:
+        raise ValueError("metadata tail does not start with the column magic")
+    raise RetiredSnapshotFormatError(
+        f"snapshot format {int(retired.group(1))} kept its per-object state as "
+        "JSON, which this library no longer reads; rebuild the snapshot with "
+        "this library (repro build --save)"
+    )
+
+
+def meta_sections(path: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """File offsets ``(start, end)`` of a snapshot's JSON header and columns."""
     with open(path, "rb") as handle:
         header = _read_header(handle)
         handle.seek(header.meta_offset)
-        prefix = handle.read(_META_PREFIX.size)
+        prefix = handle.read(_TAIL_START)
+    _check_column_magic(prefix)
     end = header.meta_offset + header.meta_len
-    if not prefix.startswith(_META_MAGIC):
-        return (header.meta_offset, end), (end, end)
-    _, length = _META_PREFIX.unpack(prefix)
+    _, length = _META_PREFIX.unpack(prefix[:_META_PREFIX.size])
     start = header.meta_offset + _META_PREFIX.size
     columns = start + length
     columns += -(columns - header.meta_offset) % 8

@@ -19,7 +19,7 @@ pair.  The ``wal-ordering`` lint rule checks that the guard stays in place.
 
 from __future__ import annotations
 
-from typing import List, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from repro.wal.log import WalError, WalRecord, WalScan, scan_wal
 
@@ -65,19 +65,3 @@ def replay(engine: "QueryEngine", records: Sequence[WalRecord],
         applied += 1
     return applied
 
-
-def verify_log(path: str) -> List[str]:
-    """Human-readable diagnostics of a log file (the ``wal-inspect`` core).
-
-    Returns a list of warning lines; an empty list means the log is clean
-    (no torn tail, contiguous LSNs).
-    """
-    scan = scan_wal(path)
-    warnings: List[str] = []
-    if scan.torn_bytes:
-        warnings.append(
-            f"torn tail: {scan.torn_bytes} trailing byte(s) ignored "
-            f"({scan.torn_reason}); they will be truncated on the next "
-            f"live open"
-        )
-    return warnings

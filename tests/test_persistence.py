@@ -7,8 +7,7 @@ same counted page reads as the engine that was saved -- the acceptance
 criterion of the storage redesign.
 """
 
-import hashlib
-from pathlib import Path
+import json
 
 import pytest
 
@@ -20,16 +19,17 @@ from repro import (
     generate_query_points,
     generate_uniform_objects,
 )
-from repro.datasets.loader import load_dataset
 from repro.engine.backend import UnsupportedQueryError
 from repro.faults import flip_byte
 from repro.geometry.rectangle import Rect
 from repro.queries.spec import BatchQuery, KNNQuery, PNNQuery, RangeQuery
+from repro.storage import pagestore
 from repro.storage.pagestore import (
     CorruptSnapshotError,
     FilePageStore,
     MemoryPageStore,
     MmapPageStore,
+    RetiredSnapshotFormatError,
     meta_sections,
 )
 
@@ -101,131 +101,41 @@ def test_store_kinds_serve_identically(store_kind, tmp_path):
     assert reopened.index.ref_ids == engine.index.ref_ids
 
 
-FIXTURE = Path(__file__).parent / "fixtures" / "format2-ic-60.snap"
-
-
-FIXTURE_SHA256 = "df0ed9fcb64e1a955db708ba8d234b0eabfc230e438383af5a35b5bec0e05360"
-
-
-def _fixture_copy(tmp_path):
-    """A private copy of the committed format-2 snapshot, checked against
-    its sha256 (how it was made: see
-    :func:`test_format_2_snapshot_serves_like_a_fresh_build`)."""
-    with open(FIXTURE, "rb") as handle:
-        data = handle.read()
-    assert hashlib.sha256(data).hexdigest() == FIXTURE_SHA256
-    path = str(tmp_path / "old.uv")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return path
-
-
-def _fixture_population():
-    """A fresh build of the population and configuration the fixture saved."""
-    bundle = load_dataset("uniform", 60, diameter=300.0, sigma=None, query_count=50,
-                          seed=7)
-    config = DiagramConfig(backend="ic", page_capacity=8, seed_knn=60, rtree_fanout=16)
-    return QueryEngine.build(bundle.objects, bundle.domain, config), bundle.domain
-
-
-def test_format_1_snapshot_still_opens_and_updates(tmp_path):
-    """Format 1 stored reference circles by value (``cr_circles``), no ids."""
-    engine, domain = _fixture_population()
-    queries = generate_query_points(5, domain, seed=29)
-    path = _fixture_copy(tmp_path)
-
+def _save_with_json_tail(engine, path, snapshot_format):
+    """Save ``engine``, then rewrite its metadata tail the way snapshot
+    formats 1 and 2 wrote it: one sealed JSON object, ``snapshot_format``
+    first, with no column section."""
+    engine.save(path)
+    header = {"snapshot_format": snapshot_format, "config": engine.config.to_dict(),
+              "backend": engine.backend.name}
     store = FilePageStore.open(path, writable=True)
-    meta = store.read_meta()
-    assert meta["snapshot_format"] == 2
-    state = meta["backend_state"]["index"]
-    circles = state["owner_circles"]
-    state["cr_circles"] = {
-        oid: [circles[str(ref)] for ref in refs]
-        for oid, refs in state.pop("ref_ids").items()
-    }
-    meta["snapshot_format"] = 1
-    store.write_meta(meta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pagestore, "encode_meta",
+                      lambda meta: json.dumps(meta, separators=(",", ":")).encode())
+        patch.setattr(pagestore, "decode_meta", json.loads)
+        store.write_meta(header)
     store.close()
 
-    reopened = QueryEngine.open(path, verify=True)
-    assert reopened.index.ref_ids == engine.index.ref_ids
-    for q in queries:
-        assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
-    for live in (reopened, engine):
-        live.delete(live.objects[3].oid)
-        live.insert(UncertainObject.uniform(
-            9000, Point(domain.xmin + domain.width / 2,
-                        domain.ymin + domain.height / 2), 120.0))
-    assert reopened.index.ref_ids == engine.index.ref_ids
-    for q in queries:
-        assert pnn(reopened, q).probabilities == pnn(engine, q).probabilities
 
-
-def _observed(engine, query):
-    """Answers, probability bits and page reads of one query."""
-    report = engine.explain(query)
-    result = report.result
-    if isinstance(query, RangeQuery):
-        answer = [(p.region, p.object_count) for p in result.partitions]
-    else:
-        answer = [(a.oid, a.probability) for a in result.answers]
-    return answer, report.io.page_reads
-
-
-@pytest.mark.parametrize("store_kind", ("file", "mmap"))
-@pytest.mark.parametrize("verify", (False, True))
-def test_format_2_snapshot_serves_like_a_fresh_build(store_kind, verify, tmp_path):
-    """``tests/fixtures/format2-ic-60.snap`` (sha256
-    df0ed9fcb64e1a955db708ba8d234b0eabfc230e438383af5a35b5bec0e05360) was
-    written at commit 412c6e1, the last release whose snapshots kept all
-    per-object state as JSON, by::
-
-        PYTHONPATH=src python -m repro build --objects 60 --backend ic \\
-            --page-capacity 8 --seed 7 --save format2-ic-60.snap
-
-    It opens on both lazy stores, verified or not, and answers every query
-    kind with a fresh build's answers, probability bits and page reads.
-    """
-    fresh, domain = _fixture_population()
-    path = _fixture_copy(tmp_path)
-    old = QueryEngine.open(path, store=store_kind, readonly=True, verify=verify)
-    assert old.config == fresh.config.replace(store=store_kind, store_path=path)
-    assert sorted(old.by_id) == sorted(fresh.by_id)
-    queries = []
-    for point in generate_query_points(6, domain, seed=31):
-        queries += [PNNQuery(point), PNNQuery(point, threshold=0.1),
-                    PNNQuery(point, top_k=2), KNNQuery(point, 3)]
-    half = Rect(domain.xmin, domain.ymin, domain.xmin + domain.width / 2,
-                domain.ymin + domain.height / 2)
-    queries += [RangeQuery(half), RangeQuery(domain)]
-    for query in queries:
-        assert _observed(old, query) == _observed(fresh, query), query
-    assert old.rtree.bounds() == fresh.rtree.bounds()
-    assert old.statistics() == fresh.statistics()
-
-
-def test_format_2_snapshot_takes_updates_and_saves_format_3(tmp_path):
-    """The fixture of the test above, opened live: inserts and deletes leave
-    the reference sets a fresh build's updates leave, and a save writes
-    format 3."""
-    fresh, domain = _fixture_population()
-    old = QueryEngine.open(_fixture_copy(tmp_path))
-    draw = generate_uniform_objects(3, seed=41, diameter=300.0)[0]
-    for live in (old, fresh):
-        for victim in (live.objects[5].oid, live.objects[17].oid):
-            live.delete(victim)
-        for number, obj in enumerate(draw):
-            live.insert(UncertainObject(7000 + number, obj.region, obj.pdf))
-    assert old.index.ref_ids == fresh.index.ref_ids
-    assert old.index._owner_circle == fresh.index._owner_circle
-
-    path = str(tmp_path / "new.uv")
-    old.save(path)
-    assert FilePageStore.open(path).read_meta()["snapshot_format"] == 3
-    reopened = QueryEngine.open(path, store="mmap", verify=True)
-    assert reopened.index.ref_ids == fresh.index.ref_ids
-    for point in generate_query_points(6, domain, seed=43):
-        assert _observed(reopened, PNNQuery(point)) == _observed(fresh, PNNQuery(point))
+@pytest.mark.parametrize("store_kind", ("file", "mmap", "memory"))
+@pytest.mark.parametrize("snapshot_format", (1, 2))
+def test_format_1_and_2_snapshots_are_refused_by_name(snapshot_format, store_kind,
+                                                      tmp_path):
+    """An intact format-1 or format-2 file fails to open, verified or not,
+    with an error that names its format and says to rebuild -- not a
+    CorruptSnapshotError, because nothing in the file is damaged."""
+    engine, _ = _build("ic", count=20)
+    path = str(tmp_path / "old.uv")
+    _save_with_json_tail(engine, path, snapshot_format)
+    for verify in (False, True):
+        with pytest.raises(RetiredSnapshotFormatError) as refused:
+            QueryEngine.open(path, store=store_kind, verify=verify)
+        assert not isinstance(refused.value, CorruptSnapshotError)
+        message = str(refused.value)
+        assert f"snapshot format {snapshot_format} " in message
+        assert "rebuild" in message
+    with pytest.raises(RetiredSnapshotFormatError):
+        meta_sections(path)
 
 
 def _header_bytes(count, tmp_path):

@@ -773,7 +773,7 @@ class TestCli:
         assert "epoch 2" in capsys.readouterr().out
         assert len(read_shard_deployment(directory).shard_map) == 2
 
-    def test_compare_and_render_need_a_single_snapshot(self, tmp_path, capsys):
+    def test_render_needs_a_single_snapshot(self, tmp_path, capsys):
         from repro.cli import main
 
         directory = str(tmp_path / "fleet")
@@ -781,14 +781,9 @@ class TestCli:
                      "--backend", "ic", "--save-dir", directory,
                      "--shards", "2"]) == 0
         capsys.readouterr()
-        for command in (
-            ["compare", "--load", directory, "--backends", "ic,rtree",
-             "--queries", "2"],
-            ["render", "--load", directory,
-             "--output", str(tmp_path / "fleet.svg")],
-        ):
-            assert main(command) == 2
-            assert "needs a single-snapshot deployment" in capsys.readouterr().err
+        assert main(["render", "--load", directory,
+                     "--output", str(tmp_path / "fleet.svg")]) == 2
+        assert "needs a single-snapshot deployment" in capsys.readouterr().err
 
     def test_rebalance_refuses_plain_directories(self, tmp_path, capsys):
         from repro.cli import main

@@ -143,9 +143,13 @@ class TestCli:
             main(["query", "--objects", "10", "--backend", "grid"])
         assert exit_info.value.code == 2
         assert "argument --backend: invalid choice: 'grid'" in capsys.readouterr().err
-        assert main(["compare", "--objects", "10", "--backends", "ic,grid"]) != 0
-        assert ("unknown backend(s): grid (available: basic, ic, icr, rtree)"
-                in capsys.readouterr().err)
+
+    def test_retired_compare_command_is_unknown(self, capsys):
+        """The paper sweep (benchmarks/paper/sweep.py) replaced ``compare``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--objects", "10", "--backends", "ic,rtree"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["build", "explain", "shard-build", "render"])
     def test_every_backend_option_refuses_the_retired_grid(self, command, capsys):
