@@ -7,9 +7,9 @@ true r-objects ``F_i``.  ``C_i`` is derived in three steps:
 
 1. **Seed selection + initial possible region** (Section IV-B): a k-NN query
    around ``c_i`` provides nearby objects; the domain is divided into
-   ``k_s`` sectors around ``c_i`` and the closest candidate per sector is a
-   seed.  Clipping the domain by the seeds' UV-edges yields a small initial
-   possible region.
+   ``k_s`` sectors around ``c_i`` and the closest candidate per sector (not
+   too close: :meth:`CRObjectFinder.select_seeds`) is a seed.  Clipping the
+   domain by the seeds' UV-edges yields a small initial possible region.
 2. **I-pruning** (Lemma 2): only objects whose centres lie within a circle of
    radius ``2d - r_i`` around ``c_i`` (``d`` = farthest boundary point of the
    possible region) can shape the UV-cell; they are collected with a circular
@@ -40,6 +40,10 @@ from repro.uncertain.objects import UncertainObject
 #: owners whose seed regions :meth:`CRObjectFinder.iter_many` clips in one
 #: lock-step batch: bounds the kernel's arrays and the regions held at once.
 LOCKSTEP_OWNERS = 64
+
+#: no neighbour within ``SEED_GAP * (r_i + r_j)`` of an owner's centre seeds a
+#: sector (:meth:`CRObjectFinder.select_seeds`); chosen at 10,240 objects.
+SEED_GAP = 1.5
 
 
 @dataclass
@@ -125,19 +129,27 @@ class CRObjectFinder:
     # Step 1: seeds and the initial possible region
     # ------------------------------------------------------------------ #
     def select_seeds(self, owner: UncertainObject) -> List[int]:
-        """Pick up to ``seed_sectors`` seeds around ``owner`` (Section IV-B)."""
+        """Pick up to ``seed_sectors`` seeds around ``owner``.
+
+        Section IV-B seeds each sector with its nearest neighbour.  Here one
+        whose centre gap is below ``SEED_GAP * (r_i + r_j)`` seeds none, and
+        the next in the k-NN list takes its sector (a sector left empty stays
+        empty): an overlapping seed has no UV-edge, a barely separated one a
+        near-degenerate hyperbola, so either leaves its sector open and the
+        possible region reaching across the domain.  Any seeds are safe: a
+        region clipped by UV-edges contains the UV-cell, so Lemmas 2 and 3
+        still give ``C_i ⊇ F_i``.
+        """
         k = min(self.seed_knn, len(self.objects))
-        neighbours = self.rtree.knn(owner.center, k)
+        ox, oy, radius = owner.center.x, owner.center.y, owner.radius
         chosen: Dict[int, int] = {}
-        for oid, _dist in neighbours:
-            if oid == owner.oid:
-                continue
+        for oid, _dist in self.rtree.knn(owner.center, k):
             other = self.by_id[oid]
-            angle = owner.center.angle_to(other.center)
-            sector = int(((angle + math.pi) / (2.0 * math.pi)) * self.seed_sectors)
-            sector = min(sector, self.seed_sectors - 1)
-            if sector not in chosen:
-                chosen[sector] = oid
+            dx, dy = other.center.x - ox, other.center.y - oy
+            if oid == owner.oid or math.hypot(dx, dy) < SEED_GAP * (radius + other.radius):
+                continue
+            sector = int(((math.atan2(dy, dx) + math.pi) / (2.0 * math.pi)) * self.seed_sectors)
+            chosen.setdefault(min(sector, self.seed_sectors - 1), oid)
             if len(chosen) == self.seed_sectors:
                 break
         return list(chosen.values())
@@ -258,7 +270,3 @@ class CRObjectFinder:
                 timing=timing,
             ))
         return results
-
-    def find_all(self) -> Dict[int, CRObjectResult]:
-        """Run Algorithm 2 for every object of the dataset."""
-        return {result.oid: result for result in self.iter_many(self.objects)}

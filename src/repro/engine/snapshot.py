@@ -117,8 +117,7 @@ def build_meta(engine: "QueryEngine") -> Dict[str, Any]:
         "construction": {
             "method": getattr(stats, "method", engine.backend.name),
             "objects": stats.objects if hasattr(stats, "objects") else len(engine),
-            "total_seconds": getattr(stats, "total_seconds", 0.0),
-        },
+        },  # no measured time: the header's length must not depend on one
         # Present only for shards of a sharded deployment: the shard id,
         # deployment epoch, and the full shard map (see repro.shard).
         "shard": engine.shard_info,
@@ -243,7 +242,7 @@ def open_engine(
     stats = ConstructionStats(
         method=construction["method"],
         objects=construction["objects"],
-        total_seconds=construction["total_seconds"],
+        total_seconds=0.0,
         timing=TimingBreakdown(),
     )
     backend = restore_backend(

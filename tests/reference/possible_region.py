@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Set
 
 from reference import rtree_walks
 from reference.clipping import clip_polygon_by_uv_edge
-from repro.core.cr_objects import CRObjectFinder
+from repro.core.cr_objects import SEED_GAP, CRObjectFinder
 from repro.core.uv_edge import UVEdge
 from repro.geometry.point import Point, cross
 from repro.geometry.polygon import Polygon
@@ -119,9 +119,11 @@ class ScalarCRObjectFinder(CRObjectFinder):
         k = min(self.seed_knn, len(self.objects))
         chosen: Dict[int, int] = {}
         for oid, _dist in rtree_walks.knn(self.rtree, owner.center, k):
-            if oid == owner.oid:
+            other = self.by_id[oid]
+            bar = SEED_GAP * (owner.radius + other.radius)
+            if oid == owner.oid or owner.center.distance_to(other.center) < bar:
                 continue
-            angle = owner.center.angle_to(self.by_id[oid].center)
+            angle = owner.center.angle_to(other.center)
             sector = int(((angle + math.pi) / (2.0 * math.pi)) * self.seed_sectors)
             chosen.setdefault(min(sector, self.seed_sectors - 1), oid)
             if len(chosen) == self.seed_sectors:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from reference.possible_region import ScalarCRObjectFinder
 
-from repro.core.cr_objects import CRObjectFinder
+from repro import DiagramConfig, QueryEngine
+from repro.core.cr_objects import SEED_GAP, CRObjectFinder
 from repro.core.uv_cell import build_exact_uv_cell
 from repro.datasets import generate_skewed_objects, generate_uniform_objects
 from repro.geometry.point import Point
@@ -55,6 +56,21 @@ class TestSeedSelection:
         # Every seed is within the closest half of the dataset.
         cutoff = all_dists[len(all_dists) // 2]
         assert all(d <= cutoff for d in seed_dists)
+
+    def test_no_seed_is_within_the_gap_bar(self):
+        """On overlapping disks the nearest neighbour of a sector is often
+        too close to have a useful UV-edge; the next one seeds it instead."""
+        objects, domain = generate_skewed_objects(120, sigma=400.0, diameter=160.0, seed=5)
+        finder = CRObjectFinder(objects, domain, seed_knn=60)
+        by_id = {o.oid: o for o in objects}
+        seeds = 0
+        for owner in objects:
+            for oid in finder.select_seeds(owner):
+                other = by_id[oid]
+                gap = owner.center.distance_to(other.center)
+                assert gap >= SEED_GAP * (owner.radius + other.radius), (owner.oid, oid)
+                seeds += 1
+        assert seeds >= 4 * len(objects)
 
     def test_initial_region_smaller_than_domain(self, dataset):
         objects, finder = dataset
@@ -160,11 +176,11 @@ class TestFullAlgorithm:
         result = finder.find(objects[11])
         assert len(result.cr_objects) < len(objects) / 2
 
-    def test_find_all_covers_every_object(self):
+    def test_find_many_covers_every_object(self):
         objects = make_objects(20, seed=9)
         finder = CRObjectFinder(objects, DOMAIN, seed_knn=10)
-        results = finder.find_all()
-        assert sorted(results.keys()) == [o.oid for o in objects]
+        results = finder.find_many(objects)
+        assert [result.oid for result in results] == [o.oid for o in objects]
 
     def test_uses_supplied_rtree(self):
         objects = make_objects(25, seed=10)
@@ -228,3 +244,60 @@ class TestSameAsTheScalarFinder:
         assert finder.objects is objects
         assert finder.by_id is by_id
         assert finder.find(objects[0]).examined == len(objects) - 1
+
+
+def exact_r_objects(owner, objects, domain):
+    """``F_i`` from :func:`build_exact_uv_cell` over every object that can
+    reach the UV-cell.
+
+    The cell lies inside the region its 24 nearest objects leave; let ``d`` be
+    that region's farthest vertex from ``c_i``.  An object ``O_j`` clips a point
+    ``p`` only if ``|p - c_j| + r_j < |p - c_i| - r_i <= d``, and
+    ``|p - c_j| >= D - d`` for a centre gap ``D``, so one with ``D >= 2d``
+    cannot reach the cell.  ``d`` gets a 10% margin for the sampled arcs.
+    """
+    def gap(other):
+        return owner.center.distance_to(other.center)
+
+    nearest = sorted((o for o in objects if o.oid != owner.oid), key=gap)[:24]
+    near = build_exact_uv_cell(owner, nearest, domain).polygon.vertices
+    reach = 2.0 * 1.1 * max(owner.center.distance_to(v) for v in near)
+    # In dataset order: the sampled boundary, and so which edges touch it at
+    # a corner, depends on the order of the clips.
+    reachable = [o for o in objects if o.oid != owner.oid and gap(o) < reach]
+    return build_exact_uv_cell(owner, reachable, domain).r_objects
+
+
+def coincident_centres():
+    """Uniform disks, each centre shared by two to four disks of other radii."""
+    rng = np.random.default_rng(7)
+    objects = []
+    for x, y in rng.uniform(150.0, 1850.0, size=(40, 2)):
+        for radius in (15.0, 25.0, 40.0, 60.0)[:int(rng.integers(2, 5))]:
+            objects.append(UncertainObject.uniform(len(objects), Point(x, y), radius))
+    return objects, Rect(0.0, 0.0, 2000.0, 2000.0)
+
+
+DENSE_POPULATIONS = {
+    # the density of 10,240 objects of diameter 40 on the paper's domain
+    "uniform-410-on-2000": lambda: generate_uniform_objects(
+        410, domain=Rect(0.0, 0.0, 2000.0, 2000.0), diameter=40.0, seed=3),
+    "overlapping-cluster": lambda: generate_skewed_objects(
+        120, sigma=400.0, diameter=160.0, seed=5),
+    "coincident-centres": coincident_centres,
+}
+
+
+class TestCoverOnDensePopulations:
+    """``C_i ⊇ F_i`` for every owner, read from the built index's reference
+    sets, where neighbours overlap or share a centre: the seed rule decides
+    which possible region I- and C-pruning start from, never the guarantee."""
+
+    @pytest.mark.parametrize("population", sorted(DENSE_POPULATIONS))
+    def test_reference_sets_hold_every_r_object(self, population):
+        objects, domain = DENSE_POPULATIONS[population]()
+        engine = QueryEngine.build(objects, domain, DiagramConfig(backend="ic", seed_knn=60))
+        for owner in objects:
+            missing = set(exact_r_objects(owner, objects, domain)) - set(
+                engine.index.ref_ids[owner.oid])
+            assert not missing, f"object {owner.oid}: r-objects {sorted(missing)} not referenced"

@@ -133,6 +133,7 @@ def test_size_row_measures_every_field(size_row):
         "indexing_share", "cr_objects_per_owner", "i_pruning_pct", "c_pruning_pct",
         "queries", "knn_p50_ms", "snapshot_bytes", "open_cold_ms", "open_warm_ms",
         "open_verified_ms", "updates", "insert_p50_ms", "delete_p50_ms",
+        "cr_objects_sampled",
     }
     for plan in ("uv", "rtree"):
         expected |= {f"{plan}_pnn_p50_ms", f"{plan}_index_pages_per_query",
@@ -145,6 +146,18 @@ def test_size_row_measures_every_field(size_row):
     assert size_row["uv_index_pages_per_query"] >= 1
     assert size_row["rtree_index_pages_per_query"] >= size_row["uv_index_pages_per_query"]
     assert size_row["snapshot_bytes"] > 0
+    sampled = size_row["cr_objects_sampled"]
+    assert sampled["owners"] == 40
+    assert set(sampled) == {"owners", *sweep.SEED_RULES}
+    assert sampled["seed_gap_rule"]["mean"] == pytest.approx(tail["mean"])
+
+
+def test_size_checks_count_the_largest_rows_reference_sets(size_row):
+    checks = sweep.size_checks(size_row)
+    assert checks == {"sizes.40.mean_cr_objects_at_most_25": True,
+                      "sizes.40.max_cr_objects_at_most_200": True}
+    tail = dict(size_row, cr_objects_per_owner={**size_row["cr_objects_per_owner"], "max": 201})
+    assert sweep.size_checks(tail)["sizes.40.max_cr_objects_at_most_200"] is False
 
 
 def test_size_row_beside_the_paper_keeps_every_field(size_row):

@@ -153,6 +153,38 @@ def test_json_header_does_not_grow_with_the_population(tmp_path):
     assert _header_bytes(640, tmp_path) - small < 64
 
 
+@pytest.mark.parametrize("layout", ("snapshot", "4-shards"))
+def test_snapshot_size_does_not_depend_on_the_build_time(layout, tmp_path, monkeypatch):
+    """No measured time is written: a float's repr length would move the
+    padded header, and with it the file size, between builds of one input."""
+    from repro.shard import build_sharded_deployment
+
+    objects, domain = generate_uniform_objects(60, seed=4, diameter=300.0)
+    engine = QueryEngine.build(objects, domain, CONFIG)
+    build = QueryEngine.build
+    sizes = []
+    for seconds in (0.5, 0.123456789012):
+        target = tmp_path / str(seconds)
+        if layout == "snapshot":
+            target.mkdir()
+            engine.construction_stats.total_seconds = seconds
+            engine.save(str(target / "engine.snap"))
+        else:
+            def timed(*args, seconds=seconds, **kwargs):
+                built = build(*args, **kwargs)
+                built.construction_stats.total_seconds = seconds
+                return built
+
+            monkeypatch.setattr(QueryEngine, "build", timed)
+            build_sharded_deployment(objects, domain, str(target), config=CONFIG, shards=4)
+            monkeypatch.undo()
+        files = sorted(path for path in target.rglob("*") if path.is_file())
+        sizes.append([(str(path.relative_to(target)), path.stat().st_size) for path in files])
+    snapshots = sum(name.endswith(".snap") for name, _ in sizes[0])
+    assert snapshots == (1 if layout == "snapshot" else 4)
+    assert sizes[0] == sizes[1]
+
+
 @pytest.mark.parametrize("backend", ("ic", "rtree"))
 def test_flipped_column_byte_is_caught_on_every_open(backend, tmp_path):
     engine, domain = _build(backend)
