@@ -34,7 +34,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from repro import (  # noqa: E402
     DatasetBundle, DiagramConfig, KNNQuery, PNNQuery, QueryEngine, RangeQuery, Rect,
     UncertainObject, generate_uniform_objects, load_dataset)
-from repro.core.cr_objects import CRObjectFinder  # noqa: E402
 from repro.engine.planner import STRATEGY_RTREE  # noqa: E402
 from reference.seeds import PaperSeedFinder  # noqa: E402
 
@@ -390,27 +389,23 @@ def _open_ms(path: str, verify: bool) -> float:
     return elapsed
 
 
-#: Algorithm 2's seed rules: the paper's nearest neighbour per sector, and
-#: the built index's, which skips neighbours within ``SEED_GAP (r_i + r_j)``
-SEED_RULES = {"paper_rule": PaperSeedFinder, "seed_gap_rule": CRObjectFinder}
-
-
 def _spread(counts: Iterable[int]) -> Row:
     values = np.fromiter(counts, float)
     return {"mean": float(values.mean()), "median": float(np.median(values)),
             "p99": float(np.percentile(values, 99)), "max": int(values.max())}
 
 
-def seed_rules_sampled(bundle: DatasetBundle) -> Row:
-    """cr-objects per owner under each of :data:`SEED_RULES`, on the same
-    :data:`SEED_RULE_OWNERS` owners, evenly spaced through the population."""
-    objects = bundle.objects
-    sample = objects[::max(1, len(objects) // SEED_RULE_OWNERS)][:SEED_RULE_OWNERS]
-    out: Row = {"owners": len(sample)}
-    for rule, finder in SEED_RULES.items():
-        results = finder(objects, bundle.domain, seed_knn=SIZE_CONFIG.seed_knn).find_many(sample)
-        out[rule] = _spread(len(result.cr_objects) for result in results)
-    return out
+def _sampled_owners(objects: List[UncertainObject]) -> List[UncertainObject]:
+    """:data:`SEED_RULE_OWNERS` owners, evenly spaced through ``objects``."""
+    return objects[::max(1, len(objects) // SEED_RULE_OWNERS)][:SEED_RULE_OWNERS]
+
+
+def paper_rule_sampled(bundle: DatasetBundle) -> Row:
+    """cr-objects per sampled owner of Algorithm 2 under the paper's seed rule
+    (``size_row`` reads the built index's as ``seed_gap_rule``)."""
+    finder = PaperSeedFinder(bundle.objects, bundle.domain, seed_knn=SIZE_CONFIG.seed_knn)
+    results = finder.find_many(_sampled_owners(bundle.objects))
+    return _spread(len(result.cr_objects) for result in results)
 
 
 def size_row(pop: Population, directory: str) -> Row:
@@ -420,12 +415,14 @@ def size_row(pop: Population, directory: str) -> Row:
     engine = QueryEngine.build(bundle.objects, bundle.domain, SIZE_CONFIG)
     stats = engine.construction_stats
     refs = [len(ref_set) for ref_set in engine.index.ref_ids.values()]
+    sample = _sampled_owners(bundle.objects)
     out: Row = {
         "objects": count, "build_s": time.perf_counter() - start,
         "phase_ms_per_object": {p: 1000.0 * s / count for p, s in stats.timing.buckets.items()},
         **{f"{phase}_share": share for phase, share in stats.phase_fractions().items()},
         "cr_objects_per_owner": _spread(refs),
-        "cr_objects_sampled": seed_rules_sampled(bundle),
+        "cr_objects_sampled": {"owners": len(sample), "seed_gap_rule": _spread(
+            len(engine.index.ref_ids[owner.oid]) for owner in sample)},
         "i_pruning_pct": 100.0 * stats.i_pruning_ratio,
         "c_pruning_pct": 100.0 * stats.c_pruning_ratio, "queries": len(bundle.queries)}
     for name, plan in (("uv", "primary"), ("rtree", STRATEGY_RTREE)):
@@ -487,9 +484,12 @@ def size_checks(row: Row) -> Dict[str, bool]:
 
 
 def _size_row_in_child(count: int) -> Row:
+    pop = replace(SIZE_POPULATION, count=count)
     with tempfile.TemporaryDirectory() as directory:
-        out = size_row(replace(SIZE_POPULATION, count=count), directory)
+        out = size_row(pop, directory)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # After every timing and the peak: the paper's rule builds its own R-tree.
+    out["cr_objects_sampled"]["paper_rule"] = paper_rule_sampled(pop.load())
     return out
 
 
@@ -509,9 +509,10 @@ NOTES = [
     "the first, the others medians of OPEN_REPEATS). cr_objects_per_owner counts reference "
     "sets; peak_rss_mb is the child's maxrss.",
     "Algorithm 2 departs from the paper's seed rule: a neighbour whose centre gap is below "
-    "SEED_GAP (r_i + r_j) seeds no sector (repro.core.cr_objects). cr_objects_sampled runs "
-    "Algorithm 2 under both rules (the paper's from tests/reference/seeds.py) on the same "
-    "SEED_RULE_OWNERS owners; sizes.10240.* are checks on the full row's reference sets.",
+    "SEED_GAP (r_i + r_j) seeds no sector (repro.core.cr_objects). cr_objects_sampled counts "
+    "the same SEED_RULE_OWNERS owners' cr-objects under both rules: seed_gap_rule reads the "
+    "built index, paper_rule runs Algorithm 2 with tests/reference/seeds.py after every "
+    "timing and peak_rss_mb; sizes.10240.* are checks on the full row's reference sets.",
     "Deviations at 10,240 objects: query times are about 1/80 of the paper's (warm, in-memory "
     "pages against its disk); the R-tree reads fewer index pages per query than the paper's "
     "(R-tree fanout 100); owners keep far fewer cr-objects than the paper's C-pruning implies "

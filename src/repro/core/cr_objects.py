@@ -270,3 +270,7 @@ class CRObjectFinder:
                 timing=timing,
             ))
         return results
+
+    def find_all(self) -> Dict[int, CRObjectResult]:
+        """Run Algorithm 2 for every object of the dataset."""
+        return {result.oid: result for result in self.iter_many(self.objects)}

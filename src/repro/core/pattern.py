@@ -153,6 +153,24 @@ class PatternAnalyzer:
             partitions=partitions, io=io, seconds=time.perf_counter() - start
         )
 
+    def density_histogram(self, region: Rect, bins: int = 10) -> List[int]:
+        """Histogram of partition densities inside ``region`` (analysis helper)."""
+        result = self.partitions_in(region)
+        if not result.partitions:
+            return [0] * bins
+        densities = [p.density for p in result.partitions]
+        low, high = min(densities), max(densities)
+        if high <= low:
+            counts = [0] * bins
+            counts[0] = len(densities)
+            return counts
+        width = (high - low) / bins
+        counts = [0] * bins
+        for value in densities:
+            slot = min(int((value - low) / width), bins - 1)
+            counts[slot] += 1
+        return counts
+
     def _leaf_object_count(self, leaf: UVIndexNode) -> int:
         if self._leaf_counts is not None and id(leaf) in self._leaf_counts:
             return self._leaf_counts[id(leaf)]

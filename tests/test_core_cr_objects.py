@@ -176,11 +176,11 @@ class TestFullAlgorithm:
         result = finder.find(objects[11])
         assert len(result.cr_objects) < len(objects) / 2
 
-    def test_find_many_covers_every_object(self):
+    def test_find_all_covers_every_object(self):
         objects = make_objects(20, seed=9)
         finder = CRObjectFinder(objects, DOMAIN, seed_knn=10)
-        results = finder.find_many(objects)
-        assert [result.oid for result in results] == [o.oid for o in objects]
+        results = finder.find_all()
+        assert sorted(results.keys()) == [o.oid for o in objects]
 
     def test_uses_supplied_rtree(self):
         objects = make_objects(25, seed=10)

@@ -106,3 +106,9 @@ class TestPatternAnalyzer:
         analyzer.partitions_in(Rect(0.0, 0.0, 1000.0, 1000.0))
         delta = small_diagram.index.disk.stats.delta(before)
         assert delta.page_reads == 0
+
+    def test_density_histogram(self, small_diagram):
+        analyzer = PatternAnalyzer(small_diagram.index)
+        histogram = analyzer.density_histogram(Rect(0.0, 0.0, 1000.0, 1000.0), bins=5)
+        assert len(histogram) == 5
+        assert sum(histogram) > 0

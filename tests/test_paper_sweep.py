@@ -148,8 +148,15 @@ def test_size_row_measures_every_field(size_row):
     assert size_row["snapshot_bytes"] > 0
     sampled = size_row["cr_objects_sampled"]
     assert sampled["owners"] == 40
-    assert set(sampled) == {"owners", *sweep.SEED_RULES}
-    assert sampled["seed_gap_rule"]["mean"] == pytest.approx(tail["mean"])
+    assert set(sampled) == {"owners", "seed_gap_rule"}
+    assert sampled["seed_gap_rule"] == tail
+
+
+def test_paper_rule_sampled_spreads_its_cr_objects():
+    pop = dataclasses.replace(sweep.SIZE_POPULATION, count=40, queries=5)
+    paper = sweep.paper_rule_sampled(pop.load())
+    assert set(paper) == {"mean", "median", "p99", "max"}
+    assert 1 <= paper["mean"] <= paper["max"] <= 39
 
 
 def test_size_checks_count_the_largest_rows_reference_sets(size_row):
