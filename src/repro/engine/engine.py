@@ -727,6 +727,12 @@ class QueryEngine:
                 self._wal.close()
                 self._wal = None
 
+    def close(self) -> None:
+        """Close the write-ahead log and release the page store (its file or
+        mapping).  The engine answers nothing afterwards."""
+        self.close_wal()
+        self.disk.store.close()
+
     def wal_sync(self) -> int:
         """Force an fsync of the attached log (group commit under "batch").
 

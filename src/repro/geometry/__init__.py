@@ -15,8 +15,7 @@ The UV-diagram is built from a small number of geometric primitives:
 * convex hulls (:func:`~repro.geometry.hull.convex_hull`) used by C-pruning,
 * the possible-region kernel (:mod:`repro.geometry.region_kernel`): clipping
   a batch of coordinate rings, each by its own UV-edge, the step Algorithms 1
-  and 2 repeat when they subtract outside regions,
-* exact half-plane / rectangle clipping (:mod:`repro.geometry.clipping`).
+  and 2 repeat when they subtract outside regions.
 
 All coordinates are plain ``float``; the kernel does not depend on any other
 subpackage of :mod:`repro`.
@@ -29,7 +28,6 @@ from repro.geometry.segment import Segment
 from repro.geometry.polygon import Polygon
 from repro.geometry.hull import convex_hull
 from repro.geometry.hyperbola import Hyperbola
-from repro.geometry.clipping import clip_polygon_halfplane
 
 __all__ = [
     "Point",
@@ -44,5 +42,4 @@ __all__ = [
     "Polygon",
     "convex_hull",
     "Hyperbola",
-    "clip_polygon_halfplane",
 ]

@@ -4,8 +4,8 @@ Possible regions and (approximate) UV-cells are represented as simple
 polygons whose vertices may originate from domain corners, hyperbolic
 UV-edges (sampled densely), or intersections between the two.  The polygon
 class therefore provides exactly the operations the construction algorithms
-need: area, containment, vertex access, bounding boxes, and clipping support
-(in :mod:`repro.geometry.clipping`).
+need: area, containment, vertex access and bounding boxes; clipping a
+region by a UV-edge is :mod:`repro.geometry.region_kernel`'s job.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def _is_singleton(node: ast.AST) -> bool:
 
 
 def _is_sentinel_name(node: ast.AST) -> bool:
-    """UPPER_CASE names are module sentinels (e.g. ``SHUTDOWN``)."""
+    """UPPER_CASE names are module sentinels (e.g. ``OP_QUERY``)."""
     return isinstance(node, ast.Name) and node.id.isupper()
 
 

@@ -1,7 +1,7 @@
 """Rule ``lock-discipline``: declared guarded state is touched under its lock.
 
-The router shares mutable state between HTTP handler threads, the response
-pump, and the worker monitor.  Which lock guards which attribute is
+The router shares mutable state between HTTP handler threads and the
+worker monitor.  Which lock guards which attribute is
 *declared* in the class itself::
 
     class Router:
@@ -68,9 +68,9 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     title = "attributes declared guarded-by-lock are only touched under it"
     rationale = (
-        "router state is shared by handler threads, the response pump, and "
-        "the monitor; one unlocked access is a data race that only shows up "
-        "under production concurrency"
+        "router state is shared by handler threads and the monitor; one "
+        "unlocked access is a data race that only shows up under "
+        "production concurrency"
     )
     hint = (
         "wrap the access in `with self.<lock>:`, or document the helper "

@@ -2,18 +2,22 @@
 
 A request body is a serialized query descriptor (see
 :func:`repro.queries.spec.query_from_dict` -- the ``"type"`` key selects
-``pnn`` / ``knn`` / ``range`` / ``batch``).  The router wraps it in a
-:class:`Request` envelope, a worker executes it and answers with a
-:class:`Response` envelope whose payload is the result's ``to_dict`` form.
+``pnn`` / ``knn`` / ``range`` / ``batch``).  The HTTP thread that admitted it
+wraps it in a :class:`Request` envelope and writes it to one worker's pipe;
+the worker executes it and writes back a :class:`Response` envelope on the
+same pipe.
 
-Everything crossing a process boundary here is a plain dict of JSON-scalar
-values, so the same encoding serves both the HTTP surface and the
-supervisor<->worker queues.
+A response carries its payload JSON-encoded: the worker encodes the result's
+``to_dict`` form once, and those bytes are the HTTP reply body as is, so the
+supervisor neither unpickles nor re-encodes a result.  Request payloads are
+plain dicts of JSON-scalar values.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 #: Operations a worker understands.
@@ -36,8 +40,8 @@ class Request:
     """One unit of work dispatched to a worker.
 
     Attributes:
-        request_id: router-assigned id; responses echo it so the pump thread
-            can match them to waiting handlers (and drop late duplicates).
+        request_id: router-assigned id; the reply echoes it, so the reading
+            thread can tell its own reply from a late one it must drop.
         op: one of the ``OP_*`` operations.
         payload: the serialized query descriptor for ``query`` / ``explain``;
             ignored by ``stats`` / ``ping``.
@@ -60,10 +64,9 @@ class Response:
     """A worker's answer to one :class:`Request`.
 
     Attributes:
-        request_id: echo of the request id.
+        request_id: echo of the request id (``-1`` for a startup message).
         ok: ``False`` when the worker caught an error instead of a result.
-        payload: result dict when ``ok``, else ``{"error": kind,
-            "message": text}``.
+        body: the payload's JSON encoding -- the HTTP reply body as is.
         worker_id: which worker answered (surfaced in ``/stats`` and useful
             when diagnosing a crash drill).
         seconds: worker-side execution time (queueing excluded), feeding the
@@ -74,23 +77,34 @@ class Response:
 
     request_id: int
     ok: bool
-    payload: Dict[str, Any]
+    body: bytes
     worker_id: int
     seconds: float = 0.0
     query_kind: str = "unknown"
 
+    @classmethod
+    def of(cls, request_id: int, ok: bool, payload: Dict[str, Any],
+           worker_id: int, seconds: float = 0.0,
+           query_kind: str = "unknown") -> "Response":
+        """A response whose payload is encoded here."""
+        return cls(request_id, ok, json.dumps(payload).encode("utf-8"),
+                   worker_id, seconds, query_kind)
+
+    @cached_property
+    def payload(self) -> Dict[str, Any]:
+        """The decoded body: the result dict when ``ok``, else ``{"error":
+        kind, "message": text}``."""
+        return json.loads(self.body)
+
     def to_tuple(self) -> Tuple[Any, ...]:
         return (
-            self.request_id, self.ok, self.payload,
+            self.request_id, self.ok, self.body,
             self.worker_id, self.seconds, self.query_kind,
         )
 
     @classmethod
     def from_tuple(cls, raw: Tuple[Any, ...]) -> "Response":
-        return cls(
-            request_id=raw[0], ok=raw[1], payload=raw[2],
-            worker_id=raw[3], seconds=raw[4], query_kind=raw[5],
-        )
+        return cls(*raw)
 
 
 def error_payload(kind: str, message: str) -> Dict[str, Any]:

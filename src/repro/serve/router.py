@@ -3,19 +3,23 @@
 The router owns everything between "an HTTP handler parsed a request" and
 "a worker's response came back":
 
+* **one hop per request** -- each worker slot has one duplex pipe.  The
+  HTTP thread that admitted a request takes the slot's I/O lock, writes the
+  request and reads its own reply: a request wakes the worker and then that
+  thread, with no feeder, pump or hand-off thread in between;
 * **worker lifecycle** -- spawn the fleet, detect crashed workers, respawn
-  them, and resubmit the in-flight requests the crash orphaned (queries are
-  read-only, so re-execution is safe);
-* **admission control** -- each worker has a bounded budget of
-  dispatched-but-unanswered requests (``queue_depth``); when every worker is
-  at its bound, new work is rejected immediately
-  (:class:`QueueFullError` -> HTTP 429) instead of growing an unbounded
-  backlog;
+  them; a thread whose worker died waits for the respawn and resubmits its
+  request (queries are read-only, so re-execution is safe);
+* **admission control** -- each worker has a bounded budget of admitted,
+  unanswered requests (``queue_depth``, counting those waiting for the I/O
+  lock); when every worker is at its bound, new work is rejected
+  immediately (:class:`QueueFullError` -> HTTP 429) instead of growing an
+  unbounded backlog;
 * **per-client rate limits** -- a token bucket per client id
   (:class:`RateLimitedError` -> HTTP 429);
-* **per-request timeouts** -- a request that waits longer than its deadline
-  raises :class:`RequestTimeoutError` (-> HTTP 504) and the late worker
-  response is dropped on arrival;
+* **per-request timeouts** -- a request that waits longer than its deadline,
+  for the I/O lock or for its reply, raises :class:`RequestTimeoutError`
+  (-> HTTP 504); its late reply is dropped by the slot's next reader;
 * **observability** -- per-query-type latency histograms plus counters for
   every admission decision, feeding the ``/stats`` endpoint.
 
@@ -34,7 +38,8 @@ methods documented as "caller holds the lock" are the audited exemption
 qualified name, never a lambda or closure, because children are spawned
 and re-import their targets (*picklable-work*); and everything crossing
 the process boundary round-trips through ``to_dict``/``from_dict``
-(*wire-complete*).
+(*wire-complete*).  Every read and write of a slot's pipe happens under its
+``io_lock``, and no thread takes an I/O lock while it holds ``_lock``.
 """
 
 from __future__ import annotations
@@ -44,12 +49,16 @@ import itertools
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import OP_RELOAD, Request, Response
-from repro.serve.worker import SHUTDOWN, worker_main
+from repro.serve.worker import worker_main
+
+
+#: A pipe poll waits at most 2**31 - 1 ms; longer deadlines are cut to that.
+_LONGEST_WAIT_S = 2_000_000.0
 
 
 class RouterError(RuntimeError):
@@ -145,31 +154,20 @@ class LatencyHistogram:
         }
 
 
-@dataclass
-class _Pending:
-    """Book-keeping of one dispatched request while its answer is pending."""
-
-    request: Request
-    worker_id: int
-    event: threading.Event = field(default_factory=threading.Event)
-    response: Optional[Response] = None
-    retries: int = 0
-    enqueued_at: float = field(default_factory=time.monotonic)
-
-
 class _WorkerHandle:
-    """One slot of the fleet: the live process plus its routing state."""
+    """One slot of the fleet: the live process, its pipe, its routing state."""
 
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.process = None
-        self.request_queue = None
+        self.conn = None
+        #: Held to use ``conn``, and to replace it (bumping ``respawns``).
+        self.io_lock = threading.Lock()
         self.inflight: set = set()
         self.ready = False
         self.failed = False          # startup failed; do not respawn
         self.startup_error = ""
         self.respawns = 0
-        self.started_at = 0.0
 
     @property
     def alive(self) -> bool:
@@ -178,6 +176,20 @@ class _WorkerHandle:
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid if self.process is not None else None
+
+
+@dataclass
+class _Pending:
+    """Book-keeping of one admitted request until its reply is read."""
+
+    request: Request
+    handle: _WorkerHandle
+    pinned: bool
+    #: ``handle.respawns`` when the request was (re)submitted: a slot that
+    #: respawned since then lost whatever the request had sent it.
+    spawn: int
+    #: When the request was written to its worker: the hang clock.
+    sent_at: Optional[float] = None
 
 
 class Router:
@@ -203,13 +215,13 @@ class Router:
         self._workers: List[_WorkerHandle] = [
             _WorkerHandle(worker_id) for worker_id in range(config.workers)
         ]
-        self._response_queue = None
         self._lock = threading.Lock()
+        #: Notified (under ``_lock``) whenever a slot respawns.
+        self._respawned = threading.Condition(self._lock)
         self._pending: Dict[int, _Pending] = {}
         self._ids = itertools.count(1)
         self._accepting = False
         self._running = False
-        self._pump_thread: Optional[threading.Thread] = None
         self._monitor_thread: Optional[threading.Thread] = None
         self._buckets: Dict[str, TokenBucket] = {}
         self._bucket_lock = threading.Lock()
@@ -238,31 +250,29 @@ class Router:
         """Spawn the fleet and wait until every worker answered startup."""
         if self._running:
             raise RouterError("router already started")
-        self._response_queue = self._ctx.Queue()
         self._running = True
         self._accepting = True
         self.started_at = time.monotonic()
         for handle in self._workers:
             self._spawn(handle)
-        self._pump_thread = threading.Thread(
-            target=self._pump, name="serve-response-pump", daemon=True
-        )
-        self._pump_thread.start()
         deadline = time.monotonic() + ready_timeout
         for handle in self._workers:
-            while not handle.ready and not handle.failed:
-                if time.monotonic() > deadline:
-                    self.stop(drain=False)
-                    raise RouterError(
-                        f"worker {handle.worker_id} did not become ready "
-                        f"within {ready_timeout:.0f}s"
-                    )
-                time.sleep(0.01)
+            with handle.io_lock:
+                try:
+                    started = self._receive(handle, -1, deadline)
+                except (EOFError, OSError):  # exited without a word
+                    started, handle.failed = None, True
             if handle.failed:
                 self.stop(drain=False)
                 raise RouterError(
                     f"worker {handle.worker_id} failed to start "
                     f"(see its startup response)"
+                )
+            if started is None:
+                self.stop(drain=False)
+                raise RouterError(
+                    f"worker {handle.worker_id} did not become ready "
+                    f"within {ready_timeout:.0f}s"
                 )
         self._monitor_thread = threading.Thread(
             target=self._monitor, name="serve-worker-monitor", daemon=True
@@ -270,22 +280,20 @@ class Router:
         self._monitor_thread.start()
 
     def _spawn(self, handle: _WorkerHandle) -> None:
-        """(Re)start one worker slot on a fresh request queue."""
-        handle.request_queue = self._ctx.Queue()
+        """(Re)start one worker slot on a fresh pipe (the caller holds its
+        I/O lock, or the fleet is not serving yet)."""
+        handle.conn, child = self._ctx.Pipe()
         handle.ready = False
-        handle.started_at = time.monotonic()
         handle.process = self._ctx.Process(
             target=worker_main,
-            args=(
-                handle.worker_id,
-                self.config.to_dict(),
-                handle.request_queue,
-                self._response_queue,
-            ),
+            args=(handle.worker_id, self.config.to_dict(), child),
             name=f"repro-serve-worker-{handle.worker_id}",
             daemon=True,
         )
         handle.process.start()
+        # The worker now holds the only other end: once it dies, reads here
+        # see EOF instead of blocking.
+        child.close()
 
     # ------------------------------------------------------------------ #
     # dispatch
@@ -329,8 +337,7 @@ class Router:
                 f"(burst {self.config.rate_burst})"
             )
 
-        request_id = next(self._ids)
-        request = Request(request_id=request_id, op=op, payload=payload)
+        request = Request(request_id=next(self._ids), op=op, payload=payload)
         with self._lock:
             if worker_id is not None:
                 handle = self._pin_worker(worker_id)
@@ -342,30 +349,117 @@ class Router:
                     f"all {len(self._workers)} workers are at their "
                     f"in-flight budget of {self.config.queue_depth}"
                 )
-            pending = _Pending(request=request, worker_id=handle.worker_id)
-            self._pending[request_id] = pending
-            handle.inflight.add(request_id)
+            pending = _Pending(request, handle, worker_id is not None,
+                               handle.respawns)
+            self._pending[request.request_id] = pending
+            handle.inflight.add(request.request_id)
             self.counters["accepted"] += 1
-            # Enqueue under the lock: the monitor swaps (and closes) a dead
-            # worker's queue under the same lock, so a dispatch can never
-            # race a respawn onto a closed queue.  Queues are unbounded --
-            # the put cannot block; the bound is the in-flight budget above.
-            handle.request_queue.put(request.to_tuple())
 
         wait = timeout if timeout is not None else self.config.request_timeout
-        if pending.event.wait(wait):
-            return pending.response
+        deadline = time.monotonic() + min(wait, _LONGEST_WAIT_S)
+        while True:
+            try:
+                response = self._exchange(pending, deadline)
+                break
+            except (EOFError, OSError):
+                if not self._resubmit(pending, deadline):
+                    response = None
+                    break
         with self._lock:
-            # The pump may have answered between the wait expiring and this
-            # lock: honour the response if it won the race.
-            if pending.response is not None:
-                return pending.response
-            self._pending.pop(request_id, None)
-            self._forget_inflight(request_id)
-            self.counters["timeouts"] += 1
-        raise RequestTimeoutError(
-            f"request {request_id} timed out after {wait:g}s"
-        )
+            self._finish(pending)
+            if response is None:
+                self.counters["timeouts"] += 1
+            else:
+                self.counters["completed"] += 1
+                if not response.ok:
+                    self.counters["errors"] += 1
+        if response is None:
+            raise RequestTimeoutError(
+                f"request {request.request_id} timed out after {wait:g}s"
+            )
+        self._histogram(response.query_kind).record(response.seconds)
+        return response
+
+    def _exchange(self, pending: _Pending,
+                  deadline: float) -> Optional[Response]:
+        """Write ``pending`` to its slot and read the reply, under the slot's
+        I/O lock; ``None`` when the deadline passes first.
+
+        Raises:
+            EOFError / OSError: the slot's worker died, or was respawned
+                after the request was submitted to it.
+        """
+        handle = pending.handle
+        if not handle.io_lock.acquire(
+                timeout=max(0.0, deadline - time.monotonic())):
+            return None
+        try:
+            if handle.respawns != pending.spawn:
+                raise EOFError(f"worker {handle.worker_id} was respawned")
+            pending.sent_at = time.monotonic()
+            handle.conn.send(pending.request.to_tuple())
+            return self._receive(handle, pending.request.request_id, deadline)
+        finally:
+            handle.io_lock.release()
+
+    def _receive(self, handle: _WorkerHandle, request_id: int,
+                 deadline: float) -> Optional[Response]:
+        """Read the slot's pipe until the reply to ``request_id`` arrives
+        (the caller holds ``handle.io_lock``); ``None`` past the deadline.
+
+        A startup message (id -1) marks the slot ready or failed.  A reply to
+        any other request -- the late answer to a timed-out one -- is
+        dropped.  EOFError / OSError mean the worker is gone.
+        """
+        while True:
+            if not handle.conn.poll(max(0.0, deadline - time.monotonic())):
+                return None
+            response = Response.from_tuple(handle.conn.recv())
+            if response.request_id == -1:
+                if response.ok:
+                    handle.ready = True
+                else:
+                    handle.failed = True
+                    handle.startup_error = response.payload.get("message", "")
+            if response.request_id == request_id:
+                return response
+            if response.request_id != -1:
+                with self._lock:
+                    self.counters["late_responses_dropped"] += 1
+
+    def _resubmit(self, pending: _Pending, deadline: float) -> bool:
+        """Move a request whose worker died onto a live one; ``False`` when
+        the deadline passes (or no worker can take it) first.
+
+        Waits for the monitor to respawn the dead slot, then picks the
+        least-loaded live worker -- the same slot for a pinned request --
+        and restarts the request's hang clock there.
+        """
+        handle = pending.handle
+        request_id = pending.request.request_id
+        with self._lock:
+            while handle.respawns == pending.spawn and not handle.failed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0 or not self._running:
+                    return False
+                self._respawned.wait(remaining)
+            handle.inflight.discard(request_id)
+            target = handle
+            if not pending.pinned:
+                target = self._select_worker() or handle
+            if target.failed:
+                return False
+            target.inflight.add(request_id)
+            pending.handle = target
+            pending.spawn = target.respawns
+            pending.sent_at = None
+            self.counters["retried_after_crash"] += 1
+        return True
+
+    def _finish(self, pending: _Pending) -> None:
+        """Forget an answered or abandoned request (caller holds the lock)."""
+        self._pending.pop(pending.request.request_id, None)
+        pending.handle.inflight.discard(pending.request.request_id)
 
     def _admit_client(self, client_id: str) -> bool:
         with self._bucket_lock:
@@ -401,10 +495,6 @@ class Router:
                 return handle
         raise RouterError(f"no worker slot {worker_id}")
 
-    def _forget_inflight(self, request_id: int) -> None:
-        for handle in self._workers:
-            handle.inflight.discard(request_id)
-
     # ------------------------------------------------------------------ #
     # hot reload (new snapshot generations)
     # ------------------------------------------------------------------ #
@@ -413,8 +503,8 @@ class Router:
 
         Serialising the reloads is what keeps the fleet serving throughout a
         generation flip: while one worker reopens the new snapshot, every
-        sibling keeps answering queries, and requests already queued behind
-        the reloading worker are merely delayed (FIFO), never dropped.
+        sibling keeps answering queries, and requests already waiting on the
+        reloading worker's slot are merely delayed, never dropped.
         Returns the per-worker responses (a failed reload leaves that worker
         on its old generation and is visible in its response).
         """
@@ -430,46 +520,6 @@ class Router:
                 with self._lock:
                     self.counters["reloads"] += 1
         return responses
-
-    # ------------------------------------------------------------------ #
-    # response pump
-    # ------------------------------------------------------------------ #
-    def _pump(self) -> None:
-        import queue as queue_module
-
-        while self._running:
-            try:
-                raw = self._response_queue.get(timeout=0.1)
-            except queue_module.Empty:
-                continue
-            except (EOFError, OSError):
-                break
-            response = Response.from_tuple(raw)
-            if response.request_id == -1:
-                self._handle_startup(response)
-                continue
-            with self._lock:
-                pending = self._pending.pop(response.request_id, None)
-                self._forget_inflight(response.request_id)
-                if pending is None:
-                    self.counters["late_responses_dropped"] += 1
-                    continue
-                self.counters["completed"] += 1
-                if not response.ok:
-                    self.counters["errors"] += 1
-            self._histogram(response.query_kind).record(response.seconds)
-            pending.response = response
-            pending.event.set()
-
-    def _handle_startup(self, response: Response) -> None:
-        for handle in self._workers:
-            if handle.worker_id == response.worker_id:
-                if response.ok:
-                    handle.ready = True
-                else:
-                    handle.failed = True
-                    handle.startup_error = response.payload.get("message", "")
-                return
 
     def _histogram(self, kind: str) -> LatencyHistogram:
         with self._histogram_lock:
@@ -496,13 +546,28 @@ class Router:
                 if handle.process.is_alive():
                     if self._hang_detected(handle):
                         self._kill_hung(handle)
+                    elif not handle.ready:
+                        self._read_startup(handle)
                     continue
                 if not self._accepting and not handle.inflight:
                     continue  # draining; dead workers stay down
                 self._respawn(handle)
 
+    def _read_startup(self, handle: _WorkerHandle) -> None:
+        """Mark an idle respawned slot ready once its startup message is in
+        (a busy slot's dispatching thread reads it first)."""
+        if not handle.io_lock.acquire(blocking=False):
+            return
+        try:
+            self._receive(handle, -1, 0.0)
+        except (EOFError, OSError):
+            pass  # died again: the next pass respawns it
+        finally:
+            handle.io_lock.release()
+
     def _hang_detected(self, handle: _WorkerHandle) -> bool:
-        """Whether a dispatched request has outlived the hang deadline.
+        """Whether a request written to the worker has outlived the hang
+        deadline.
 
         Crash detection sees a dead process; a *hung* worker is alive but
         silent, so the only observable signal is a request that has waited
@@ -515,8 +580,8 @@ class Router:
         now = time.monotonic()
         with self._lock:
             for request_id in handle.inflight:
-                pending = self._pending.get(request_id)
-                if pending is not None and now - pending.enqueued_at > limit:
+                sent_at = self._pending[request_id].sent_at
+                if sent_at is not None and now - sent_at > limit:
                     return True
         return False
 
@@ -524,9 +589,10 @@ class Router:
         """Kill a hung worker, then reuse the crash path to respawn it.
 
         Killing converts "alive but silent" into the state the respawn
-        machinery already handles: the orphaned in-flight requests are
-        resubmitted (queries are read-only, so re-execution is safe) and a
-        late answer from the killed process can never arrive.
+        machinery already handles: the thread waiting on the worker reads
+        EOF and resubmits its request (queries are read-only, so
+        re-execution is safe), and a late answer from the killed process can
+        never arrive.
         """
         process = handle.process
         if process is not None and process.is_alive():
@@ -540,41 +606,25 @@ class Router:
         self._respawn(handle)
 
     def _respawn(self, handle: _WorkerHandle) -> None:
-        """Restart a crashed worker and resubmit its orphaned requests.
+        """Restart a dead worker on a fresh pipe.
 
-        The old request queue dies with the crash (requests it still held
-        are exactly the orphaned in-flight set); the replacement worker gets
-        a fresh queue, so every orphan is re-executed exactly once --
-        queries are read-only, which is what makes the retry sound.
+        Its admitted requests stay with their dispatching threads: each one
+        sees the dead pipe or the new ``respawns`` count, and resubmits
+        itself (:meth:`_resubmit`).  The I/O lock is free soon, since the
+        thread holding it reads EOF from the dead worker.
         """
-        with self._lock:
-            # One lock hold covers orphan collection, the queue swap, and
-            # the resubmits: every concurrent dispatch either lands before
-            # (and is collected here as an orphan) or after (and goes to the
-            # replacement's fresh queue).  Nothing can fall in between.
-            orphaned = sorted(handle.inflight)
-            handle.inflight.clear()
-            self.counters["respawns"] += 1
-            handle.respawns += 1
-            old_queue = handle.request_queue
+        with handle.io_lock:
+            old = handle.conn
             self._spawn(handle)
-            for request_id in orphaned:
-                pending = self._pending.get(request_id)
-                if pending is None:
-                    continue
-                target = self._select_worker() or handle
-                pending.worker_id = target.worker_id
-                pending.retries += 1
-                # Restart the hang clock: a retried orphan measured from its
-                # original enqueue would trip hang detection immediately and
-                # kill the replacement worker in a loop.
-                pending.enqueued_at = time.monotonic()
-                target.inflight.add(request_id)
-                target.request_queue.put(pending.request.to_tuple())
-                self.counters["retried_after_crash"] += 1
-        if old_queue is not None:
-            old_queue.cancel_join_thread()
-            old_queue.close()
+            old.close()
+            with self._lock:
+                self.counters["respawns"] += 1
+                handle.respawns += 1
+                # Restart the hang clocks: an orphan measured from its first
+                # send would get the replacement killed before it resubmits.
+                for request_id in handle.inflight:
+                    self._pending[request_id].sent_at = None
+                self._respawned.notify_all()
 
     # ------------------------------------------------------------------ #
     # drain / stop
@@ -597,33 +647,26 @@ class Router:
             return not self._pending
 
     def stop(self, drain: bool = True) -> bool:
-        """Drain (optionally), shut workers down, stop the service threads."""
+        """Drain (optionally), stop the monitor, shut workers down."""
         drained = self.drain() if drain else False
         self._accepting = False
+        self._running = False
+        with self._lock:
+            self._respawned.notify_all()
+        if self._monitor_thread is not None:
+            self._monitor_thread.join(timeout=2.0)
         for handle in self._workers:
-            if handle.alive and handle.request_queue is not None:
-                try:
-                    handle.request_queue.put(SHUTDOWN)
-                except (ValueError, OSError):
-                    pass
+            # A worker exits when its pipe reads EOF.  A thread still waiting
+            # on a hung worker holds the I/O lock: that one is terminated.
+            if handle.conn is not None and handle.io_lock.acquire(timeout=1.0):
+                handle.conn.close()
+                handle.io_lock.release()
         for handle in self._workers:
             if handle.process is not None:
                 handle.process.join(timeout=5.0)
                 if handle.process.is_alive():
                     handle.process.terminate()
                     handle.process.join(timeout=1.0)
-        self._running = False
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=2.0)
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=2.0)
-        if self._response_queue is not None:
-            self._response_queue.cancel_join_thread()
-            self._response_queue.close()
-        for handle in self._workers:
-            if handle.request_queue is not None:
-                handle.request_queue.cancel_join_thread()
-                handle.request_queue.close()
         return drained
 
     # ------------------------------------------------------------------ #

@@ -52,7 +52,11 @@ class _Handler(BaseHTTPRequestHandler):
     # -- helpers --------------------------------------------------------- #
     def _send_json(self, status: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"), headers)
+
+    def _send_body(self, status: int, body: bytes,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        """Reply with an encoded JSON body (a worker's, or ours)."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -127,7 +131,7 @@ class _Handler(BaseHTTPRequestHandler):
                 timeout = float(header_timeout)
             except ValueError:
                 timeout = -1.0
-            # nan fails the test too; past TIMEOUT_MAX Event.wait overflows.
+            # nan fails the test too; past TIMEOUT_MAX a lock wait overflows.
             if not 0.0 < timeout <= threading.TIMEOUT_MAX:
                 self._send_json(400, {"error": "bad-request", "message":
                                       "X-Request-Timeout must be a positive, "
@@ -152,11 +156,10 @@ class _Handler(BaseHTTPRequestHandler):
         except RequestTimeoutError as exc:
             self._send_json(504, {"error": "timeout", "message": str(exc)})
             return
-        if response.ok:
-            self._send_json(200, response.payload)
-        else:
-            kind = response.payload.get("error", "internal")
-            self._send_json(error_status(kind), response.payload)
+        status = 200
+        if not response.ok:
+            status = error_status(response.payload.get("error", "internal"))
+        self._send_body(status, response.body)
 
     # -- verbs ----------------------------------------------------------- #
     def do_POST(self) -> None:  # noqa: N802 - http.server API

@@ -2,11 +2,13 @@
 
 Each worker opens the shared deployment read-only through
 :func:`~repro.shard.deployment.open_deployment` (mmap store by default, so
-N workers share one set of physical pages) and then loops: take a
-:class:`~repro.serve.protocol.Request` from its queue, execute it, put a
-:class:`~repro.serve.protocol.Response` on the shared response queue.
-Workers hold no routing state -- crash recovery is entirely the router's
-job, which is what makes kill -9 on a worker a recoverable event.
+N workers share one set of physical pages) and then loops on its one duplex
+pipe: read a :class:`~repro.serve.protocol.Request`, execute it, write the
+:class:`~repro.serve.protocol.Response` -- its payload already JSON-encoded
+-- back on the same pipe, where the supervisor thread that sent the request
+is waiting for it.  Workers hold no routing state -- crash recovery is
+entirely the router's job, which is what makes kill -9 on a worker a
+recoverable event.
 
 The module is imported fresh in each spawned process, so everything the
 worker needs arrives through :func:`worker_main`'s picklable arguments.
@@ -32,10 +34,6 @@ from repro.serve.protocol import (
     Response,
     error_payload,
 )
-
-#: Queue sentinel that asks a worker to exit its loop (graceful drain).
-SHUTDOWN = None
-
 
 def _encode_result(result) -> Dict[str, Any]:
     """Serialize whatever ``QueryEngine.execute`` returned."""
@@ -143,10 +141,10 @@ class WorkerRuntime:
         token moved on (a checkpoint or a rebalance flipped a manifest).
 
         The new engine is fully opened -- and, on a reload, *verified*
-        end-to-end -- before the old one is swapped out, so a corrupt or
-        half-written new generation leaves the worker serving the old one;
-        the error travels back to the supervisor as an internal-error
-        response instead.  (Startup opens skip verification: cold-start
+        end-to-end -- before the old one is swapped out (and closed), so a
+        corrupt or half-written new generation leaves the worker serving the
+        old one; the error travels back to the supervisor as an
+        internal-error response instead.  (Startup opens skip verification: cold-start
         latency matters there and a lazily surfacing fault still raises a
         structured error.)
         """
@@ -155,7 +153,8 @@ class WorkerRuntime:
         token = deployment_token(self.config.snapshot_path)
         reloaded = token != self._token
         if reloaded:
-            self.engine = self._open(verify=True)
+            old, self.engine = self.engine, self._open(verify=True)
+            old.close()
             self._token = token
             self.reloads += 1
         return {
@@ -211,14 +210,8 @@ class WorkerRuntime:
                 ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
             )
         self.requests_handled += 1
-        return Response(
-            request_id=request.request_id,
-            ok=ok,
-            payload=payload,
-            worker_id=self.worker_id,
-            seconds=time.perf_counter() - start,
-            query_kind=kind,
-        )
+        return Response.of(request.request_id, ok, payload, self.worker_id,
+                           time.perf_counter() - start, kind)
 
     def stats(self) -> Dict[str, Any]:
         """Engine-side statistics surfaced by the ``/stats`` endpoint."""
@@ -245,46 +238,36 @@ class WorkerRuntime:
         return payload
 
 
-def worker_main(worker_id: int, config_state: Dict[str, Any],
-                request_queue, response_queue) -> None:
-    """Process entry point: open the snapshot, serve requests until sentinel.
+def worker_main(worker_id: int, config_state: Dict[str, Any], conn) -> None:
+    """Process entry point: open the snapshot, answer on ``conn`` until the
+    supervisor closes its end.
 
-    Startup failures (bad snapshot path, corrupt file) are reported as one
-    response with request id -1 so the supervisor can fail fast instead of
-    hanging on a silent child exit.
+    Startup (or its failure: a bad snapshot path, a corrupt file) is reported
+    as one response with request id -1, so the supervisor can fail fast
+    instead of hanging on a silent child exit.
     """
     from repro.faults.plan import injector_from_env
     from repro.serve.config import ServeConfig
 
     # The supervisor owns Ctrl-C/termination policy; workers only ever exit
-    # through the queue sentinel or a crash.
+    # through a closed pipe or a crash.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
     try:
         runtime = WorkerRuntime(worker_id, ServeConfig.from_dict(config_state),
                                 injector=injector_from_env())
     except Exception as exc:  # noqa: BLE001 - must be reported, not raised
-        response_queue.put(Response(
-            request_id=-1,
-            ok=False,
-            payload=error_payload(
-                ERROR_INTERNAL, f"worker startup failed: {exc}"
-            ),
-            worker_id=worker_id,
-            query_kind="startup",
+        conn.send(Response.of(
+            -1, False,
+            error_payload(ERROR_INTERNAL, f"worker startup failed: {exc}"),
+            worker_id, query_kind="startup",
         ).to_tuple())
         return
 
-    response_queue.put(Response(
-        request_id=-1,
-        ok=True,
-        payload={"started": True, "pid": os.getpid()},
-        worker_id=worker_id,
-        query_kind="startup",
-    ).to_tuple())
-
-    while True:
-        raw = request_queue.get()
-        if raw is SHUTDOWN:
-            break
-        response_queue.put(runtime.handle(Request.from_tuple(raw)).to_tuple())
+    try:
+        conn.send(Response.of(-1, True, {"started": True, "pid": os.getpid()},
+                              worker_id, query_kind="startup").to_tuple())
+        while True:
+            conn.send(runtime.handle(Request.from_tuple(conn.recv())).to_tuple())
+    except (EOFError, OSError):
+        pass  # the supervisor closed its end (handle() raises neither)

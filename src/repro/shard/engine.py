@@ -594,9 +594,9 @@ class ShardedQueryEngine:
         return results
 
     def close(self) -> None:
-        """Detach and close every shard's write-ahead log."""
+        """Close every shard's write-ahead log and page store."""
         for engine in self.engines:
-            engine.close_wal()
+            engine.close()
 
     def __enter__(self) -> "ShardedQueryEngine":
         return self

@@ -7,7 +7,10 @@ read-only.
 Every ``DeprecationWarning`` is an error: the library keeps one query surface
 and no deprecated shims.  A shim warns with ``stacklevel=2``, which
 attributes the warning to the calling test module rather than to ``repro``,
-so the filter matches the category alone.
+so the filter matches the category alone.  The one exception is a
+third-party warning: hypothesis imports ``libcst`` to report a failing
+example, and that import warns about ``mypy_extensions.TypedDict``; as an
+error it would abort the whole session instead of failing one test.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from repro.rtree.tree import RTree
 
 def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Added after the error filter, so it takes precedence for this message.
+    config.addinivalue_line(
+        "filterwarnings",
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
+    )
 
 
 SMALL_DOMAIN = Rect(0.0, 0.0, 1000.0, 1000.0)

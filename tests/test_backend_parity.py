@@ -168,7 +168,10 @@ def test_answers_are_the_ones_the_scalar_verifier_gave(population, deployment, t
     else:
         build_sharded_deployment(objects, domain, str(tmp_path), config=E2E_CONFIG, shards=4)
         engine = ShardedQueryEngine.open(str(tmp_path))
-    digest = answers_digest(engine, domain, force_strategy)
+    try:
+        digest = answers_digest(engine, domain, force_strategy)
+    finally:
+        engine.close()
     assert digest == PINNED_ANSWERS[(population, deployment)]
 
 

@@ -1,5 +1,5 @@
-"""Unit tests for half-plane clipping, the scalar smooth-constraint clip kept
-as the oracle, and the array kernel that must reproduce it exactly."""
+"""Unit tests for the scalar smooth-constraint clip kept as the oracle, and
+the array kernel that must reproduce it exactly."""
 
 import math
 
@@ -14,7 +14,6 @@ from reference.clipping import (
 
 from repro.core.uv_edge import UVEdge
 from repro.geometry import region_kernel
-from repro.geometry.clipping import clip_polygon_halfplane, clip_polygon_to_rect
 from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -24,35 +23,6 @@ from repro.uncertain.objects import UncertainObject
 
 def square(size: float = 10.0) -> Polygon:
     return Polygon.from_rect(Rect(0.0, 0.0, size, size))
-
-
-class TestHalfPlaneClipping:
-    def test_clip_keeps_half_of_square(self):
-        # Keep x <= 5.
-        clipped = clip_polygon_halfplane(square(), 1.0, 0.0, -5.0)
-        assert clipped.area() == pytest.approx(50.0)
-        assert clipped.contains_point(Point(2.0, 5.0))
-        assert not clipped.contains_point(Point(7.0, 5.0))
-
-    def test_clip_no_effect_when_polygon_inside(self):
-        clipped = clip_polygon_halfplane(square(), 1.0, 0.0, -100.0)
-        assert clipped.area() == pytest.approx(100.0)
-
-    def test_clip_everything_removed(self):
-        clipped = clip_polygon_halfplane(square(), 1.0, 0.0, 100.0)
-        assert clipped.is_empty()
-
-    def test_diagonal_halfplane(self):
-        # Keep x + y <= 10 over the 10x10 square: half the area.
-        clipped = clip_polygon_halfplane(square(), 1.0, 1.0, -10.0)
-        assert clipped.area() == pytest.approx(50.0)
-
-    def test_clip_empty_polygon(self):
-        assert clip_polygon_halfplane(Polygon.empty(), 1.0, 0.0, -5.0).is_empty()
-
-    def test_clip_to_rect(self):
-        clipped = clip_polygon_to_rect(square(), 2.0, 3.0, 6.0, 8.0)
-        assert clipped.area() == pytest.approx(4.0 * 5.0)
 
 
 class TestConstraintClipping:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from reference.clipping import clip_polygon_by_constraint
 
 from repro.geometry.circle import Circle, min_bounding_circle
-from repro.geometry.clipping import clip_polygon_halfplane
 from repro.geometry.hull import convex_hull, point_in_convex_hull
 from repro.geometry.hyperbola import Hyperbola
 from repro.geometry.point import Point
@@ -69,21 +68,6 @@ def test_convex_hull_contains_all_points(pts):
     hull = convex_hull(pts)
     for p in pts:
         assert point_in_convex_hull(p, hull, tol=1e-6)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(points, min_size=3, max_size=12),
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.floats(min_value=-1.0, max_value=1.0),
-    st.floats(min_value=-500.0, max_value=500.0),
-)
-def test_halfplane_clip_never_grows(pts, a, b, c):
-    polygon = Polygon(convex_hull(pts))
-    clipped = clip_polygon_halfplane(polygon, a, b, c)
-    assert clipped.area() <= polygon.area() + 1e-6
-    for v in clipped.vertices:
-        assert a * v.x + b * v.y + c <= 1e-6
 
 
 @settings(max_examples=30, deadline=None)

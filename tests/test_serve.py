@@ -64,7 +64,8 @@ def _post(url, path, body, headers=None, timeout=30.0):
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def _get(url, path, timeout=30.0):
@@ -72,7 +73,8 @@ def _get(url, path, timeout=30.0):
         with urllib.request.urlopen(url + path, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def _hang_first_request(monkeypatch, seconds):
@@ -86,6 +88,14 @@ def _hang_first_request(monkeypatch, seconds):
         seed=0, faults=(FaultSpec("worker.request", 1, "hang", seconds),)
     )
     monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+
+
+def _wait_for_accepted(router, count, timeout=10.0):
+    """Wait until ``count`` requests have passed admission."""
+    deadline = time.monotonic() + timeout
+    while router.stats()["counters"]["accepted"] < count:
+        assert time.monotonic() < deadline, "requests were never admitted"
+        time.sleep(0.005)
 
 
 def _raw_request(port, data, timeout=30.0):
@@ -157,6 +167,24 @@ class TestTokenBucket:
         assert bucket.allow() is True
 
 
+class TestProtocol:
+    def test_response_round_trips_with_its_encoded_body(self):
+        from repro.serve.protocol import Response, error_payload
+
+        payload = {"type": "pnn_result", "answers": [[3, 0.25], [9, 0.75]]}
+        response = Response.of(7, True, payload, 1, 0.002, "pnn")
+        assert response.body == json.dumps(payload).encode("utf-8")
+        assert response.payload == payload
+        copy = Response.from_tuple(response.to_tuple())
+        assert copy == response
+        assert copy.payload == payload
+        failed = Response.of(8, False, error_payload("bad-request", "no"), 0)
+        assert Response.from_tuple(failed.to_tuple()).payload == {
+            "error": "bad-request", "message": "no"}
+        request = Request(7, OP_QUERY, {"type": "pnn", "point": [1.0, 2.0]})
+        assert Request.from_tuple(request.to_tuple()) == request
+
+
 class TestLatencyHistogram:
     def test_percentiles_bracket_the_data(self):
         histogram = LatencyHistogram()
@@ -201,9 +229,10 @@ class TestDeploymentSurface:
     @pytest.mark.parametrize("kind,generation,shard_generations", [
         ("file", None, None), ("live", 1, None), ("fleet", 1, [1, 1]),
     ])
-    def test_worker_stats_and_reload(self, deployments, kind, generation,
-                                     shard_generations):
+    def test_worker_stats_and_reload(self, request, deployments, kind,
+                                     generation, shard_generations):
         runtime = WorkerRuntime(0, ServeConfig(snapshot_path=deployments[kind]))
+        request.addfinalizer(runtime.engine.close)
         stats = runtime.stats()
         assert (stats["backend"], stats["objects"], stats["readonly"]) == (
             "rtree", 80, True)
@@ -245,7 +274,9 @@ class TestWorkerRuntime:
 
     @pytest.fixture(scope="class")
     def runtime(self, snapshot):
-        return WorkerRuntime(0, ServeConfig(snapshot_path=snapshot, workers=1))
+        runtime = WorkerRuntime(0, ServeConfig(snapshot_path=snapshot, workers=1))
+        yield runtime
+        runtime.engine.close()
 
     def test_opens_readonly(self, runtime):
         assert runtime.engine.readonly is True
@@ -315,6 +346,34 @@ def service(snapshot):
 
 
 class TestHTTPEndpoints:
+    def test_reply_body_is_the_worker_encoding_as_is(self, service,
+                                                      medium_queries,
+                                                      monkeypatch):
+        # The supervisor forwards the worker's JSON bytes untouched, and the
+        # worker encodes with json.dumps' defaults, as the supervisor did.
+        seen = []
+        dispatch = service.router.dispatch
+
+        def recording_dispatch(*args, **kwargs):
+            seen.append(dispatch(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(service.router, "dispatch", recording_dispatch)
+        point = medium_queries[1]
+        request = urllib.request.Request(
+            service.url + "/query",
+            data=json.dumps({"type": "pnn",
+                             "point": [point.x, point.y]}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            served = response.read()
+        assert len(seen) == 1 and seen[0].ok
+        assert served == seen[0].body
+        decoded = json.loads(served)
+        assert decoded["type"] == "pnn_result"
+        assert served == json.dumps(decoded).encode("utf-8")
+
     def test_query_pnn(self, service, medium_queries):
         point = medium_queries[0]
         status, body = _post(service.url, "/query",
@@ -323,8 +382,10 @@ class TestHTTPEndpoints:
         assert body["type"] == "pnn_result"
         assert body["answers"]
 
-    def test_parity_with_local_engine(self, service, snapshot, medium_queries):
+    def test_parity_with_local_engine(self, request, service, snapshot,
+                                      medium_queries):
         engine = QueryEngine.open(snapshot, store="mmap", readonly=True)
+        request.addfinalizer(engine.close)
         from repro.queries.spec import PNNQuery
 
         for point in medium_queries[:4]:
@@ -369,7 +430,8 @@ class TestHTTPEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_unknown_query_type_is_400(self, service):
         status, body = _post(service.url, "/query", {"type": "voronoi"})
@@ -728,6 +790,8 @@ class TestDrainAndShutdown:
         router.start()
         try:
             assert router.dispatch(OP_PING).ok
+            # The longest deadline the HTTP front admits still dispatches.
+            assert router.dispatch(OP_PING, timeout=threading.TIMEOUT_MAX).ok
             router.drain(timeout=5.0)
             with pytest.raises(ServiceDrainingError):
                 router.dispatch(OP_PING)
@@ -759,32 +823,182 @@ class TestRouterDirect:
         finally:
             router.stop(drain=False)
 
-    def test_load_balances_across_workers(self, snapshot):
+    def test_load_balances_across_workers(self, snapshot, monkeypatch):
+        # Each worker's first request hangs, so the first dispatch is still
+        # unanswered when the second is admitted: the least-loaded choice
+        # must send it to the other worker.
+        _hang_first_request(monkeypatch, 0.5)
         config = ServeConfig(snapshot_path=snapshot, workers=2, port=0)
         router = Router(config)
         router.start()
         try:
-            seen = {router.dispatch(OP_PING).worker_id for _ in range(10)}
+            first = []
+            thread = threading.Thread(
+                target=lambda: first.append(router.dispatch(OP_PING).worker_id))
+            thread.start()
+            _wait_for_accepted(router, 1)
+            second = router.dispatch(OP_PING).worker_id
+            thread.join(timeout=30)
+            assert {first[0], second} == {0, 1}
             # Sequential pings all land on worker 0 (always least-loaded at
-            # dispatch time); concurrency is what spreads the fleet.
-            threads = []
-            results = []
+            # dispatch time).
+            assert {router.dispatch(OP_PING).worker_id for _ in range(5)} == {0}
+        finally:
+            router.stop(drain=False)
 
-            def ping():
-                # Long enough (Monte-Carlo k-NN) that the dispatches overlap
-                # and the least-loaded choice spreads across the fleet.
-                results.append(router.dispatch(
-                    OP_QUERY, {"type": "knn", "point": [500.0, 500.0],
-                               "k": 2, "worlds": 3000, "seed": 1}
-                ).worker_id)
+    def test_killed_worker_resubmits_every_waiting_request(self, snapshot,
+                                                           monkeypatch):
+        import os
+        import signal
 
-            for _ in range(8):
-                threads.append(threading.Thread(target=ping))
+        # One worker, its first request hangs: one request is on the pipe,
+        # the other waits for the slot's I/O lock when the worker dies.
+        _hang_first_request(monkeypatch, 1.0)
+        config = ServeConfig(snapshot_path=snapshot, workers=1,
+                             respawn_delay=0.05, port=0)
+        router = Router(config)
+        router.start()
+        try:
+            victim = router.worker_pids()[0]
+            answers = []
+            body = {"type": "pnn", "point": [500.0, 500.0]}
+            threads = [threading.Thread(
+                target=lambda: answers.append(router.dispatch(OP_QUERY, body)))
+                for _ in range(2)]
             for thread in threads:
                 thread.start()
+            _wait_for_accepted(router, 2)
+            time.sleep(0.1)  # the first request reaches the worker
+            os.kill(victim, signal.SIGKILL)
             for thread in threads:
-                thread.join()
-            seen.update(results)
-            assert seen == {0, 1}
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(answers) == 2
+            assert len({answer.request_id for answer in answers}) == 2
+            assert all(answer.ok for answer in answers)
+            assert answers[0].payload["answers"] == answers[1].payload["answers"]
+            counters = router.stats()["counters"]
+            assert counters["completed"] == 2
+            assert counters["retried_after_crash"] >= 2
+            assert counters["respawns"] >= 1
+            assert router.worker_pids()[0] != victim
+        finally:
+            router.stop(drain=False)
+
+    def test_next_request_drops_the_late_reply_of_a_504(self, snapshot,
+                                                        monkeypatch):
+        from repro.serve import RequestTimeoutError
+
+        _hang_first_request(monkeypatch, 0.3)
+        config = ServeConfig(snapshot_path=snapshot, workers=1, port=0)
+        router = Router(config)
+        router.start()
+        try:
+            with pytest.raises(RequestTimeoutError):
+                router.dispatch(OP_PING, timeout=0.05)
+            # The ping's late reply reaches the pipe first; the query must
+            # read past it to its own answer.
+            response = router.dispatch(
+                OP_QUERY, {"type": "pnn", "point": [500.0, 500.0]})
+            assert response.ok
+            assert response.payload["type"] == "pnn_result"
+            counters = router.stats()["counters"]
+            assert counters["late_responses_dropped"] >= 1
+            assert counters["timeouts"] == 1
+            assert counters["completed"] == 1
+        finally:
+            router.stop(drain=False)
+
+    def test_deadline_passes_while_waiting_for_the_io_lock(self, snapshot,
+                                                           monkeypatch):
+        from repro.serve import RequestTimeoutError
+
+        # The first request holds the only slot's pipe for 1 s; the second
+        # waits for the slot's I/O lock and must get its 504 on time.
+        _hang_first_request(monkeypatch, 1.0)
+        config = ServeConfig(snapshot_path=snapshot, workers=1, port=0)
+        router = Router(config)
+        router.start()
+        try:
+            first = []
+            thread = threading.Thread(
+                target=lambda: first.append(router.dispatch(OP_PING)))
+            thread.start()
+            _wait_for_accepted(router, 1)
+            time.sleep(0.05)  # the first request takes the I/O lock
+            started = time.monotonic()
+            with pytest.raises(RequestTimeoutError):
+                router.dispatch(OP_PING, timeout=0.1)
+            assert time.monotonic() - started < 0.8
+            thread.join(timeout=30)
+            assert first and first[0].ok
+            counters = router.stats()["counters"]
+            assert counters["timeouts"] == 1
+            assert counters["completed"] == 1
+            assert router.stats()["pending_requests"] == 0
+        finally:
+            router.stop(drain=False)
+
+    def test_requests_waiting_for_the_io_lock_count_against_queue_depth(
+            self, snapshot, monkeypatch):
+        from repro.serve import QueueFullError
+
+        # Budget 2 on one worker: one request on the pipe plus one waiting
+        # for the I/O lock fill it, so a third is rejected at once.
+        _hang_first_request(monkeypatch, 1.0)
+        config = ServeConfig(snapshot_path=snapshot, workers=1, queue_depth=2,
+                             port=0)
+        router = Router(config)
+        router.start()
+        try:
+            answers = []
+            threads = [threading.Thread(
+                target=lambda: answers.append(router.dispatch(OP_PING)))
+                for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            _wait_for_accepted(router, 2)
+            assert router.stats()["workers"][0]["inflight"] == 2
+            with pytest.raises(QueueFullError):
+                router.dispatch(OP_PING)
+            for thread in threads:
+                thread.join(timeout=30)
+            assert len(answers) == 2 and all(answer.ok for answer in answers)
+            counters = router.stats()["counters"]
+            assert counters["rejected_queue_full"] == 1
+            assert counters["completed"] == 2
+            assert router.stats()["workers"][0]["inflight"] == 0
+        finally:
+            router.stop(drain=False)
+
+    def test_idle_respawned_slot_reads_its_startup_message(self, snapshot):
+        import os
+        import signal
+
+        # No request is waiting on the slot, so the monitor itself must read
+        # the new worker's startup message (request id -1) to mark it ready.
+        config = ServeConfig(snapshot_path=snapshot, workers=1,
+                             respawn_delay=0.05, port=0)
+        router = Router(config)
+        router.start()
+        try:
+            victim = router.worker_pids()[0]
+            assert router.stats()["workers"][0]["ready"] is True
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while True:
+                slot = router.stats()["workers"][0]
+                if slot["respawns"] >= 1 and slot["ready"]:
+                    break
+                assert time.monotonic() < deadline, "slot never became ready"
+                time.sleep(0.02)
+            assert router.worker_pids()[0] != victim
+            response = router.dispatch(OP_PING)
+            assert response.ok and response.payload["pid"] != victim
+            counters = router.stats()["counters"]
+            # The startup message is not a late reply, and nothing was
+            # resubmitted: no request was on the dead pipe.
+            assert counters["late_responses_dropped"] == 0
+            assert counters["retried_after_crash"] == 0
         finally:
             router.stop(drain=False)

@@ -48,7 +48,8 @@ def _post(url, path, body, timeout=30.0):
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def _get(url, path, timeout=30.0):
@@ -68,7 +69,7 @@ def _checkpoint_with_extra_object(directory, oid=777000):
         assert result is not None
         return result.generation, center
     finally:
-        engine.close_wal()
+        engine.close()
 
 
 class TestManualReload:
@@ -100,6 +101,25 @@ class TestManualReload:
             assert service.reload() == 0  # nothing changed, nothing swapped
 
 
+class TestWorkerReload:
+    def test_reload_closes_the_old_engine(self, deployment):
+        from repro.serve import WorkerRuntime
+        from repro.serve.protocol import OP_RELOAD, Request
+
+        runtime = WorkerRuntime(0, ServeConfig(snapshot_path=deployment))
+        old_store = runtime.engine.disk.store
+        try:
+            _checkpoint_with_extra_object(deployment)
+            response = runtime.handle(Request(1, OP_RELOAD, None))
+            assert response.payload["reloaded"] is True
+            assert runtime.engine.disk.store is not old_store
+            # The old generation's mapping and file are released now, not
+            # whenever the garbage collector gets to them.
+            assert old_store._map.closed and old_store._file.closed
+        finally:
+            runtime.engine.close()
+
+
 class TestPartialReloadFailure:
     """``generation`` only advances once every live worker confirms it, so
     the manifest watcher keeps retrying a partially failed roll instead of
@@ -118,8 +138,7 @@ class TestPartialReloadFailure:
     def _response(ok, payload, worker_id=0):
         from repro.serve.protocol import Response
 
-        return Response(request_id=0, ok=ok, payload=payload,
-                        worker_id=worker_id)
+        return Response.of(0, ok, payload, worker_id)
 
     def _service_with(self, deployment, responses):
         service = QueryService(ServeConfig(snapshot_path=deployment, port=0))
