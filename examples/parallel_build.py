@@ -1,13 +1,11 @@
 #!/usr/bin/env python
-"""Parallel construction: shard a 500-object build across 4 workers.
-
-The walk-through of the ``repro.parallel`` scheduler:
+"""Parallel construction: spread a 500-object build across 4 workers.
 
 1. build a 500-object diagram **serially** (the reference),
-2. build the same diagram with a 4-worker **multiprocessing** scheduler and
-   verify the answers are bit-identical -- parallelism never changes results,
-3. inspect the scheduler's **shard report** (who computed what, for how long),
-4. **save a snapshot** of the parallel-built diagram so later processes serve
+2. build the same diagram with ``workers=4`` (a **multiprocessing** pool
+   computes the object cells) and verify the answers are bit-identical --
+   parallelism never changes results,
+3. **save a snapshot** of the parallel-built diagram so later processes serve
    it cold-start (`QueryEngine.open`) without rebuilding at all -- build in
    parallel once, open in milliseconds forever after.
 
@@ -21,11 +19,9 @@ import tempfile
 import time
 
 from repro import (
-    ConstructionScheduler,
     DiagramConfig,
     PNNQuery,
     QueryEngine,
-    available_workers,
     generate_query_points,
     generate_uniform_objects,
 )
@@ -46,15 +42,13 @@ def main() -> None:
     print(f"serial build: {serial_seconds:.2f}s over {len(serial)} objects")
 
     # ------------------------------------------------------------------ #
-    # 2. The same build, sharded across 4 worker processes.
+    # 2. The same build, its cells computed by 4 worker processes.
     # ------------------------------------------------------------------ #
-    scheduler = ConstructionScheduler(workers=4, shard_strategy="spatial_tile")
     start = time.perf_counter()
-    parallel = QueryEngine.build(objects, domain, config.replace(workers=4),
-                                 scheduler=scheduler)
+    parallel = QueryEngine.build(objects, domain, config.replace(workers=4))
     parallel_seconds = time.perf_counter() - start
     print(f"parallel build: {parallel_seconds:.2f}s with 4 workers "
-          f"({available_workers()} usable cores, "
+          f"({os.cpu_count()} cores, "
           f"{serial_seconds / parallel_seconds:.2f}x speedup)")
 
     assert all(
@@ -65,17 +59,7 @@ def main() -> None:
     print("answers verified bit-identical to the serial build")
 
     # ------------------------------------------------------------------ #
-    # 3. What did each shard cost?
-    # ------------------------------------------------------------------ #
-    report = scheduler.last_report
-    print(f"shard report: {report.shard_count} shards via {report.executor} "
-          f"executor, strategy {report.strategy!r}")
-    for shard in report.shards:
-        print(f"  shard {shard.index}: {shard.size} objects "
-              f"in {shard.seconds:.2f}s")
-
-    # ------------------------------------------------------------------ #
-    # 4. Snapshot the parallel-built diagram for cold-start serving.
+    # 3. Snapshot the parallel-built diagram for cold-start serving.
     # ------------------------------------------------------------------ #
     workdir = tempfile.mkdtemp(prefix="uv_parallel_")
     snapshot = os.path.join(workdir, "uv_diagram.snap")

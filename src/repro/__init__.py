@@ -49,12 +49,7 @@ from repro.queries.spec import (
 from repro.core.uv_cell import UVCell, build_all_uv_cells, build_exact_uv_cell
 from repro.core.uv_index import UVIndex
 from repro.core.cr_objects import CRObjectFinder
-from repro.core.construction import (
-    build_uv_index_basic,
-    build_uv_index_ic,
-    build_uv_index_icr,
-)
-from repro.parallel import ConstructionScheduler, available_workers
+from repro.core.construction import build_uv_index
 from repro.core.pattern import PatternAnalyzer
 from repro.rtree.tree import RTree
 from repro.queries.result import PNNAnswer, PNNResult
@@ -98,11 +93,7 @@ __all__ = [
     "build_all_uv_cells",
     "UVIndex",
     "CRObjectFinder",
-    "build_uv_index_basic",
-    "build_uv_index_ic",
-    "build_uv_index_icr",
-    "ConstructionScheduler",
-    "available_workers",
+    "build_uv_index",
     "PatternAnalyzer",
     "RTree",
     "PNNAnswer",

@@ -72,9 +72,6 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the construction's "
                              "cell-computation phase (1 = serial; results "
                              "are bit-identical either way)")
-    parser.add_argument("--shard-strategy", default="round_robin",
-                        choices=["round_robin", "spatial_tile"],
-                        help="how objects are sharded across workers")
 
 
 def _add_query_point_arguments(parser: argparse.ArgumentParser) -> None:
@@ -123,7 +120,6 @@ def _config_from_args(args: argparse.Namespace, backend: Optional[str] = None) -
         store_path=args.store_path,
         buffer_pages=args.buffer_pages if args.buffer_pages is not None else 0,
         workers=args.workers,
-        shard_strategy=args.shard_strategy,
     )
 
 

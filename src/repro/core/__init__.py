@@ -22,12 +22,7 @@ from repro.core.possible_region import PossibleRegion
 from repro.core.uv_cell import UVCell, build_exact_uv_cell, build_all_uv_cells
 from repro.core.cr_objects import CRObjectFinder, CRObjectResult
 from repro.core.uv_index import UVIndex, UVIndexNode
-from repro.core.construction import (
-    ConstructionStats,
-    build_uv_index_basic,
-    build_uv_index_ic,
-    build_uv_index_icr,
-)
+from repro.core.construction import ConstructionStats, build_uv_index
 from repro.core.pattern import PartitionInfo, PatternAnalyzer
 
 __all__ = [
@@ -41,9 +36,7 @@ __all__ = [
     "UVIndex",
     "UVIndexNode",
     "ConstructionStats",
-    "build_uv_index_basic",
-    "build_uv_index_ic",
-    "build_uv_index_icr",
+    "build_uv_index",
     "PartitionInfo",
     "PatternAnalyzer",
 ]

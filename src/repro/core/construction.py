@@ -20,22 +20,23 @@ Construction is two phases with very different parallelism profiles:
    or exact r-objects) against the rest of the dataset.  This is pure and
    embarrassingly parallel per object: :class:`ConstructionContext.compute`
    takes an object id and returns an :class:`ObjectCellResult` without
-   touching any shared mutable state, so shards of objects can be computed
-   on worker processes (see :mod:`repro.parallel`) from a picklable
+   touching any shared mutable state, so deals of objects can be computed
+   on worker processes (:func:`compute_cells`) from a picklable
    :class:`CellWorkSpec`.
 2. **Indexing** -- inserting the reference sets into the adaptive grid.
    This mutates one shared structure and always runs in canonical object
    order, which is what makes parallel builds bit-identical to serial ones
-   regardless of how phase 1 was sharded.
+   regardless of how phase 1 was dealt out.
 
-Each builder returns the index together with a :class:`ConstructionStats`
-record holding the per-phase timings and pruning ratios that Figures 7(a)-(g)
-report.  Stats are addable (``merge`` / ``+``) so per-shard records aggregate
-into one run-level record.
+:func:`build_uv_index` returns the index together with a
+:class:`ConstructionStats` record holding the per-phase timings and pruning
+ratios that Figures 7(a)-(g) report.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -89,55 +90,6 @@ class ConstructionStats:
     def phase_fractions(self) -> Dict[str, float]:
         """Phase shares of the total time (Figures 7(d) and 7(e))."""
         return self.timing.fractions()
-
-    # ------------------------------------------------------------------ #
-    # aggregation (shard merging, multi-run reports)
-    # ------------------------------------------------------------------ #
-    def merge(self, other: "ConstructionStats") -> "ConstructionStats":
-        """Aggregate two runs (or shards) into one record.
-
-        Counts and times add; the per-object averages and pruning ratios are
-        weighted by object count so the merged record reports the same values
-        a single pass over the union would have produced.
-        """
-        if not isinstance(other, ConstructionStats):
-            raise TypeError(f"cannot merge ConstructionStats with {type(other).__name__}")
-        total_objects = self.objects + other.objects
-
-        def weighted(a: float, b: float) -> float:
-            if total_objects == 0:
-                return 0.0
-            return (a * self.objects + b * other.objects) / total_objects
-
-        timing = TimingBreakdown()
-        timing.merge(self.timing)
-        timing.merge(other.timing)
-        method = self.method if self.method == other.method else (
-            f"{self.method}+{other.method}"
-        )
-        return ConstructionStats(
-            method=method,
-            objects=total_objects,
-            total_seconds=self.total_seconds + other.total_seconds,
-            timing=timing,
-            i_pruning_ratio=weighted(self.i_pruning_ratio, other.i_pruning_ratio),
-            c_pruning_ratio=weighted(self.c_pruning_ratio, other.c_pruning_ratio),
-            avg_cr_objects=weighted(self.avg_cr_objects, other.avg_cr_objects),
-            avg_r_objects=weighted(self.avg_r_objects, other.avg_r_objects),
-        )
-
-    def __add__(self, other: "ConstructionStats") -> "ConstructionStats":
-        if not isinstance(other, ConstructionStats):
-            return NotImplemented
-        return self.merge(other)
-
-    def __radd__(self, other) -> "ConstructionStats":
-        # supports sum(list_of_stats) whose implicit start value is 0
-        if other == 0:
-            return self
-        if not isinstance(other, ConstructionStats):
-            return NotImplemented
-        return other.merge(self)
 
 
 # ---------------------------------------------------------------------- #
@@ -212,23 +164,19 @@ class ConstructionContext:
 
     Built once per process (from a :class:`CellWorkSpec`) or once per serial
     run; :meth:`compute` is then a pure function of the object id.  The
-    context never mutates after construction, which is what makes sharded /
+    context never mutates after construction, which is what makes
     multi-process cell computation safe and deterministic.
     """
 
-    def __init__(
-        self,
-        spec: CellWorkSpec,
-        finder: Optional[CRObjectFinder] = None,
-        rtree: Optional[RTree] = None,
-    ):
+    def __init__(self, spec: CellWorkSpec, rtree: Optional[RTree] = None):
         self.spec = spec
         self.objects: List[UncertainObject] = list(spec.objects)
         self.by_id: Dict[int, UncertainObject] = {o.oid: o for o in self.objects}
-        if spec.method in ("ic", "icr") and finder is None:
+        self.finder: Optional[CRObjectFinder] = None
+        if spec.method in ("ic", "icr"):
             if rtree is None:
                 rtree = RTree.bulk_load(self.objects, fanout=spec.rtree_fanout)
-            finder = CRObjectFinder(
+            self.finder = CRObjectFinder(
                 self.objects,
                 spec.domain,
                 rtree=rtree,
@@ -236,14 +184,13 @@ class ConstructionContext:
                 seed_sectors=spec.seed_sectors,
                 by_id=self.by_id,
             )
-        self.finder = finder
 
     def compute(self, oid: int) -> ObjectCellResult:
         """Compute one object's reference set (pure: no shared mutable state)."""
         return self.compute_many([oid])[0]
 
     def compute_many(self, oids: Sequence[int]) -> List[ObjectCellResult]:
-        """Compute a shard of objects, in the given order.
+        """Compute a deal of objects, in the given order.
 
         IC and ICR run Algorithm 2 batch by batch
         (:meth:`CRObjectFinder.iter_many`); each object is charged its own
@@ -251,6 +198,7 @@ class ConstructionContext:
         """
         if self.spec.method == "basic":
             return [self._basic(oid) for oid in oids]
+        assert self.finder is not None
         found = self.finder.iter_many([self.by_id[oid] for oid in oids])
         return [self._refine(cr, cr.timing.total()) for cr in found]
 
@@ -296,32 +244,78 @@ class ConstructionContext:
         )
 
 
+#: per-process construction context, built once by the pool initializer
+_WORKER_CONTEXT: Optional[ConstructionContext] = None
+
+
+def _init_worker(spec: CellWorkSpec) -> None:
+    """Pool initializer: build the read-only context once per worker."""
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = ConstructionContext(spec)
+
+
+def _compute_deal(oids: List[int]) -> List[ObjectCellResult]:
+    """Worker entry point: compute one deal of objects."""
+    assert _WORKER_CONTEXT is not None
+    return _WORKER_CONTEXT.compute_many(oids)
+
+
+def compute_cells(
+    spec: CellWorkSpec, workers: int, rtree: Optional[RTree]
+) -> List[ObjectCellResult]:
+    """Every object's cell result, in the spec's object order.
+
+    ``workers <= 1`` computes in-process on ``rtree`` (the engine's, whose
+    page reads the build counts).  Otherwise a pool of up to ``workers``
+    processes, at the platform's default start method, builds one private
+    context per worker and computes round-robin deals of the objects; the
+    results merge by object id.  When the pool cannot start or the spec will
+    not pickle, the cells are computed in-process on a private R-tree, so a
+    build never fails just because parallelism is unavailable.
+    """
+    oids = [obj.oid for obj in spec.objects]
+    if workers <= 1:
+        return ConstructionContext(spec, rtree=rtree).compute_many(oids)
+    deals = [oids[i::workers] for i in range(min(workers, len(oids)))]
+    try:
+        with multiprocessing.Pool(
+            max(1, len(deals)), initializer=_init_worker, initargs=(spec,)
+        ) as pool:
+            computed = pool.map(_compute_deal, deals)
+    except (OSError, pickle.PicklingError, AttributeError, ImportError):
+        return ConstructionContext(spec).compute_many(oids)
+    by_oid = {result.oid: result for deal in computed for result in deal}
+    return [by_oid[oid] for oid in oids]
+
+
 # ---------------------------------------------------------------------- #
-# shared build pipeline
+# the build pipeline
 # ---------------------------------------------------------------------- #
 def _average(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _build_uv_index(
+def build_uv_index(
     method: str,
     objects: Sequence[UncertainObject],
     domain: Rect,
-    rtree: Optional[RTree],
-    disk: Optional[DiskManager],
-    max_nonleaf: int,
-    split_threshold: float,
-    page_capacity: Optional[int],
-    seed_knn: int,
-    seed_sectors: int,
-    arc_samples: int,
-    finder: Optional[CRObjectFinder],
-    scheduler,
+    *,
+    rtree: Optional[RTree] = None,
+    disk: Optional[DiskManager] = None,
+    max_nonleaf: int = 4000,
+    split_threshold: float = 1.0,
+    page_capacity: Optional[int] = None,
+    seed_knn: int = 300,
+    seed_sectors: int = 8,
+    workers: int = 1,
 ) -> Tuple[UVIndex, ConstructionStats]:
-    """Compute all object cells (serial or via a scheduler), then index them.
+    """Build a UV-index by ``method`` (``"ic"``, ``"icr"`` or ``"basic"``).
 
-    Indexing always runs in canonical object order, so the resulting index is
-    bit-identical however the cell computation was sharded or distributed.
+    Computes every object's cell (:func:`compute_cells`, across ``workers``
+    processes), then indexes them.  Indexing always runs in canonical object
+    order, so the index is bit-identical at any worker count.  ``rtree``
+    serves Algorithm 2's neighbour searches in a serial build; Basic
+    ignores it.
     """
     objects = list(objects)
     by_id = {obj.oid: obj for obj in objects}
@@ -338,21 +332,12 @@ def _build_uv_index(
         domain=domain,
         seed_knn=seed_knn,
         seed_sectors=seed_sectors,
-        arc_samples=arc_samples,
         rtree_fanout=rtree.fanout if rtree is not None else DEFAULT_RTREE_FANOUT,
     )
     timing = TimingBreakdown()
 
     start_total = time.perf_counter()
-    if scheduler is not None and finder is None:
-        by_oid = scheduler.compute_cells(spec)
-        results = [by_oid[obj.oid] for obj in objects]
-    else:
-        # A caller-supplied finder cannot be shipped to worker processes, so
-        # it always computes in-process.
-        context = ConstructionContext(spec, finder=finder, rtree=rtree)
-        results = context.compute_many([obj.oid for obj in objects])
-
+    results = compute_cells(spec, workers, rtree)
     for result in results:
         for name, seconds in result.phase_seconds.items():
             timing.add(name, seconds)
@@ -375,104 +360,3 @@ def _build_uv_index(
         avg_r_objects=_average([r.refined for r in results if r.refined is not None]),
     )
     return index, stats
-
-
-def build_uv_index_ic(
-    objects: Sequence[UncertainObject],
-    domain: Rect,
-    rtree: Optional[RTree] = None,
-    disk: Optional[DiskManager] = None,
-    max_nonleaf: int = 4000,
-    split_threshold: float = 1.0,
-    page_capacity: Optional[int] = None,
-    seed_knn: int = 300,
-    seed_sectors: int = 8,
-    finder: Optional[CRObjectFinder] = None,
-    scheduler=None,
-) -> Tuple[UVIndex, ConstructionStats]:
-    """The IC construction: prune, then index cr-objects directly.
-
-    ``scheduler`` (a :class:`repro.parallel.ConstructionScheduler`) shards
-    the cell-computation phase across workers; omitted, the build runs
-    serially.  Either way the result is bit-identical.
-    """
-    return _build_uv_index(
-        "ic",
-        objects,
-        domain,
-        rtree=rtree,
-        disk=disk,
-        max_nonleaf=max_nonleaf,
-        split_threshold=split_threshold,
-        page_capacity=page_capacity,
-        seed_knn=seed_knn,
-        seed_sectors=seed_sectors,
-        arc_samples=10,
-        finder=finder,
-        scheduler=scheduler,
-    )
-
-
-def build_uv_index_icr(
-    objects: Sequence[UncertainObject],
-    domain: Rect,
-    rtree: Optional[RTree] = None,
-    disk: Optional[DiskManager] = None,
-    max_nonleaf: int = 4000,
-    split_threshold: float = 1.0,
-    page_capacity: Optional[int] = None,
-    seed_knn: int = 300,
-    seed_sectors: int = 8,
-    arc_samples: int = 10,
-    finder: Optional[CRObjectFinder] = None,
-    scheduler=None,
-) -> Tuple[UVIndex, ConstructionStats]:
-    """The ICR construction: prune, refine to exact r-objects, then index."""
-    return _build_uv_index(
-        "icr",
-        objects,
-        domain,
-        rtree=rtree,
-        disk=disk,
-        max_nonleaf=max_nonleaf,
-        split_threshold=split_threshold,
-        page_capacity=page_capacity,
-        seed_knn=seed_knn,
-        seed_sectors=seed_sectors,
-        arc_samples=arc_samples,
-        finder=finder,
-        scheduler=scheduler,
-    )
-
-
-def build_uv_index_basic(
-    objects: Sequence[UncertainObject],
-    domain: Rect,
-    disk: Optional[DiskManager] = None,
-    max_nonleaf: int = 4000,
-    split_threshold: float = 1.0,
-    page_capacity: Optional[int] = None,
-    arc_samples: int = 10,
-    scheduler=None,
-) -> Tuple[UVIndex, ConstructionStats]:
-    """The Basic construction: exact UV-cells via Algorithm 1, then index.
-
-    Every other object is considered when building each UV-cell, so the cost
-    grows very quickly with the dataset size; this pipeline exists as the
-    baseline of Figure 7(a) and as a correctness oracle for small inputs.
-    """
-    return _build_uv_index(
-        "basic",
-        objects,
-        domain,
-        rtree=None,
-        disk=disk,
-        max_nonleaf=max_nonleaf,
-        split_threshold=split_threshold,
-        page_capacity=page_capacity,
-        seed_knn=300,
-        seed_sectors=8,
-        arc_samples=arc_samples,
-        finder=None,
-        scheduler=scheduler,
-    )

@@ -169,12 +169,8 @@ class IndexBackend(abc.ABC):
 # ---------------------------------------------------------------------- #
 # registry
 # ---------------------------------------------------------------------- #
-#: called as ``factory(objects, domain, config, disk, rtree, scheduler)``;
-#: ``scheduler`` is a :class:`repro.parallel.ConstructionScheduler` (or
-#: ``None``) that backends with a parallelisable construction phase should
-#: forward to their builders -- backends whose construction is trivially
-#: cheap may ignore it.  The parameter list stays ``...`` because legacy
-#: five-arg factories remain callable (see :func:`_scheduler_call_style`).
+#: called as ``factory(objects, domain, config, disk, rtree)``; a backend with
+#: a parallelisable construction phase reads ``config.workers``.
 BackendFactory = Callable[..., IndexBackend]
 
 #: called as ``restorer(state, domain, config, disk, rtree, stats)`` with the
@@ -193,8 +189,8 @@ def register_backend(
 ) -> None:
     """Register (or replace) a backend factory under a string key.
 
-    The factory is called as ``factory(objects, domain, config, disk, rtree,
-    scheduler)`` and must return an unbound :class:`IndexBackend`.  ``restorer``, when
+    The factory is called as ``factory(objects, domain, config, disk, rtree)``
+    and must return an unbound :class:`IndexBackend`.  ``restorer``, when
     given, enables ``QueryEngine.open()`` for this backend (see
     :data:`BackendRestorer`): it rebuilds the backend over the snapshot's
     pages without reconstruction.  It is not handed the objects -- they stay
@@ -228,52 +224,17 @@ def create_backend(
     config: "DiagramConfig",
     disk: Any,
     rtree: Any,
-    scheduler: Any = None,
 ) -> IndexBackend:
-    """Instantiate the backend registered under ``name``.
-
-    ``scheduler`` shards the construction's cell-computation phase (see
-    :class:`repro.parallel.ConstructionScheduler`); ``None`` builds serially.
-    """
+    """Instantiate the backend registered under ``name``."""
     try:
         factory = _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown backend: {name!r} (available: {', '.join(available_backends())})"
         ) from None
-    style = _scheduler_call_style(factory)
-    if style == "keyword":
-        backend = factory(objects, domain, config, disk, rtree, scheduler=scheduler)
-    elif style == "positional":
-        backend = factory(objects, domain, config, disk, rtree, scheduler)
-    else:
-        # Pre-scheduler factories registered against the original five-arg
-        # contract keep working; they simply build serially.
-        backend = factory(objects, domain, config, disk, rtree)
+    backend = factory(objects, domain, config, disk, rtree)
     backend.name = name.lower()
     return backend
-
-
-def _scheduler_call_style(factory: BackendFactory) -> str:
-    """How to hand the factory the scheduler: ``keyword`` when it declares a
-    parameter named ``scheduler`` (or takes ``**kwargs``), ``positional``
-    when it accepts ``*args`` or its signature is opaque (C callables --
-    assume the current six-arg contract), else ``none`` (legacy five-arg
-    factory; never smuggle the scheduler into an unrelated parameter)."""
-    import inspect
-
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return "positional"
-    for parameter in signature.parameters.values():
-        if parameter.name == "scheduler" or parameter.kind == (
-            inspect.Parameter.VAR_KEYWORD
-        ):
-            return "keyword"
-        if parameter.kind == inspect.Parameter.VAR_POSITIONAL:
-            return "positional"
-    return "none"
 
 
 def restore_backend(

@@ -12,14 +12,9 @@ runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.construction import (
-    ConstructionStats,
-    build_uv_index_basic,
-    build_uv_index_ic,
-    build_uv_index_icr,
-)
+from repro.core.construction import ConstructionStats, build_uv_index
 from repro.core.pattern import PartitionQueryResult, PatternAnalyzer
 from repro.core.pnn import uv_index_candidates
 from repro.core.updates import UVDiagramUpdater
@@ -173,32 +168,20 @@ def _uv_factory(method: str) -> BackendFactory:
         config: DiagramConfig,
         disk: DiskManager,
         rtree: RTree,
-        scheduler: Any = None,
     ) -> UVIndexBackend:
-        if method == "basic":
-            index, stats = build_uv_index_basic(
-                objects,
-                domain,
-                disk=disk,
-                max_nonleaf=config.max_nonleaf,
-                split_threshold=config.split_threshold,
-                page_capacity=config.page_capacity,
-                scheduler=scheduler,
-            )
-        else:
-            builder = build_uv_index_ic if method == "ic" else build_uv_index_icr
-            index, stats = builder(
-                objects,
-                domain,
-                rtree=rtree,
-                disk=disk,
-                max_nonleaf=config.max_nonleaf,
-                split_threshold=config.split_threshold,
-                page_capacity=config.page_capacity,
-                seed_knn=config.seed_knn,
-                seed_sectors=config.seed_sectors,
-                scheduler=scheduler,
-            )
+        index, stats = build_uv_index(
+            method,
+            objects,
+            domain,
+            rtree=rtree,
+            disk=disk,
+            max_nonleaf=config.max_nonleaf,
+            split_threshold=config.split_threshold,
+            page_capacity=config.page_capacity,
+            seed_knn=config.seed_knn,
+            seed_sectors=config.seed_sectors,
+            workers=config.workers,
+        )
         return UVIndexBackend(index, stats)
 
     return factory
@@ -210,10 +193,9 @@ def _rtree_factory(
     config: DiagramConfig,
     disk: DiskManager,
     rtree: RTree,
-    scheduler: Any = None,
 ) -> RTreeBackend:
     # The R-tree is bulk-loaded by the engine before backends exist; there is
-    # no per-object cell computation for a scheduler to shard.
+    # no per-object cell computation to spread over workers.
     stats = ConstructionStats(
         method="rtree",
         objects=len(objects),

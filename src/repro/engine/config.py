@@ -1,7 +1,7 @@
 """Typed configuration for building a UV-diagram / query engine.
 
 :class:`DiagramConfig` replaces the kwarg explosion that used to spread over
-the ``build_uv_index_*`` functions, the engine, and the CLI: one
+the UV-index builders, the engine, and the CLI: one
 frozen, validated record that can round-trip through plain dicts for CLI and
 benchmark plumbing.
 """
@@ -35,16 +35,13 @@ class DiagramConfig:
         buffer_pages: capacity of the integrated LRU buffer pool on the
             counted read path; zero disables caching (the paper's setup).
         workers: worker count for the cell-computation phase of construction.
-            ``1`` (the default) builds serially in-process; ``>1`` shards the
-            per-object work across a multiprocessing pool.  The resulting
+            ``1`` (the default) builds serially in-process; ``>1`` deals the
+            objects round-robin to a multiprocessing pool.  The resulting
             diagram (structure, answers, probabilities, query-time I/O) is
             bit-identical either way; only *construction-time* accounting
             differs -- workers prune through private uncounted R-trees, so
             build-phase page reads land in ``io_stats()`` only for serial
             builds, and stats timing buckets become per-worker CPU seconds.
-        shard_strategy: how the object set is split across workers --
-            ``"round_robin"`` (balanced deal-out) or ``"spatial_tile"``
-            (domain tiles, spatially compact shards).
     """
 
     backend: str = "ic"
@@ -58,7 +55,6 @@ class DiagramConfig:
     store_path: Optional[str] = None
     buffer_pages: int = 0
     workers: int = 1
-    shard_strategy: str = "round_robin"
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, str) or not self.backend:
@@ -85,11 +81,6 @@ class DiagramConfig:
             raise ValueError("buffer_pages must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.shard_strategy not in ("round_robin", "spatial_tile"):
-            raise ValueError(
-                f"unknown shard_strategy: {self.shard_strategy!r} "
-                "(known: round_robin, spatial_tile)"
-            )
 
     # ------------------------------------------------------------------ #
     # dict plumbing (CLI, benchmarks, experiment grids)

@@ -273,21 +273,19 @@ class QueryEngine:
         domain: Rect,
         config: Optional[DiagramConfig] = None,
         disk: Optional[DiskManager] = None,
-        scheduler: Any = None,
         **overrides: Any,
     ) -> "QueryEngine":
         """Build an engine over ``objects`` with the configured backend.
+
+        ``config.workers > 1`` computes the UV backends' object cells on a
+        pool of worker processes; the diagram is bit-identical to a serial
+        build.
 
         Args:
             objects: the uncertain objects.
             domain: the domain rectangle that bounds the diagram.
             config: typed configuration; defaults to ``DiagramConfig()``.
             disk: shared disk manager; a fresh one is created when omitted.
-            scheduler: a :class:`repro.parallel.ConstructionScheduler` for
-                the construction's cell-computation phase.  Omitted, one is
-                derived from ``config.workers`` / ``config.shard_strategy``
-                (``workers=1`` builds serially with no scheduler overhead).
-                Parallel-built diagrams are bit-identical to serial ones.
             **overrides: per-field config overrides, e.g.
                 ``QueryEngine.build(objs, dom, backend="icr", workers=4)``.
         """
@@ -297,19 +295,13 @@ class QueryEngine:
         objects = list(objects)
         if not objects:
             raise ValueError("cannot build a query engine over an empty dataset")
-        if scheduler is None and config.workers > 1:
-            from repro.parallel import ConstructionScheduler
-
-            scheduler = ConstructionScheduler.from_config(config)
         if disk is None:
             store = create_page_store(config.store, config.store_path)
             disk = DiskManager(store=store, buffer_pages=config.buffer_pages)
         store = ObjectStore(disk)
         store.bulk_load(objects)
         rtree = RTree.bulk_load(objects, disk=disk, fanout=config.rtree_fanout)
-        backend = create_backend(
-            config.backend, objects, domain, config, disk, rtree, scheduler
-        )
+        backend = create_backend(config.backend, objects, domain, config, disk, rtree)
         return cls(
             objects=objects,
             domain=domain,

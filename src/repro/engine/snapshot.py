@@ -79,6 +79,7 @@ SNAPSHOT_FORMAT = 3
 RETIRED_CONFIG_KEYS: Dict[str, Callable[[Any], bool]] = {
     "prob_kernel": lambda value: value in ("vectorized", "scalar"),
     "grid_resolution": lambda value: type(value) is int and value >= 1,
+    "shard_strategy": lambda value: value in ("round_robin", "spatial_tile"),
 }
 
 #: Backends earlier releases could save and this one no longer has, with why

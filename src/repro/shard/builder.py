@@ -2,9 +2,9 @@
 
 The builder derives a balanced :class:`~repro.shard.map.ShardMap`, builds
 one :class:`~repro.engine.engine.QueryEngine` per shard over the objects
-assigned to its tile (sharing one ``ConstructionScheduler`` across every
-build, so ``workers=N`` parallelises each shard's cell-computation phase),
-stamps the shard map into every snapshot header, and lays each shard out as
+assigned to its tile (``config.workers`` parallelises each build's
+cell-computation phase), stamps the shard map into every snapshot header,
+and lays each shard out as
 a PR 8 live deployment directory (generation 1 + empty WAL + ``MANIFEST``)
 via ``save_generation``.  The deployment-level ``SHARDMAP`` manifest is
 written last -- it is the commit point; a crash mid-build leaves no
@@ -66,8 +66,6 @@ class ShardedBuilder:
             store is forced to ``"memory"`` during construction (each shard
             persists through its own snapshot file afterwards).
         shards: requested shard count (clamped so no shard is empty).
-        scheduler: optional shared ``ConstructionScheduler``; derived from
-            ``config.workers`` when omitted.
     """
 
     def __init__(
@@ -76,7 +74,6 @@ class ShardedBuilder:
         domain: Rect,
         config: Optional[DiagramConfig] = None,
         shards: int = 4,
-        scheduler: Any = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
@@ -86,11 +83,6 @@ class ShardedBuilder:
         self.domain = domain
         self.config = config if config is not None else DiagramConfig()
         self.shards = shards
-        if scheduler is None and self.config.workers > 1:
-            from repro.parallel import ConstructionScheduler
-
-            scheduler = ConstructionScheduler.from_config(self.config)
-        self.scheduler = scheduler
         self._build_config = self.config.replace(store="memory", store_path=None)
 
     def build(self, directory: str, epoch: int = 1) -> ShardDeployment:
@@ -98,12 +90,7 @@ class ShardedBuilder:
         shard_map = build_shard_map(self.objects, self.domain, self.shards)
         skeleton: Optional[Tuple[SkeletonEntry, ...]] = None
         if self.config.backend in UV_BACKENDS:
-            reference = QueryEngine.build(
-                self.objects,
-                self.domain,
-                self._build_config,
-                scheduler=self.scheduler,
-            )
+            reference = QueryEngine.build(self.objects, self.domain, self._build_config)
             skeleton = extract_uv_skeleton(reference)
         assignments = assign_objects(
             self.objects, [shard.tile for shard in shard_map.shards]
@@ -113,10 +100,7 @@ class ShardedBuilder:
         for shard in shard_map.shards:
             name = shard_dir_name(epoch, shard.shard_id)
             engine = QueryEngine.build(
-                assignments[shard.shard_id],
-                self.domain,
-                self._build_config,
-                scheduler=self.scheduler,
+                assignments[shard.shard_id], self.domain, self._build_config
             )
             engine.shard_info = shard_header(shard_map, shard.shard_id, epoch)
             engine.save_generation(os.path.join(directory, name))
@@ -148,10 +132,7 @@ def build_sharded_deployment(
     config: Optional[DiagramConfig] = None,
     shards: int = 4,
     epoch: int = 1,
-    scheduler: Any = None,
 ) -> ShardDeployment:
     """Convenience wrapper: build and persist a sharded deployment."""
-    builder = ShardedBuilder(
-        objects, domain, config=config, shards=shards, scheduler=scheduler
-    )
+    builder = ShardedBuilder(objects, domain, config=config, shards=shards)
     return builder.build(directory, epoch=epoch)

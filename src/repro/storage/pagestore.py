@@ -465,8 +465,10 @@ class FilePageStore(PageStore):
 
     def close(self) -> None:
         if not self._file.closed:
-            self.flush()
-            self._file.close()
+            try:
+                self.flush()
+            finally:
+                self._file.close()
 
     # -- plumbing -------------------------------------------------------- #
     def _slot_offset(self, page_id: int) -> int:

@@ -5,8 +5,8 @@ snapshot:
 
 1. :meth:`~repro.engine.engine.QueryEngine.checkpoint_capture` takes a
    consistent ``(objects, last_lsn)`` cut under the engine's WAL lock,
-2. a *fresh* engine is built from that cut with the parallel construction
-   scheduler (``workers`` from the engine's config unless overridden) --
+2. a *fresh* engine is built from that cut, its cells computed by
+   ``workers`` processes (the engine's config unless overridden) --
    the serving engine keeps answering queries against generation N the
    whole time,
 3. the rebuilt engine is saved as ``gen-{N+1:06d}.snap``,

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import construction, cr_objects
-from repro.core.construction import (
-    build_uv_index_basic,
-    build_uv_index_ic,
-    build_uv_index_icr,
-)
+from repro.core.construction import build_uv_index
 from repro.core.pnn import uv_index_candidates
 from repro.core.uv_cell import answer_objects_brute_force
 from repro.geometry.point import Point
@@ -47,14 +43,14 @@ def shared_dataset():
 @pytest.fixture(scope="module")
 def built_indexes(shared_dataset):
     objects, rtree = shared_dataset
-    ic_index, ic_stats = build_uv_index_ic(
-        objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
+    ic_index, ic_stats = build_uv_index(
+        "ic", objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
     )
-    icr_index, icr_stats = build_uv_index_icr(
-        objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
+    icr_index, icr_stats = build_uv_index(
+        "icr", objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
     )
-    basic_index, basic_stats = build_uv_index_basic(
-        objects, DOMAIN, page_capacity=4
+    basic_index, basic_stats = build_uv_index(
+        "basic", objects, DOMAIN, page_capacity=4
     )
     return {
         "ic": (ic_index, ic_stats),
@@ -106,13 +102,13 @@ def cpu_builds(shared_dataset):
     """
     objects, rtree = shared_dataset
     builds = {
-        "ic": lambda: build_uv_index_ic(
-            objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
+        "ic": lambda: build_uv_index(
+            "ic", objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
         ),
-        "icr": lambda: build_uv_index_icr(
-            objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
+        "icr": lambda: build_uv_index(
+            "icr", objects, DOMAIN, rtree=rtree, page_capacity=4, seed_knn=15
         ),
-        "basic": lambda: build_uv_index_basic(objects, DOMAIN, page_capacity=4),
+        "basic": lambda: build_uv_index("basic", objects, DOMAIN, page_capacity=4),
     }
     clock = SimpleNamespace(perf_counter=time.process_time)
     with pytest.MonkeyPatch.context() as patch:

@@ -85,7 +85,6 @@ class TestDiagramConfig:
             ("seed_sectors", 0),
             ("rtree_fanout", 2),
             ("workers", 0),
-            ("shard_strategy", "diagonal"),
         ],
     )
     def test_validation_rejects_bad_values(self, field, value):
@@ -132,7 +131,7 @@ class TestRegistry:
             QueryEngine.build(dataset, DOMAIN, SMALL_CONFIG.replace(backend="btree"))
 
     def test_custom_backend_registration_round_trip(self, dataset):
-        def factory(objects, domain, config, disk, rtree, scheduler=None):
+        def factory(objects, domain, config, disk, rtree):
             backend = UVIndexBackend.__new__(UVIndexBackend)  # placeholder instance
             return backend
 

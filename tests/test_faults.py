@@ -31,7 +31,11 @@ from repro.faults import (
 )
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
-from repro.storage.pagestore import FilePageStore, MemoryPageStore
+from repro.storage.pagestore import (
+    CorruptSnapshotError,
+    FilePageStore,
+    MemoryPageStore,
+)
 from repro.wal import (
     OP_DELETE,
     CorruptRecordError,
@@ -157,7 +161,8 @@ class TestFaultyPageStore:
             store.store_page(self._page(0))
             store.store_page(self._page(1))  # delegated write + silent flip
             store.close()
-            return open(path, "rb").read()
+            with open(path, "rb") as handle:
+                return handle.read()
 
         damaged = run("damaged.pages", faulty=True)
         clean = run("clean.pages", faulty=False)
@@ -182,6 +187,9 @@ class TestFaultyPageStore:
         with pytest.raises(OSError, match="torn write"):
             store.store_page(self._page(1))
         assert os.path.getsize(path) < max(size_before, os.path.getsize(path) + 1)
+        # The sheared header cannot be resealed; the file is released anyway.
+        with pytest.raises(CorruptSnapshotError):
+            store.close()
 
     def test_counted_reads_flow_through_disk_manager(self):
         plan = FaultPlan(faults=(FaultSpec("store.load_page", 1, "io_error"),))
@@ -263,7 +271,7 @@ class TestCheckpointRetryAndStatus:
         monkeypatch.setattr(checkpointer, "_checkpoint_once", explode)
         with pytest.raises(OSError, match="disk on fire"):
             checkpointer.run_once(force=True)
-        live.close_wal()
+        live.close()
         assert calls["n"] == 2
         assert checkpointer.consecutive_failures == 2
         status = read_checkpoint_status(directory)
@@ -277,7 +285,7 @@ class TestCheckpointRetryAndStatus:
         checkpointer.last_error = OSError("stale")
         checkpointer.consecutive_failures = 3
         assert checkpointer.run_once(force=True) is not None
-        live.close_wal()
+        live.close()
         assert checkpointer.consecutive_failures == 0
         assert checkpointer.last_error is None
         status = read_checkpoint_status(directory)
@@ -294,7 +302,6 @@ class TestCheckpointRetryAndStatus:
         directory, live = self._deployment(tmp_path)
 
         def always_corrupt(path):
-            from repro.storage.pagestore import CorruptSnapshotError
             raise CorruptSnapshotError(f"injected verification failure: {path}")
 
         monkeypatch.setattr(checkpoint_module, "verify_snapshot_file",
@@ -302,7 +309,7 @@ class TestCheckpointRetryAndStatus:
         checkpointer = Checkpointer(live, interval=3600.0, retry_attempts=1)
         with pytest.raises(Exception, match="injected verification failure"):
             checkpointer.run_once(force=True)
-        live.close_wal()
+        live.close()
         manifest = read_manifest(directory)
         assert manifest.generation == 1
         assert not [name for name in os.listdir(directory)
@@ -320,14 +327,14 @@ class TestQuarantineFallback:
         for index in range(3):
             live.insert(synthesize_object(base + index, rng, live.domain))
         Checkpointer(live, interval=3600.0).run_once(force=True)
-        live.close_wal()
+        live.close()
 
         manifest = read_manifest(directory)
         assert manifest.generation == 2
         flip_byte(os.path.join(directory, manifest.snapshot), seed=1)
 
         fallen = QueryEngine.open_live(directory, verify=True)
-        fallen.close_wal()
+        fallen.close()
         assert read_manifest(directory).generation == 1
         assert len(list_quarantined(directory)) == 1
         # The fallback manifest records no predecessor of its own: a second
@@ -340,8 +347,6 @@ class TestQuarantineFallback:
         engine.save_generation(directory)
         manifest = read_manifest(directory)
         tear_file(os.path.join(directory, manifest.snapshot), keep_bytes=100)
-        from repro.storage.pagestore import CorruptSnapshotError
-
         with pytest.raises(CorruptSnapshotError):
             QueryEngine.open_live(directory, verify=True)
         assert list_quarantined(directory) == []
@@ -372,6 +377,7 @@ class TestServeFaultHooks:
         )
         first = runtime.handle(Request(request_id=1, op=OP_PING))
         second = runtime.handle(Request(request_id=2, op=OP_PING))
+        runtime.engine.close()
         assert first.ok and second.ok
         assert runtime.injector.fired == [("worker.request", 2, "hang")]
 

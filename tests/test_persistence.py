@@ -210,6 +210,8 @@ def test_flipped_column_byte_is_caught_on_every_open(backend, tmp_path):
     ("grid_resolution", 16, 0),
     ("grid_resolution", 1, -4),
     ("grid_resolution", 64, "16"),
+    ("shard_strategy", "round_robin", "hash"),
+    ("shard_strategy", "spatial_tile", 3),
 ])
 def test_snapshot_with_retired_config_key_still_opens(key, value, other, tmp_path,
                                                       monkeypatch):
@@ -243,10 +245,15 @@ def test_snapshot_with_retired_config_key_still_opens(key, value, other, tmp_pat
         QueryEngine.open(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("grid_resolution", 16),
+    ("shard_strategy", "round_robin"),
+])
 @pytest.mark.parametrize("layout", ("snapshot", "live", "sharded"))
-def test_deployment_with_retired_grid_resolution_reopens(layout, tmp_path, monkeypatch):
-    """Every layout saved while ``grid_resolution`` was a config field (all
-    of them carry it) reopens and answers exactly like the engine it saved."""
+def test_deployment_with_retired_config_key_reopens(layout, key, value, tmp_path,
+                                                    monkeypatch):
+    """Every layout saved while ``key`` was a config field (all of them
+    carry it) reopens and answers exactly like the engine it saved."""
     from repro.shard import build_sharded_deployment, open_deployment
 
     objects, domain = generate_uniform_objects(40, seed=4, diameter=300.0)
@@ -254,7 +261,7 @@ def test_deployment_with_retired_grid_resolution_reopens(layout, tmp_path, monke
     queries = generate_query_points(6, domain, seed=37)
     saved_config = DiagramConfig.to_dict
     monkeypatch.setattr(DiagramConfig, "to_dict",
-                        lambda config: {**saved_config(config), "grid_resolution": 16})
+                        lambda config: {**saved_config(config), key: value})
     target = str(tmp_path / layout)
     if layout == "snapshot":
         engine.save(target)

@@ -151,6 +151,13 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "invalid choice: 'compare'" in capsys.readouterr().err
 
+    def test_retired_shard_strategy_flag_is_unknown(self, capsys):
+        """Parallel builds deal objects round-robin; there is no strategy to pick."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", "--objects", "10", "--shard-strategy", "spatial_tile"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shard-strategy" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["build", "explain", "shard-build", "render"])
     def test_every_backend_option_refuses_the_retired_grid(self, command, capsys):
         with pytest.raises(SystemExit) as exit_info:
