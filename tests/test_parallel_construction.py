@@ -9,6 +9,7 @@ single-core machines.
 """
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -114,6 +115,102 @@ class TestBuilderParity:
         second = context.compute(oid)
         assert first.ref_objects == second.ref_objects
         assert first.cr_objects == second.cr_objects
+
+    def test_basic_parallel_is_bit_identical(self, medium_dataset):
+        objects, domain = medium_dataset
+        serial_index, _ = build_uv_index(
+            "basic", objects[:30], domain, page_capacity=16
+        )
+        parallel_index, _ = build_uv_index(
+            "basic", objects[:30], domain, page_capacity=16, workers=2
+        )
+        assert leaf_fingerprint(serial_index) == leaf_fingerprint(parallel_index)
+
+    def test_unknown_method_is_rejected(self, medium_dataset):
+        objects, domain = medium_dataset
+        with pytest.raises(ValueError, match="unknown construction method"):
+            build_uv_index("voronoi", objects[:5], domain, workers=2)
+
+
+# ---------------------------------------------------------------------- #
+# compute_cells: the one place the worker count decides anything
+# ---------------------------------------------------------------------- #
+def cell_profile(results):
+    return [(r.oid, r.ref_objects, r.cr_objects) for r in results]
+
+
+@pytest.fixture(scope="module")
+def small_spec(medium_dataset):
+    objects, domain = medium_dataset
+    return CellWorkSpec(
+        method="ic", objects=tuple(objects[:24]), domain=domain, seed_knn=20
+    )
+
+
+@pytest.fixture(scope="module")
+def in_process_cells(small_spec):
+    return cell_profile(construction.compute_cells(small_spec, 1, None))
+
+
+class TestComputeCells:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_follow_spec_order(self, small_spec, workers):
+        results = construction.compute_cells(small_spec, workers, None)
+        assert [r.oid for r in results] == [obj.oid for obj in small_spec.objects]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_cells_match_in_process_cells(self, small_spec, in_process_cells,
+                                               workers):
+        results = construction.compute_cells(small_spec, workers, None)
+        assert cell_profile(results) == in_process_cells
+        assert multiprocessing.active_children() == []
+
+    def test_single_worker_never_opens_a_pool(self, small_spec, in_process_cells,
+                                              monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must compute in-process")
+
+        monkeypatch.setattr(construction.multiprocessing, "Pool", no_pool)
+        results = construction.compute_cells(small_spec, 1, None)
+        assert cell_profile(results) == in_process_cells
+
+    @pytest.mark.parametrize("error", [
+        OSError("no processes"),
+        pickle.PicklingError("spec will not pickle"),
+        AttributeError("no such worker function"),
+        ImportError("no _multiprocessing"),
+    ], ids=["os", "pickling", "attribute", "import"])
+    def test_pool_failure_computes_in_process(self, small_spec, in_process_cells,
+                                              monkeypatch, error):
+        def no_pool(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(construction.multiprocessing, "Pool", no_pool)
+        results = construction.compute_cells(small_spec, 2, None)
+        assert cell_profile(results) == in_process_cells
+
+    def test_pool_size_is_capped_by_object_count(self, medium_dataset, monkeypatch):
+        objects, domain = medium_dataset
+        spec = CellWorkSpec(
+            method="ic", objects=tuple(objects[:3]), domain=domain, seed_knn=20
+        )
+        sizes = []
+        real_pool = multiprocessing.Pool
+
+        def recording_pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return real_pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(construction.multiprocessing, "Pool", recording_pool)
+        results = construction.compute_cells(spec, 8, None)
+        assert sizes == [3]
+        assert [r.oid for r in results] == [obj.oid for obj in objects[:3]]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_spec_yields_no_cells(self, medium_dataset, workers):
+        _, domain = medium_dataset
+        spec = CellWorkSpec(method="ic", objects=(), domain=domain)
+        assert construction.compute_cells(spec, workers, None) == []
 
 
 # ---------------------------------------------------------------------- #
